@@ -58,14 +58,15 @@ def constraint_penalty(x, z, beta, prob, fvals=None):
     return float(np.sum(scalar_penalty(fvals, z, beta)))
 
 
-def smooth_value(w, beta, prob):
+def smooth_value(w, beta, prob, gval=None):
     """Smooth part of the augmented Lagrangian (everything except h).
 
     g(x) + y'(Ax-b) + (beta/2)||Ax-b||^2 + sum_j penalty(f_j(x), z_j);
-    uses the residual and constraint values cached on w.
+    uses the residual and constraint values cached on w, and ``gval`` for
+    g(x) when the caller already has it.
     """
     _check_beta(beta)
-    val = prob.g(w.x)
+    val = prob.g(w.x) if gval is None else gval
     if not prob.affine.is_empty:
         val += float(w.y @ w.r) + 0.5 * beta * float(w.r @ w.r)
     if prob.m:
@@ -81,44 +82,53 @@ def auglag_value(w, beta, prob):
     return smooth_value(w, beta, prob) + hval
 
 
-def smooth_grad(w, beta, prob):
+def smooth_grad(w, beta, prob, grads=None):
     """Gradient of the smooth part with respect to x.
 
     grad g(x) + A'(y + beta (Ax-b)) + sum_j [beta f_j(x) + z_j]_+ grad f_j(x),
     evaluated with the cached residual and constraint values of w.
+    ``grads`` is an optional (1 + m, dim) array holding grad g(x) followed by
+    every grad f_j(x), as one stacked product gives them; without it each
+    function's gradient oracle is called.
     """
     _check_beta(beta)
-    grad = prob.g.grad(w.x)
+    grad = prob.g.grad(w.x) if grads is None else grads[0]
     if not prob.affine.is_empty:
         grad = grad + prob.affine.adjoint(w.y + beta * w.r)
     if prob.m:
         coef = scalar_penalty_deriv(w.fvals, w.z, beta)
+        if grads is not None:
+            return grad + coef @ grads[1:]
         for cj, con in zip(coef, prob.constraints):
             if cj != 0.0:
                 grad = grad + cj * con.grad(w.x)
     return grad
 
 
-def smooth_grad_block(w, beta, prob, i, trackers=None):
+def smooth_grad_block(w, beta, prob, i, trackers=None, grads=None):
     """Block i of the smooth gradient; equals smooth_grad(...)[blocks[i]].
 
     With ``trackers`` (objective tracker followed by one per constraint) the
     block is assembled from maintained state in O(rows * width) instead of a
-    full gradient evaluation.
+    full gradient evaluation. ``grads`` instead gives block i of every
+    gradient at once, as a (1 + m, width) array like a stacked
+    QuadraticTracker's ``block_grad``.
     """
     if prob.blocks is None:
         raise ValueError("problem has no block partition")
     if not 0 <= i < len(prob.blocks):
         raise IndexError(f"block index {i} out of range")
     sl = prob.blocks[i]
-    if trackers is None:
+    if trackers is None and grads is None:
         return smooth_grad(w, beta, prob)[sl]
     _check_beta(beta)
-    grad = trackers[0].block_grad(sl)
+    grad = trackers[0].block_grad(sl) if grads is None else grads[0]
     if not prob.affine.is_empty:
         grad = grad + prob.affine.block(sl).T @ (w.y + beta * w.r)
     if prob.m:
         coef = scalar_penalty_deriv(w.fvals, w.z, beta)
+        if grads is not None:
+            return grad + coef @ grads[1:]
         for cj, tracker in zip(coef, trackers[1:]):
             if cj != 0.0:
                 grad = grad + cj * tracker.block_grad(sl)

@@ -106,20 +106,28 @@ class QcqpSpec:
             raise ValueError("box_low must be below box_high")
 
 
-def _gaussian_psd(rng, p):
+def _gaussian_psd(rng, p, out):
     M = rng.standard_normal((p, p))
-    return M.T @ M / p
+    np.matmul(M.T, M, out=out)
+    out /= p
+    return out
 
 
 def gen_qcqp(spec):
-    """Build a QCQP instance with analytic step constants derived from the box."""
+    """Build a QCQP instance with analytic step constants derived from the box.
+
+    All m + 1 matrices live in one (m + 1, p, p) array and each function
+    holds a view of it, so ``QuadraticStack.of`` stacks them without a copy.
+    """
     rng = np.random.default_rng(spec.seed)
     p = spec.p
     box_radius = float(np.linalg.norm(
         np.maximum(abs(spec.box_low), abs(spec.box_high)) * np.ones(p)))
+    Qs = np.empty((spec.m + 1, p, p))
+    slabs = iter(Qs)
 
     def quad(d):
-        Q = _gaussian_psd(rng, p)
+        Q = _gaussian_psd(rng, p, next(slabs))
         c = rng.standard_normal(p)
         norm = float(np.sqrt(operator_norm_sq(Q)))
         fn = QuadraticFunction(Q, c, d, lipschitz=norm)

@@ -92,7 +92,7 @@ class QuadraticFunction(SmoothFunction):
         return float(0.5 * x @ (self.Q @ x) + self.c @ x + self.d)
 
     def grad(self, x):
-        return self.Q @ np.asarray(x, dtype=float) + self.c
+        return _matvec(self.Q, np.asarray(x, dtype=float)) + self.c
 
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -100,6 +100,70 @@ class QuadraticFunction(SmoothFunction):
 
     def tracker(self, x):
         return QuadraticTracker(self, x)
+
+
+def _matvec(Q, x):
+    """Q @ x over the last axis of a (p, p) or (k, p, p) C-contiguous array,
+    as one matrix-vector product."""
+    p = Q.shape[-1]
+    return (Q.reshape(-1, p) @ x).reshape(Q.shape[:-1])
+
+
+class QuadraticStack(QuadraticFunction):
+    """k quadratics 0.5 x'Q_i x + c_i'x + d_i held as one (k, p, p) array.
+
+    A vector-valued QuadraticFunction: Q, c and d carry a leading function
+    axis, so its value at a point is a (k,) array and its gradient, from
+    one product with the stacked Q, a (k, p) array. Build it with ``of``.
+    """
+
+    def __init__(self, Q, c, d):
+        self.Q = Q
+        self.c = c
+        self.d = d
+
+    @classmethod
+    def of(cls, fns):
+        """Stack of QuadraticFunctions, sharing their memory when it can.
+
+        When the functions' Q's are consecutive (p, p) views of one array,
+        as ``gen_qcqp`` makes them, the stack is a view of that array;
+        otherwise the Q's are copied into a new one.
+        """
+        Q0 = fns[0].Q
+        k, p = len(fns), Q0.shape[0]
+        item = Q0.itemsize
+        start = Q0.__array_interface__["data"][0]
+        shared = Q0.base is not None and all(
+            fn.Q.base is Q0.base and fn.Q.shape == (p, p) and fn.Q.flags.c_contiguous
+            and fn.Q.__array_interface__["data"][0] == start + i * p * p * item
+            for i, fn in enumerate(fns))
+        if shared:
+            # every (p, p) slab of the view is one of the fns' own views
+            Q = np.lib.stride_tricks.as_strided(
+                Q0, (k, p, p), (p * p * item, p * item, item), writeable=False)
+        else:
+            Q = np.stack([fn.Q for fn in fns])
+        return cls(Q, np.stack([fn.c for fn in fns]), np.array([fn.d for fn in fns]))
+
+    def __call__(self, x):
+        return self.value_grad(x)[0]
+
+    def value_grad(self, x):
+        """Values (k,) and gradients (k, p) at x from one product, using
+        f(x) = x'(grad f(x) + c)/2 + d for a quadratic."""
+        x = np.asarray(x, dtype=float)
+        grads = self.grad(x)
+        return 0.5 * ((grads + self.c) @ x) + self.d, grads
+
+
+def quadratic_stack(prob):
+    """QuadraticStack of g followed by every constraint function, or None
+    when any of them is not a QuadraticFunction."""
+    fns = [prob.g] + [con.fn for con in prob.constraints]
+    if all(type(fn) is QuadraticFunction for fn in fns):
+        return QuadraticStack.of(fns)
+    return None
 
 
 class LeastSquaresFunction(SmoothFunction):
@@ -187,7 +251,13 @@ class FullTracker:
 
 
 class QuadraticTracker:
-    """Maintains q = Qx so block gradients and value deltas are O(p * width)."""
+    """Maintains q = Qx so block gradients and value deltas are O(p * width).
+
+    Tracks one QuadraticFunction, or every function of a QuadraticStack at
+    once: a stack's Q, c and d carry a leading function axis, so the same
+    code answers for all k functions with one batched product per query
+    (``value`` of shape (k,), block gradients of shape (k, width)).
+    """
 
     def __init__(self, fn, x):
         self.fn = fn
@@ -195,22 +265,30 @@ class QuadraticTracker:
 
     def rebase(self, x):
         x = np.asarray(x, dtype=float)
-        self.qx = self.fn.Q @ x
-        self.value = float(0.5 * x @ self.qx + self.fn.c @ x + self.fn.d)
+        self.qx = _matvec(self.fn.Q, x)
+        self.value = 0.5 * (self.qx @ x) + self.fn.c @ x + self.fn.d
 
     def grad(self):
         return self.qx + self.fn.c
 
     def block_grad(self, sl):
-        return self.qx[sl] + self.fn.c[sl]
+        return self.qx[..., sl] + self.fn.c[..., sl]
 
     def delta_value(self, sl, dx):
-        return float(dx @ self.qx[sl] + 0.5 * dx @ (self.fn.Q[sl, sl] @ dx)
-                     + self.fn.c[sl] @ dx)
+        return (self.qx[..., sl] @ dx + 0.5 * ((self.fn.Q[..., sl, sl] @ dx) @ dx)
+                + self.fn.c[..., sl] @ dx)
 
-    def commit(self, sl, dx):
-        self.value += self.delta_value(sl, dx)
-        self.qx += self.fn.Q[:, sl] @ dx
+    def commit(self, sl, dx, delta=None):
+        """Apply x[sl] += dx; ``delta`` is ``delta_value(sl, dx)`` when the
+        caller already has it.
+
+        Q is symmetric, so the contiguous row block Q[sl, :] stands in for
+        the strided column block Q[:, sl].
+        """
+        if delta is None:
+            delta = self.delta_value(sl, dx)
+        self.value = self.value + delta
+        self.qx += dx @ self.fn.Q[..., sl, :]
 
 
 class LeastSquaresTracker:
@@ -612,21 +690,27 @@ def eps_optimality(x_new, f0_star, eps, prob):
     return EpsOptimality(obj_gap, feas, bool(obj_gap <= eps and feas <= eps))
 
 
-def kkt_residual(w, prob):
+def kkt_residual(w, prob, grads=None):
     """Stationarity, primal feasibility, and complementarity residuals.
 
     Stationarity is measured through the unit-weight prox-gradient map
     ||x - prox_h(x - (grad g + A'y + sum_j z_j grad f_j))||, so all three
-    components vanish exactly at a KKT point (for x in dom(h)).
+    components vanish exactly at a KKT point (for x in dom(h)). ``grads``
+    optionally gives grad g(x) followed by every grad f_j(x) as one
+    (1 + m, dim) array; by default each gradient oracle is called, which is
+    the reference the stacked form is tested against.
     """
     if np.any(w.z < 0):
         raise ValueError("multipliers z must be nonnegative")
-    total = prob.g.grad(w.x)
+    total = prob.g.grad(w.x) if grads is None else grads[0]
     if not prob.affine.is_empty:
         total = total + prob.affine.adjoint(w.y)
-    for zj, con in zip(w.z, prob.constraints):
-        if zj != 0.0:
-            total = total + zj * con.grad(w.x)
+    if grads is not None:
+        total = total + w.z @ grads[1:]
+    else:
+        for zj, con in zip(w.z, prob.constraints):
+            if zj != 0.0:
+                total = total + zj * con.grad(w.x)
     stationarity = float(np.linalg.norm(w.x - prob.h.prox(w.x - total, 1.0)))
     feas = feasibility_residual(w.x, prob, r=w.r, fvals=w.fvals)
     comp = float(np.sum(np.abs(w.z * w.fvals))) if prob.m else 0.0
@@ -634,7 +718,11 @@ def kkt_residual(w, prob):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the best estimate."""
+    """Power iteration failed to converge; carries the best estimate.
+
+    ``operator_norm_sq`` no longer raises it (it falls back to an exact
+    eigenvalue); the class stays importable for callers that catch it.
+    """
 
     def __init__(self, message, estimate):
         super().__init__(message)
@@ -644,10 +732,11 @@ class PowerIterationError(RuntimeError):
 def operator_norm_sq(A, tol=1e-8, max_iter=None):
     """Largest eigenvalue of A'A by power iteration with Rayleigh quotients.
 
-    Stops when the relative change of the estimate is at most ``tol``;
-    raises PowerIterationError (carrying the best estimate) after
-    ``max_iter`` iterations (default 10 * columns, floored at 1000 so that
-    small matrices with nearly degenerate top eigenvalues still converge).
+    Stops when the relative change of the estimate is at most ``tol``.
+    When the top eigenvalues nearly coincide, power iteration converges too
+    slowly for that test; after ``max_iter`` iterations (default 10 *
+    columns, floored at 1000) the exact largest eigenvalue of the smaller
+    Gram matrix (AA' or A'A) is returned instead.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.size == 0 or not A.any():
@@ -668,5 +757,5 @@ def operator_norm_sq(A, tol=1e-8, max_iter=None):
         if abs(new - estimate) <= tol * max(abs(new), 1e-300):
             return new
         estimate = new
-    raise PowerIterationError(
-        f"power iteration did not converge in {max_iter} iterations", estimate)
+    gram = A @ A.T if A.shape[0] <= dim else A.T @ A
+    return float(np.linalg.eigvalsh(gram)[-1])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lalm import SolveResult, SolverError, descent_holds
-from .model import PrimalDualPoint
+from .model import PrimalDualPoint, quadratic_stack
 from .trace import MetricsRecorder, record_epochs, should_stop
 
 
@@ -106,7 +106,8 @@ def solve(prob, config, x0=None, callback=None, clock=None,
         eta = config.eta_seed(prob)
     state = PdynState.start(prob, np.zeros(prob.dim) if x0 is None else x0, eta)
 
-    recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock)
+    recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
+                               stack=quadratic_stack(prob))
     schedule = record_epochs(config.max_epochs, config.record_every)
 
     def snapshot(epoch, fvals, eta_max=None):

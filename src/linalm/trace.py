@@ -40,25 +40,41 @@ class TraceRecord:
 
 
 class MetricsRecorder:
-    """Computes TraceRecords for a fixed problem, method, and wall clock."""
+    """Computes TraceRecords for a fixed problem, method, and wall clock.
 
-    def __init__(self, prob, method, f0_star=None, clock=None):
+    With ``stack`` (the instance's QuadraticStack, see
+    ``model.quadratic_stack``) the objective, the constraint values at the
+    ergodic points and the KKT gradients each come from one stacked product
+    instead of one oracle call per function.
+    """
+
+    def __init__(self, prob, method, f0_star=None, clock=None, stack=None):
         self.prob = prob
         self.method = method
         self.f0_star = f0_star
+        self.stack = stack
         self.clock = time.perf_counter if clock is None else clock
         self.t0 = self.clock()
 
     def _gap_feas(self, x):
-        feas = feasibility_residual(x, self.prob)
-        gap = None
-        if self.f0_star is not None:
-            gap = abs(self.prob.f0(x) - self.f0_star)
+        if self.stack is None:
+            feas = feasibility_residual(x, self.prob)
+            obj = None if self.f0_star is None else self.prob.f0(x)
+        else:
+            vals = self.stack(x)
+            feas = feasibility_residual(x, self.prob, fvals=vals[1:])
+            obj = float(vals[0]) + self.prob.h.value(x)
+        gap = None if self.f0_star is None else abs(obj - self.f0_star)
         return gap, feas
 
     def snapshot(self, epoch, w, eta_max=None, erg_x=None, erg_x_scaled=None):
-        obj = self.prob.f0(w.x)
-        kkt = kkt_residual(w, self.prob)
+        if self.stack is None:
+            obj = self.prob.f0(w.x)
+            kkt = kkt_residual(w, self.prob)
+        else:
+            vals, grads = self.stack.value_grad(w.x)
+            obj = float(vals[0]) + self.prob.h.value(w.x)
+            kkt = kkt_residual(w, self.prob, grads=grads)
         obj_gap = None if self.f0_star is None else abs(obj - self.f0_star)
         erg_gap = erg_feas = erg_gap_s = erg_feas_s = None
         if erg_x is not None:

@@ -116,6 +116,22 @@ def test_constraint_increments_match_full_evaluation(rng):
                                    atol=1e-10)
 
 
+def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
+    # a stacked tracker commits with the value deltas of the accepted trial;
+    # a block value from anywhere else must be evaluated afresh
+    prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4)
+    state = make_state(prob)
+    for _ in range(20):
+        i = int(rng.integers(4))
+        sl = prob.blocks[i]
+        _, accepted = state.backtrack_block(i, state.block_gradient(i))
+        own = rng.random() < 0.5
+        state.apply_block(i, accepted if own else
+                          state.x[sl] + rng.normal(size=sl.stop - sl.start))
+        np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
+                                   rtol=1e-12, atol=1e-10)
+
+
 def test_affine_constraint_increment_is_linear(rng):
     # f(x) = a'x - d updates by the block inner product
     fn = LinearFunction(np.arange(1.0, 7.0), -1.0)

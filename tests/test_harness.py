@@ -3,10 +3,12 @@ import pytest
 
 from linalm.harness import (ExperimentConfig, build_problem, fit_loglog_slope,
                             long_run_reference, rate_fit, run)
-from linalm.instances import BpdnSpec, gen_bpdn, tiny_reference
+from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
+                              tiny_reference)
 from linalm.lalm import SolverConfig
-from linalm.trace import (CSV_COLUMNS, TraceRecord, read_trace_csv,
-                          record_epochs, write_trace_csv)
+from linalm.model import PrimalDualPoint, kkt_residual, quadratic_stack
+from linalm.trace import (CSV_COLUMNS, MetricsRecorder, TraceRecord,
+                          read_trace_csv, record_epochs, write_trace_csv)
 
 
 def fake_clock():
@@ -35,6 +37,36 @@ def synthetic_trace(values, epochs=None):
                         feas=0.0, kkt_stat=0.0, erg_obj_gap=float(v),
                         erg_feas=None, eta_max=None, time_ms=0.0)
             for e, v in zip(epochs, values)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_qcqp(QcqpSpec(m=4, p=9, seed=2)).with_f0_star(-3.0),
+    lambda: tiny_reference("equality-qp")[0],
+    lambda: tiny_reference("scalar-qcqp")[0],
+])
+def test_stacked_recorder_matches_per_function_reference(rng, make):
+    prob = make()
+    stack = quadratic_stack(prob)
+    lo, hi = prob.h.domain if prob.h.domain is not None else (-np.ones(prob.dim),
+                                                              np.ones(prob.dim))
+    plain = MetricsRecorder(prob, "m", f0_star=prob.f0_star, clock=fake_clock)
+    stacked = MetricsRecorder(prob, "m", f0_star=prob.f0_star, clock=fake_clock,
+                              stack=stack)
+    for _ in range(5):
+        x, e1, e2 = (rng.uniform(lo, hi) for _ in range(3))
+        z = rng.uniform(0.0, 2.0, size=prob.m) * (rng.random(prob.m) < 0.7)
+        w = PrimalDualPoint.at(prob, x, rng.normal(size=prob.affine.rows), z)
+        np.testing.assert_allclose(stack(x)[1:], prob.constraint_values(x),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(kkt_residual(w, prob, grads=stack.grad(x)),
+                                   kkt_residual(w, prob), rtol=1e-12, atol=1e-12)
+        want = plain.snapshot(4, w, erg_x=e1, erg_x_scaled=e2)
+        got = stacked.snapshot(4, w, erg_x=e1, erg_x_scaled=e2)
+        for field in ("obj", "obj_gap", "feas", "kkt_stat", "kkt_comp",
+                      "erg_obj_gap", "erg_feas", "erg_obj_gap_scaled",
+                      "erg_feas_scaled"):
+            assert getattr(got, field) == pytest.approx(
+                getattr(want, field), rel=1e-12, abs=1e-12), field
 
 
 def test_record_epochs_interval_and_default():

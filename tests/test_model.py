@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linalm.model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                           L1Norm, LeastSquaresFunction, LinearFunction,
                           OracleFunction, PowerIterationError, PrimalDualPoint,
-                          ProblemInstance, QuadraticFunction, ZeroFunction,
-                          ZeroProx, eps_optimality, even_blocks, kkt_residual,
-                          lagrangian_gap, operator_norm_sq, project_box,
-                          prox_l1)
-from linalm.instances import gen_qcqp, QcqpSpec, tiny_reference
+                          ProblemInstance, QuadraticFunction, QuadraticStack,
+                          ZeroFunction, ZeroProx, eps_optimality, even_blocks,
+                          kkt_residual, lagrangian_gap, operator_norm_sq,
+                          project_box, prox_l1, quadratic_stack)
+from linalm.instances import (BpdnSpec, gen_bpdn, gen_qcqp, QcqpSpec,
+                              tiny_reference)
 
 from conftest import assert_grad_matches
 
@@ -195,6 +197,103 @@ def test_operator_norm_error_carries_estimate():
         assert exc.estimate == pytest.approx(4.0, rel=1e-3)
     else:
         assert val == pytest.approx(4.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("seed", [2641798559, 3144076148, 127373982])
+def test_operator_norm_near_degenerate_bpdn(seed):
+    # power iteration stalls on these instances' nearly equal top
+    # eigenvalues; the exact Gram eigenvalue takes over
+    prob = gen_bpdn(BpdnSpec(rows=50, cols=100, sparsity=5, seed=seed))
+    fn = prob.constraints[0].fn
+    assert fn.lipschitz == pytest.approx(2 * np.linalg.norm(fn.A, 2) ** 2, rel=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# quadratic stacks
+
+
+def random_quadratics(rng, k, dim):
+    fns = []
+    for _ in range(k):
+        M = rng.normal(size=(dim, dim))
+        Q = M.T @ M / dim
+        fns.append(QuadraticFunction(0.5 * (Q + Q.T), rng.normal(size=dim),
+                                     rng.normal()))
+    return fns
+
+
+def value_scale(fns, x):
+    """Magnitude of the terms each value sums, for roundoff-aware tolerances."""
+    return np.array([1.0 + abs(0.5 * x @ fn.Q @ x) + abs(fn.c @ x) + abs(fn.d)
+                     for fn in fns])
+
+
+def assert_close(got, want, scale, rel):
+    """|got - want| <= rel * scale elementwise (scale broadcasts)."""
+    err = np.abs(np.asarray(got) - np.asarray(want))
+    assert np.all(err <= rel * np.asarray(scale)), (err, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 5),
+       dim=st.integers(1, 12), n_blocks=st.integers(1, 4),
+       steps=st.integers(1, 30))
+def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
+    rng = np.random.default_rng(seed)
+    fns = random_quadratics(rng, k, dim)
+    blocks = even_blocks(dim, min(n_blocks, dim))
+    x = rng.normal(size=dim)
+    tracker = QuadraticStack.of(fns).tracker(x.copy())
+    for _ in range(steps):
+        sl = blocks[rng.integers(len(blocks))]
+        dx = rng.normal(size=sl.stop - sl.start)
+        delta = tracker.delta_value(sl, dx)
+        trial = x.copy()
+        trial[sl] += dx
+        scale = value_scale(fns, trial)
+        assert_close(delta, [fn(trial) - fn(x) for fn in fns], scale, 1e-10)
+        # commit with the caller's delta or with one it recomputes
+        tracker.commit(sl, dx, delta if rng.random() < 0.5 else None)
+        x = trial
+        assert_close(tracker.value, [fn(x) for fn in fns], scale, 1e-10)
+        for blk in blocks:
+            want = np.stack([fn.grad(x)[blk] for fn in fns])
+            assert_close(tracker.block_grad(blk), want,
+                         1.0 + np.abs(want).max(axis=1, keepdims=True), 1e-10)
+
+
+def test_stack_of_generated_qcqp_is_a_view():
+    prob = gen_qcqp(QcqpSpec(m=4, p=7, seed=3))
+    fns = [prob.g] + [con.fn for con in prob.constraints]
+    stack = quadratic_stack(prob)
+    assert stack.Q.shape == (5, 7, 7) and stack.Q.flags.c_contiguous
+    assert (stack.Q.__array_interface__["data"][0]
+            == prob.g.Q.__array_interface__["data"][0])
+    for i, fn in enumerate(fns):
+        assert np.shares_memory(stack.Q[i], fn.Q)
+        np.testing.assert_array_equal(stack.Q[i], fn.Q)
+        np.testing.assert_array_equal(stack.c[i], fn.c)
+        assert stack.d[i] == fn.d
+
+
+def test_stack_of_other_quadratics_is_a_copy(rng):
+    prob = gen_qcqp(QcqpSpec(m=3, p=6, seed=1))
+    skipping = [prob.g, prob.constraints[1].fn]  # views, but not consecutive
+    for fns in (random_quadratics(rng, 3, 6), skipping):
+        stack = QuadraticStack.of(fns)
+        assert not any(np.shares_memory(stack.Q, fn.Q) for fn in fns)
+        x = rng.normal(size=6)
+        vals, grads = stack.value_grad(x)
+        assert_close(vals, [fn(x) for fn in fns], value_scale(fns, x), 1e-12)
+        np.testing.assert_allclose(grads, [fn.grad(x) for fn in fns], rtol=1e-12)
+
+
+def test_quadratic_stack_needs_every_function_quadratic():
+    assert quadratic_stack(gen_bpdn(BpdnSpec(rows=5, cols=8, sparsity=2))) is None
+    prob, _ = tiny_reference("scalar-bpdn")
+    assert quadratic_stack(prob) is None
+    prob, _ = tiny_reference("equality-qp")   # g alone: a stack of one
+    assert quadratic_stack(prob).Q.shape == (1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
