@@ -87,51 +87,42 @@ def smooth_grad(w, beta, prob, grads=None):
 
     grad g(x) + A'(y + beta (Ax-b)) + sum_j [beta f_j(x) + z_j]_+ grad f_j(x),
     evaluated with the cached residual and constraint values of w.
-    ``grads`` is an optional (1 + m, dim) array holding grad g(x) followed by
-    every grad f_j(x), as one stacked product gives them; without it each
+    ``grads`` is the (1 + m, dim) array of grad g(x) followed by every
+    grad f_j(x), as a smooth-stack tracker gives them; by default each
     function's gradient oracle is called.
     """
     _check_beta(beta)
-    grad = prob.g.grad(w.x) if grads is None else grads[0]
+    if grads is None:
+        grads = np.vstack([prob.g.grad(w.x), prob.constraint_grads(w.x)])
+    grad = grads[0]
     if not prob.affine.is_empty:
         grad = grad + prob.affine.adjoint(w.y + beta * w.r)
     if prob.m:
-        coef = scalar_penalty_deriv(w.fvals, w.z, beta)
-        if grads is not None:
-            return grad + coef @ grads[1:]
-        for cj, con in zip(coef, prob.constraints):
-            if cj != 0.0:
-                grad = grad + cj * con.grad(w.x)
+        grad = grad + scalar_penalty_deriv(w.fvals, w.z, beta) @ grads[1:]
     return grad
 
 
-def smooth_grad_block(w, beta, prob, i, trackers=None, grads=None):
+def smooth_grad_block(w, beta, prob, i, grads=None):
     """Block i of the smooth gradient; equals smooth_grad(...)[blocks[i]].
 
-    With ``trackers`` (objective tracker followed by one per constraint) the
-    block is assembled from maintained state in O(rows * width) instead of a
-    full gradient evaluation. ``grads`` instead gives block i of every
-    gradient at once, as a (1 + m, width) array like a stacked
-    QuadraticTracker's ``block_grad``.
+    ``grads`` gives block i of every gradient at once, as the (1 + m, width)
+    ``block_grad`` of a smooth-stack tracker, so the block is assembled from
+    maintained state in O(rows * width) instead of a full gradient
+    evaluation.
     """
     if prob.blocks is None:
         raise ValueError("problem has no block partition")
     if not 0 <= i < len(prob.blocks):
         raise IndexError(f"block index {i} out of range")
     sl = prob.blocks[i]
-    if trackers is None and grads is None:
+    if grads is None:
         return smooth_grad(w, beta, prob)[sl]
     _check_beta(beta)
-    grad = trackers[0].block_grad(sl) if grads is None else grads[0]
+    grad = grads[0]
     if not prob.affine.is_empty:
         grad = grad + prob.affine.block(sl).T @ (w.y + beta * w.r)
     if prob.m:
-        coef = scalar_penalty_deriv(w.fvals, w.z, beta)
-        if grads is not None:
-            return grad + coef @ grads[1:]
-        for cj, tracker in zip(coef, trackers[1:]):
-            if cj != 0.0:
-                grad = grad + cj * tracker.block_grad(sl)
+        grad = grad + scalar_penalty_deriv(w.fvals, w.z, beta) @ grads[1:]
     return grad
 
 

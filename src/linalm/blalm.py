@@ -15,7 +15,7 @@ import numpy as np
 from . import auglag
 from .lalm import (ErgodicAccumulator, SolveResult, SolverError, descent_holds,
                    multiplier_step_y, multiplier_step_z)
-from .model import PrimalDualPoint, operator_norm_sq, quadratic_stack
+from .model import PrimalDualPoint, operator_norm_sq, smooth_stack
 from .trace import MetricsRecorder, record_epochs, should_stop
 
 # Full cache recomputation cadence, in epochs.
@@ -23,7 +23,7 @@ _REFRESH_EPOCHS = 10
 
 
 class BlockState:
-    """Mutable per-solve state: iterates, caches, trackers, and the sampler."""
+    """Mutable per-solve state: iterates, caches, the tracker, and the sampler."""
 
     def __init__(self, prob, config, x0=None, y0=None, z0=None, seed=0):
         if prob.blocks is None:
@@ -41,17 +41,12 @@ class BlockState:
                                    y0, z0)
         self.x, self.y, self.z = start.x, start.y, start.z
         self.r, self.fvals = start.r, start.fvals
-        # When g and every constraint are quadratic, one tracker of their
-        # stack serves all of them; otherwise each function has its own.
-        self.stack = quadratic_stack(prob)
-        if self.stack is not None:
-            self.trackers = [self.stack.tracker(self.x)]
-            self.fvals = self.trackers[0].value[1:]
-        else:
-            self.trackers = [prob.g.tracker(self.x)] + \
-                [con.tracker(self.x) for con in prob.constraints]
-        # The last candidate's value deltas (stacked path), and the block
-        # value that candidate proposed if it was accepted.
+        # One tracker of the smooth stack serves g and every constraint.
+        self.stack = smooth_stack(prob)
+        self.tracker = self.stack.tracker(self.x)
+        self.fvals = self.tracker.value[1:]
+        # The last candidate's value deltas, and the block value that
+        # candidate proposed if it was accepted.
         self._trial_delta = self._accepted = None
 
         self.analytic = config.step_mode == "analytic"
@@ -77,20 +72,15 @@ class BlockState:
                                self.r.copy(), self.fvals.copy())
 
     def block_gradient(self, i):
-        """Block i of the smooth-part gradient, assembled from trackers."""
+        """Block i of the smooth-part gradient, assembled from the tracker."""
         w = PrimalDualPoint(self.x, self.y, self.z, self.r, self.fvals)
-        if self.stack is not None:
-            return auglag.smooth_grad_block(
-                w, self.config.beta, self.prob, i,
-                grads=self.trackers[0].block_grad(self.blocks[i]))
-        return auglag.smooth_grad_block(w, self.config.beta, self.prob, i,
-                                        trackers=self.trackers)
+        return auglag.smooth_grad_block(
+            w, self.config.beta, self.prob, i,
+            grads=self.tracker.block_grad(self.blocks[i]))
 
     def smooth_value(self):
         """Current smooth-part value from maintained state."""
-        value = self.trackers[0].value
-        return self._smooth_value(value if self.stack is None else value[0],
-                                  self.r, self.fvals)
+        return self._smooth_value(self.tracker.value[0], self.r, self.fvals)
 
     def _smooth_value(self, gval, r, fvals):
         beta = self.config.beta
@@ -104,16 +94,9 @@ class BlockState:
     def candidate_smooth_value(self, sl, dx, dr):
         """Smooth-part value after changing block sl by dx (nothing committed)."""
         r_new = None if self.prob.affine.is_empty else self.r + dr
-        if self.stack is not None:
-            self._trial_delta = self.trackers[0].delta_value(sl, dx)
-            new = self.trackers[0].value + self._trial_delta
-            return self._smooth_value(new[0], r_new, new[1:])
-        gval = self.trackers[0].value + self.trackers[0].delta_value(sl, dx)
-        fvals_new = self.fvals
-        if self.prob.m:
-            fvals_new = self.fvals + np.array(
-                [t.delta_value(sl, dx) for t in self.trackers[1:]])
-        return self._smooth_value(gval, r_new, fvals_new)
+        self._trial_delta = self.tracker.delta_value(sl, dx)
+        new = self.tracker.value + self._trial_delta
+        return self._smooth_value(new[0], r_new, new[1:])
 
     def block_eta(self, i):
         """Analytic per-block step bound, monotone across iterations."""
@@ -159,28 +142,18 @@ class BlockState:
         dx = blk_new - self.x[sl]
         if not self.prob.affine.is_empty:
             self.r += self.prob.affine.block(sl) @ dx
-        if self.stack is not None:
-            # reuse the value deltas of the trial that proposed blk_new
-            delta = self._trial_delta if self._accepted is blk_new else None
-            self.trackers[0].commit(sl, dx, delta)
-            self.fvals = self.trackers[0].value[1:]
-        else:
-            for tracker in self.trackers:
-                tracker.commit(sl, dx)
-            if self.prob.m:
-                self.fvals = np.array([t.value for t in self.trackers[1:]])
+        # reuse the value deltas of the trial that proposed blk_new
+        delta = self._trial_delta if self._accepted is blk_new else None
+        self.tracker.commit(sl, dx, delta)
+        self.fvals = self.tracker.value[1:]
         self.x[sl] = blk_new
         self._accepted = None
 
     def refresh(self):
-        """Recompute residual, constraint values, and trackers from scratch."""
+        """Recompute residual, constraint values, and the tracker from scratch."""
         self.r = self.prob.affine.residual(self.x)
-        for tracker in self.trackers:
-            tracker.rebase(self.x)
-        if self.stack is not None:
-            self.fvals = self.trackers[0].value[1:]
-        else:
-            self.fvals = self.prob.constraint_values(self.x)
+        self.tracker.rebase(self.x)
+        self.fvals = self.tracker.value[1:]
 
 
 def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
@@ -197,7 +170,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
     rho_y, rho_z = config.resolve_rho(n_blocks=n)
     beta = config.beta
 
-    acc = ErgodicAccumulator(prob.dim, mode="uniform")
+    acc = ErgodicAccumulator(prob.dim)
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
                                stack=state.stack)
     schedule = record_epochs(config.max_epochs, config.record_every)

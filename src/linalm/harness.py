@@ -3,8 +3,10 @@ dispatch, rate fitting, and CSV trace emission."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
@@ -108,20 +110,24 @@ def long_run_reference(prob, budget, target=1e-10, eta0=None, cache=None,
     most ``target`` or the iteration budget (required to be at least 10^6)
     is exhausted, and caches the result on disk keyed by the instance
     content hash. An unmet target produces a warning and the best point
-    found, with its residual recorded.
+    found, with its residual recorded. A malformed cached entry, or one whose
+    residual is above ``target``, is recomputed and replaced; entries are
+    renamed into place from a temporary file, so none is ever partial.
     """
     if budget < 1_000_000:
         raise ValueError("long-run reference needs a budget of at least 1e6 "
                          "iterations")
-    key = None
+    path = None
     if cache is not None:
-        key = instances.instance_digest(prob)
-        path = Path(cache) / f"{key}.json"
-        if path.exists():
+        path = Path(cache) / f"{instances.instance_digest(prob)}.json"
+        try:
             data = json.loads(path.read_text())
-            return instances.ReferenceSolution(
-                np.array(data["x"]), np.array(data["y"]), np.array(data["z"]),
-                data["f0"], data["provenance"], data.get("residual"))
+            if data["residual"] <= target:
+                return instances.ReferenceSolution(
+                    np.array(data["x"]), np.array(data["y"]), np.array(data["z"]),
+                    data["f0"], data["provenance"], data["residual"])
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            pass  # no entry, a malformed one, or no recorded residual
 
     cfg = SolverConfig(beta=1.0, step_mode="backtracking", eta0=eta0,
                        max_epochs=budget, tol=target, record_every=10)
@@ -135,13 +141,19 @@ def long_run_reference(prob, budget, target=1e-10, eta0=None, cache=None,
     ref = instances.ReferenceSolution(res.w.x, res.w.y, res.w.z,
                                       float(prob.f0(res.w.x)), "long-run",
                                       residual=residual)
-    if key is not None:
-        path = Path(cache) / f"{key}.json"
+    if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({
-            "x": ref.x.tolist(), "y": ref.y.tolist(), "z": ref.z.tolist(),
-            "f0": ref.f0, "provenance": ref.provenance,
-            "residual": ref.residual}))
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump({"x": ref.x.tolist(), "y": ref.y.tolist(),
+                           "z": ref.z.tolist(), "f0": ref.f0,
+                           "provenance": ref.provenance,
+                           "residual": ref.residual}, fh)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return ref
 
 
@@ -156,13 +168,7 @@ def run(config, clock=None):
     reference = resolve_reference(prob, config, clock=clock)
     prob = prob.with_f0_star(None if reference is None else reference.f0)
 
-    solver_cfg = SolverConfig(
-        beta=config.solver.beta, rho_y=config.solver.rho_y,
-        rho_z=config.solver.rho_z, delta=config.solver.delta,
-        step_mode=config.solver.step_mode,
-        backtrack_factor=config.solver.backtrack_factor,
-        eta0=config.solver.eta0, max_epochs=config.epochs,
-        tol=config.solver.tol, record_every=config.solver.record_every)
+    solver_cfg = dataclasses.replace(config.solver, max_epochs=config.epochs)
 
     x0 = prob.meta.get("x0")
     if config.method == "lalm":

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import auglag
-from .model import PrimalDualPoint, quadratic_stack
+from .model import PrimalDualPoint, smooth_stack
 from .trace import MetricsRecorder, record_epochs, should_stop
 
 # Relative slack admitted when testing the descent inequality, so that a
@@ -90,10 +90,7 @@ class SolverConfig:
 class ErgodicAccumulator:
     """Running weighted sum of primal iterates; never stores the history."""
 
-    def __init__(self, dim, mode="weighted"):
-        if mode not in ("weighted", "uniform"):
-            raise ValueError("mode must be 'weighted' or 'uniform'")
-        self.mode = mode
+    def __init__(self, dim):
         self._sum = np.zeros(dim)
         self.weight = 0.0
         self.count = 0
@@ -170,38 +167,27 @@ def descent_holds(value_new, value_base, inner, eta, step_sq):
     return value_new <= bound + slack
 
 
-def _constraint_values(x, prob, tracker):
-    """Constraint values at x. A stacked tracker is rebased at x, so its one
-    product also holds g(x) and every gradient there."""
-    if tracker is None:
-        return prob.constraint_values(x)
-    tracker.rebase(x)
-    return tracker.value[1:]
-
-
-def backtrack_primal(w, grad, eta_start, config, prob, max_trials=201,
-                     tracker=None):
+def backtrack_primal(w, grad, eta_start, config, prob, tracker, max_trials=201):
     """Grow eta geometrically until the prox-gradient candidate satisfies the
     descent inequality on the smooth part of the augmented Lagrangian.
 
     Returns (eta, x_new, r_new, fvals_new, smooth_new, trials) where trials
     counts the step-size multiplications performed; more than 200
-    multiplications raise SolverError. With ``tracker`` (a QuadraticTracker
-    of the instance's stack, based at w.x) each trial rebases it at the
-    candidate, so g and every constraint value come from one stacked
-    product, and on return it is based at x_new.
+    multiplications raise SolverError. ``tracker`` is a tracker of the
+    instance's smooth stack based at w.x; each trial rebases it at the
+    candidate for g and every constraint value there, so on return it is
+    based at x_new.
     """
     beta = config.beta
-    base = auglag.smooth_value(w, beta, prob,
-                               gval=None if tracker is None else tracker.value[0])
+    base = auglag.smooth_value(w, beta, prob, gval=tracker.value[0])
     eta = eta_start
     for trial in range(max_trials):
         x_new = primal_candidate(w, grad, eta, prob)
         dx = x_new - w.x
+        tracker.rebase(x_new)
         cand = PrimalDualPoint(x_new, w.y, w.z, prob.affine.residual(x_new),
-                               _constraint_values(x_new, prob, tracker))
-        val = auglag.smooth_value(cand, beta, prob,
-                                  gval=None if tracker is None else tracker.value[0])
+                               tracker.value[1:])
+        val = auglag.smooth_value(cand, beta, prob, gval=tracker.value[0])
         if np.isfinite(val) and descent_holds(val, base, float(grad @ dx), eta,
                                               float(dx @ dx)):
             return eta, x_new, cand.r, cand.fvals, val, trial
@@ -236,14 +222,13 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
     beta, delta = config.beta, config.delta
     analytic = config.step_mode == "analytic"
     eta = 0.0 if analytic else config.eta_seed(prob)
-    # With every smooth function quadratic, one tracker of their stack,
-    # based at the current iterate, gives the values and gradients.
-    stack = quadratic_stack(prob)
-    tracker = None if stack is None else stack.tracker(w.x)
-    if tracker is not None:
-        w.fvals = tracker.value[1:]
+    # One tracker of the smooth stack, based at the current iterate, gives
+    # the values and gradients of g and every constraint.
+    stack = smooth_stack(prob)
+    tracker = stack.tracker(w.x)
+    w.fvals = tracker.value[1:]
 
-    acc = ErgodicAccumulator(prob.dim, mode="weighted")
+    acc = ErgodicAccumulator(prob.dim)
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
                                stack=stack)
     schedule = record_epochs(config.max_epochs, config.record_every)
@@ -252,18 +237,17 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
     epoch = 0
 
     for k in range(config.max_epochs):
-        grad = auglag.smooth_grad(w, beta, prob,
-                                  grads=None if tracker is None else tracker.grad())
+        grad = auglag.smooth_grad(w, beta, prob, grads=tracker.grad())
         if analytic:
             eta = analytic_eta(eta, w.x, w.z, beta, delta, prob, fvals=w.fvals)
             x_new = primal_candidate(w, grad, eta, prob)
             r_new = prob.affine.residual(x_new)
-            fvals_new = _constraint_values(x_new, prob, tracker)
+            tracker.rebase(x_new)
+            fvals_new = tracker.value[1:]
         else:
             eta, x_new, r_new, fvals_new, val, _ = backtrack_primal(
-                w, grad, eta, config, prob, tracker=tracker)
-        gval = prob.g(x_new) if tracker is None else tracker.value[0]
-        if not (np.all(np.isfinite(x_new)) and np.isfinite(gval)):
+                w, grad, eta, config, prob, tracker)
+        if not (np.all(np.isfinite(x_new)) and np.isfinite(tracker.value[0])):
             raise SolverError(f"non-finite iterate at iteration {k}", records)
 
         y_new = multiplier_step_y(w.y, r_new, rho_y)

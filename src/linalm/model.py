@@ -77,6 +77,10 @@ class ZeroFunction(SmoothFunction):
     def values(self, pts):
         return np.zeros(len(pts))
 
+    def tracker(self, x):
+        # constant gradient: cheaper than FullTracker's re-evaluation
+        return LinearTracker(LinearFunction(np.zeros(len(x))), x)
+
 
 class QuadraticFunction(SmoothFunction):
     """f(x) = 0.5 x'Qx + c'x + d with Q symmetric positive semidefinite."""
@@ -157,13 +161,40 @@ class QuadraticStack(QuadraticFunction):
         return 0.5 * ((grads + self.c) @ x) + self.d, grads
 
 
-def quadratic_stack(prob):
-    """QuadraticStack of g followed by every constraint function, or None
-    when any of them is not a QuadraticFunction."""
+class FunctionStack:
+    """k smooth functions of any kinds as one vector-valued oracle.
+
+    Values (k,) and gradients (k, dim) come from each function's own
+    tracker, and ``tracker`` gathers those trackers behind the
+    QuadraticTracker interface.
+    """
+
+    def __init__(self, fns):
+        self.fns = fns
+
+    def __call__(self, x):
+        return self.tracker(x).value
+
+    def value_grad(self, x):
+        tracker = self.tracker(x)
+        return tracker.value, tracker.grad()
+
+    def tracker(self, x):
+        return StackTracker([fn.tracker(x) for fn in self.fns])
+
+
+def smooth_stack(prob):
+    """g followed by every constraint function as one vector-valued oracle.
+
+    A QuadraticStack, one (k, p, p) operator, when every function is a
+    QuadraticFunction; otherwise a FunctionStack over the functions' own
+    oracles. Solvers and the recorder use the stack's ``tracker``,
+    ``value_grad`` and values alike whichever it is.
+    """
     fns = [prob.g] + [con.fn for con in prob.constraints]
     if all(type(fn) is QuadraticFunction for fn in fns):
         return QuadraticStack.of(fns)
-    return None
+    return FunctionStack(fns)
 
 
 class LeastSquaresFunction(SmoothFunction):
@@ -289,6 +320,37 @@ class QuadraticTracker:
             delta = self.delta_value(sl, dx)
         self.value = self.value + delta
         self.qx += dx @ self.fn.Q[..., sl, :]
+
+
+class StackTracker:
+    """A FunctionStack's per-function trackers behind the QuadraticTracker
+    interface: ``value`` (k,), gradients (k, dim) or (k, width), value
+    deltas (k,). ``commit`` ignores the caller's deltas; each function's
+    tracker updates itself.
+    """
+
+    def __init__(self, trackers):
+        self.trackers = trackers
+        self.value = np.array([t.value for t in trackers])
+
+    def rebase(self, x):
+        for t in self.trackers:
+            t.rebase(x)
+        self.value = np.array([t.value for t in self.trackers])
+
+    def grad(self):
+        return np.array([t.grad() for t in self.trackers])
+
+    def block_grad(self, sl):
+        return np.array([t.block_grad(sl) for t in self.trackers])
+
+    def delta_value(self, sl, dx):
+        return np.array([t.delta_value(sl, dx) for t in self.trackers])
+
+    def commit(self, sl, dx, delta=None):
+        for t in self.trackers:
+            t.commit(sl, dx)
+        self.value = np.array([t.value for t in self.trackers])
 
 
 class LeastSquaresTracker:
@@ -469,9 +531,6 @@ class InequalityConstraint:
 
     def values(self, pts):
         return self.fn.values(pts)
-
-    def tracker(self, x):
-        return self.fn.tracker(x)
 
 
 class AffineConstraint:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lalm import SolveResult, SolverError, descent_holds
-from .model import PrimalDualPoint, quadratic_stack
+from .model import PrimalDualPoint, smooth_stack
 from .trace import MetricsRecorder, record_epochs, should_stop
 
 
@@ -95,9 +95,13 @@ def solve(prob, config, x0=None, callback=None, clock=None,
 
     step_mode 'backtracking' adapts eta; 'analytic' keeps it fixed at eta0
     (which is then required). Metrics share the schema of the other solvers,
-    with inequality multipliers reported as [lambda_j + f_j(x)]_+.
+    with inequality multipliers reported as [lambda_j + f_j(x)]_+. Setting
+    rho_y, rho_z or a nonzero delta, which it does not use, is an error.
     """
     _check_applicable(prob)
+    for name in ("rho_y", "rho_z", "delta"):
+        if getattr(config, name) not in (None, 0):
+            raise ValueError(f"pdyn does not use {name}; leave it unset")
     if config.step_mode == "analytic":
         if config.eta0 is None:
             raise ValueError("fixed-step mode requires eta0")
@@ -107,7 +111,7 @@ def solve(prob, config, x0=None, callback=None, clock=None,
     state = PdynState.start(prob, np.zeros(prob.dim) if x0 is None else x0, eta)
 
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
-                               stack=quadratic_stack(prob))
+                               stack=smooth_stack(prob))
     schedule = record_epochs(config.max_epochs, config.record_every)
 
     def snapshot(epoch, fvals, eta_max=None):

@@ -42,13 +42,12 @@ class TraceRecord:
 class MetricsRecorder:
     """Computes TraceRecords for a fixed problem, method, and wall clock.
 
-    With ``stack`` (the instance's QuadraticStack, see
-    ``model.quadratic_stack``) the objective, the constraint values at the
-    ergodic points and the KKT gradients each come from one stacked product
-    instead of one oracle call per function.
+    ``stack`` is the instance's smooth stack (see ``model.smooth_stack``):
+    the objective, the constraint values at the ergodic points and the KKT
+    gradients come from its values and ``value_grad``.
     """
 
-    def __init__(self, prob, method, f0_star=None, clock=None, stack=None):
+    def __init__(self, prob, method, stack, f0_star=None, clock=None):
         self.prob = prob
         self.method = method
         self.f0_star = f0_star
@@ -57,24 +56,16 @@ class MetricsRecorder:
         self.t0 = self.clock()
 
     def _gap_feas(self, x):
-        if self.stack is None:
-            feas = feasibility_residual(x, self.prob)
-            obj = None if self.f0_star is None else self.prob.f0(x)
-        else:
-            vals = self.stack(x)
-            feas = feasibility_residual(x, self.prob, fvals=vals[1:])
-            obj = float(vals[0]) + self.prob.h.value(x)
+        vals = self.stack(x)
+        feas = feasibility_residual(x, self.prob, fvals=vals[1:])
+        obj = float(vals[0]) + self.prob.h.value(x)
         gap = None if self.f0_star is None else abs(obj - self.f0_star)
         return gap, feas
 
     def snapshot(self, epoch, w, eta_max=None, erg_x=None, erg_x_scaled=None):
-        if self.stack is None:
-            obj = self.prob.f0(w.x)
-            kkt = kkt_residual(w, self.prob)
-        else:
-            vals, grads = self.stack.value_grad(w.x)
-            obj = float(vals[0]) + self.prob.h.value(w.x)
-            kkt = kkt_residual(w, self.prob, grads=grads)
+        vals, grads = self.stack.value_grad(w.x)
+        obj = float(vals[0]) + self.prob.h.value(w.x)
+        kkt = kkt_residual(w, self.prob, grads=grads)
         obj_gap = None if self.f0_star is None else abs(obj - self.f0_star)
         erg_gap = erg_feas = erg_gap_s = erg_feas_s = None
         if erg_x is not None:

@@ -8,7 +8,8 @@ from linalm.auglag import (auglag_value, constraint_penalty, penalty_lipschitz,
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
 from linalm.lalm import SolverConfig, backtrack_primal, primal_candidate
 from linalm.model import (BoxIndicator, InequalityConstraint, PrimalDualPoint,
-                          ProblemInstance, QuadraticFunction, ZeroProx)
+                          ProblemInstance, QuadraticFunction, ZeroProx,
+                          smooth_stack)
 
 from conftest import central_diff_grad
 
@@ -184,9 +185,10 @@ def test_block_gradient_slices_match_full(rng):
         full = smooth_grad(w, 1.0, prob)
         parts = [smooth_grad_block(w, 1.0, prob, i) for i in range(4)]
         np.testing.assert_allclose(np.concatenate(parts), full, atol=1e-12)
-        # tracker-based assembly agrees when trackers are freshly based
-        trackers = [prob.g.tracker(w.x)] + [c.tracker(w.x) for c in prob.constraints]
-        parts_t = [smooth_grad_block(w, 1.0, prob, i, trackers=trackers)
+        # assembly from a freshly based stack tracker agrees
+        tracker = smooth_stack(prob).tracker(w.x)
+        parts_t = [smooth_grad_block(w, 1.0, prob, i,
+                                     grads=tracker.block_grad(prob.blocks[i]))
                    for i in range(4)]
         np.testing.assert_allclose(np.concatenate(parts_t), full, atol=1e-10)
 
@@ -212,7 +214,11 @@ def test_block_gradient_cost_scales_with_width():
     n = 40
     prob = gen_qcqp(QcqpSpec(m=3, p=800, seed=0)).with_blocks(n)
     w = random_state(prob, np.random.default_rng(0), z_scale=1.0)
-    trackers = [prob.g.tracker(w.x)] + [c.tracker(w.x) for c in prob.constraints]
+    tracker = smooth_stack(prob).tracker(w.x)
+
+    def block(i):
+        return smooth_grad_block(w, 1.0, prob, i,
+                                 grads=tracker.block_grad(prob.blocks[i]))
 
     reps = 50
     smooth_grad(w, 1.0, prob)  # warm up
@@ -221,10 +227,10 @@ def test_block_gradient_cost_scales_with_width():
         smooth_grad(w, 1.0, prob)
     full = (time.perf_counter() - t0) / reps
 
-    smooth_grad_block(w, 1.0, prob, 0, trackers=trackers)
+    block(0)
     t0 = time.perf_counter()
     for rep in range(reps):
-        smooth_grad_block(w, 1.0, prob, rep % n, trackers=trackers)
+        block(rep % n)
     part = (time.perf_counter() - t0) / reps
     assert part < full * 3.0 / n, (part, full)
 

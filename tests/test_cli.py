@@ -33,6 +33,15 @@ def test_incompatible_method_instance_fails(tmp_path, capsys):
     assert "equality" in capsys.readouterr().err
 
 
+def test_pdyn_rejects_unused_solver_flags(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    rc = main(["solve", "--problem", "tiny:scalar-qcqp", "--method", "pdyn",
+               "--rho-y", "0.5", "--epochs", "10", "--out", str(out)])
+    assert rc == 1
+    assert "rho_y" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_problem_fails(capsys):
     rc = main(["solve", "--method", "lalm"])
     assert rc == 1

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,8 @@ from linalm.harness import (ExperimentConfig, build_problem, fit_loglog_slope,
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               tiny_reference)
 from linalm.lalm import SolverConfig
-from linalm.model import PrimalDualPoint, kkt_residual, quadratic_stack
+from linalm.model import (PrimalDualPoint, feasibility_residual, kkt_residual,
+                          smooth_stack)
 from linalm.trace import (CSV_COLUMNS, MetricsRecorder, TraceRecord,
                           read_trace_csv, record_epochs, write_trace_csv)
 
@@ -43,30 +46,36 @@ def synthetic_trace(values, epochs=None):
     lambda: gen_qcqp(QcqpSpec(m=4, p=9, seed=2)).with_f0_star(-3.0),
     lambda: tiny_reference("equality-qp")[0],
     lambda: tiny_reference("scalar-qcqp")[0],
+    lambda: gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=1)).with_f0_star(1.0),
+    lambda: tiny_reference("scalar-bpdn")[0],
 ])
 def test_stacked_recorder_matches_per_function_reference(rng, make):
+    # the recorder reads the smooth stack; the reference calls each oracle
     prob = make()
-    stack = quadratic_stack(prob)
+    stack = smooth_stack(prob)
     lo, hi = prob.h.domain if prob.h.domain is not None else (-np.ones(prob.dim),
                                                               np.ones(prob.dim))
-    plain = MetricsRecorder(prob, "m", f0_star=prob.f0_star, clock=fake_clock)
-    stacked = MetricsRecorder(prob, "m", f0_star=prob.f0_star, clock=fake_clock,
-                              stack=stack)
+    recorder = MetricsRecorder(prob, "m", stack, f0_star=prob.f0_star,
+                               clock=fake_clock)
     for _ in range(5):
         x, e1, e2 = (rng.uniform(lo, hi) for _ in range(3))
         z = rng.uniform(0.0, 2.0, size=prob.m) * (rng.random(prob.m) < 0.7)
         w = PrimalDualPoint.at(prob, x, rng.normal(size=prob.affine.rows), z)
         np.testing.assert_allclose(stack(x)[1:], prob.constraint_values(x),
                                    rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(kkt_residual(w, prob, grads=stack.grad(x)),
-                                   kkt_residual(w, prob), rtol=1e-12, atol=1e-12)
-        want = plain.snapshot(4, w, erg_x=e1, erg_x_scaled=e2)
-        got = stacked.snapshot(4, w, erg_x=e1, erg_x_scaled=e2)
-        for field in ("obj", "obj_gap", "feas", "kkt_stat", "kkt_comp",
-                      "erg_obj_gap", "erg_feas", "erg_obj_gap_scaled",
-                      "erg_feas_scaled"):
+        kkt = kkt_residual(w, prob)
+        np.testing.assert_allclose(kkt_residual(w, prob, grads=stack.value_grad(x)[1]),
+                                   kkt, rtol=1e-12, atol=1e-12)
+        want = {"obj": prob.f0(x), "obj_gap": abs(prob.f0(x) - prob.f0_star),
+                "feas": kkt.feasibility, "kkt_stat": kkt.stationarity,
+                "kkt_comp": kkt.complementarity}
+        for suffix, e in (("", e1), ("_scaled", e2)):
+            want["erg_obj_gap" + suffix] = abs(prob.f0(e) - prob.f0_star)
+            want["erg_feas" + suffix] = feasibility_residual(e, prob)
+        got = recorder.snapshot(4, w, erg_x=e1, erg_x_scaled=e2)
+        for field, value in want.items():
             assert getattr(got, field) == pytest.approx(
-                getattr(want, field), rel=1e-12, abs=1e-12), field
+                value, rel=1e-12, abs=1e-12), field
 
 
 def test_record_epochs_interval_and_default():
@@ -254,6 +263,59 @@ def test_long_run_cache_hit_identical(tmp_path):
     assert files[0].stat().st_mtime_ns == stamp  # no recompute
     np.testing.assert_array_equal(first.x, second.x)
     assert first.f0 == second.f0
+
+
+def cache_entry(tmp_path):
+    prob, _ = tiny_reference("scalar-qcqp")
+    ref = long_run_reference(prob, budget=1_000_000, cache=tmp_path,
+                             clock=fake_clock)
+    (path,) = tmp_path.glob("*.json")
+    return prob, ref, path
+
+
+def assert_recomputed(prob, ref, path, tmp_path):
+    got = long_run_reference(prob, budget=1_000_000, cache=tmp_path,
+                             clock=fake_clock)
+    np.testing.assert_array_equal(got.x, ref.x)
+    assert got.residual == ref.residual <= 1e-10
+    assert json.loads(path.read_text())["residual"] == ref.residual
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_long_run_cache_recomputes_truncated_entry(tmp_path):
+    prob, ref, path = cache_entry(tmp_path)
+    path.write_text(path.read_text()[:40])
+    assert_recomputed(prob, ref, path, tmp_path)
+
+
+def test_long_run_cache_recomputes_entry_missing_keys(tmp_path):
+    prob, ref, path = cache_entry(tmp_path)
+    path.write_text(json.dumps({"x": [9.0], "f0": 9.0}))
+    assert_recomputed(prob, ref, path, tmp_path)
+
+
+@pytest.mark.parametrize("residual", [None, 1e-3, float("nan")])
+def test_long_run_cache_recomputes_weak_entry(tmp_path, residual):
+    # an entry whose recorded residual is missing or above the target is
+    # not reused, even though it is well formed
+    prob, ref, path = cache_entry(tmp_path)
+    data = json.loads(path.read_text())
+    data.update(x=[9.0], f0=9.0, residual=residual)
+    path.write_text(json.dumps(data))
+    assert_recomputed(prob, ref, path, tmp_path)
+
+
+def test_long_run_cache_write_failure_leaves_no_file(tmp_path, monkeypatch):
+    prob, _ = tiny_reference("scalar-qcqp")
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", fail)
+    with pytest.raises(OSError, match="disk full"):
+        long_run_reference(prob, budget=1_000_000, cache=tmp_path,
+                           clock=fake_clock)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow

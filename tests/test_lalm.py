@@ -9,7 +9,11 @@ from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
                          multiplier_step_z, primal_candidate)
 from linalm.model import (BoxIndicator, InequalityConstraint, L1Norm,
                           LinearFunction, PrimalDualPoint, ProblemInstance,
-                          QuadraticFunction, ZeroProx)
+                          QuadraticFunction, ZeroProx, smooth_stack)
+
+
+def tracker_at(w, prob):
+    return smooth_stack(prob).tracker(w.x)
 
 
 def quadratic_prob(curvature=3.0):
@@ -64,7 +68,8 @@ def test_backtracking_quadratic_acceptance_count():
     w = PrimalDualPoint.at(prob, [1.0])
     grad = smooth_grad(w, 1.0, prob)
     cfg = SolverConfig(beta=1.0, eta0=1.0)
-    eta, x_new, _, _, _, trials = backtrack_primal(w, grad, 1.0, cfg, prob)
+    eta, x_new, _, _, _, trials = backtrack_primal(w, grad, 1.0, cfg, prob,
+                                                   tracker_at(w, prob))
     assert eta == pytest.approx(1.5 ** 3)
     assert trials == 3
     np.testing.assert_allclose(x_new, w.x - grad / eta)
@@ -75,7 +80,8 @@ def test_backtracking_accepts_at_sufficient_eta():
     w = PrimalDualPoint.at(prob, [1.0])
     grad = smooth_grad(w, 1.0, prob)
     cfg = SolverConfig(beta=1.0)
-    eta, _, _, _, _, trials = backtrack_primal(w, grad, 5.0, cfg, prob)
+    eta, _, _, _, _, trials = backtrack_primal(w, grad, 5.0, cfg, prob,
+                                             tracker_at(w, prob))
     assert eta == 5.0 and trials == 0
 
 
@@ -86,7 +92,7 @@ def test_backtracking_error_on_divergent_oracle():
     w = PrimalDualPoint.at(bad, [1.0])
     with pytest.raises(SolverError):
         backtrack_primal(w, np.array([1e300]), 1.0, SolverConfig(), bad,
-                         max_trials=20)
+                         tracker_at(w, bad), max_trials=20)
 
 
 def test_accepted_pairs_satisfy_descent_inequality(rng):
@@ -98,7 +104,8 @@ def test_accepted_pairs_satisfy_descent_inequality(rng):
         z = rng.uniform(0, 2, size=1)
         w = PrimalDualPoint.at(prob, x, z=z)
         grad = smooth_grad(w, 1.0, prob)
-        eta, x_new, r_new, fv_new, val, _ = backtrack_primal(w, grad, 1.0, cfg, prob)
+        eta, x_new, r_new, fv_new, val, _ = backtrack_primal(
+            w, grad, 1.0, cfg, prob, tracker_at(w, prob))
         dx = x_new - w.x
         rhs = smooth_value(w, 1.0, prob) + grad @ dx + 0.5 * eta * dx @ dx
         assert val <= rhs + 1e-10 * max(1.0, abs(rhs))
@@ -161,14 +168,14 @@ def test_z_stays_nonnegative_when_rho_at_most_beta(rng):
 
 
 def test_ergodic_weighted_average():
-    acc = ErgodicAccumulator(1, mode="weighted")
+    acc = ErgodicAccumulator(1)
     acc.add(np.array([2.0]), 1.0)       # x1 with 1/eta0 = 1
     acc.add(np.array([4.0]), 0.5)       # x2 with 1/eta1 = 1/2
     assert acc.average() == pytest.approx([8.0 / 3.0])
 
 
 def test_ergodic_constant_weights_give_mean():
-    acc = ErgodicAccumulator(1, mode="uniform")
+    acc = ErgodicAccumulator(1)
     for v in (1.0, 2.0, 6.0):
         acc.add(np.array([v]))
     assert acc.average() == pytest.approx([3.0])

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from linalm.model import (AffineConstraint, BoxIndicator, InequalityConstraint,
-                          L1Norm, LeastSquaresFunction, LinearFunction,
-                          OracleFunction, PowerIterationError, PrimalDualPoint,
-                          ProblemInstance, QuadraticFunction, QuadraticStack,
-                          ZeroFunction, ZeroProx, eps_optimality, even_blocks,
-                          kkt_residual, lagrangian_gap, operator_norm_sq,
-                          project_box, prox_l1, quadratic_stack)
+from linalm.model import (AffineConstraint, BoxIndicator, FunctionStack,
+                          InequalityConstraint, L1Norm, LeastSquaresFunction,
+                          LinearFunction, OracleFunction, PowerIterationError,
+                          PrimalDualPoint, ProblemInstance, QuadraticFunction,
+                          QuadraticStack, ZeroFunction, ZeroProx,
+                          eps_optimality, even_blocks, kkt_residual,
+                          lagrangian_gap, operator_norm_sq, project_box,
+                          prox_l1, smooth_stack)
 from linalm.instances import (BpdnSpec, gen_bpdn, gen_qcqp, QcqpSpec,
                               tiny_reference)
 
@@ -265,7 +266,7 @@ def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
 def test_stack_of_generated_qcqp_is_a_view():
     prob = gen_qcqp(QcqpSpec(m=4, p=7, seed=3))
     fns = [prob.g] + [con.fn for con in prob.constraints]
-    stack = quadratic_stack(prob)
+    stack = smooth_stack(prob)
     assert stack.Q.shape == (5, 7, 7) and stack.Q.flags.c_contiguous
     assert (stack.Q.__array_interface__["data"][0]
             == prob.g.Q.__array_interface__["data"][0])
@@ -289,11 +290,80 @@ def test_stack_of_other_quadratics_is_a_copy(rng):
 
 
 def test_quadratic_stack_needs_every_function_quadratic():
-    assert quadratic_stack(gen_bpdn(BpdnSpec(rows=5, cols=8, sparsity=2))) is None
-    prob, _ = tiny_reference("scalar-bpdn")
-    assert quadratic_stack(prob) is None
+    # smooth_stack picks the stacked operator from the function types alone
+    qcqp = gen_qcqp(QcqpSpec(m=2, p=4, seed=0))
+    mixed = ProblemInstance(qcqp.g, qcqp.h, 4, constraints=[
+        qcqp.constraints[0], InequalityConstraint(LinearFunction(np.ones(4)))])
+    for prob in (gen_bpdn(BpdnSpec(rows=5, cols=8, sparsity=2)),
+                 tiny_reference("scalar-bpdn")[0], mixed):
+        stack = smooth_stack(prob)
+        assert type(stack) is FunctionStack
+        assert stack.fns == [prob.g] + [con.fn for con in prob.constraints]
+    assert type(smooth_stack(qcqp)) is QuadraticStack
     prob, _ = tiny_reference("equality-qp")   # g alone: a stack of one
-    assert quadratic_stack(prob).Q.shape == (1, 2, 2)
+    assert type(smooth_stack(prob)) is QuadraticStack
+    assert smooth_stack(prob).Q.shape == (1, 2, 2)
+
+
+def make_smooth(kind, rng, dim):
+    """One smooth function of the named kind with random data."""
+    if kind == "quadratic":
+        return random_quadratics(rng, 1, dim)[0]
+    if kind == "least-squares":
+        return LeastSquaresFunction(rng.normal(size=(3, dim)), rng.normal(size=3),
+                                    rng.normal())
+    if kind == "linear":
+        return LinearFunction(rng.normal(size=dim), rng.normal())
+    if kind == "oracle":
+        a = rng.normal(size=dim)
+        return OracleFunction(lambda x: float(np.sum(np.cos(a * x))),
+                              lambda x: -a * np.sin(a * x))
+    return ZeroFunction()
+
+
+_KINDS = ("quadratic", "least-squares", "linear", "oracle")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), g_kind=st.sampled_from(_KINDS + ("zero",)),
+       con_kinds=st.lists(st.sampled_from(_KINDS), max_size=3),
+       dim=st.integers(1, 10), n_blocks=st.integers(1, 4),
+       steps=st.integers(1, 30))
+@example(seed=0, g_kind="quadratic", con_kinds=["quadratic", "quadratic"], dim=6,
+         n_blocks=3, steps=20)
+@example(seed=1, g_kind="zero", con_kinds=["least-squares"], dim=8, n_blocks=4,
+         steps=20)
+@example(seed=2, g_kind="quadratic", con_kinds=["linear", "oracle"], dim=5,
+         n_blocks=2, steps=20)
+def test_every_stack_tracker_matches_from_scratch(seed, g_kind, con_kinds, dim,
+                                                  n_blocks, steps):
+    # every tracker kind a solver reaches through smooth_stack(...).tracker
+    # stays equal to a from-scratch evaluation after block commits
+    rng = np.random.default_rng(seed)
+    fns = [make_smooth(kind, rng, dim) for kind in [g_kind] + con_kinds]
+    prob = ProblemInstance(fns[0], ZeroProx(), dim,
+                           constraints=[InequalityConstraint(fn) for fn in fns[1:]])
+    stack = smooth_stack(prob)
+    blocks = even_blocks(dim, min(n_blocks, dim))
+    x = rng.normal(size=dim)
+    tracker = stack.tracker(x.copy())
+    for _ in range(steps):
+        sl = blocks[rng.integers(len(blocks))]
+        dx = rng.normal(size=sl.stop - sl.start)
+        delta = tracker.delta_value(sl, dx)
+        before = stack(x)
+        tracker.commit(sl, dx, delta if rng.random() < 0.5 else None)
+        x[sl] += dx
+        vals, grads = stack.value_grad(x)
+        np.testing.assert_allclose(delta, vals - before, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(vals, [fn(x) for fn in fns], rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(grads, [fn.grad(x) for fn in fns],
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(tracker.value, vals, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(tracker.grad(), grads, rtol=1e-10, atol=1e-10)
+        for blk in blocks:
+            np.testing.assert_allclose(tracker.block_grad(blk), grads[:, blk],
+                                       rtol=1e-10, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ def test_rejects_nonprojection_h():
         pdyn.solve(prob, SolverConfig(max_epochs=1))
 
 
+@pytest.mark.parametrize("field, value", [("rho_y", 0.5), ("rho_z", 0.5),
+                                          ("delta", 0.1)])
+def test_rejects_config_fields_it_does_not_use(field, value):
+    prob = box_prob(QuadraticFunction([[1.0]], [0.0], lipschitz=1.0))
+    with pytest.raises(ValueError, match=field):
+        pdyn.solve(prob, SolverConfig(max_epochs=1, **{field: value}))
+
+
 def test_fixed_step_mode_requires_eta0():
     prob = box_prob(QuadraticFunction([[1.0]], [0.0], lipschitz=1.0))
     with pytest.raises(ValueError, match="eta0"):
