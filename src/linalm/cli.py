@@ -47,10 +47,8 @@ def _merged_options(args):
     if args.config:
         with open(args.config) as fh:
             opts.update(json.load(fh))
-    for key in ("problem", "method", "seed", "beta", "rho_y", "rho_z", "delta",
-                "blocks", "epochs", "tol", "eta0", "out"):
-        val = getattr(args, key)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key not in ("command", "config") and val is not None:
             opts[key] = val
     return opts
 

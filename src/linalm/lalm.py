@@ -88,17 +88,25 @@ class SolverConfig:
 
 
 class ErgodicAccumulator:
-    """Running weighted sum of primal iterates; never stores the history."""
+    """Running weighted sum of primal iterates; never stores the history.
+
+    ``add`` also sums, with the same weights, an ``image`` of each iterate
+    (a smooth stack's ``image`` of the solve's tracker: the stacked ``Q x``
+    for quadratics), so ``point`` gives an ergodic point together with the
+    stack's values there without evaluating the stack at it.
+    """
 
     def __init__(self, dim):
         self._sum = np.zeros(dim)
+        self._image = 0.0
         self.weight = 0.0
         self.count = 0
 
-    def add(self, x, weight=1.0):
+    def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
         self._sum += weight * x
+        self._image = self._image + weight * image
         self.weight += weight
         self.count += 1
 
@@ -113,6 +121,13 @@ class ErgodicAccumulator:
         if self.count == 0:
             raise ValueError("no iterates accumulated")
         return self._sum / normalizer
+
+    def point(self, stack, normalizer=None):
+        """(x, stack values at x) for x = sum / normalizer, by default the
+        weighted average; the values come from the summed images."""
+        total = self.weight if normalizer is None else normalizer
+        x = self.scaled(total)
+        return x, stack.values_from_image(x, self._image / total)
 
 
 @dataclass
@@ -139,12 +154,15 @@ def multiplier_step_y(y, r_new, rho_y):
 def multiplier_step_z(z, fvals_new, rho_z, beta):
     """Floored inequality multiplier ascent.
 
-    Componentwise z_j + rho_z * max(-z_j / beta, f_j(x_new)); keeps z >= 0
-    whenever rho_z <= beta.
+    Componentwise z_j + rho_z * max(-z_j / beta, f_j(x_new)), which is
+    nonnegative whenever rho_z <= beta. In floating point z - rho_z * (z /
+    beta) can round to a tiny negative number (with rho_z = beta = 0.1, in
+    about 4% of the steps that take the -z_j / beta branch), so the result
+    is floored at zero.
     """
     if len(z) == 0:
         return z
-    return z + rho_z * np.maximum(-z / beta, fvals_new)
+    return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
 
 
 def analytic_eta(eta_prev, x, z, beta, delta, prob, fvals=None):
@@ -227,17 +245,20 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
     stack = smooth_stack(prob)
     tracker = stack.tracker(w.x)
     w.fvals = tracker.value[1:]
+    # The gradients at the current iterate serve both the recorder and the
+    # next step.
+    grads = tracker.grad()
 
     acc = ErgodicAccumulator(prob.dim)
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
                                stack=stack)
     schedule = record_epochs(config.max_epochs, config.record_every)
-    records = [recorder.snapshot(0, w)]
+    records = [recorder.snapshot(0, w, value_grad=(tracker.value, grads))]
     stopped = False
     epoch = 0
 
     for k in range(config.max_epochs):
-        grad = auglag.smooth_grad(w, beta, prob, grads=tracker.grad())
+        grad = auglag.smooth_grad(w, beta, prob, grads=grads)
         if analytic:
             eta = analytic_eta(eta, w.x, w.z, beta, delta, prob, fvals=w.fvals)
             x_new = primal_candidate(w, grad, eta, prob)
@@ -253,12 +274,15 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
         y_new = multiplier_step_y(w.y, r_new, rho_y)
         z_new = multiplier_step_z(w.z, fvals_new, rho_z, beta)
         w = PrimalDualPoint(x_new, y_new, z_new, r_new, fvals_new)
-        acc.add(x_new, 1.0 / eta)
+        # the tracker is based at x_new: its image and gradients are x_new's
+        acc.add(x_new, 1.0 / eta, stack.image(tracker))
+        grads = tracker.grad()
         epoch = k + 1
         if callback is not None:
             callback(epoch, w)
         if epoch in schedule:
-            rec = recorder.snapshot(epoch, w, eta_max=eta, erg_x=acc.average())
+            rec = recorder.snapshot(epoch, w, eta_max=eta, ergodic=acc.point(stack),
+                                    value_grad=(tracker.value, grads))
             records.append(rec)
             if config.tol > 0 and should_stop(rec, config.tol,
                                               prob.f0_star is not None):

@@ -105,6 +105,10 @@ class QuadraticFunction(SmoothFunction):
     def tracker(self, x):
         return QuadraticTracker(self, x)
 
+    def values_from_image(self, x, qx):
+        """Value at x given its image qx = Q x, with no product with Q."""
+        return 0.5 * (qx @ x) + self.c @ x + self.d
+
 
 def _matvec(Q, x):
     """Q @ x over the last axis of a (p, p) or (k, p, p) C-contiguous array,
@@ -160,6 +164,11 @@ class QuadraticStack(QuadraticFunction):
         grads = self.grad(x)
         return 0.5 * ((grads + self.c) @ x) + self.d, grads
 
+    def image(self, tracker):
+        """The tracker's ``Q x``: linear in x, so a weighted sum of images
+        is the image of the same weighted sum of points."""
+        return tracker.qx
+
 
 class FunctionStack:
     """k smooth functions of any kinds as one vector-valued oracle.
@@ -182,6 +191,14 @@ class FunctionStack:
     def tracker(self, x):
         return StackTracker([fn.tracker(x) for fn in self.fns])
 
+    def image(self, tracker):
+        """Nothing: values at a point come from the functions' own oracles."""
+        return 0.0
+
+    def values_from_image(self, x, image):
+        """Values at x, evaluated there; ``image`` is unused."""
+        return self(x)
+
 
 def smooth_stack(prob):
     """g followed by every constraint function as one vector-valued oracle.
@@ -189,7 +206,8 @@ def smooth_stack(prob):
     A QuadraticStack, one (k, p, p) operator, when every function is a
     QuadraticFunction; otherwise a FunctionStack over the functions' own
     oracles. Solvers and the recorder use the stack's ``tracker``,
-    ``value_grad`` and values alike whichever it is.
+    ``value_grad``, values, ``image`` and ``values_from_image`` alike
+    whichever it is.
     """
     fns = [prob.g] + [con.fn for con in prob.constraints]
     if all(type(fn) is QuadraticFunction for fn in fns):
@@ -297,7 +315,7 @@ class QuadraticTracker:
     def rebase(self, x):
         x = np.asarray(x, dtype=float)
         self.qx = _matvec(self.fn.Q, x)
-        self.value = 0.5 * (self.qx @ x) + self.fn.c @ x + self.fn.d
+        self.value = self.fn.values_from_image(x, self.qx)
 
     def grad(self):
         return self.qx + self.fn.c

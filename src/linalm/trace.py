@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass
 
@@ -42,9 +43,13 @@ class TraceRecord:
 class MetricsRecorder:
     """Computes TraceRecords for a fixed problem, method, and wall clock.
 
-    ``stack`` is the instance's smooth stack (see ``model.smooth_stack``):
-    the objective, the constraint values at the ergodic points and the KKT
-    gradients come from its values and ``value_grad``.
+    ``stack`` is the instance's smooth stack (see ``model.smooth_stack``).
+    Recording reuses what the solver already holds instead of paying for
+    its own stacked products: the stack's values and gradients at the
+    iterate (``value_grad``, which a solver's tracker has after each step)
+    and the stack's values at each ergodic point (``ergodic``, as
+    ``ErgodicAccumulator.point`` gives them from its running sums). Only
+    ``value_grad`` is evaluated here when it is not passed in.
     """
 
     def __init__(self, prob, method, stack, f0_star=None, clock=None):
@@ -55,23 +60,30 @@ class MetricsRecorder:
         self.clock = time.perf_counter if clock is None else clock
         self.t0 = self.clock()
 
-    def _gap_feas(self, x):
-        vals = self.stack(x)
+    def _gap_feas(self, point):
+        x, vals = point
         feas = feasibility_residual(x, self.prob, fvals=vals[1:])
         obj = float(vals[0]) + self.prob.h.value(x)
         gap = None if self.f0_star is None else abs(obj - self.f0_star)
         return gap, feas
 
-    def snapshot(self, epoch, w, eta_max=None, erg_x=None, erg_x_scaled=None):
-        vals, grads = self.stack.value_grad(w.x)
+    def snapshot(self, epoch, w, eta_max=None, ergodic=None, ergodic_scaled=None,
+                 value_grad=None):
+        """One TraceRecord at iterate ``w``.
+
+        ``value_grad`` is the stack's (values, gradients) at ``w.x``;
+        ``ergodic`` and ``ergodic_scaled`` are (x, stack values at x) pairs
+        of the two ergodic normalizations, each optional.
+        """
+        vals, grads = self.stack.value_grad(w.x) if value_grad is None else value_grad
         obj = float(vals[0]) + self.prob.h.value(w.x)
         kkt = kkt_residual(w, self.prob, grads=grads)
         obj_gap = None if self.f0_star is None else abs(obj - self.f0_star)
         erg_gap = erg_feas = erg_gap_s = erg_feas_s = None
-        if erg_x is not None:
-            erg_gap, erg_feas = self._gap_feas(erg_x)
-        if erg_x_scaled is not None:
-            erg_gap_s, erg_feas_s = self._gap_feas(erg_x_scaled)
+        if ergodic is not None:
+            erg_gap, erg_feas = self._gap_feas(ergodic)
+        if ergodic_scaled is not None:
+            erg_gap_s, erg_feas_s = self._gap_feas(ergodic_scaled)
         return TraceRecord(
             method=self.method, epoch=int(epoch), obj=float(obj),
             obj_gap=obj_gap, feas=kkt.feasibility, kkt_stat=kkt.stationarity,
@@ -107,39 +119,50 @@ def record_epochs(total, every=None):
 
 
 def _format(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
+    """A float column's text; repr is the shortest that reads back as the
+    same float."""
+    return "" if value is None else repr(float(value))
+
+
+def _optional(text):
+    return float(text) if text else None
 
 
 def write_trace_csv(records, path):
-    """Write records under the fixed CSV schema; returns the path."""
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
+    """Write records under the fixed CSV schema; returns the path.
+
+    A method label with a line break is refused: rows end in a bare newline,
+    and the csv module leaves a carriage return unquoted.
+    """
+    for rec in records:
+        if "\n" in rec.method or "\r" in rec.method:
+            raise ValueError(f"method label {rec.method!r} contains a line break")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
         for rec in records:
-            fh.write(",".join(_format(getattr(rec, c)) for c in CSV_COLUMNS) + "\n")
+            writer.writerow([rec.method, str(rec.epoch)]
+                            + [_format(getattr(rec, c)) for c in CSV_COLUMNS[2:]])
     return path
 
 
 def read_trace_csv(path):
-    """Read back a trace CSV into TraceRecords (inverse of write_trace_csv)."""
+    """Read back a trace CSV into TraceRecords: the exact inverse of
+    write_trace_csv on every emitted field."""
     records = []
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, [])
         if tuple(header) != CSV_COLUMNS:
             raise ValueError(f"unexpected CSV header: {header}")
-        for line in fh:
-            raw = line.rstrip("\n").split(",")
+        for raw in rows:
             vals = dict(zip(CSV_COLUMNS, raw))
             records.append(TraceRecord(
                 method=vals["method"], epoch=int(vals["epoch"]),
-                obj=float(vals["obj"]),
-                obj_gap=float(vals["obj_gap"]) if vals["obj_gap"] else None,
+                obj=float(vals["obj"]), obj_gap=_optional(vals["obj_gap"]),
                 feas=float(vals["feas"]), kkt_stat=float(vals["kkt_stat"]),
-                erg_obj_gap=float(vals["erg_obj_gap"]) if vals["erg_obj_gap"] else None,
-                erg_feas=float(vals["erg_feas"]) if vals["erg_feas"] else None,
-                eta_max=float(vals["eta_max"]) if vals["eta_max"] else None,
+                erg_obj_gap=_optional(vals["erg_obj_gap"]),
+                erg_feas=_optional(vals["erg_feas"]),
+                eta_max=_optional(vals["eta_max"]),
                 time_ms=float(vals["time_ms"])))
     return records

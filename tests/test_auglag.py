@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linalm import auglag
 from linalm.auglag import (auglag_value, constraint_penalty, penalty_lipschitz,
@@ -43,6 +44,36 @@ def test_scalar_penalty_continuity_at_switch_exact():
         cap_branch = -v * v / (2 * beta)
         assert abs(quad_branch - cap_branch) <= 1e-12
         assert abs(scalar_penalty_deriv(u, v, beta)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(-1e3, 1e3), beta=st.floats(1e-3, 1e3))
+@example(u=0.0, beta=1.0)
+def test_scalar_penalty_is_c1_across_the_switching_surface(u, beta):
+    # v = -beta*u puts (u, v) on beta*u + v = 0 exactly; the quadratic
+    # branch holds for larger u and the constant branch for smaller u
+    v = -beta * u
+    eps = np.finfo(float).eps
+    # rounding of one evaluation (every term is a multiple of beta u^2),
+    # floored at the smallest normal number for subnormal results
+    noise = 8 * eps * beta * u * u + np.finfo(float).tiny
+    quad_branch = u * v + 0.5 * beta * u * u
+    cap_branch = -v * v / (2 * beta)
+    assert abs(quad_branch - cap_branch) <= noise
+    p0 = scalar_penalty(u, v, beta)
+    assert p0 in (quad_branch, cap_branch)
+    d0 = scalar_penalty_deriv(u, v, beta)
+    assert d0 == 0.0
+    step = 1e-5 * max(1.0, abs(u))
+    for h in (step, -step):
+        # the curvature is at most beta: one-sided quotients are within
+        # beta*|h|/2 of the derivative, up to rounding over |h|
+        quotient = (scalar_penalty(u + h, v, beta) - p0) / h
+        assert abs(quotient - d0) <= beta * abs(h) + 2 * noise / abs(h)
+        # the derivative is continuous: it moves by at most beta*|h|, up to
+        # the rounding of u + h
+        slack = 4 * eps * beta * max(1.0, abs(u))
+        assert abs(scalar_penalty_deriv(u + h, v, beta) - d0) <= beta * abs(h) + slack
 
 
 def test_scalar_penalty_deriv_values():

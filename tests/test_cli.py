@@ -1,8 +1,10 @@
+import argparse
 import json
 
 import pytest
 
-from linalm.cli import build_parser, config_from_options, main
+from linalm.cli import (_SOLVER_KEYS, _merged_options, build_parser,
+                        config_from_options, main)
 from linalm.trace import CSV_COLUMNS, read_trace_csv
 
 
@@ -77,3 +79,30 @@ def test_parser_exposes_documented_flags():
                               "--epochs", "99", "--tol", "1e-6",
                               "--eta0", "2.0", "--out", "f.csv"])
     assert args.method == "blalm" and args.rho_z == 0.2 and args.blocks == 10
+
+
+def test_every_flag_reaches_the_experiment_config():
+    # each solve flag, given alone on the command line, lands on the
+    # ExperimentConfig field or the SolverConfig field of its name
+    parser = build_parser()
+    solve = next(a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices["solve"]
+    flags = [a for a in solve._actions
+             if a.option_strings and a.dest not in ("help", "config")]
+    assert len(flags) >= 12
+    for action in flags:
+        if action.choices:
+            value = action.choices[-1]
+        elif action.type is int:
+            value = 3
+        elif action.type is float:
+            value = 0.25
+        else:
+            value = f"{action.dest}-value"
+        argv = ["solve", action.option_strings[-1], str(value)]
+        for dest, required in (("problem", "tiny:scalar-qcqp"), ("method", "lalm")):
+            if action.dest != dest:
+                argv += [f"--{dest}", required]
+        config = config_from_options(_merged_options(parser.parse_args(argv)))
+        target = config.solver if action.dest in _SOLVER_KEYS else config
+        assert getattr(target, action.dest) == value, action.dest

@@ -1,8 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from linalm import blalm, lalm
 from linalm.harness import (ExperimentConfig, build_problem, fit_loglog_slope,
                             long_run_reference, rate_fit, run)
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
@@ -72,10 +75,91 @@ def test_stacked_recorder_matches_per_function_reference(rng, make):
         for suffix, e in (("", e1), ("_scaled", e2)):
             want["erg_obj_gap" + suffix] = abs(prob.f0(e) - prob.f0_star)
             want["erg_feas" + suffix] = feasibility_residual(e, prob)
-        got = recorder.snapshot(4, w, erg_x=e1, erg_x_scaled=e2)
+        got = recorder.snapshot(4, w, ergodic=(e1, stack(e1)),
+                                ergodic_scaled=(e2, stack(e2)))
         for field, value in want.items():
             assert getattr(got, field) == pytest.approx(
                 value, rel=1e-12, abs=1e-12), field
+
+
+# Instances for the recorded-column checks: stacked quadratics, a
+# least-squares constraint, and the three hand references.
+_RECORDED = {
+    "qcqp": lambda: gen_qcqp(QcqpSpec(m=4, p=9, seed=2)),
+    "bpdn-6x10": lambda: gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=1)),
+    "equality-qp": lambda: tiny_reference("equality-qp")[0],
+    "scalar-qcqp": lambda: tiny_reference("scalar-qcqp")[0],
+    "scalar-bpdn": lambda: tiny_reference("scalar-bpdn")[0],
+}
+
+
+def _assert_rel(got, want, rel, what):
+    assert abs(got - want) <= rel * max(1.0, abs(want)), (what, got, want)
+
+
+def _assert_kkt_recorded(rec, w, prob):
+    # direct evaluation: residual and constraint values recomputed from x, and
+    # each function's own gradient oracle
+    point = PrimalDualPoint(w.x, w.y, w.z, prob.affine.residual(w.x),
+                            prob.constraint_values(w.x))
+    kkt = kkt_residual(point, prob)
+    for got, want, what in ((rec.kkt_stat, kkt.stationarity, "kkt_stat"),
+                            (rec.feas, kkt.feasibility, "feas"),
+                            (rec.kkt_comp, kkt.complementarity, "kkt_comp")):
+        _assert_rel(got, want, 1e-12, (rec.epoch, what))
+
+
+def _assert_ergodic_recorded(prob, x, gap, feas, epoch):
+    vals = smooth_stack(prob)(x)
+    _assert_rel(gap, abs(vals[0] + prob.h.value(x) - prob.f0_star), 1e-10,
+                (epoch, "erg_obj_gap"))
+    _assert_rel(feas, feasibility_residual(x, prob, fvals=vals[1:]), 1e-10,
+                (epoch, "erg_feas"))
+
+
+@pytest.mark.parametrize("name", list(_RECORDED))
+def test_lalm_records_from_its_tracker_what_direct_evaluation_gives(name):
+    # lalm records the KKT columns from its tracker's values and gradients
+    # and the ergodic columns from running sums; both must equal a
+    # direct evaluation at the iterate and at the ergodic point
+    prob = _RECORDED[name]().with_f0_star(0.0)
+    points = {0: PrimalDualPoint.at(prob, np.zeros(prob.dim))}
+    cfg = SolverConfig(beta=1.0, rho_y=1.0, rho_z=1.0, max_epochs=60,
+                       record_every=1)
+    res = lalm.solve(prob, cfg, clock=fake_clock,
+                     callback=lambda k, w: points.__setitem__(k, w))
+    assert len(res.trace) == 61
+    total, weight = np.zeros(prob.dim), 0.0
+    for rec in res.trace:
+        _assert_kkt_recorded(rec, points[rec.epoch], prob)
+        if rec.epoch == 0:
+            continue
+        # the ergodic average weighs iterate k by 1/eta_k
+        total += points[rec.epoch].x / rec.eta_max
+        weight += 1.0 / rec.eta_max
+        _assert_ergodic_recorded(prob, total / weight, rec.erg_obj_gap,
+                                 rec.erg_feas, rec.epoch)
+
+
+@pytest.mark.parametrize("name", ["qcqp", "bpdn-6x10", "scalar-qcqp"])
+def test_blalm_ergodic_columns_match_direct_evaluation(name):
+    # both normalizations of the running sum: by the iterate count and by
+    # 1 + (count - 1)/n
+    prob = _RECORDED[name]().with_f0_star(0.0)
+    n = min(3, prob.dim)
+    iterates = []
+    cfg = SolverConfig(beta=1.0, max_epochs=40, record_every=1)
+    res = blalm.solve(prob.with_blocks(n), cfg, seed=4, clock=fake_clock,
+                      callback=lambda k, state: iterates.append(state.x.copy()))
+    assert len(res.trace) == 41
+    for rec in res.trace[1:]:
+        count = rec.epoch * n
+        total = np.sum(iterates[:count], axis=0)
+        _assert_ergodic_recorded(prob, total / count, rec.erg_obj_gap,
+                                 rec.erg_feas, rec.epoch)
+        _assert_ergodic_recorded(prob, total / (1.0 + (count - 1) / n),
+                                 rec.erg_obj_gap_scaled, rec.erg_feas_scaled,
+                                 rec.epoch)
 
 
 def test_record_epochs_interval_and_default():
@@ -95,6 +179,47 @@ def test_csv_roundtrip(tmp_path):
     back = read_trace_csv(path)
     assert [r.epoch for r in back] == [1, 2, 3]
     assert back[0].obj_gap is None and back[0].erg_obj_gap == 1.0
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_OPTIONAL = st.none() | _FLOATS
+
+
+def _same(a, b):
+    """Equal as written: None, the same string or int, or floats with the
+    same bits up to the sign of a NaN."""
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) or math.isnan(b):
+            return math.isnan(a) and math.isnan(b)
+        return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(st.builds(
+    TraceRecord, method=st.text(st.characters(exclude_characters="\r\n")),
+    epoch=st.integers(0, 10**30), obj=_FLOATS,
+    obj_gap=_OPTIONAL, feas=_FLOATS, kkt_stat=_FLOATS, erg_obj_gap=_OPTIONAL,
+    erg_feas=_OPTIONAL, eta_max=_OPTIONAL, time_ms=_FLOATS), max_size=4))
+@example(records=[TraceRecord("lalm", 2**63 + 1, -0.0, None, 5e-324, float("inf"),
+                              float("-inf"), float("nan"), 1.7976931348623157e308,
+                              0.1)])
+def test_csv_read_inverts_write_on_every_field(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    back = read_trace_csv(write_trace_csv(records, path))
+    assert len(back) == len(records)
+    for got, want in zip(back, records):
+        for column in CSV_COLUMNS:
+            assert _same(getattr(got, column), getattr(want, column)), column
+
+
+@pytest.mark.parametrize("method", ["a\nb", "a\rb"])
+def test_csv_refuses_a_method_label_with_a_line_break(tmp_path, method):
+    rec = synthetic_trace([1.0])[0]
+    rec.method = method
+    with pytest.raises(ValueError, match="line break"):
+        write_trace_csv([rec], tmp_path / "t.csv")
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_csv_row_count_invariant(tmp_path):

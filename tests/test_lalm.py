@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from linalm import lalm
 from linalm.auglag import smooth_grad, smooth_value
-from linalm.instances import BpdnSpec, gen_bpdn, tiny_reference
+from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
 from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
                          analytic_eta, backtrack_primal, multiplier_step_y,
                          multiplier_step_z, primal_candidate)
@@ -163,6 +164,19 @@ def test_z_stays_nonnegative_when_rho_at_most_beta(rng):
         assert np.all(out >= -1e-15)
 
 
+@settings(max_examples=200, deadline=None)
+@given(zf=st.lists(st.tuples(st.floats(0.0, 1e6), st.floats(-1e9, 1e6)),
+                   min_size=1, max_size=6),
+       beta=st.floats(1e-6, 1e6), frac=st.floats(1e-9, 1.0))
+@example(zf=[(7.294869625358969, -1e9)], beta=6.150818469601239, frac=1.0)
+def test_z_is_exactly_nonnegative_for_every_rho_z_up_to_beta(zf, beta, frac):
+    # rho_z = beta is the boundary case where z - rho_z * (z / beta) rounds
+    z, f = (np.array(col) for col in zip(*zf))
+    rho_z = beta if frac == 1.0 else frac * beta
+    assert 0 < rho_z <= beta
+    assert np.all(multiplier_step_z(z, f, rho_z, beta) >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # ergodic accumulator
 
@@ -188,6 +202,27 @@ def test_ergodic_single_iterate_and_empty():
         acc.average()
     acc.add(np.array([1.0, -1.0]), 0.25)
     np.testing.assert_allclose(acc.average(), [1.0, -1.0])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_qcqp(QcqpSpec(m=3, p=7, seed=5)),
+    lambda: gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=1)),
+], ids=["quadratic-stack", "function-stack"])
+def test_ergodic_point_values_match_the_stack_at_the_point(rng, make):
+    # the stack's values at sum/normalizer come from the summed images
+    prob = make()
+    stack = smooth_stack(prob)
+    acc = ErgodicAccumulator(prob.dim)
+    for _ in range(6):
+        x = rng.normal(size=prob.dim)
+        acc.add(x, rng.uniform(0.05, 3.0), stack.image(stack.tracker(x)))
+        for normalizer in (None, rng.uniform(0.5, 4.0)):
+            x_bar, vals = acc.point(stack, normalizer)
+            want = acc.average() if normalizer is None else acc.scaled(normalizer)
+            assert x_bar.tobytes() == want.tobytes()
+            direct = stack(want)
+            assert np.all(np.abs(vals - direct)
+                          <= 1e-10 * np.maximum(1.0, np.abs(direct)))
 
 
 # ---------------------------------------------------------------------------
