@@ -14,9 +14,9 @@ import numpy as np
 
 from . import auglag
 from .lalm import (ErgodicAccumulator, SolveResult, SolverError, descent_holds,
-                   multiplier_step_y, multiplier_step_z)
+                   multiplier_step_y, multiplier_step_z, run_epochs)
 from .model import PrimalDualPoint, operator_norm_sq, smooth_stack
-from .trace import MetricsRecorder, record_epochs, should_stop
+from .trace import MetricsRecorder
 
 # Full cache recomputation cadence, in epochs.
 _REFRESH_EPOCHS = 10
@@ -169,57 +169,47 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
     n = state.n_blocks
     rho_y, rho_z = config.resolve_rho(n_blocks=n)
     beta = config.beta
-
     acc = ErgodicAccumulator(prob.dim)
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
                                stack=state.stack)
-    schedule = record_epochs(config.max_epochs, config.record_every)
-    records = [recorder.snapshot(0, state.point())]
-    stopped = False
-    epoch = 0
-    total_iters = config.max_epochs * n
 
-    for k in range(total_iters):
-        i = state.pick_block()
-        grad_blk = state.block_gradient(i)
-        if state.analytic:
-            eta_i = state.block_eta(i)
-            sl = state.blocks[i]
-            blk_new = state.h_blocks[i].prox(state.x[sl] - grad_blk / eta_i,
-                                             1.0 / eta_i)
-        else:
-            eta_i, blk_new = state.backtrack_block(i, grad_blk)
-        state.apply_block(i, blk_new)
-        if not np.all(np.isfinite(state.x)):
-            raise SolverError(f"non-finite iterate at iteration {k}", records)
+    def advance(epoch):
+        for k in range((epoch - 1) * n, epoch * n):
+            i = state.pick_block()
+            grad_blk = state.block_gradient(i)
+            if state.analytic:
+                eta_i = state.block_eta(i)
+                sl = state.blocks[i]
+                blk_new = state.h_blocks[i].prox(state.x[sl] - grad_blk / eta_i,
+                                                 1.0 / eta_i)
+            else:
+                eta_i, blk_new = state.backtrack_block(i, grad_blk)
+            state.apply_block(i, blk_new)
+            if not np.all(np.isfinite(state.x)):
+                raise SolverError(f"non-finite iterate at iteration {k}")
 
-        state.y = multiplier_step_y(state.y, state.r, rho_y)
-        state.z = multiplier_step_z(state.z, state.fvals, rho_z, beta)
-        acc.add(state.x, 1.0, state.stack.image(state.tracker))
-        if callback is not None:
-            callback(k + 1, state)
+            state.y = multiplier_step_y(state.y, state.r, rho_y)
+            state.z = multiplier_step_z(state.z, state.fvals, rho_z, beta)
+            acc.add(state.x, 1.0, state.stack.image(state.tracker))
+            if callback is not None:
+                callback(k + 1, state)
+        if epoch % _REFRESH_EPOCHS == 0:
+            state.refresh()
 
-        if (k + 1) % n == 0:
-            epoch = (k + 1) // n
-            if epoch % _REFRESH_EPOCHS == 0:
-                state.refresh()
-            if epoch in schedule:
-                # The recorder evaluates the stack at x exactly: block commits
-                # let the tracker's Q x drift by roundoff, and reading it
-                # instead moved kkt_stat by up to 8e-10 relative on QCQP
-                # instances. The ergodic values tolerate the drift.
-                rec = recorder.snapshot(
-                    epoch, state.point(), eta_max=float(state.eta.max()),
-                    ergodic=acc.point(state.stack),
-                    ergodic_scaled=acc.point(state.stack, 1.0 + (acc.count - 1) / n))
-                records.append(rec)
-                if config.tol > 0 and should_stop(rec, config.tol,
-                                                  prob.f0_star is not None):
-                    stopped = True
-                    break
+    def snapshot(epoch):
+        if epoch == 0:
+            return recorder.snapshot(0, state.point())
+        # The recorder evaluates the stack at x exactly: the tracker's Q x
+        # drifts by roundoff under block commits, and reading it moved
+        # kkt_stat by up to 8e-10 relative on QCQP instances.
+        return recorder.snapshot(
+            epoch, state.point(), eta_max=float(state.eta.max()),
+            ergodic=acc.point(state.stack),
+            ergodic_scaled=acc.point(state.stack, 1.0 + (acc.count - 1) / n))
 
+    records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
     state.refresh()
     return SolveResult(
         w=state.point(), ergodic_x=acc.average(), trace=records,
-        epochs=epoch, stopped_early=stopped, eta=float(state.eta.max()),
+        epochs=epochs, stopped_early=stopped, eta=float(state.eta.max()),
         ergodic_x_scaled=acc.scaled(1.0 + (acc.count - 1) / n))

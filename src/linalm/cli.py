@@ -59,10 +59,11 @@ def config_from_options(opts):
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     if "problem" not in opts or "method" not in opts:
         raise ValueError("--problem and --method are required (flag or config file)")
-    solver = SolverConfig(**{k: opts[k] for k in _SOLVER_KEYS if k in opts})
+    solver = SolverConfig(max_epochs=int(opts.get("epochs", 100_000)),
+                          **{k: opts[k] for k in _SOLVER_KEYS if k in opts})
     return ExperimentConfig(
         method=opts["method"], problem=opts["problem"], solver=solver,
-        epochs=int(opts.get("epochs", 100_000)), seed=int(opts.get("seed", 0)),
+        seed=int(opts.get("seed", 0)),
         blocks=opts.get("blocks"), ergodic=bool(opts.get("ergodic", True)),
         out=opts.get("out"), reference=opts.get("reference", "auto"),
         problem_opts=opts.get("problem_opts", {}))

@@ -3,7 +3,6 @@ dispatch, rate fitting, and CSV trace emission."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import tempfile
@@ -34,13 +33,13 @@ class ExperimentConfig:
     path to a serialized instance JSON file. ``problem_opts`` carries
     instance-size overrides (rows, cols, sparsity, noise, p, m, ...).
     ``reference`` is 'auto' (hand value for tiny instances, brute force up
-    to dimension 3, otherwise a cached long solver run) or 'none'.
+    to dimension 3, otherwise a cached long solver run) or 'none'. The
+    epoch budget is ``solver.max_epochs``.
     """
 
     method: str
     problem: str
     solver: SolverConfig = dataclass_field(default_factory=SolverConfig)
-    epochs: int = 100_000
     seed: int = 0
     blocks: Optional[int] = None
     ergodic: bool = True
@@ -51,8 +50,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
-        if self.epochs < 1:
-            raise ValueError("epochs budget must be >= 1")
         if self.reference not in ("auto", "none"):
             raise ValueError("reference must be 'auto' or 'none'")
 
@@ -98,7 +95,7 @@ def resolve_reference(prob, config, clock=None):
         return ref
     if prob.dim <= 3:
         return instances.brute_force_reference(prob)
-    return long_run_reference(prob, budget=max(1_000_000, 10 * config.epochs),
+    return long_run_reference(prob, budget=max(1_000_000, 10 * config.solver.max_epochs),
                               cache=cache_dir(), clock=clock)
 
 
@@ -168,16 +165,14 @@ def run(config, clock=None):
     reference = resolve_reference(prob, config, clock=clock)
     prob = prob.with_f0_star(None if reference is None else reference.f0)
 
-    solver_cfg = dataclasses.replace(config.solver, max_epochs=config.epochs)
-
     x0 = prob.meta.get("x0")
     if config.method == "lalm":
-        result = lalm.solve(prob, solver_cfg, x0=x0, clock=clock)
+        result = lalm.solve(prob, config.solver, x0=x0, clock=clock)
     elif config.method == "blalm":
-        result = blalm.solve(prob, solver_cfg, x0=x0, seed=config.seed,
+        result = blalm.solve(prob, config.solver, x0=x0, seed=config.seed,
                              clock=clock)
     else:
-        result = pdyn.solve(prob, solver_cfg, x0=x0, clock=clock)
+        result = pdyn.solve(prob, config.solver, x0=x0, clock=clock)
 
     if not config.ergodic:
         for rec in result.trace:

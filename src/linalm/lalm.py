@@ -112,9 +112,7 @@ class ErgodicAccumulator:
 
     def average(self):
         """Weighted average sum / total weight."""
-        if self.count == 0:
-            raise ValueError("no iterates accumulated")
-        return self._sum / self.weight
+        return self.scaled(self.weight)
 
     def scaled(self, normalizer):
         """Running sum divided by an explicit normalizer."""
@@ -214,6 +212,30 @@ def backtrack_primal(w, grad, eta_start, config, prob, tracker, max_trials=201):
                       "increases; oracle values may be non-finite")
 
 
+def run_epochs(prob, config, advance, snapshot):
+    """Every solver's epoch loop; returns (records, epochs, stopped early).
+
+    ``advance(epoch)`` moves the solver from epoch - 1 to ``epoch``, and
+    ``snapshot(epoch)`` records its iterate at epoch 0 and on the schedule.
+    A SolverError raised inside carries the records made so far.
+    """
+    schedule = record_epochs(config.max_epochs, config.record_every)
+    records = [snapshot(0)]
+    have_reference = prob.f0_star is not None
+    try:
+        for epoch in range(1, config.max_epochs + 1):
+            advance(epoch)
+            if epoch in schedule:
+                rec = snapshot(epoch)
+                records.append(rec)
+                if config.tol > 0 and should_stop(rec, config.tol, have_reference):
+                    return records, epoch, True
+    except SolverError as exc:
+        exc.records = records
+        raise
+    return records, config.max_epochs, False
+
+
 def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
           method_label="lalm"):
     """Run the full-vector solver.
@@ -248,16 +270,12 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
     # The gradients at the current iterate serve both the recorder and the
     # next step.
     grads = tracker.grad()
-
     acc = ErgodicAccumulator(prob.dim)
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
                                stack=stack)
-    schedule = record_epochs(config.max_epochs, config.record_every)
-    records = [recorder.snapshot(0, w, value_grad=(tracker.value, grads))]
-    stopped = False
-    epoch = 0
 
-    for k in range(config.max_epochs):
+    def advance(epoch):
+        nonlocal w, eta, grads
         grad = auglag.smooth_grad(w, beta, prob, grads=grads)
         if analytic:
             eta = analytic_eta(eta, w.x, w.z, beta, delta, prob, fvals=w.fvals)
@@ -269,7 +287,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
             eta, x_new, r_new, fvals_new, val, _ = backtrack_primal(
                 w, grad, eta, config, prob, tracker)
         if not (np.all(np.isfinite(x_new)) and np.isfinite(tracker.value[0])):
-            raise SolverError(f"non-finite iterate at iteration {k}", records)
+            raise SolverError(f"non-finite iterate at iteration {epoch - 1}")
 
         y_new = multiplier_step_y(w.y, r_new, rho_y)
         z_new = multiplier_step_z(w.z, fvals_new, rho_z, beta)
@@ -277,17 +295,14 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
         # the tracker is based at x_new: its image and gradients are x_new's
         acc.add(x_new, 1.0 / eta, stack.image(tracker))
         grads = tracker.grad()
-        epoch = k + 1
         if callback is not None:
             callback(epoch, w)
-        if epoch in schedule:
-            rec = recorder.snapshot(epoch, w, eta_max=eta, ergodic=acc.point(stack),
-                                    value_grad=(tracker.value, grads))
-            records.append(rec)
-            if config.tol > 0 and should_stop(rec, config.tol,
-                                              prob.f0_star is not None):
-                stopped = True
-                break
 
+    def snapshot(epoch):
+        return recorder.snapshot(epoch, w, eta_max=eta if epoch else None,
+                                 ergodic=acc.point(stack) if epoch else None,
+                                 value_grad=(tracker.value, grads))
+
+    records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
     return SolveResult(w=w, ergodic_x=acc.average(), trace=records,
-                       epochs=epoch, stopped_early=stopped, eta=eta)
+                       epochs=epochs, stopped_early=stopped, eta=eta)

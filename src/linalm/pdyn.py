@@ -14,24 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lalm import SolveResult, SolverError, descent_holds
+from .lalm import SolveResult, SolverError, descent_holds, run_epochs
 from .model import PrimalDualPoint, smooth_stack
-from .trace import MetricsRecorder, record_epochs, should_stop
+from .trace import MetricsRecorder
 
 
 @dataclass
 class PdynState:
-    """Primal iterate, virtual queues, and the current step parameter."""
+    """Primal iterate, virtual queues, the current step parameter, and the
+    smooth stack's tracker, which ``step`` moves on to the state it returns."""
 
     x: np.ndarray
     lam: np.ndarray
     eta: float
+    tracker: object
 
     @classmethod
-    def start(cls, prob, x0, eta):
+    def start(cls, prob, x0, eta, stack=None):
         x0 = np.array(x0, dtype=float).ravel()
-        lam = np.maximum(0.0, -prob.constraint_values(x0))
-        return cls(x0, lam, eta)
+        tracker = (smooth_stack(prob) if stack is None else stack).tracker(x0)
+        return cls(x0, np.maximum(0.0, -tracker.value[1:]), eta, tracker)
 
 
 def _check_applicable(prob):
@@ -43,39 +45,40 @@ def _check_applicable(prob):
                          "with available projection")
 
 
-def direction(state, prob, fvals=None):
-    """Multiplier-weighted gradient grad f0 + sum_j (lambda_j + f_j) grad f_j."""
-    fvals = prob.constraint_values(state.x) if fvals is None else fvals
-    z = state.lam + fvals
-    grad = prob.g.grad(state.x)
-    for zj, con in zip(z, prob.constraints):
-        grad = grad + zj * con.grad(state.x)
-    return grad, z
+def direction(state):
+    """Multiplier-weighted gradient grad f0 + sum_j (lambda_j + f_j) grad f_j
+    at the tracker's point; returns it with z = lambda + f."""
+    grads = state.tracker.grad()
+    z = state.lam + state.tracker.value[1:]
+    return grads[0] + z @ grads[1:], z
 
 
-def _phi(x, z, prob):
-    val = prob.g(x)
-    if prob.m:
-        val += float(z @ prob.constraint_values(x))
-    return val
+def _phi(tracker, z, x=None):
+    """phi(x, z) = f0(x) + sum_j z_j f_j(x) from the tracker's values, after
+    rebasing it at x when x is given."""
+    if x is not None:
+        tracker.rebase(x)
+    return tracker.value[0] + float(z @ tracker.value[1:])
 
 
-def step(state, prob, config, fvals=None, max_trials=201):
+def step(state, prob, config, max_trials=201):
     """One primal projection step plus the queue update; returns a new state.
 
     In backtracking mode eta grows geometrically until the quadratic upper
     model of phi(., z) at the current point dominates the candidate value;
-    eta never decreases across iterations.
+    eta never decreases across iterations. Each trial rebases the tracker at
+    its candidate, so the accepted one leaves it at the new iterate.
     """
-    fvals = prob.constraint_values(state.x) if fvals is None else fvals
-    grad, z = direction(state, prob, fvals=fvals)
+    tracker = state.tracker
+    fvals = tracker.value[1:]  # pre-step values: a rebase assigns a new array
+    grad, z = direction(state)
     eta = state.eta
     if config.step_mode == "backtracking":
-        base = _phi(state.x, z, prob)
+        base = _phi(tracker, z)
         for trial in range(max_trials):
             x_new = prob.h.prox(state.x - grad / eta, 1.0 / eta)
             dx = x_new - state.x
-            val = _phi(x_new, z, prob)
+            val = _phi(tracker, z, x_new)
             if np.isfinite(val) and descent_holds(val, base, float(grad @ dx),
                                                   eta, float(dx @ dx)):
                 break
@@ -85,8 +88,9 @@ def step(state, prob, config, fvals=None, max_trials=201):
                               "step-size increases")
     else:
         x_new = prob.h.prox(state.x - grad / eta, 1.0 / eta)
+        tracker.rebase(x_new)
     lam_new = np.maximum(-fvals, state.lam + fvals)
-    return PdynState(x_new, lam_new, eta)
+    return PdynState(x_new, lam_new, eta, tracker)
 
 
 def solve(prob, config, x0=None, callback=None, clock=None,
@@ -102,46 +106,35 @@ def solve(prob, config, x0=None, callback=None, clock=None,
     for name in ("rho_y", "rho_z", "delta"):
         if getattr(config, name) not in (None, 0):
             raise ValueError(f"pdyn does not use {name}; leave it unset")
-    if config.step_mode == "analytic":
-        if config.eta0 is None:
-            raise ValueError("fixed-step mode requires eta0")
-        eta = config.eta0
-    else:
-        eta = config.eta_seed(prob)
-    state = PdynState.start(prob, np.zeros(prob.dim) if x0 is None else x0, eta)
-
+    if config.step_mode == "analytic" and config.eta0 is None:
+        raise ValueError("fixed-step mode requires eta0")
+    stack = smooth_stack(prob)
+    state = PdynState.start(prob, np.zeros(prob.dim) if x0 is None else x0,
+                            config.eta_seed(prob), stack)
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
-                               stack=smooth_stack(prob))
-    schedule = record_epochs(config.max_epochs, config.record_every)
+                               stack=stack)
 
-    def snapshot(epoch, fvals, eta_max=None):
-        w = PrimalDualPoint(state.x.copy(), np.zeros(0),
-                            np.maximum(state.lam + fvals, 0.0),
-                            np.zeros(0), fvals.copy())
-        return recorder.snapshot(epoch, w, eta_max=eta_max)
+    def point():
+        fvals = state.tracker.value[1:]
+        return PrimalDualPoint(state.x.copy(), np.zeros(0),
+                               np.maximum(state.lam + fvals, 0.0),
+                               np.zeros(0), fvals.copy())
 
-    fvals = prob.constraint_values(state.x)
-    records = [snapshot(0, fvals)]
-    stopped = False
-    epoch = 0
-
-    for k in range(config.max_epochs):
-        state = step(state, prob, config, fvals=fvals)
-        fvals = prob.constraint_values(state.x)
-        epoch = k + 1
+    def advance(epoch):
+        nonlocal state
+        state = step(state, prob, config)
+        if not (np.all(np.isfinite(state.x))
+                and np.isfinite(state.tracker.value[0])):
+            raise SolverError(f"non-finite iterate at iteration {epoch - 1}")
         if callback is not None:
             callback(epoch, state)
-        if epoch in schedule:
-            rec = snapshot(epoch, fvals, eta_max=state.eta)
-            records.append(rec)
-            if config.tol > 0 and should_stop(rec, config.tol,
-                                              prob.f0_star is not None):
-                stopped = True
-                break
 
-    w = PrimalDualPoint(state.x.copy(), np.zeros(0),
-                        np.maximum(state.lam + fvals, 0.0),
-                        np.zeros(0), fvals)
-    return SolveResult(w=w, ergodic_x=None, trace=records, epochs=epoch,
+    def snapshot(epoch):
+        tracker = state.tracker
+        return recorder.snapshot(epoch, point(), eta_max=state.eta if epoch else None,
+                                 value_grad=(tracker.value, tracker.grad()))
+
+    records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
+    return SolveResult(w=point(), ergodic_x=None, trace=records, epochs=epochs,
                        stopped_early=stopped, eta=state.eta,
                        extras={"lam": state.lam.copy()})

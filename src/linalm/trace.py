@@ -132,11 +132,14 @@ def write_trace_csv(records, path):
     """Write records under the fixed CSV schema; returns the path.
 
     A method label with a line break is refused: rows end in a bare newline,
-    and the csv module leaves a carriage return unquoted.
+    and the csv module leaves a carriage return unquoted. So is a label with
+    a lone surrogate, which has no UTF-8 encoding.
     """
     for rec in records:
         if "\n" in rec.method or "\r" in rec.method:
             raise ValueError(f"method label {rec.method!r} contains a line break")
+        if any("\ud800" <= ch <= "\udfff" for ch in rec.method):
+            raise ValueError(f"method label {rec.method!r} is not valid UTF-8")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

@@ -24,6 +24,15 @@ def assert_grad_matches(fn, grad_fn, points, rtol=1e-5):
         assert err <= rtol, f"gradient mismatch {err:.2e} at {x}"
 
 
+def nan_away_from_origin():
+    """Oracle g(x) = sum(x) that is NaN at every x but the origin: any step
+    from 0 fails the descent test, so backtracking runs out of trials."""
+    from linalm.model import OracleFunction
+
+    return OracleFunction(lambda x: 0.0 if not np.any(x) else np.nan,
+                          lambda x: np.ones_like(x), lipschitz=1.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from conftest import nan_away_from_origin
 from linalm import blalm, lalm
 from linalm.blalm import BlockState
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               tiny_reference)
-from linalm.lalm import SolverConfig
+from linalm.lalm import SolverConfig, SolverError
 from linalm.model import (AffineConstraint, InequalityConstraint, L1Norm,
                           LinearFunction, ProblemInstance, QuadraticFunction,
                           ZeroProx, even_blocks)
@@ -175,6 +176,27 @@ def test_block_backtracking_accepts_at_seed():
     state = make_state(prob, eta0=5.0)
     eta, _ = state.backtrack_block(0, state.block_gradient(0))
     assert eta == 5.0 and state.last_trials == 0
+
+
+def test_exhausted_block_backtracking_abort_carries_trace_from_epoch_0():
+    prob = ProblemInstance(nan_away_from_origin(), ZeroProx(), dim=2,
+                           blocks=even_blocks(2, 2))
+    with pytest.raises(SolverError, match="backtracking failed") as info:
+        blalm.solve(prob, SolverConfig(max_epochs=10))
+    assert info.value.records[0].epoch == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_iterate_abort_carries_trace_from_epoch_0():
+    # a Lipschitz constant 1000x below the curvature makes every block step
+    # overshoot
+    prob = ProblemInstance(QuadraticFunction(np.diag([10.0, 10.0]), np.zeros(2),
+                                             lipschitz=0.01),
+                           ZeroProx(), dim=2, blocks=even_blocks(2, 2))
+    cfg = SolverConfig(step_mode="analytic", max_epochs=3000, record_every=100)
+    with pytest.raises(SolverError, match="non-finite") as info:
+        blalm.solve(prob, cfg, x0=np.ones(2))
+    assert info.value.records[0].epoch == 0
 
 
 def test_analytic_block_bound_always_accepted(rng):

@@ -105,4 +105,7 @@ def test_every_flag_reaches_the_experiment_config():
                 argv += [f"--{dest}", required]
         config = config_from_options(_merged_options(parser.parse_args(argv)))
         target = config.solver if action.dest in _SOLVER_KEYS else config
-        assert getattr(target, action.dest) == value, action.dest
+        name = action.dest
+        if name == "epochs":  # the epoch budget is the solver's max_epochs
+            target, name = config.solver, "max_epochs"
+        assert getattr(target, name) == value, action.dest

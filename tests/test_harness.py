@@ -21,15 +21,15 @@ def fake_clock():
     return 0.0
 
 
-def tiny_config(method="lalm", problem="tiny:scalar-qcqp", epochs=300,
-                out=None, **solver_kwargs):
+def tiny_config(method="lalm", problem="tiny:scalar-qcqp", out=None,
+                **solver_kwargs):
+    solver_kwargs.setdefault("max_epochs", 300)
     solver_kwargs.setdefault("beta", 1.0)
     solver_kwargs.setdefault("rho_y", 1.0)
     solver_kwargs.setdefault("rho_z", 1.0)
     solver_kwargs.setdefault("record_every", 10)
     return ExperimentConfig(method=method, problem=problem,
-                            solver=SolverConfig(**solver_kwargs),
-                            epochs=epochs, out=out,
+                            solver=SolverConfig(**solver_kwargs), out=out,
                             blocks=1 if method == "blalm" else None)
 
 
@@ -197,7 +197,9 @@ def _same(a, b):
 
 @settings(max_examples=150, deadline=None)
 @given(records=st.lists(st.builds(
-    TraceRecord, method=st.text(st.characters(exclude_characters="\r\n")),
+    # labels the writer accepts: one line of UTF-8 text
+    TraceRecord, method=st.text(st.characters(codec="utf-8",
+                                              exclude_characters="\r\n")),
     epoch=st.integers(0, 10**30), obj=_FLOATS,
     obj_gap=_OPTIONAL, feas=_FLOATS, kkt_stat=_FLOATS, erg_obj_gap=_OPTIONAL,
     erg_feas=_OPTIONAL, eta_max=_OPTIONAL, time_ms=_FLOATS), max_size=4))
@@ -213,17 +215,19 @@ def test_csv_read_inverts_write_on_every_field(tmp_path_factory, records):
             assert _same(getattr(got, column), getattr(want, column)), column
 
 
-@pytest.mark.parametrize("method", ["a\nb", "a\rb"])
+@pytest.mark.parametrize("method", ["a\nb", "a\rb", "\ud800"])
 def test_csv_refuses_a_method_label_with_a_line_break(tmp_path, method):
+    # a lone surrogate, which has no UTF-8 encoding, is refused the same way
     rec = synthetic_trace([1.0])[0]
     rec.method = method
-    with pytest.raises(ValueError, match="line break"):
-        write_trace_csv([rec], tmp_path / "t.csv")
+    reason = "UTF-8" if method == "\ud800" else "line break"
+    with pytest.raises(ValueError, match=reason):
+        write_trace_csv([synthetic_trace([2.0])[0], rec], tmp_path / "t.csv")
     assert not (tmp_path / "t.csv").exists()
 
 
 def test_csv_row_count_invariant(tmp_path):
-    cfg = tiny_config(epochs=95, out=str(tmp_path / "r.csv"))
+    cfg = tiny_config(max_epochs=95, out=str(tmp_path / "r.csv"))
     cfg.solver.record_every = 10
     res = run(cfg, clock=fake_clock)
     rows = res.path.read_text().strip().splitlines()
@@ -280,7 +284,7 @@ def test_fit_loglog_slope_matches_polyfit(rng):
 
 
 def test_run_lalm_on_tiny_reaches_reference(tmp_path):
-    cfg = tiny_config(epochs=1000, out=str(tmp_path / "a.csv"))
+    cfg = tiny_config(max_epochs=1000, out=str(tmp_path / "a.csv"))
     res = run(cfg, clock=fake_clock)
     assert res.reference.provenance == "hand"
     assert res.result.trace[-1].obj_gap <= 1e-6
@@ -290,7 +294,7 @@ def test_run_lalm_on_tiny_reaches_reference(tmp_path):
 def test_run_blalm_deterministic_byte_identical(tmp_path):
     out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
     for out in (out1, out2):
-        cfg = tiny_config(method="blalm", epochs=200, out=str(out))
+        cfg = tiny_config(method="blalm", max_epochs=200, out=str(out))
         cfg.seed = 7
         run(cfg, clock=fake_clock)
     assert out1.read_bytes() == out2.read_bytes()
@@ -304,7 +308,7 @@ def test_run_pdyn_rejects_equality_instances(tmp_path):
 
 
 def test_run_without_reference_leaves_gap_columns_empty(tmp_path):
-    cfg = tiny_config(epochs=50, out=str(tmp_path / "n.csv"))
+    cfg = tiny_config(max_epochs=50, out=str(tmp_path / "n.csv"))
     cfg.reference = "none"
     res = run(cfg, clock=fake_clock)
     for rec in read_trace_csv(res.path):
@@ -313,22 +317,23 @@ def test_run_without_reference_leaves_gap_columns_empty(tmp_path):
 
 
 def test_run_feasibility_nonnegative(tmp_path):
-    cfg = tiny_config(method="blalm", epochs=100, out=str(tmp_path / "f.csv"))
+    cfg = tiny_config(method="blalm", max_epochs=100, out=str(tmp_path / "f.csv"))
     res = run(cfg, clock=fake_clock)
     assert all(rec.feas >= 0 for rec in read_trace_csv(res.path))
 
 
 def test_run_minimax_uses_brute_force_reference(tmp_path):
     cfg = ExperimentConfig(method="lalm", problem="minimax",
-                           solver=SolverConfig(beta=1.0, record_every=100),
-                           epochs=2000, out=str(tmp_path / "m.csv"))
+                           solver=SolverConfig(beta=1.0, record_every=100,
+                                               max_epochs=2000),
+                           out=str(tmp_path / "m.csv"))
     res = run(cfg, clock=fake_clock)
     assert res.reference.provenance == "brute-force"
     assert res.result.trace[-1].obj_gap <= 1e-3
 
 
 def test_run_ergodic_flag_blanks_columns(tmp_path):
-    cfg = tiny_config(epochs=50, out=str(tmp_path / "e.csv"))
+    cfg = tiny_config(max_epochs=50, out=str(tmp_path / "e.csv"))
     cfg.ergodic = False
     res = run(cfg, clock=fake_clock)
     assert all(r.erg_obj_gap is None and r.erg_feas is None
@@ -353,7 +358,8 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError, match="method"):
         ExperimentConfig(method="sgd", problem="bpdn")
     with pytest.raises(ValueError, match="epochs"):
-        ExperimentConfig(method="lalm", problem="bpdn", epochs=0)
+        ExperimentConfig(method="lalm", problem="bpdn",
+                         solver=SolverConfig(max_epochs=0))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import nan_away_from_origin
 from linalm import lalm
 from linalm.auglag import smooth_grad, smooth_value
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
@@ -320,6 +321,14 @@ def test_nonfinite_abort_carries_trace():
     with pytest.raises(SolverError) as info:
         lalm.solve(prob, cfg, x0=[1.0])
     assert len(info.value.records) >= 1
+    assert info.value.records[0].epoch == 0
+
+
+def test_exhausted_backtracking_abort_carries_trace_from_epoch_0():
+    prob = ProblemInstance(nan_away_from_origin(), ZeroProx(), dim=1)
+    with pytest.raises(SolverError, match="backtracking failed") as info:
+        lalm.solve(prob, SolverConfig(max_epochs=10))
+    assert info.value.records[0].epoch == 0
 
 
 def test_analytic_eta_literal_bound_plus_delta():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import nan_away_from_origin
 from linalm import pdyn
 from linalm.instances import QcqpSpec, gen_qcqp, tiny_reference
-from linalm.lalm import SolverConfig
+from linalm.lalm import SolverConfig, SolverError
 from linalm.model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                           L1Norm, LinearFunction, ProblemInstance,
                           QuadraticFunction, ZeroProx)
@@ -68,7 +69,7 @@ def test_queue_update_law_branches(rng):
     state = PdynState.start(prob, rng.uniform(-1, 1, size=5), eta=50.0)
     for _ in range(30):
         fvals = prob.constraint_values(state.x)
-        new = step(state, prob, cfg, fvals=fvals)
+        new = step(state, prob, cfg)
         for lam_new, lam_old, f in zip(new.lam, state.lam, fvals):
             assert lam_new >= -f - 1e-12
             assert lam_new >= lam_old + f - 1e-12
@@ -94,7 +95,7 @@ def test_direction_matches_multiplier_weighted_gradient(rng):
     prob = gen_qcqp(QcqpSpec(m=3, p=6, seed=1))
     state = PdynState.start(prob, rng.uniform(-2, 2, size=6), eta=10.0)
     fvals = prob.constraint_values(state.x)
-    grad, z = direction(state, prob, fvals=fvals)
+    grad, z = direction(state)
     expect = prob.g.grad(state.x)
     for zj, con in zip(state.lam + fvals, prob.constraints):
         expect = expect + zj * con.grad(state.x)
@@ -116,6 +117,25 @@ def test_backtracking_quadratic_acceptance_threshold():
     assert new.eta == pytest.approx(1.5 ** 3)
     state = PdynState.start(prob, np.array([5.0]), eta=4.0)
     assert step(state, prob, cfg).eta == 4.0
+
+
+def test_exhausted_backtracking_abort_carries_trace_from_epoch_0():
+    prob = box_prob(nan_away_from_origin())
+    with pytest.raises(SolverError, match="backtracking failed") as info:
+        pdyn.solve(prob, SolverConfig(max_epochs=10))
+    assert info.value.records[0].epoch == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nonfinite_iterate_abort_carries_trace_from_epoch_0():
+    # fixed step 1 on curvature 10 multiplies x by -9 each epoch; the box is
+    # unbounded, so nothing stops it
+    prob = box_prob(QuadraticFunction([[10.0]], [0.0]), lo=-np.inf, hi=np.inf)
+    cfg = SolverConfig(step_mode="analytic", eta0=1.0, max_epochs=3000,
+                       record_every=100)
+    with pytest.raises(SolverError, match="non-finite") as info:
+        pdyn.solve(prob, cfg, x0=[1.0])
+    assert info.value.records[0].epoch == 0
 
 
 def test_eta_monotone_along_run():
@@ -140,9 +160,8 @@ def test_reduces_to_projected_gradient_when_feasible_inactive():
     # with the actual queue values
     state = PdynState.start(prob, np.array([2.0]), eta=8.0)
     for want in xs:
-        fvals = prob.constraint_values(state.x)
         state = step(state, prob, SolverConfig(beta=1.0, step_mode="analytic",
-                                               eta0=8.0), fvals=fvals)
+                                               eta0=8.0))
         assert state.x[0] == pytest.approx(want, abs=1e-14)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from linalm import SolverConfig, blalm, lalm
+from linalm import SolverConfig, blalm, lalm, pdyn
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -48,3 +48,21 @@ def test_traced_solves_run_and_restore_the_library(monkeypatch):
         assert tracer.counter("matvec_bytes", label) > 0
     assert not hasattr(lalm.backtrack_primal, "__wrapped__")
     assert not hasattr(blalm.BlockState.apply_block, "__wrapped__")
+
+
+def test_traced_pdyn_solve_records_its_spans_and_restores_the_library(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracing import Tracer
+
+    # gen_qcqp's instances are box-constrained QCQPs without equalities
+    prob = gen_qcqp(QcqpSpec(m=2, p=6, seed=0))
+    tracer = Tracer()
+    with tracer.installed():
+        with tracer.solve_span("pdyn", keep=False):
+            res = pdyn.solve(prob, SolverConfig(beta=0.1, max_epochs=3,
+                                                record_every=1))
+    assert np.all(np.isfinite(res.w.x))
+    for name in ("pdyn.step", "pdyn.direction", "pdyn.phi"):
+        assert tracer.calls(name, "pdyn") > 0, name
+    for name in ("step", "direction", "_phi", "descent_holds"):
+        assert not hasattr(getattr(pdyn, name), "__wrapped__"), name
