@@ -70,7 +70,7 @@ def smooth_value(w, beta, prob, gval=None):
     if not prob.affine.is_empty:
         val += float(w.y @ w.r) + 0.5 * beta * float(w.r @ w.r)
     if prob.m:
-        val += float(np.sum(scalar_penalty(w.fvals, w.z, beta)))
+        val += float(scalar_penalty(w.fvals, w.z, beta).sum())
     return val
 
 
@@ -149,13 +149,14 @@ def penalty_lipschitz(x, z, beta, prob, fvals=None):
     return float(total)
 
 
-def smooth_lipschitz(x, z, beta, prob, fvals=None):
+def smooth_lipschitz(x, z, beta, prob, fvals=None, norm_sq=None):
     """Lipschitz bound for the smooth-part gradient at (x, z).
 
-    L_g + beta ||A||^2 + penalty_lipschitz(x, z).
+    L_g + beta N + penalty_lipschitz(x, z), N = ``norm_sq`` or else ||A||^2.
     """
     if prob.g.lipschitz is None:
         raise ValueError("objective lacks a gradient Lipschitz constant; "
                          "run the solver in backtracking mode")
-    return (prob.g.lipschitz + beta * prob.affine.op_norm_sq()
+    norm_sq = prob.affine.op_norm_sq() if norm_sq is None else norm_sq
+    return (prob.g.lipschitz + beta * norm_sq
             + penalty_lipschitz(x, z, beta, prob, fvals=fvals))

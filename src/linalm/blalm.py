@@ -13,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import auglag
-from .lalm import (ErgodicAccumulator, SolveResult, SolverError, descent_holds,
-                   multiplier_step_y, multiplier_step_z, run_epochs)
+# descent_holds is not used here: perfbench/tracing.py wraps this module's copy
+from .lalm import (ErgodicAccumulator, SolveResult, analytic_eta,  # noqa: F401
+                   descent_holds, multiplier_step_y, multiplier_step_z, prox_step,
+                   run_epochs)
 from .model import PrimalDualPoint, operator_norm_sq, smooth_stack
 from .trace import MetricsRecorder
 
@@ -39,15 +41,13 @@ class BlockState:
 
         start = PrimalDualPoint.at(prob, np.zeros(prob.dim) if x0 is None else x0,
                                    y0, z0)
-        self.x, self.y, self.z = start.x, start.y, start.z
-        self.r, self.fvals = start.r, start.fvals
+        self.x, self.y, self.z, self.r = start.x, start.y, start.z, start.r
         # One tracker of the smooth stack serves g and every constraint.
         self.stack = smooth_stack(prob)
         self.tracker = self.stack.tracker(self.x)
-        self.fvals = self.tracker.value[1:]
-        # The last candidate's value deltas, and the block value that
-        # candidate proposed if it was accepted.
-        self._trial_delta = self._accepted = None
+        # The value deltas of the last candidate evaluated, and its block
+        # value; analytic mode evaluates none.
+        self._trial_delta = self._evaluated = None
 
         self.analytic = config.step_mode == "analytic"
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
@@ -62,6 +62,11 @@ class BlockState:
     def n_blocks(self):
         return len(self.blocks)
 
+    @property
+    def fvals(self):
+        """Constraint values at x, as the tracker holds them."""
+        return self.tracker.value[1:]
+
     def pick_block(self):
         """Uniform draw from [0, n_blocks); deterministic under a fixed seed."""
         return int(self.rng.integers(self.n_blocks))
@@ -73,68 +78,54 @@ class BlockState:
 
     def block_gradient(self, i):
         """Block i of the smooth-part gradient, assembled from the tracker."""
-        w = PrimalDualPoint(self.x, self.y, self.z, self.r, self.fvals)
         return auglag.smooth_grad_block(
-            w, self.config.beta, self.prob, i,
+            self, self.config.beta, self.prob, i,
             grads=self.tracker.block_grad(self.blocks[i]))
 
     def smooth_value(self):
         """Current smooth-part value from maintained state."""
-        return self._smooth_value(self.tracker.value[0], self.r, self.fvals)
-
-    def _smooth_value(self, gval, r, fvals):
-        beta = self.config.beta
-        val = gval
-        if not self.prob.affine.is_empty:
-            val += float(self.y @ r) + 0.5 * beta * float(r @ r)
-        if self.prob.m:
-            val += float(np.sum(auglag.scalar_penalty(fvals, self.z, beta)))
-        return val
+        return auglag.smooth_value(self, self.config.beta, self.prob,
+                                   gval=self.tracker.value[0])
 
     def candidate_smooth_value(self, sl, dx, dr):
         """Smooth-part value after changing block sl by dx (nothing committed)."""
         r_new = None if self.prob.affine.is_empty else self.r + dr
         self._trial_delta = self.tracker.delta_value(sl, dx)
         new = self.tracker.value + self._trial_delta
-        return self._smooth_value(new[0], r_new, new[1:])
+        # g's value comes in as gval, so the candidate point needs no x
+        cand = PrimalDualPoint(None, self.y, self.z, r_new, new[1:])
+        return auglag.smooth_value(cand, self.config.beta, self.prob, gval=new[0])
 
     def block_eta(self, i):
         """Analytic per-block step bound, monotone across iterations."""
-        if self.prob.g.lipschitz is None:
-            raise ValueError("objective lacks a gradient Lipschitz constant; "
-                             "run the solver in backtracking mode")
-        bound = (self.prob.g.lipschitz
-                 + self.config.beta * self.block_norm_sq[i]
-                 + auglag.penalty_lipschitz(self.x, self.z, self.config.beta,
-                                            self.prob, fvals=self.fvals)
-                 + self.config.delta)
-        self.eta[i] = max(self.eta[i], bound)
+        self.eta[i] = analytic_eta(
+            self.eta[i], self.x, self.z, self.config.beta, self.config.delta,
+            self.prob, fvals=self.fvals, norm_sq=self.block_norm_sq[i])
         return self.eta[i]
 
     def backtrack_block(self, i, grad_blk, max_trials=201):
-        """Per-block backtracking on the smooth-part descent inequality.
+        """Block i's primal update: ``prox_step`` on that block.
 
         Returns (eta_i, new_block_value); the accepted eta persists for
-        block i across iterations.
+        block i across iterations, and ``last_trials`` counts its increases.
         """
         sl = self.blocks[i]
-        base = self.smooth_value()
-        eta = self.eta[i]
         A_i = None if self.prob.affine.is_empty else self.prob.affine.block(sl)
-        for trial in range(max_trials):
-            blk_new = self.h_blocks[i].prox(self.x[sl] - grad_blk / eta, 1.0 / eta)
+
+        def trial(blk_new):
             dx = blk_new - self.x[sl]
             dr = None if A_i is None else A_i @ dx
-            val = self.candidate_smooth_value(sl, dx, dr)
-            if np.isfinite(val) and descent_holds(val, base, float(grad_blk @ dx),
-                                                  eta, float(dx @ dx)):
-                self.eta[i] = eta
-                self.last_trials = trial
-                self._accepted = blk_new
-                return eta, blk_new
-            eta *= self.config.backtrack_factor
-        raise SolverError(f"block backtracking failed after {max_trials - 1} "
-                          "step-size increases")
+
+            def value():
+                self._evaluated = blk_new
+                return self.candidate_smooth_value(sl, dx, dr)
+            return value
+
+        eta, blk_new, _, self.last_trials = prox_step(
+            self.x[sl], grad_blk, self.eta[i], self.h_blocks[i].prox, trial,
+            self.smooth_value, self.config, max_trials)
+        self.eta[i] = eta
+        return eta, blk_new
 
     def apply_block(self, i, blk_new):
         """Commit a block change: x, residual, and constraint values in place."""
@@ -143,17 +134,15 @@ class BlockState:
         if not self.prob.affine.is_empty:
             self.r += self.prob.affine.block(sl) @ dx
         # reuse the value deltas of the trial that proposed blk_new
-        delta = self._trial_delta if self._accepted is blk_new else None
+        delta = self._trial_delta if self._evaluated is blk_new else None
         self.tracker.commit(sl, dx, delta)
-        self.fvals = self.tracker.value[1:]
         self.x[sl] = blk_new
-        self._accepted = None
+        self._evaluated = None
 
     def refresh(self):
         """Recompute residual, constraint values, and the tracker from scratch."""
         self.r = self.prob.affine.residual(self.x)
         self.tracker.rebase(self.x)
-        self.fvals = self.tracker.value[1:]
 
 
 def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
@@ -178,16 +167,9 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
             i = state.pick_block()
             grad_blk = state.block_gradient(i)
             if state.analytic:
-                eta_i = state.block_eta(i)
-                sl = state.blocks[i]
-                blk_new = state.h_blocks[i].prox(state.x[sl] - grad_blk / eta_i,
-                                                 1.0 / eta_i)
-            else:
-                eta_i, blk_new = state.backtrack_block(i, grad_blk)
+                state.block_eta(i)
+            _, blk_new = state.backtrack_block(i, grad_blk)
             state.apply_block(i, blk_new)
-            if not np.all(np.isfinite(state.x)):
-                raise SolverError(f"non-finite iterate at iteration {k}")
-
             state.y = multiplier_step_y(state.y, state.r, rho_y)
             state.z = multiplier_step_z(state.z, state.fvals, rho_z, beta)
             acc.add(state.x, 1.0, state.stack.image(state.tracker))
@@ -195,6 +177,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
                 callback(k + 1, state)
         if epoch % _REFRESH_EPOCHS == 0:
             state.refresh()
+        return state.x, state.tracker.value
 
     def snapshot(epoch):
         if epoch == 0:

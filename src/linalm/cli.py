@@ -10,14 +10,15 @@ solver fails.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 from .harness import ExperimentConfig, run
 from .lalm import SolverConfig
 
-_SOLVER_KEYS = ("beta", "rho_y", "rho_z", "delta", "step_mode",
-                "backtrack_factor", "eta0", "tol", "record_every")
+_SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig)
+                     if f.name != "max_epochs")
 _RUN_KEYS = ("problem", "method", "seed", "blocks", "epochs", "out",
              "ergodic", "reference", "problem_opts")
 

@@ -5,7 +5,7 @@ in the primal variable, then ascends the equality multipliers along the new
 residual and the inequality multipliers along the floored constraint
 values. The primal step size 1/eta comes either from analytic curvature
 bounds or from backtracking on the smooth-part descent inequality; eta
-never decreases across iterations.
+never decreases across iterations. All three solvers share ``prox_step``.
 """
 
 from __future__ import annotations
@@ -163,16 +163,10 @@ def multiplier_step_z(z, fvals_new, rho_z, beta):
     return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
 
 
-def analytic_eta(eta_prev, x, z, beta, delta, prob, fvals=None):
+def analytic_eta(eta_prev, x, z, beta, delta, prob, fvals=None, norm_sq=None):
     """Monotone analytic step bound max(eta_prev, L_F(x, z) + delta)."""
-    return max(eta_prev, auglag.smooth_lipschitz(x, z, beta, prob, fvals=fvals) + delta)
-
-
-def primal_candidate(w, grad, eta, prob):
-    """Prox-gradient step: prox of h with weight 1/eta at x - grad/eta."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    return prob.h.prox(w.x - grad / eta, 1.0 / eta)
+    return max(eta_prev, auglag.smooth_lipschitz(x, z, beta, prob, fvals=fvals,
+                                                 norm_sq=norm_sq) + delta)
 
 
 def descent_holds(value_new, value_base, inner, eta, step_sq):
@@ -183,48 +177,75 @@ def descent_holds(value_new, value_base, inner, eta, step_sq):
     return value_new <= bound + slack
 
 
-def backtrack_primal(w, grad, eta_start, config, prob, tracker, max_trials=201):
-    """Grow eta geometrically until the prox-gradient candidate satisfies the
-    descent inequality on the smooth part of the augmented Lagrangian.
+def prox_step(x, grad, eta, prox, trial, base, config, max_trials=201):
+    """Every solver's primal step: the candidate prox(x - grad/eta, 1/eta).
 
-    Returns (eta, x_new, r_new, fvals_new, smooth_new, trials) where trials
-    counts the step-size multiplications performed; more than 200
-    multiplications raise SolverError. ``tracker`` is a tracker of the
-    instance's smooth stack based at w.x; each trial rebases it at the
-    candidate for g and every constraint value there, so on return it is
-    based at x_new.
+    ``trial(candidate)`` moves the caller's trial state there (a rebased
+    tracker) and returns a function giving the smooth value at it; ``base()``
+    gives the value at x and is called before any trial. Analytic mode takes
+    the first candidate and asks for no value. Backtracking grows eta by
+    backtrack_factor until the descent test holds, or raises SolverError
+    after max_trials - 1 increases. Returns (eta, candidate, its value or
+    None in analytic mode, increases made).
     """
-    beta = config.beta
-    base = auglag.smooth_value(w, beta, prob, gval=tracker.value[0])
-    eta = eta_start
-    for trial in range(max_trials):
-        x_new = primal_candidate(w, grad, eta, prob)
-        dx = x_new - w.x
-        tracker.rebase(x_new)
-        cand = PrimalDualPoint(x_new, w.y, w.z, prob.affine.residual(x_new),
-                               tracker.value[1:])
-        val = auglag.smooth_value(cand, beta, prob, gval=tracker.value[0])
-        if np.isfinite(val) and descent_holds(val, base, float(grad @ dx), eta,
-                                              float(dx @ dx)):
-            return eta, x_new, cand.r, cand.fvals, val, trial
+    if eta <= 0:
+        raise ValueError("eta must be positive")
+    analytic = config.step_mode == "analytic"
+    base_value = None if analytic else base()
+    for k in range(max_trials):
+        x_new = prox(x - grad / eta, 1.0 / eta)
+        value = trial(x_new)
+        if analytic:
+            return eta, x_new, None, k
+        val = value()
+        dx = x_new - x
+        if np.isfinite(val) and descent_holds(val, base_value, float(grad @ dx),
+                                              eta, float(dx @ dx)):
+            return eta, x_new, val, k
         eta *= config.backtrack_factor
     raise SolverError(f"backtracking failed after {max_trials - 1} step-size "
                       "increases; oracle values may be non-finite")
 
 
+def backtrack_primal(w, grad, eta_start, config, prob, tracker, max_trials=201):
+    """lalm's primal update: ``prox_step`` from w, each trial rebasing
+    ``tracker`` (the smooth stack's, based at w.x) at its candidate, so it
+    ends at x_new. Returns (eta, x_new, r_new, fvals_new, smooth_new, trials),
+    smooth_new None in analytic mode."""
+    cand = w
+
+    def value():
+        return auglag.smooth_value(cand, config.beta, prob, gval=tracker.value[0])
+
+    def trial(x_new):
+        nonlocal cand
+        tracker.rebase(x_new)
+        cand = PrimalDualPoint(x_new, w.y, w.z, prob.affine.residual(x_new),
+                               tracker.value[1:])
+        return value
+
+    eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial,
+                                        value, config, max_trials)
+    return eta, x_new, cand.r, cand.fvals, val, trials
+
+
 def run_epochs(prob, config, advance, snapshot):
     """Every solver's epoch loop; returns (records, epochs, stopped early).
 
-    ``advance(epoch)`` moves the solver from epoch - 1 to ``epoch``, and
-    ``snapshot(epoch)`` records its iterate at epoch 0 and on the schedule.
-    A SolverError raised inside carries the records made so far.
+    ``advance(epoch)`` moves the solver to ``epoch`` and returns (x, stack
+    values at x), and ``snapshot(epoch)`` records x at epoch 0 and on the
+    schedule. A SolverError, also one for a non-finite x or value, carries
+    the records made so far.
     """
     schedule = record_epochs(config.max_epochs, config.record_every)
     records = [snapshot(0)]
     have_reference = prob.f0_star is not None
     try:
         for epoch in range(1, config.max_epochs + 1):
-            advance(epoch)
+            x, values = advance(epoch)
+            if not (np.isfinite(x).all() and np.isfinite(values).all()):
+                raise SolverError(
+                    f"non-finite iterate or oracle value at epoch {epoch}")
             if epoch in schedule:
                 rec = snapshot(epoch)
                 records.append(rec)
@@ -279,16 +300,8 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
         grad = auglag.smooth_grad(w, beta, prob, grads=grads)
         if analytic:
             eta = analytic_eta(eta, w.x, w.z, beta, delta, prob, fvals=w.fvals)
-            x_new = primal_candidate(w, grad, eta, prob)
-            r_new = prob.affine.residual(x_new)
-            tracker.rebase(x_new)
-            fvals_new = tracker.value[1:]
-        else:
-            eta, x_new, r_new, fvals_new, val, _ = backtrack_primal(
-                w, grad, eta, config, prob, tracker)
-        if not (np.all(np.isfinite(x_new)) and np.isfinite(tracker.value[0])):
-            raise SolverError(f"non-finite iterate at iteration {epoch - 1}")
-
+        eta, x_new, r_new, fvals_new, _, _ = backtrack_primal(
+            w, grad, eta, config, prob, tracker)
         y_new = multiplier_step_y(w.y, r_new, rho_y)
         z_new = multiplier_step_z(w.z, fvals_new, rho_z, beta)
         w = PrimalDualPoint(x_new, y_new, z_new, r_new, fvals_new)
@@ -297,6 +310,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
         grads = tracker.grad()
         if callback is not None:
             callback(epoch, w)
+        return x_new, tracker.value
 
     def snapshot(epoch):
         return recorder.snapshot(epoch, w, eta_max=eta if epoch else None,

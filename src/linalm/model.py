@@ -173,16 +173,16 @@ class QuadraticStack(QuadraticFunction):
 class FunctionStack:
     """k smooth functions of any kinds as one vector-valued oracle.
 
-    Values (k,) and gradients (k, dim) come from each function's own
-    tracker, and ``tracker`` gathers those trackers behind the
-    QuadraticTracker interface.
+    Values (k,) come from each function's own oracle, gradients (k, dim)
+    from each function's own tracker, and ``tracker`` gathers those
+    trackers behind the QuadraticTracker interface.
     """
 
     def __init__(self, fns):
         self.fns = fns
 
     def __call__(self, x):
-        return self.tracker(x).value
+        return np.array([fn(x) for fn in self.fns])
 
     def value_grad(self, x):
         tracker = self.tracker(x)

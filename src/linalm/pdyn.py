@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lalm import SolveResult, SolverError, descent_holds, run_epochs
+# descent_holds is not used here: perfbench/tracing.py wraps this module's copy
+from .lalm import SolveResult, descent_holds, prox_step, run_epochs  # noqa: F401
 from .model import PrimalDualPoint, smooth_stack
 from .trace import MetricsRecorder
 
@@ -53,42 +54,30 @@ def direction(state):
     return grads[0] + z @ grads[1:], z
 
 
-def _phi(tracker, z, x=None):
-    """phi(x, z) = f0(x) + sum_j z_j f_j(x) from the tracker's values, after
-    rebasing it at x when x is given."""
-    if x is not None:
-        tracker.rebase(x)
+def _phi(tracker, z):
+    """phi(x, z) = f0(x) + sum_j z_j f_j(x) at the tracker's point x."""
     return tracker.value[0] + float(z @ tracker.value[1:])
 
 
 def step(state, prob, config, max_trials=201):
     """One primal projection step plus the queue update; returns a new state.
 
-    In backtracking mode eta grows geometrically until the quadratic upper
-    model of phi(., z) at the current point dominates the candidate value;
-    eta never decreases across iterations. Each trial rebases the tracker at
-    its candidate, so the accepted one leaves it at the new iterate.
+    The step is ``prox_step`` on phi(., z); each trial rebases the tracker
+    at its candidate, so the one taken leaves it at the new iterate.
     """
     tracker = state.tracker
     fvals = tracker.value[1:]  # pre-step values: a rebase assigns a new array
     grad, z = direction(state)
-    eta = state.eta
-    if config.step_mode == "backtracking":
-        base = _phi(tracker, z)
-        for trial in range(max_trials):
-            x_new = prob.h.prox(state.x - grad / eta, 1.0 / eta)
-            dx = x_new - state.x
-            val = _phi(tracker, z, x_new)
-            if np.isfinite(val) and descent_holds(val, base, float(grad @ dx),
-                                                  eta, float(dx @ dx)):
-                break
-            eta *= config.backtrack_factor
-        else:
-            raise SolverError(f"backtracking failed after {max_trials - 1} "
-                              "step-size increases")
-    else:
-        x_new = prob.h.prox(state.x - grad / eta, 1.0 / eta)
+
+    def phi():
+        return _phi(tracker, z)
+
+    def trial(x_new):
         tracker.rebase(x_new)
+        return phi
+
+    eta, x_new, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox, trial, phi,
+                                 config, max_trials)
     lam_new = np.maximum(-fvals, state.lam + fvals)
     return PdynState(x_new, lam_new, eta, tracker)
 
@@ -123,11 +112,9 @@ def solve(prob, config, x0=None, callback=None, clock=None,
     def advance(epoch):
         nonlocal state
         state = step(state, prob, config)
-        if not (np.all(np.isfinite(state.x))
-                and np.isfinite(state.tracker.value[0])):
-            raise SolverError(f"non-finite iterate at iteration {epoch - 1}")
         if callback is not None:
             callback(epoch, state)
+        return state.x, state.tracker.value
 
     def snapshot(epoch):
         tracker = state.tracker

@@ -102,7 +102,8 @@ def should_stop(record, tol, have_reference):
 
 
 def record_epochs(total, every=None):
-    """Set of epochs at which metrics are recorded (always includes 0).
+    """Set of epochs at which metrics are recorded (always includes 0 and
+    the final epoch ``total``).
 
     With an explicit interval the epochs are 0, every, 2*every, ...; the
     default records every epoch up to 10^3 total and about 500
@@ -111,7 +112,7 @@ def record_epochs(total, every=None):
     if every is not None:
         if every < 1:
             raise ValueError("record interval must be >= 1")
-        return set(range(0, total + 1, every))
+        return set(range(0, total + 1, every)) | {total}
     if total <= 1000:
         return set(range(total + 1))
     pts = np.unique(np.logspace(0, np.log10(total), 500).astype(int))

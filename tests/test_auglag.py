@@ -7,7 +7,7 @@ from linalm.auglag import (auglag_value, constraint_penalty, penalty_lipschitz,
                            scalar_penalty, scalar_penalty_deriv, smooth_grad,
                            smooth_grad_block, smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
-from linalm.lalm import SolverConfig, backtrack_primal, primal_candidate
+from linalm.lalm import SolverConfig, backtrack_primal, prox_step
 from linalm.model import (BoxIndicator, InequalityConstraint, PrimalDualPoint,
                           ProblemInstance, QuadraticFunction, ZeroProx,
                           smooth_stack)
@@ -346,12 +346,13 @@ def test_descent_inequality_holds_at_smooth_lipschitz(rng):
     # smooth-part descent inequality
     prob = gen_qcqp(QcqpSpec(m=3, p=10, seed=11))
     beta = 0.5
-    cfg = SolverConfig(beta=beta)
+    cfg = SolverConfig(beta=beta, step_mode="analytic")
     for _ in range(50):
         w = random_state(prob, rng, z_scale=2.0)
         eta = smooth_lipschitz(w.x, w.z, beta, prob, fvals=w.fvals)
         grad = smooth_grad(w, beta, prob)
-        x_new = primal_candidate(w, grad, eta, prob)
+        _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None, None,
+                                   cfg)
         cand = PrimalDualPoint.at(prob, x_new, w.y, w.z)
         lhs = smooth_value(cand, beta, prob)
         dx = x_new - w.x

@@ -186,6 +186,17 @@ def test_exhausted_block_backtracking_abort_carries_trace_from_epoch_0():
     assert info.value.records[0].epoch == 0
 
 
+def test_nonfinite_oracle_value_abort_carries_trace_from_epoch_0():
+    # analytic mode takes every candidate: the first step leaves the origin,
+    # where the objective is NaN while the iterate stays finite
+    prob = ProblemInstance(nan_away_from_origin(), ZeroProx(), dim=2,
+                           blocks=even_blocks(2, 2))
+    cfg = SolverConfig(step_mode="analytic", max_epochs=20)
+    with pytest.raises(SolverError, match="non-finite") as info:
+        blalm.solve(prob, cfg)
+    assert info.value.records[0].epoch == 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_iterate_abort_carries_trace_from_epoch_0():
     # a Lipschitz constant 1000x below the curvature makes every block step

@@ -50,6 +50,20 @@ def test_missing_problem_fails(capsys):
     assert "required" in capsys.readouterr().err
 
 
+def test_budget_off_the_record_interval_reports_the_final_iterate(tmp_path,
+                                                                  capsys):
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"record_every": 10}))
+    out = tmp_path / "r.csv"
+    rc = main(["solve", "--problem", "tiny:scalar-qcqp", "--method", "lalm",
+               "--epochs", "25", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0
+    records = read_trace_csv(out)
+    assert [r.epoch for r in records] == [0, 10, 20, 25]
+    assert (f"25 epochs, final feasibility {records[-1].feas:.3e}"
+            in capsys.readouterr().out)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({

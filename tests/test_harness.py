@@ -164,6 +164,8 @@ def test_blalm_ergodic_columns_match_direct_evaluation(name):
 
 def test_record_epochs_interval_and_default():
     assert record_epochs(100, 10) == set(range(0, 101, 10))
+    # the final epoch is recorded even off the interval
+    assert record_epochs(25, 10) == {0, 10, 20, 25}
     assert record_epochs(50) == set(range(51))
     sched = record_epochs(100_000)
     assert 0 in sched and 100_000 in sched
@@ -231,7 +233,8 @@ def test_csv_row_count_invariant(tmp_path):
     cfg.solver.record_every = 10
     res = run(cfg, clock=fake_clock)
     rows = res.path.read_text().strip().splitlines()
-    assert len(rows) - 1 == 95 // 10 + 1  # data rows, incl. epoch 0
+    # data rows: epoch 0, every 10th epoch, and the final epoch 95
+    assert len(rows) - 1 == 95 // 10 + 2
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import nan_away_from_origin
-from linalm import lalm
+from linalm import lalm, pdyn
 from linalm.auglag import smooth_grad, smooth_value
+from linalm.blalm import BlockState
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
 from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
                          analytic_eta, backtrack_primal, multiplier_step_y,
-                         multiplier_step_z, primal_candidate)
+                         multiplier_step_z, prox_step)
 from linalm.model import (BoxIndicator, InequalityConstraint, L1Norm,
                           LinearFunction, PrimalDualPoint, ProblemInstance,
                           QuadraticFunction, ZeroProx, smooth_stack)
+from linalm.pdyn import PdynState
 
 
 def tracker_at(w, prob):
@@ -22,6 +24,14 @@ def quadratic_prob(curvature=3.0):
     return ProblemInstance(
         QuadraticFunction([[curvature]], [0.0], lipschitz=curvature),
         ZeroProx(), dim=1)
+
+
+def candidate(w, grad, eta, prob):
+    """The prox-gradient candidate that prox_step takes first."""
+    _, x_new, _, trials = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None,
+                                    None, SolverConfig(step_mode="analytic"))
+    assert trials == 0
+    return x_new
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +97,53 @@ def test_backtracking_accepts_at_sufficient_eta():
     assert eta == 5.0 and trials == 0
 
 
+class CountingProx(ZeroProx):
+    """h = 0 on a box that is the whole space, counting prox calls (one per
+    candidate), so pdyn accepts it too."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def prox(self, v, weight):
+        self.calls += 1
+        return super().prox(v, weight)
+
+
+def _lalm_step(prob, cfg):
+    w = PrimalDualPoint.at(prob, [1.0])
+    grad = smooth_grad(w, 1.0, prob)
+    eta, _, _, _, _, trials = backtrack_primal(w, grad, 1.0, cfg, prob,
+                                               tracker_at(w, prob))
+    return eta, trials
+
+
+def _block_step(prob, cfg):
+    state = BlockState(prob.with_blocks(1), cfg, x0=[1.0])
+    state.eta[0] = 1.0
+    eta, _ = state.backtrack_block(0, state.block_gradient(0))
+    return eta, state.last_trials
+
+
+def _pdyn_step(prob, cfg):
+    new = pdyn.step(PdynState.start(prob, [1.0], eta=1.0), prob, cfg)
+    return new.eta, None
+
+
+@pytest.mark.parametrize("run", [_lalm_step, _block_step, _pdyn_step],
+                         ids=["backtrack_primal", "backtrack_block", "pdyn.step"])
+@pytest.mark.parametrize("mode, trials", [("backtracking", 3), ("analytic", 0)])
+def test_every_solver_step_is_the_shared_prox_step(run, mode, trials):
+    # g = (3/2) x^2 from eta 1 with factor 1.5: backtracking accepts at the
+    # third increase, 1.5^3 >= 3; analytic mode takes the first candidate
+    h = CountingProx()
+    prob = ProblemInstance(QuadraticFunction([[3.0]], [0.0], lipschitz=3.0), h,
+                           dim=1)
+    eta, reported = run(prob, SolverConfig(beta=1.0, step_mode=mode))
+    assert h.calls == trials + 1
+    assert eta == pytest.approx(1.5 ** trials)
+    assert reported in (None, trials)
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_backtracking_error_on_divergent_oracle():
     bad = ProblemInstance(
@@ -117,27 +174,35 @@ def test_accepted_pairs_satisfy_descent_inequality(rng):
 # primal and dual updates
 
 
-def test_primal_candidate_is_gradient_step_without_h():
+def test_prox_step_is_gradient_step_without_h():
     prob = quadratic_prob(2.0)
     w = PrimalDualPoint.at(prob, [1.0])
     grad = smooth_grad(w, 1.0, prob)
-    np.testing.assert_allclose(primal_candidate(w, grad, 4.0, prob),
+    np.testing.assert_allclose(candidate(w, grad, 4.0, prob),
                                w.x - grad / 4.0)
 
 
-def test_primal_candidate_shrinkage():
+def test_prox_step_shrinkage():
     prob = ProblemInstance(LinearFunction([0.0]), L1Norm(), dim=1)
     w = PrimalDualPoint.at(prob, [1.0])
-    out = primal_candidate(w, np.array([2.0]), 4.0, prob)
+    out = candidate(w, np.array([2.0]), 4.0, prob)
     assert out == pytest.approx([0.25])
 
 
-def test_primal_candidate_projects_into_box():
+def test_prox_step_projects_into_box():
     prob = ProblemInstance(LinearFunction([0.0]), BoxIndicator([-10.], [10.]),
                            dim=1)
     w = PrimalDualPoint.at(prob, [10.0])
-    out = primal_candidate(w, np.array([-8.0]), 4.0, prob)  # lands at 12
+    out = candidate(w, np.array([-8.0]), 4.0, prob)  # lands at 12
     assert out == pytest.approx([10.0])
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0])
+def test_prox_step_refuses_nonpositive_eta(eta):
+    prob = quadratic_prob(2.0)
+    w = PrimalDualPoint.at(prob, [1.0])
+    with pytest.raises(ValueError, match="eta must be positive"):
+        candidate(w, np.array([1.0]), eta, prob)
 
 
 def test_multiplier_steps_hand_values():

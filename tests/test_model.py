@@ -305,6 +305,23 @@ def test_quadratic_stack_needs_every_function_quadratic():
     assert smooth_stack(prob).Q.shape == (1, 2, 2)
 
 
+def test_function_stack_values_come_from_each_oracle(monkeypatch, rng):
+    # the values at a point (every FunctionStack ergodic value) call each
+    # function's own oracle and build no tracker
+    fns = [make_smooth(kind, rng, 5) for kind in ("zero",) + _KINDS]
+    stack = FunctionStack(fns)
+    x = rng.normal(size=5)
+    want = stack.tracker(x).value
+    monkeypatch.setattr(FunctionStack, "tracker",
+                        lambda self, x: pytest.fail("tracker built"))
+    for fn in fns:
+        monkeypatch.setattr(type(fn), "tracker",
+                            lambda self, x: pytest.fail("tracker built"))
+    np.testing.assert_allclose(stack(x), want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(stack.values_from_image(x, 0.0), want, rtol=1e-12,
+                               atol=1e-12)
+
+
 def make_smooth(kind, rng, dim):
     """One smooth function of the named kind with random data."""
     if kind == "quadratic":
