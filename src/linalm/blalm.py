@@ -39,8 +39,7 @@ class BlockState:
         if any(hb is None for hb in self.h_blocks):
             raise ValueError("h is not separable across the block partition")
 
-        start = PrimalDualPoint.at(prob, np.zeros(prob.dim) if x0 is None else x0,
-                                   y0, z0)
+        start = PrimalDualPoint.at(prob, x0, y0, z0)
         self.x, self.y, self.z, self.r = start.x, start.y, start.z, start.r
         # One tracker of the smooth stack serves g and every constraint.
         self.stack = smooth_stack(prob)
@@ -53,8 +52,7 @@ class BlockState:
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
         self.eta = np.full(n, seed_eta)
         self.block_norm_sq = np.array(
-            [0.0 if prob.affine.is_empty else operator_norm_sq(prob.affine.block(sl))
-             for sl in self.blocks])
+            [operator_norm_sq(prob.affine.block(sl)) for sl in self.blocks])
         self.rng = np.random.default_rng(seed)
         self.last_trials = 0
 

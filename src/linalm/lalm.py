@@ -185,11 +185,13 @@ def prox_step(x, grad, eta, prox, trial, base, config, max_trials=201):
     gives the value at x and is called before any trial. Analytic mode takes
     the first candidate and asks for no value. Backtracking grows eta by
     backtrack_factor until the descent test holds, or raises SolverError
-    after max_trials - 1 increases. Returns (eta, candidate, its value or
-    None in analytic mode, increases made).
+    after max_trials - 1 increases, or at once on a non-finite grad. Returns
+    (eta, candidate, its value or None in analytic mode, increases made).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if not np.isfinite(grad).all():
+        raise SolverError("non-finite gradient of the smooth part")
     analytic = config.step_mode == "analytic"
     base_value = None if analytic else base()
     for k in range(max_trials):
@@ -278,7 +280,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
     SolveResult with the final triple, the 1/eta-weighted ergodic average,
     and the recorded trace.
     """
-    w = PrimalDualPoint.at(prob, np.zeros(prob.dim) if x0 is None else x0, y0, z0)
+    w = PrimalDualPoint.at(prob, x0, y0, z0)
     rho_y, rho_z = config.resolve_rho(n_blocks=1)
     beta, delta = config.beta, config.delta
     analytic = config.step_mode == "analytic"

@@ -586,10 +586,10 @@ class AffineConstraint:
         """Column block A_i for a contiguous coordinate slice."""
         return self.A[:, sl]
 
-    def op_norm_sq(self, tol=1e-8):
+    def op_norm_sq(self):
         """Cached ||A||^2 (largest eigenvalue of A'A)."""
         if self._op_norm_sq is None:
-            self._op_norm_sq = 0.0 if self.is_empty else operator_norm_sq(self.A, tol)
+            self._op_norm_sq = operator_norm_sq(self.A)
         return self._op_norm_sq
 
 
@@ -676,6 +676,15 @@ class ProblemInstance:
                                self.constraints, self.blocks, f0_star, self.meta)
 
 
+def primal_start(prob, x0=None):
+    """Every solver's start point: x0 as a fresh flat float vector of length
+    prob.dim, zeros when None."""
+    x = np.zeros(prob.dim) if x0 is None else np.array(x0, dtype=float).ravel()
+    if x.shape[0] != prob.dim:
+        raise ValueError(f"x has dim {x.shape[0]}, expected {prob.dim}")
+    return x
+
+
 @dataclass
 class PrimalDualPoint:
     """Primal-dual triple with cached equality residual and constraint values."""
@@ -687,10 +696,8 @@ class PrimalDualPoint:
     fvals: np.ndarray
 
     @classmethod
-    def at(cls, prob, x, y=None, z=None):
-        x = np.array(x, dtype=float).ravel()
-        if x.shape[0] != prob.dim:
-            raise ValueError(f"x has dim {x.shape[0]}, expected {prob.dim}")
+    def at(cls, prob, x=None, y=None, z=None):
+        x = primal_start(prob, x)
         y = np.zeros(prob.affine.rows) if y is None else np.array(y, dtype=float).ravel()
         z = np.zeros(prob.m) if z is None else np.array(z, dtype=float).ravel()
         if y.shape[0] != prob.affine.rows:
@@ -795,44 +802,22 @@ def kkt_residual(w, prob, grads=None):
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge; carries the best estimate.
-
-    ``operator_norm_sq`` no longer raises it (it falls back to an exact
-    eigenvalue); the class stays importable for callers that catch it.
-    """
+    """Carries an operator-norm estimate. Nothing raises it: ``operator_norm_sq``
+    is exact. The class stays importable for callers that still catch it."""
 
     def __init__(self, message, estimate):
         super().__init__(message)
         self.estimate = estimate
 
 
-def operator_norm_sq(A, tol=1e-8, max_iter=None):
-    """Largest eigenvalue of A'A by power iteration with Rayleigh quotients.
+def operator_norm_sq(A):
+    """||A||^2: the largest eigenvalue of the smaller Gram matrix, AA' or A'A.
 
-    Stops when the relative change of the estimate is at most ``tol``.
-    When the top eigenvalues nearly coincide, power iteration converges too
-    slowly for that test; after ``max_iter`` iterations (default 10 *
-    columns, floored at 1000) the exact largest eigenvalue of the smaller
-    Gram matrix (AA' or A'A) is returned instead.
+    Exact to roundoff, so step bounds built on it are never below the
+    Lipschitz constants they bound; 0.0 for an empty operator.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.size == 0 or not A.any():
+    if A.size == 0:
         return 0.0
-    dim = A.shape[1]
-    if max_iter is None:
-        max_iter = max(10 * dim, 1000)
-    v = np.random.default_rng(0).standard_normal(dim)
-    v /= np.linalg.norm(v)
-    estimate = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        new = float(v @ w)
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0  # v landed in the nullspace of a rank-deficient A
-        v = w / norm_w
-        if abs(new - estimate) <= tol * max(abs(new), 1e-300):
-            return new
-        estimate = new
-    gram = A @ A.T if A.shape[0] <= dim else A.T @ A
+    gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
     return float(np.linalg.eigvalsh(gram)[-1])

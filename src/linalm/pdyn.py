@@ -16,7 +16,7 @@ import numpy as np
 
 # descent_holds is not used here: perfbench/tracing.py wraps this module's copy
 from .lalm import SolveResult, descent_holds, prox_step, run_epochs  # noqa: F401
-from .model import PrimalDualPoint, smooth_stack
+from .model import PrimalDualPoint, primal_start, smooth_stack
 from .trace import MetricsRecorder
 
 
@@ -32,7 +32,7 @@ class PdynState:
 
     @classmethod
     def start(cls, prob, x0, eta, stack=None):
-        x0 = np.array(x0, dtype=float).ravel()
+        x0 = primal_start(prob, x0)
         tracker = (smooth_stack(prob) if stack is None else stack).tracker(x0)
         return cls(x0, np.maximum(0.0, -tracker.value[1:]), eta, tracker)
 
@@ -98,8 +98,7 @@ def solve(prob, config, x0=None, callback=None, clock=None,
     if config.step_mode == "analytic" and config.eta0 is None:
         raise ValueError("fixed-step mode requires eta0")
     stack = smooth_stack(prob)
-    state = PdynState.start(prob, np.zeros(prob.dim) if x0 is None else x0,
-                            config.eta_seed(prob), stack)
+    state = PdynState.start(prob, x0, config.eta_seed(prob), stack)
     recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
                                stack=stack)
 

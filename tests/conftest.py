@@ -33,6 +33,17 @@ def nan_away_from_origin():
                           lambda x: np.ones_like(x), lipschitz=1.0)
 
 
+def nan_grad_away_from_origin():
+    """Oracle g(x) = 2 sum(x), finite everywhere, whose gradient is NaN at
+    every x but the origin: the first step leaves the origin, the next
+    gradient is NaN."""
+    from linalm.model import OracleFunction
+
+    return OracleFunction(lambda x: 2.0 * float(np.sum(x)),
+                          lambda x: np.full_like(x, np.nan if np.any(x) else 2.0),
+                          lipschitz=1.0)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

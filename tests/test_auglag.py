@@ -131,15 +131,16 @@ def test_constraint_penalty_cases(rng):
 
 
 def test_constraint_penalty_nonpositive_when_feasible(rng):
-    # feasible x and z >= 0 force a nonpositive penalty sum
+    # feasible x and z >= 0 force a nonpositive penalty sum; about 4 in 10^4
+    # uniform draws from the box quarter are feasible, so draw in batches
     prob = gen_qcqp(QcqpSpec(m=4, p=6, seed=2))
     lo, hi = prob.h.domain
-    count = 0
-    while count < 100:
-        x = rng.uniform(lo / 4, hi / 4)
-        if np.any(prob.constraint_values(x) > 0):
-            continue
-        count += 1
+    feasible = []
+    while len(feasible) < 100:
+        pts = rng.uniform(lo / 4, hi / 4, size=(100_000, prob.dim))
+        ok = np.all([con.values(pts) <= 0 for con in prob.constraints], axis=0)
+        feasible.extend(pts[ok])
+    for x in feasible[:100]:
         z = rng.uniform(0, 3, size=prob.m)
         assert constraint_penalty(x, z, 1.0, prob) <= 1e-12
 

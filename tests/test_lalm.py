@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import nan_away_from_origin
-from linalm import lalm, pdyn
+from conftest import nan_away_from_origin, nan_grad_away_from_origin
+from linalm import blalm, lalm, pdyn
 from linalm.auglag import smooth_grad, smooth_value
 from linalm.blalm import BlockState
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
@@ -12,7 +12,7 @@ from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
                          multiplier_step_z, prox_step)
 from linalm.model import (BoxIndicator, InequalityConstraint, L1Norm,
                           LinearFunction, PrimalDualPoint, ProblemInstance,
-                          QuadraticFunction, ZeroProx, smooth_stack)
+                          QuadraticFunction, ZeroProx, even_blocks, smooth_stack)
 from linalm.pdyn import PdynState
 
 
@@ -394,6 +394,28 @@ def test_exhausted_backtracking_abort_carries_trace_from_epoch_0():
     with pytest.raises(SolverError, match="backtracking failed") as info:
         lalm.solve(prob, SolverConfig(max_epochs=10))
     assert info.value.records[0].epoch == 0
+
+
+@pytest.mark.parametrize("solver", [lalm, blalm], ids=["lalm", "blalm"])
+def test_nonfinite_gradient_abort_carries_trace_from_epoch_0(solver):
+    # the l1 prox would reject the NaN candidate with a bare ValueError.
+    # Epoch 1, whose gradient is NaN, is not recorded: its KKT residual
+    # would hit that prox first.
+    prob = ProblemInstance(nan_grad_away_from_origin(), L1Norm(), dim=2,
+                           blocks=even_blocks(2, 2))
+    with pytest.raises(SolverError, match="gradient") as info:
+        solver.solve(prob, SolverConfig(max_epochs=10, record_every=5))
+    assert info.value.records[0].epoch == 0
+
+
+@pytest.mark.parametrize("solver", [lalm, blalm, pdyn],
+                         ids=["lalm", "blalm", "pdyn"])
+def test_solvers_reject_wrong_length_start(solver):
+    prob = ProblemInstance(QuadraticFunction(np.eye(2), np.zeros(2), lipschitz=1.0),
+                           BoxIndicator(-np.ones(2), np.ones(2)), dim=2,
+                           blocks=even_blocks(2, 2))
+    with pytest.raises(ValueError, match="x has dim 3, expected 2"):
+        solver.solve(prob, SolverConfig(max_epochs=1), x0=np.zeros(3))
 
 
 def test_analytic_eta_literal_bound_plus_delta():

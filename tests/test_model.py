@@ -4,9 +4,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from linalm.model import (AffineConstraint, BoxIndicator, FunctionStack,
                           InequalityConstraint, L1Norm, LeastSquaresFunction,
-                          LinearFunction, OracleFunction, PowerIterationError,
-                          PrimalDualPoint, ProblemInstance, QuadraticFunction,
-                          QuadraticStack, ZeroFunction, ZeroProx,
+                          LinearFunction, OracleFunction, PrimalDualPoint,
+                          ProblemInstance, QuadraticFunction, QuadraticStack,
+                          ZeroFunction, ZeroProx,
                           eps_optimality, even_blocks, kkt_residual,
                           lagrangian_gap, operator_norm_sq, project_box,
                           prox_l1, smooth_stack)
@@ -167,6 +167,7 @@ def test_empty_affine_terms_vanish():
     assert A.residual(x).shape == (0,)
     np.testing.assert_array_equal(A.adjoint(np.zeros(0)), np.zeros(4))
     assert A.op_norm_sq() == 0.0
+    assert operator_norm_sq(A.block(slice(0, 4))) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -189,15 +190,18 @@ def test_operator_norm_matches_dense_eig(rng):
         assert operator_norm_sq(A) == pytest.approx(oracle, rel=1e-6)
 
 
-def test_operator_norm_error_carries_estimate():
-    # two equal top eigenvalues stall the relative-change test at cap 10*dim
-    A = np.diag([2.0, 2.0])
-    try:
-        val = operator_norm_sq(A, tol=0.0, max_iter=5)
-    except PowerIterationError as exc:
-        assert exc.estimate == pytest.approx(4.0, rel=1e-3)
-    else:
-        assert val == pytest.approx(4.0, rel=1e-6)
+def test_operator_norm_is_exact():
+    # oracle: the largest singular value from an SVD. Equal or nearly equal
+    # top eigenvalues (the diagonal and the BPDN seeds) would stall an
+    # iterative estimate, and a Rayleigh quotient would sit below the norm.
+    qcqp = gen_qcqp(QcqpSpec(m=10, p=200, seed=0))
+    mats = [np.diag([2.0, 2.0]), qcqp.g.Q] + [con.fn.Q for con in qcqp.constraints]
+    for seed in (2641798559, 3144076148, 127373982):
+        bpdn = gen_bpdn(BpdnSpec(rows=50, cols=100, sparsity=5, seed=seed))
+        mats.append(bpdn.constraints[0].fn.A)
+    for A in mats:
+        assert operator_norm_sq(A) == pytest.approx(np.linalg.norm(A, 2) ** 2,
+                                                    rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", [2641798559, 3144076148, 127373982])

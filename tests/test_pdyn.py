@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import nan_away_from_origin
+from conftest import nan_away_from_origin, nan_grad_away_from_origin
 from linalm import pdyn
 from linalm.instances import QcqpSpec, gen_qcqp, tiny_reference
 from linalm.lalm import SolverConfig, SolverError
@@ -123,6 +123,14 @@ def test_exhausted_backtracking_abort_carries_trace_from_epoch_0():
     prob = box_prob(nan_away_from_origin())
     with pytest.raises(SolverError, match="backtracking failed") as info:
         pdyn.solve(prob, SolverConfig(max_epochs=10))
+    assert info.value.records[0].epoch == 0
+
+
+def test_nonfinite_gradient_abort_carries_trace_from_epoch_0():
+    # refused at once rather than after every backtracking trial
+    prob = box_prob(nan_grad_away_from_origin())
+    with pytest.raises(SolverError, match="gradient") as info:
+        pdyn.solve(prob, SolverConfig(max_epochs=10, record_every=5))
     assert info.value.records[0].epoch == 0
 
 
