@@ -5,7 +5,7 @@ Sparse recovery benchmark: full vs. randomized block updates
 Generates a basis pursuit denoising instance (min ||x||_1 subject to a
 residual-power ball), solves it with the full-vector method and with the
 10-block randomized variant, and fits the decay rate of the averaged
-iterates. Traces land in CSV files next to this script.
+iterates. Traces land in CSV files in the working directory.
 """
 
 import numpy as np

@@ -101,7 +101,7 @@ class BlockState:
             self.prob, fvals=self.fvals, norm_sq=self.block_norm_sq[i])
         return self.eta[i]
 
-    def backtrack_block(self, i, grad_blk, max_trials=201):
+    def backtrack_block(self, i, grad_blk):
         """Block i's primal update: ``prox_step`` on that block.
 
         Returns (eta_i, new_block_value); the accepted eta persists for
@@ -121,7 +121,7 @@ class BlockState:
 
         eta, blk_new, _, self.last_trials = prox_step(
             self.x[sl], grad_blk, self.eta[i], self.h_blocks[i].prox, trial,
-            self.smooth_value, self.config, max_trials)
+            self.smooth_value, self.config)
         self.eta[i] = eta
         return eta, blk_new
 
@@ -144,21 +144,21 @@ class BlockState:
 
 
 def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
-          clock=None, method_label="blalm"):
+          clock=None):
     """Run the randomized block solver for config.max_epochs epochs.
 
     The problem must carry a block partition and h must be separable across
     it. rho_y and rho_z default to beta/n_blocks. The returned ergodic_x is
     the uniform average of the iterates; ergodic_x_scaled divides the same
-    running sum by 1 + k/n instead.
+    running sum by 1 + k/n instead. Trace records carry the method label
+    "blalm".
     """
     state = BlockState(prob, config, x0, y0, z0, seed)
     n = state.n_blocks
     rho_y, rho_z = config.resolve_rho(n_blocks=n)
     beta = config.beta
     acc = ErgodicAccumulator(prob.dim)
-    recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
-                               stack=state.stack)
+    recorder = MetricsRecorder(prob, "blalm", state.stack, clock=clock)
 
     def advance(epoch):
         for k in range((epoch - 1) * n, epoch * n):

@@ -20,7 +20,7 @@ from .lalm import SolverConfig
 _SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig)
                      if f.name != "max_epochs")
 _RUN_KEYS = ("problem", "method", "seed", "blocks", "epochs", "out",
-             "ergodic", "reference", "problem_opts")
+             "reference", "problem_opts")
 
 
 def build_parser():
@@ -65,8 +65,8 @@ def config_from_options(opts):
     return ExperimentConfig(
         method=opts["method"], problem=opts["problem"], solver=solver,
         seed=int(opts.get("seed", 0)),
-        blocks=opts.get("blocks"), ergodic=bool(opts.get("ergodic", True)),
-        out=opts.get("out"), reference=opts.get("reference", "auto"),
+        blocks=opts.get("blocks"), out=opts.get("out"),
+        reference=opts.get("reference", "auto"),
         problem_opts=opts.get("problem_opts", {}))
 
 

@@ -20,6 +20,8 @@ from .trace import write_trace_csv
 
 CACHE_ENV_VAR = "LINALM_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".linalm_cache"
+# KKT residual a long-run reference must reach, run and cached alike.
+_REFERENCE_KKT = 1e-10
 
 METHODS = ("lalm", "blalm", "pdyn")
 PROBLEMS = ("bpdn", "qcqp", "minimax")
@@ -42,7 +44,6 @@ class ExperimentConfig:
     solver: SolverConfig = dataclass_field(default_factory=SolverConfig)
     seed: int = 0
     blocks: Optional[int] = None
-    ergodic: bool = True
     out: Optional[str] = None
     reference: str = "auto"
     problem_opts: dict = dataclass_field(default_factory=dict)
@@ -99,17 +100,16 @@ def resolve_reference(prob, config, clock=None):
                               cache=cache_dir(), clock=clock)
 
 
-def long_run_reference(prob, budget, target=1e-10, eta0=None, cache=None,
-                       clock=None):
+def long_run_reference(prob, budget, eta0=None, cache=None, clock=None):
     """High-accuracy reference from a long backtracking solver run.
 
     Runs the full-vector solver until every KKT residual component is at
-    most ``target`` or the iteration budget (required to be at least 10^6)
-    is exhausted, and caches the result on disk keyed by the instance
-    content hash. An unmet target produces a warning and the best point
-    found, with its residual recorded. A malformed cached entry, or one whose
-    residual is above ``target``, is recomputed and replaced; entries are
-    renamed into place from a temporary file, so none is ever partial.
+    most 1e-10 (``_REFERENCE_KKT``) or the budget of at least 10^6
+    iterations is spent, and caches the result on disk keyed by the
+    instance content hash. An unmet target gives a warning and the best
+    point found, with its residual recorded. A malformed cached entry, or
+    one whose residual is above the target, is recomputed and replaced;
+    entries are renamed into place from a temporary file, never partial.
     """
     if budget < 1_000_000:
         raise ValueError("long-run reference needs a budget of at least 1e6 "
@@ -119,7 +119,7 @@ def long_run_reference(prob, budget, target=1e-10, eta0=None, cache=None,
         path = Path(cache) / f"{instances.instance_digest(prob)}.json"
         try:
             data = json.loads(path.read_text())
-            if data["residual"] <= target:
+            if data["residual"] <= _REFERENCE_KKT:
                 return instances.ReferenceSolution(
                     np.array(data["x"]), np.array(data["y"]), np.array(data["z"]),
                     data["f0"], data["provenance"], data["residual"])
@@ -127,14 +127,14 @@ def long_run_reference(prob, budget, target=1e-10, eta0=None, cache=None,
             pass  # no entry, a malformed one, or no recorded residual
 
     cfg = SolverConfig(beta=1.0, step_mode="backtracking", eta0=eta0,
-                       max_epochs=budget, tol=target, record_every=10)
+                       max_epochs=budget, tol=_REFERENCE_KKT, record_every=10)
     res = lalm.solve(prob.with_f0_star(None), cfg, x0=prob.meta.get("x0"),
-                     clock=clock, method_label="reference")
+                     clock=clock)
     kkt = kkt_residual(res.w, prob)
     residual = max(kkt)
-    if residual > target:
+    if residual > _REFERENCE_KKT:
         warnings.warn(f"reference run stopped at KKT residual {residual:.3e} "
-                      f"(target {target:.1e}); using best point found")
+                      f"(target {_REFERENCE_KKT:.1e}); using best point found")
     ref = instances.ReferenceSolution(res.w.x, res.w.y, res.w.z,
                                       float(prob.f0(res.w.x)), "long-run",
                                       residual=residual)
@@ -173,12 +173,6 @@ def run(config, clock=None):
                              clock=clock)
     else:
         result = pdyn.solve(prob, config.solver, x0=x0, clock=clock)
-
-    if not config.ergodic:
-        for rec in result.trace:
-            rec.erg_obj_gap = rec.erg_feas = None
-            rec.erg_obj_gap_scaled = rec.erg_feas_scaled = None
-
     out = config.out or f"{config.method}_{_slug(config.problem)}.csv"
     path = write_trace_csv(result.trace, out)
     return RunResult(Path(path), result, reference)

@@ -277,14 +277,19 @@ def tiny_reference(kind):
 # ---------------------------------------------------------------------------
 # brute-force reference for dim <= 3
 
+# The search: points per axis of the first grid (later rounds use 11),
+# refinement rounds, and the half-width searched along a coordinate that h
+# leaves unbounded. Multiplier recovery counts a constraint above
+# -_ACTIVE_TOL as active and an l1 coordinate within _L1_ZERO_TOL of 0 as 0.
+_GRID_POINTS, _REFINE_ROUNDS, _SEARCH_BOUND = 101, 80, 10.0
+_ACTIVE_TOL, _L1_ZERO_TOL = 1e-6, 1e-9
 
-def _domain_box(prob, bound=10.0):
-    if prob.h.domain is not None:
-        lo, hi = prob.h.domain
-        lo = np.where(np.isfinite(lo), lo, -bound)
-        hi = np.where(np.isfinite(hi), hi, bound)
-        return lo.copy(), hi.copy()
-    return np.full(prob.dim, -bound), np.full(prob.dim, bound)
+
+def _domain_box(prob):
+    inf = np.full(prob.dim, np.inf)
+    lo, hi = (-inf, inf) if prob.h.domain is None else prob.h.domain
+    return (np.where(np.isfinite(lo), lo, -_SEARCH_BOUND),
+            np.where(np.isfinite(hi), hi, _SEARCH_BOUND))
 
 
 def _grid(center, half, lower, upper, pts):
@@ -296,18 +301,14 @@ def _grid(center, half, lower, upper, pts):
 
 def _feasible_objective(pts, prob, manifold=None):
     """Objective over the grid with +inf at infeasible points."""
-    if manifold is not None:
-        base, basis = manifold
-        xs = base + pts @ basis.T
-    else:
-        xs = pts
+    xs = pts if manifold is None else manifold[0] + pts @ manifold[1].T
     vals = prob.g.values(xs) + prob.h.values(xs)
     for con in prob.constraints:
         vals = np.where(con.values(xs) <= 0.0, vals, np.inf)
     return xs, vals
 
 
-def _recover_multipliers(prob, x, act_tol=1e-6, l1_tol=1e-9):
+def _recover_multipliers(prob, x):
     """Least-squares fit of the stationarity condition at a solved point.
 
     Solves min || grad g + A'y + sum_j z_j grad f_j + s || over y free,
@@ -325,34 +326,30 @@ def _recover_multipliers(prob, x, act_tol=1e-6, l1_tol=1e-9):
         lo.append(-np.inf)
         hi.append(np.inf)
     fvals = prob.constraint_values(x)
-    active = [j for j in range(prob.m) if fvals[j] > -act_tol]
+    active = [j for j in range(prob.m) if fvals[j] > -_ACTIVE_TOL]
     for j in active:
         cols.append(prob.constraints[j].grad(x))
         lo.append(0.0)
         hi.append(np.inf)
 
-    def unit(i):
-        e = np.zeros(prob.dim)
-        e[i] = 1.0
-        return e
-
+    unit = np.eye(prob.dim)
     if isinstance(prob.h, L1Norm):
         for i in range(prob.dim):
-            if abs(x[i]) > l1_tol:
-                target = target - prob.h.scale * np.sign(x[i]) * unit(i)
+            if abs(x[i]) > _L1_ZERO_TOL:
+                target = target - prob.h.scale * np.sign(x[i]) * unit[i]
             else:
-                cols.append(unit(i))
+                cols.append(unit[i])
                 lo.append(-prob.h.scale)
                 hi.append(prob.h.scale)
     elif isinstance(prob.h, BoxIndicator):
         lo_b, hi_b = prob.h.domain
         for i in range(prob.dim):
             if x[i] <= lo_b[i] + 1e-9:
-                cols.append(unit(i))
+                cols.append(unit[i])
                 lo.append(-np.inf)
                 hi.append(0.0)
             elif x[i] >= hi_b[i] - 1e-9:
-                cols.append(unit(i))
+                cols.append(unit[i])
                 lo.append(0.0)
                 hi.append(np.inf)
 
@@ -369,18 +366,18 @@ def _recover_multipliers(prob, x, act_tol=1e-6, l1_tol=1e-9):
     return y, z
 
 
-def brute_force_reference(prob, grid=101, refine_rounds=80, bound=10.0):
+def brute_force_reference(prob):
     """Grid minimization with local refinement; dimensions up to 3 only.
 
-    Minimizes over the domain box (default [-bound, bound] per coordinate
-    when h carries no box) intersected with the feasible set, shrinking the
-    grid around the incumbent until machine precision, then recovers
-    multipliers from a least-squares stationarity fit.
+    Minimizes over the domain box (with [-10, 10] along each coordinate h
+    leaves unbounded) intersected with the feasible set, shrinking the grid
+    around the incumbent until machine precision, then recovers multipliers
+    from a least-squares stationarity fit.
     """
     if prob.dim > 3:
         raise ValueError("brute force handles dim <= 3 only; use a long solver "
                          "run for larger instances")
-    lower, upper = _domain_box(prob, bound)
+    lower, upper = _domain_box(prob)
 
     manifold = None
     lo_p, hi_p = lower, upper
@@ -403,8 +400,9 @@ def brute_force_reference(prob, grid=101, refine_rounds=80, bound=10.0):
     center = 0.5 * (lo_p + hi_p)
     half = 0.5 * (hi_p - lo_p)
     best_val, best_pt = np.inf, None
-    for round_idx in range(refine_rounds + 1):
-        pts = _grid(center, half, lo_p, hi_p, grid if round_idx == 0 else 11)
+    for round_idx in range(_REFINE_ROUNDS + 1):
+        pts = _grid(center, half, lo_p, hi_p,
+                    _GRID_POINTS if round_idx == 0 else 11)
         xs, vals = _feasible_objective(pts, prob, manifold)
         idx = int(np.argmin(vals))
         if vals[idx] < best_val:

@@ -17,19 +17,14 @@ import numpy as np
 
 from . import auglag
 from .model import PrimalDualPoint, smooth_stack
-from .trace import MetricsRecorder, record_epochs, should_stop
+from .trace import MetricsRecorder, SolverError, record_epochs, should_stop
 
 # Relative slack admitted when testing the descent inequality, so that a
 # step size exactly at the curvature bound is not rejected by roundoff.
 _DESCENT_RTOL = 1e-12
-
-
-class SolverError(RuntimeError):
-    """Solver aborted; carries the trace recorded up to the failure."""
-
-    def __init__(self, message, records=None):
-        super().__init__(message)
-        self.records = records or []
+# Candidates one backtracking step may evaluate: the first and up to 200
+# step-size increases.
+_MAX_TRIALS = 201
 
 
 @dataclass
@@ -177,7 +172,7 @@ def descent_holds(value_new, value_base, inner, eta, step_sq):
     return value_new <= bound + slack
 
 
-def prox_step(x, grad, eta, prox, trial, base, config, max_trials=201):
+def prox_step(x, grad, eta, prox, trial, base, config):
     """Every solver's primal step: the candidate prox(x - grad/eta, 1/eta).
 
     ``trial(candidate)`` moves the caller's trial state there (a rebased
@@ -185,7 +180,7 @@ def prox_step(x, grad, eta, prox, trial, base, config, max_trials=201):
     gives the value at x and is called before any trial. Analytic mode takes
     the first candidate and asks for no value. Backtracking grows eta by
     backtrack_factor until the descent test holds, or raises SolverError
-    after max_trials - 1 increases, or at once on a non-finite grad. Returns
+    after _MAX_TRIALS - 1 increases, or at once on a non-finite grad. Returns
     (eta, candidate, its value or None in analytic mode, increases made).
     """
     if eta <= 0:
@@ -194,7 +189,7 @@ def prox_step(x, grad, eta, prox, trial, base, config, max_trials=201):
         raise SolverError("non-finite gradient of the smooth part")
     analytic = config.step_mode == "analytic"
     base_value = None if analytic else base()
-    for k in range(max_trials):
+    for k in range(_MAX_TRIALS):
         x_new = prox(x - grad / eta, 1.0 / eta)
         value = trial(x_new)
         if analytic:
@@ -205,11 +200,11 @@ def prox_step(x, grad, eta, prox, trial, base, config, max_trials=201):
                                               eta, float(dx @ dx)):
             return eta, x_new, val, k
         eta *= config.backtrack_factor
-    raise SolverError(f"backtracking failed after {max_trials - 1} step-size "
+    raise SolverError(f"backtracking failed after {_MAX_TRIALS - 1} step-size "
                       "increases; oracle values may be non-finite")
 
 
-def backtrack_primal(w, grad, eta_start, config, prob, tracker, max_trials=201):
+def backtrack_primal(w, grad, eta_start, config, prob, tracker):
     """lalm's primal update: ``prox_step`` from w, each trial rebasing
     ``tracker`` (the smooth stack's, based at w.x) at its candidate, so it
     ends at x_new. Returns (eta, x_new, r_new, fvals_new, smooth_new, trials),
@@ -227,7 +222,7 @@ def backtrack_primal(w, grad, eta_start, config, prob, tracker, max_trials=201):
         return value
 
     eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial,
-                                        value, config, max_trials)
+                                        value, config)
     return eta, x_new, cand.r, cand.fvals, val, trials
 
 
@@ -236,8 +231,8 @@ def run_epochs(prob, config, advance, snapshot):
 
     ``advance(epoch)`` moves the solver to ``epoch`` and returns (x, stack
     values at x), and ``snapshot(epoch)`` records x at epoch 0 and on the
-    schedule. A SolverError, also one for a non-finite x or value, carries
-    the records made so far.
+    schedule. A SolverError, also one for a non-finite x or value, or for a
+    non-finite gradient at a recorded epoch, carries the records made so far.
     """
     schedule = record_epochs(config.max_epochs, config.record_every)
     records = [snapshot(0)]
@@ -259,8 +254,7 @@ def run_epochs(prob, config, advance, snapshot):
     return records, config.max_epochs, False
 
 
-def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
-          method_label="lalm"):
+def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
     """Run the full-vector solver.
 
     Parameters
@@ -278,7 +272,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
     Returns
     -------
     SolveResult with the final triple, the 1/eta-weighted ergodic average,
-    and the recorded trace.
+    and the trace, whose records carry the method label "lalm".
     """
     w = PrimalDualPoint.at(prob, x0, y0, z0)
     rho_y, rho_z = config.resolve_rho(n_blocks=1)
@@ -294,8 +288,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None,
     # next step.
     grads = tracker.grad()
     acc = ErgodicAccumulator(prob.dim)
-    recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
-                               stack=stack)
+    recorder = MetricsRecorder(prob, "lalm", stack, clock=clock)
 
     def advance(epoch):
         nonlocal w, eta, grads

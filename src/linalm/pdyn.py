@@ -59,7 +59,7 @@ def _phi(tracker, z):
     return tracker.value[0] + float(z @ tracker.value[1:])
 
 
-def step(state, prob, config, max_trials=201):
+def step(state, prob, config):
     """One primal projection step plus the queue update; returns a new state.
 
     The step is ``prox_step`` on phi(., z); each trial rebases the tracker
@@ -76,20 +76,20 @@ def step(state, prob, config, max_trials=201):
         tracker.rebase(x_new)
         return phi
 
-    eta, x_new, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox, trial, phi,
-                                 config, max_trials)
+    eta, x_new, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox, trial,
+                                 phi, config)
     lam_new = np.maximum(-fvals, state.lam + fvals)
     return PdynState(x_new, lam_new, eta, tracker)
 
 
-def solve(prob, config, x0=None, callback=None, clock=None,
-          method_label="pdyn"):
+def solve(prob, config, x0=None, callback=None, clock=None):
     """Run the baseline for config.max_epochs iterations (one epoch each).
 
     step_mode 'backtracking' adapts eta; 'analytic' keeps it fixed at eta0
     (which is then required). Metrics share the schema of the other solvers,
-    with inequality multipliers reported as [lambda_j + f_j(x)]_+. Setting
-    rho_y, rho_z or a nonzero delta, which it does not use, is an error.
+    with inequality multipliers reported as [lambda_j + f_j(x)]_+ and the
+    method label "pdyn". Setting rho_y, rho_z or a nonzero delta, which it
+    does not use, is an error.
     """
     _check_applicable(prob)
     for name in ("rho_y", "rho_z", "delta"):
@@ -99,8 +99,7 @@ def solve(prob, config, x0=None, callback=None, clock=None,
         raise ValueError("fixed-step mode requires eta0")
     stack = smooth_stack(prob)
     state = PdynState.start(prob, x0, config.eta_seed(prob), stack)
-    recorder = MetricsRecorder(prob, method_label, f0_star=prob.f0_star, clock=clock,
-                               stack=stack)
+    recorder = MetricsRecorder(prob, "pdyn", stack, clock=clock)
 
     def point():
         fvals = state.tracker.value[1:]

@@ -15,6 +15,14 @@ CSV_COLUMNS = ("method", "epoch", "obj", "obj_gap", "feas", "kkt_stat",
                "erg_obj_gap", "erg_feas", "eta_max", "time_ms")
 
 
+class SolverError(RuntimeError):
+    """Solver aborted; carries the trace recorded up to the failure."""
+
+    def __init__(self, message, records=None):
+        super().__init__(message)
+        self.records = records or []
+
+
 @dataclass
 class TraceRecord:
     """One row of per-epoch metrics.
@@ -43,7 +51,8 @@ class TraceRecord:
 class MetricsRecorder:
     """Computes TraceRecords for a fixed problem, method, and wall clock.
 
-    ``stack`` is the instance's smooth stack (see ``model.smooth_stack``).
+    ``stack`` is the instance's smooth stack (see ``model.smooth_stack``);
+    objective gaps are taken against ``prob.f0_star`` (empty when None).
     Recording reuses what the solver already holds instead of paying for
     its own stacked products: the stack's values and gradients at the
     iterate (``value_grad``, which a solver's tracker has after each step)
@@ -52,10 +61,10 @@ class MetricsRecorder:
     ``value_grad`` is evaluated here when it is not passed in.
     """
 
-    def __init__(self, prob, method, stack, f0_star=None, clock=None):
+    def __init__(self, prob, method, stack, clock=None):
         self.prob = prob
         self.method = method
-        self.f0_star = f0_star
+        self.f0_star = prob.f0_star
         self.stack = stack
         self.clock = time.perf_counter if clock is None else clock
         self.t0 = self.clock()
@@ -73,9 +82,13 @@ class MetricsRecorder:
 
         ``value_grad`` is the stack's (values, gradients) at ``w.x``;
         ``ergodic`` and ``ergodic_scaled`` are (x, stack values at x) pairs
-        of the two ergodic normalizations, each optional.
+        of the two ergodic normalizations, each optional. A non-finite
+        gradient raises SolverError before anything is recorded from it.
         """
         vals, grads = self.stack.value_grad(w.x) if value_grad is None else value_grad
+        if not np.isfinite(grads).all():
+            raise SolverError(
+                f"non-finite gradient of the smooth part at epoch {epoch}")
         obj = float(vals[0]) + self.prob.h.value(w.x)
         kkt = kkt_residual(w, self.prob, grads=grads)
         obj_gap = None if self.f0_star is None else abs(obj - self.f0_star)

@@ -58,8 +58,7 @@ def test_stacked_recorder_matches_per_function_reference(rng, make):
     stack = smooth_stack(prob)
     lo, hi = prob.h.domain if prob.h.domain is not None else (-np.ones(prob.dim),
                                                               np.ones(prob.dim))
-    recorder = MetricsRecorder(prob, "m", stack, f0_star=prob.f0_star,
-                               clock=fake_clock)
+    recorder = MetricsRecorder(prob, "m", stack, clock=fake_clock)
     for _ in range(5):
         x, e1, e2 = (rng.uniform(lo, hi) for _ in range(3))
         z = rng.uniform(0.0, 2.0, size=prob.m) * (rng.random(prob.m) < 0.7)
@@ -143,16 +142,25 @@ def test_lalm_records_from_its_tracker_what_direct_evaluation_gives(name):
 
 @pytest.mark.parametrize("name", ["qcqp", "bpdn-6x10", "scalar-qcqp"])
 def test_blalm_ergodic_columns_match_direct_evaluation(name):
-    # both normalizations of the running sum: by the iterate count and by
-    # 1 + (count - 1)/n
+    # the KKT columns at each epoch's last iterate, and both normalizations
+    # of the running sum: by the iterate count and by 1 + (count - 1)/n
     prob = _RECORDED[name]().with_f0_star(0.0)
     n = min(3, prob.dim)
-    iterates = []
+    iterates, points = [], {0: PrimalDualPoint.at(prob, np.zeros(prob.dim))}
+
+    def watch(k, state):
+        iterates.append(state.x.copy())
+        if k % n == 0:
+            points[k // n] = state.point()
+
     cfg = SolverConfig(beta=1.0, max_epochs=40, record_every=1)
     res = blalm.solve(prob.with_blocks(n), cfg, seed=4, clock=fake_clock,
-                      callback=lambda k, state: iterates.append(state.x.copy()))
+                      callback=watch)
     assert len(res.trace) == 41
-    for rec in res.trace[1:]:
+    for rec in res.trace:
+        _assert_kkt_recorded(rec, points[rec.epoch], prob)
+        if rec.epoch == 0:
+            continue
         count = rec.epoch * n
         total = np.sum(iterates[:count], axis=0)
         _assert_ergodic_recorded(prob, total / count, rec.erg_obj_gap,
@@ -333,14 +341,6 @@ def test_run_minimax_uses_brute_force_reference(tmp_path):
     res = run(cfg, clock=fake_clock)
     assert res.reference.provenance == "brute-force"
     assert res.result.trace[-1].obj_gap <= 1e-3
-
-
-def test_run_ergodic_flag_blanks_columns(tmp_path):
-    cfg = tiny_config(max_epochs=50, out=str(tmp_path / "e.csv"))
-    cfg.ergodic = False
-    res = run(cfg, clock=fake_clock)
-    assert all(r.erg_obj_gap is None and r.erg_feas is None
-               for r in read_trace_csv(res.path))
 
 
 def test_build_problem_variants(tmp_path):

@@ -127,11 +127,14 @@ def test_exhausted_backtracking_abort_carries_trace_from_epoch_0():
 
 
 def test_nonfinite_gradient_abort_carries_trace_from_epoch_0():
-    # refused at once rather than after every backtracking trial
+    # refused at once rather than after every backtracking trial; at a
+    # recorded epoch, before kkt_stat = nan goes into the trace
     prob = box_prob(nan_grad_away_from_origin())
-    with pytest.raises(SolverError, match="gradient") as info:
-        pdyn.solve(prob, SolverConfig(max_epochs=10, record_every=5))
-    assert info.value.records[0].epoch == 0
+    for every in (1, 5):
+        with pytest.raises(SolverError, match="gradient") as info:
+            pdyn.solve(prob, SolverConfig(max_epochs=10, record_every=every))
+        assert info.value.records[0].epoch == 0
+        assert all(np.isfinite(rec.kkt_stat) for rec in info.value.records)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
