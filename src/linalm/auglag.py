@@ -141,11 +141,11 @@ def penalty_lipschitz(x, z, beta, prob, fvals=None):
     coef = scalar_penalty_deriv(fvals, z, beta)
     total = 0.0
     for cj, con in zip(coef, prob.constraints):
-        if con.grad_bound is None or con.lipschitz is None:
+        if con.grad_bound is None or con.fn.lipschitz is None:
             raise ValueError(
                 "constraint lacks gradient bound or Lipschitz constant; "
                 "run the solver in backtracking mode")
-        total += beta * con.grad_bound ** 2 + con.lipschitz * cj
+        total += beta * con.grad_bound ** 2 + con.fn.lipschitz * cj
     return float(total)
 
 

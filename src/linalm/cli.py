@@ -47,7 +47,11 @@ def _merged_options(args):
     opts = {}
     if args.config:
         with open(args.config) as fh:
-            opts.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object, "
+                             f"not a {type(loaded).__name__}")
+        opts.update(loaded)
     for key, val in vars(args).items():
         if key not in ("command", "config") and val is not None:
             opts[key] = val

@@ -7,7 +7,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -25,6 +25,13 @@ _REFERENCE_KKT = 1e-10
 
 METHODS = ("lalm", "blalm", "pdyn")
 PROBLEMS = ("bpdn", "qcqp", "minimax")
+# The problem_opts keys each generated problem accepts; its seed is
+# ExperimentConfig.seed. Tiny and file instances accept none.
+_PROBLEM_OPTS = {
+    "bpdn": tuple(f.name for f in fields(instances.BpdnSpec) if f.name != "seed"),
+    "qcqp": tuple(f.name for f in fields(instances.QcqpSpec) if f.name != "seed"),
+    "minimax": ("m", "box"),
+}
 
 
 @dataclass
@@ -33,7 +40,7 @@ class ExperimentConfig:
 
     ``problem`` is one of 'bpdn', 'qcqp', 'minimax', 'tiny:<kind>', or a
     path to a serialized instance JSON file. ``problem_opts`` carries
-    instance-size overrides (rows, cols, sparsity, noise, p, m, ...).
+    instance-size overrides, the keys ``_PROBLEM_OPTS`` names for the problem.
     ``reference`` is 'auto' (hand value for tiny instances, brute force up
     to dimension 3, otherwise a cached long solver run) or 'none'. The
     epoch budget is ``solver.max_epochs``.
@@ -64,7 +71,14 @@ class RunResult:
 
 def build_problem(config):
     """Construct the ProblemInstance named by the config."""
-    name, opts, seed = config.problem, dict(config.problem_opts), config.seed
+    name, opts, seed = config.problem, config.problem_opts, config.seed
+    if not isinstance(opts, dict):
+        raise ValueError("problem_opts must be a JSON object")
+    accepted = _PROBLEM_OPTS.get(name, ())
+    unknown = sorted(set(opts) - set(accepted))
+    if unknown:
+        raise ValueError(f"problem {name!r} does not accept problem_opts "
+                         f"{unknown}; it accepts {list(accepted)}")
     if name.startswith("tiny:"):
         prob, _ = instances.tiny_reference(name.split(":", 1)[1])
     elif name == "bpdn":

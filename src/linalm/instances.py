@@ -187,13 +187,7 @@ def minimax_reformulate(fns, lower, upper):
     g = LinearFunction(np.concatenate([np.zeros(p), [1.0]]))
     h = BoxIndicator(np.concatenate([lower, [-np.inf]]),
                      np.concatenate([upper, [np.inf]]))
-    constraints = []
-    for fn in fns:
-        bound = None
-        if getattr(fn, "grad_bound", None) is not None:
-            bound = float(np.hypot(fn.grad_bound, 1.0))
-        constraints.append(
-            InequalityConstraint(MinimaxConstraint(fn, p), grad_bound=bound))
+    constraints = [InequalityConstraint(MinimaxConstraint(fn, p)) for fn in fns]
     x_start = np.clip(np.zeros(p), lower, upper)
     t_start = max(fn(x_start) for fn in fns) + 1.0
     return ProblemInstance(
@@ -304,7 +298,7 @@ def _feasible_objective(pts, prob, manifold=None):
     xs = pts if manifold is None else manifold[0] + pts @ manifold[1].T
     vals = prob.g.values(xs) + prob.h.values(xs)
     for con in prob.constraints:
-        vals = np.where(con.values(xs) <= 0.0, vals, np.inf)
+        vals = np.where(con.fn.values(xs) <= 0.0, vals, np.inf)
     return xs, vals
 
 
@@ -328,7 +322,7 @@ def _recover_multipliers(prob, x):
     fvals = prob.constraint_values(x)
     active = [j for j in range(prob.m) if fvals[j] > -_ACTIVE_TOL]
     for j in active:
-        cols.append(prob.constraints[j].grad(x))
+        cols.append(prob.constraints[j].fn.grad(x))
         lo.append(0.0)
         hi.append(np.inf)
 
@@ -512,8 +506,11 @@ def instance_from_dict(data):
 
 
 def save_instance(prob, path):
+    """Write the instance as JSON; an instance that cannot be serialized
+    raises before the file is opened."""
+    data = instance_to_dict(prob)
     with open(path, "w") as fh:
-        json.dump(instance_to_dict(prob), fh)
+        json.dump(data, fh)
     return path
 
 

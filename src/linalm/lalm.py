@@ -34,9 +34,10 @@ class SolverConfig:
     rho_y and rho_z default to beta for the full-vector solver and to
     beta/n_blocks for the block solver; both must lie in (0, beta] so the
     inequality multipliers stay nonnegative. In backtracking mode the trial
-    step starts from eta0 (default max(1, L_g) when L_g is known, else 1)
-    and is multiplied by backtrack_factor until the descent inequality
-    holds. tol <= 0 disables early stopping.
+    step starts from eta0 (positive; default max(1, L_g) when L_g is known,
+    else 1) and is multiplied by backtrack_factor until the descent
+    inequality holds. tol <= 0 disables early stopping. Every value is
+    checked here, at construction.
     """
 
     beta: float = 1.0
@@ -53,29 +54,31 @@ class SolverConfig:
     def __post_init__(self):
         if self.beta <= 0:
             raise ValueError("beta must be positive")
+        for name in ("rho_y", "rho_z"):
+            rho = getattr(self, name)
+            if rho is not None and not 0 < rho <= self.beta:
+                raise ValueError(f"{name}={rho} must lie in (0, beta]")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if self.step_mode not in ("analytic", "backtracking"):
             raise ValueError("step_mode must be 'analytic' or 'backtracking'")
         if self.backtrack_factor <= 1:
             raise ValueError("backtrack_factor must exceed 1")
+        if self.eta0 is not None and self.eta0 <= 0:
+            raise ValueError("eta0 must be positive")
         if self.max_epochs < 1:
             raise ValueError("max_epochs must be >= 1")
+        if self.record_every is not None and self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
 
     def resolve_rho(self, n_blocks=1):
-        """(rho_y, rho_z) with block-aware defaults, validated against beta."""
-        rho_y = self.beta / n_blocks if self.rho_y is None else self.rho_y
-        rho_z = self.beta / n_blocks if self.rho_z is None else self.rho_z
-        for name, rho in (("rho_y", rho_y), ("rho_z", rho_z)):
-            if not 0 < rho <= self.beta:
-                raise ValueError(f"{name}={rho} must lie in (0, beta]")
-        return rho_y, rho_z
+        """(rho_y, rho_z), each beta/n_blocks when unset."""
+        return (self.beta / n_blocks if self.rho_y is None else self.rho_y,
+                self.beta / n_blocks if self.rho_z is None else self.rho_z)
 
     def eta_seed(self, prob):
         """Initial backtracking step-size guess."""
         if self.eta0 is not None:
-            if self.eta0 <= 0:
-                raise ValueError("eta0 must be positive")
             return self.eta0
         if prob.g.lipschitz is not None:
             return max(1.0, prob.g.lipschitz)

@@ -525,7 +525,7 @@ class BoxIndicator(ProxFunction):
 
 
 class InequalityConstraint:
-    """One smooth constraint fn(x) <= 0.
+    """One smooth constraint fn(x) <= 0, evaluated through ``fn``.
 
     ``grad_bound`` is an upper bound on ||grad fn|| over the domain when
     available; together with ``fn.lipschitz`` it enables analytic step
@@ -536,19 +536,6 @@ class InequalityConstraint:
     def __init__(self, fn, grad_bound=None):
         self.fn = fn
         self.grad_bound = None if grad_bound is None else float(grad_bound)
-
-    @property
-    def lipschitz(self):
-        return self.fn.lipschitz
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def grad(self, x):
-        return self.fn.grad(x)
-
-    def values(self, pts):
-        return self.fn.values(pts)
 
 
 class AffineConstraint:
@@ -572,9 +559,6 @@ class AffineConstraint:
     @property
     def is_empty(self):
         return self.A.shape[0] == 0
-
-    def apply(self, x):
-        return self.A @ x
 
     def adjoint(self, y):
         return self.A.T @ y
@@ -649,21 +633,17 @@ class ProblemInstance:
     def m(self):
         return len(self.constraints)
 
-    @property
-    def n_blocks(self):
-        return None if self.blocks is None else len(self.blocks)
-
     def f0(self, x):
         """Composite objective g(x) + h(x); +inf outside dom(h)."""
         return self.g(x) + self.h.value(x)
 
     def constraint_values(self, x):
-        return np.array([con(x) for con in self.constraints])
+        return np.array([con.fn(x) for con in self.constraints])
 
     def constraint_grads(self, x):
         if not self.constraints:
             return np.zeros((0, self.dim))
-        return np.stack([con.grad(x) for con in self.constraints])
+        return np.stack([con.fn.grad(x) for con in self.constraints])
 
     def with_blocks(self, n):
         """Copy of this instance carrying an even n-block partition."""
@@ -707,11 +687,6 @@ class PrimalDualPoint:
         if np.any(z < 0):
             raise ValueError("multipliers z must be nonnegative")
         return cls(x, y, z, prob.affine.residual(x), prob.constraint_values(x))
-
-    def refresh(self, prob):
-        """Recompute the cached residual and constraint values from x."""
-        self.r = prob.affine.residual(self.x)
-        self.fvals = prob.constraint_values(self.x)
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +769,7 @@ def kkt_residual(w, prob, grads=None):
     else:
         for zj, con in zip(w.z, prob.constraints):
             if zj != 0.0:
-                total = total + zj * con.grad(w.x)
+                total = total + zj * con.fn.grad(w.x)
     stationarity = float(np.linalg.norm(w.x - prob.h.prox(w.x - total, 1.0)))
     feas = feasibility_residual(w.x, prob, r=w.r, fvals=w.fvals)
     comp = float(np.sum(np.abs(w.z * w.fvals))) if prob.m else 0.0

@@ -118,13 +118,11 @@ def record_epochs(total, every=None):
     """Set of epochs at which metrics are recorded (always includes 0 and
     the final epoch ``total``).
 
-    With an explicit interval the epochs are 0, every, 2*every, ...; the
-    default records every epoch up to 10^3 total and about 500
-    logarithmically spaced epochs beyond that.
+    With an explicit interval (>= 1, as SolverConfig ensures) the epochs
+    are 0, every, 2*every, ...; the default records every epoch up to 10^3
+    total and about 500 logarithmically spaced epochs beyond that.
     """
     if every is not None:
-        if every < 1:
-            raise ValueError("record interval must be >= 1")
         return set(range(0, total + 1, every)) | {total}
     if total <= 1000:
         return set(range(total + 1))

@@ -115,7 +115,7 @@ def test_criterion_2_penalty_lipschitz_sampling(rng):
     lo, hi = prob.h.domain
     beta = 1.0
     z = rng.uniform(0, 2, size=prob.m)
-    grads = [con.grad for con in prob.constraints]
+    grads = [con.fn.grad for con in prob.constraints]
 
     def penalty_grad(x):
         coef = scalar_penalty_deriv(prob.constraint_values(x), z, beta)

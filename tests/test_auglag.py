@@ -138,7 +138,7 @@ def test_constraint_penalty_nonpositive_when_feasible(rng):
     feasible = []
     while len(feasible) < 100:
         pts = rng.uniform(lo / 4, hi / 4, size=(100_000, prob.dim))
-        ok = np.all([con.values(pts) <= 0 for con in prob.constraints], axis=0)
+        ok = np.all([con.fn.values(pts) <= 0 for con in prob.constraints], axis=0)
         feasible.extend(pts[ok])
     for x in feasible[:100]:
         z = rng.uniform(0, 3, size=prob.m)
@@ -319,7 +319,7 @@ def test_penalty_gradient_lipschitz_sampled(rng):
         coef = scalar_penalty_deriv(prob.constraint_values(w), z, beta)
         out = np.zeros(20)
         for cj, con in zip(coef, prob.constraints):
-            out += cj * con.grad(w)
+            out += cj * con.fn.grad(w)
         return out
 
     for a, b in zip(xs, xh):

@@ -83,6 +83,29 @@ def test_unknown_config_keys_rejected():
                              "typo_key": 1})
 
 
+def test_config_file_not_an_object_fails_cleanly(tmp_path, capsys):
+    cfg_path = tmp_path / "list.json"
+    cfg_path.write_text(json.dumps([1]))
+    rc = main(["solve", "--problem", "tiny:scalar-qcqp", "--method", "lalm",
+               "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JSON object" in err and "list" in err
+
+
+@pytest.mark.parametrize("problem, key", [("bpdn", "foo"), ("qcqp", "seed")])
+def test_unaccepted_problem_opts_fail_cleanly(tmp_path, capsys, problem, key):
+    cfg_path = tmp_path / "opts.json"
+    cfg_path.write_text(json.dumps({"problem_opts": {key: 3}}))
+    out = tmp_path / "r.csv"
+    rc = main(["solve", "--problem", problem, "--method", "lalm",
+               "--epochs", "5", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(key) in err
+    assert not out.exists()
+
+
 def test_parser_exposes_documented_flags():
     parser = build_parser()
     text = parser.format_help()

@@ -9,8 +9,8 @@ from linalm.instances import (BpdnSpec, QcqpSpec, brute_force_reference,
                               load_instance, minimax_reformulate,
                               random_minimax_1d, save_instance, tiny_reference,
                               TINY_KINDS)
-from linalm.model import (PrimalDualPoint, ProblemInstance, QuadraticFunction,
-                          ZeroProx, kkt_residual)
+from linalm.model import (OracleFunction, PrimalDualPoint, ProblemInstance,
+                          QuadraticFunction, ZeroProx, kkt_residual)
 
 from conftest import assert_grad_matches
 
@@ -29,7 +29,7 @@ def test_bpdn_ground_truth_feasible():
 def test_bpdn_constraint_gradient(rng):
     prob = gen_bpdn(BpdnSpec(rows=8, cols=12, sparsity=3, seed=5))
     con = prob.constraints[0]
-    assert_grad_matches(con.fn, con.grad, rng.normal(size=(20, 12)))
+    assert_grad_matches(con.fn, con.fn.grad, rng.normal(size=(20, 12)))
 
 
 def test_bpdn_scalar_spec_reproduces_hand_instance():
@@ -94,7 +94,7 @@ def test_qcqp_gradients_match_fd(rng):
     prob = gen_qcqp(QcqpSpec(m=2, p=7, seed=2))
     assert_grad_matches(prob.g, prob.g.grad, rng.uniform(-5, 5, size=(10, 7)))
     for con in prob.constraints:
-        assert_grad_matches(con.fn, con.grad, rng.uniform(-5, 5, size=(10, 7)))
+        assert_grad_matches(con.fn, con.fn.grad, rng.uniform(-5, 5, size=(10, 7)))
 
 
 def test_qcqp_deterministic_per_seed():
@@ -262,6 +262,14 @@ def test_instance_json_roundtrip(maker, tmp_path, rng):
         if not prob.affine.is_empty:
             np.testing.assert_allclose(back.affine.residual(x),
                                        prob.affine.residual(x))
+
+
+def test_save_unserializable_instance_leaves_no_file(tmp_path):
+    g = OracleFunction(lambda x: float(x @ x), lambda x: 2.0 * x)
+    path = tmp_path / "oracle.json"
+    with pytest.raises(ValueError, match="cannot serialize"):
+        save_instance(ProblemInstance(g, ZeroProx(), dim=2), path)
+    assert not path.exists()
 
 
 def test_instance_json_matrices_row_major(tmp_path):

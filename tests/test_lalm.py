@@ -49,6 +49,19 @@ def test_config_validation():
         SolverConfig(rho_z=2.0).resolve_rho()  # above beta=1
     assert SolverConfig(beta=2.0).resolve_rho() == (2.0, 2.0)
     assert SolverConfig(beta=2.0).resolve_rho(n_blocks=4) == (0.5, 0.5)
+    # every value is checked at construction, before any solve starts
+    for bad in ({"rho_y": 0.0}, {"rho_z": 2.0}, {"eta0": -1.0}, {"eta0": 0.0},
+                {"record_every": 0}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            SolverConfig(**bad)
+
+
+@pytest.mark.parametrize("solver", [lalm, blalm])
+def test_analytic_mode_refuses_nonpositive_eta0(solver):
+    prob = gen_qcqp(QcqpSpec(m=2, p=4, seed=0)).with_blocks(2)
+    with pytest.raises(ValueError, match="eta0"):
+        solver.solve(prob, SolverConfig(step_mode="analytic", eta0=-1.0,
+                                        max_epochs=5))
 
 
 # ---------------------------------------------------------------------------

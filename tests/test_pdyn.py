@@ -98,7 +98,7 @@ def test_direction_matches_multiplier_weighted_gradient(rng):
     grad, z = direction(state)
     expect = prob.g.grad(state.x)
     for zj, con in zip(state.lam + fvals, prob.constraints):
-        expect = expect + zj * con.grad(state.x)
+        expect = expect + zj * con.fn.grad(state.x)
     np.testing.assert_allclose(grad, expect, atol=1e-12)
     np.testing.assert_allclose(z, state.lam + fvals)
 
