@@ -15,8 +15,8 @@ from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     L1Norm, LeastSquaresFunction, LinearFunction,
                     OracleFunction, PrimalDualPoint, ProblemInstance,
                     QuadraticFunction, SmoothFunction, ZeroFunction, ZeroProx,
-                    eps_optimality, even_blocks, kkt_residual, lagrangian_gap,
-                    operator_norm_sq, project_box, prox_l1)
+                    even_blocks, kkt_residual, lagrangian_gap, operator_norm_sq,
+                    project_box, prox_l1)
 
 __version__ = "0.1.0"
 
@@ -27,9 +27,9 @@ __all__ = [
     "PrimalDualPoint", "ProblemInstance", "QcqpSpec", "QuadraticFunction",
     "ReferenceSolution", "SmoothFunction", "SolveResult", "SolverConfig",
     "SolverError", "ZeroFunction", "ZeroProx", "auglag", "blalm",
-    "brute_force_reference", "eps_optimality", "even_blocks", "gen_bpdn",
-    "gen_qcqp", "harness", "instances", "kkt_residual", "lagrangian_gap",
-    "lalm", "load_instance", "minimax_reformulate", "operator_norm_sq",
-    "pdyn", "project_box", "prox_l1", "rate_fit", "run", "save_instance",
+    "brute_force_reference", "even_blocks", "gen_bpdn", "gen_qcqp",
+    "harness", "instances", "kkt_residual", "lagrangian_gap", "lalm",
+    "load_instance", "minimax_reformulate", "operator_norm_sq", "pdyn",
+    "project_box", "prox_l1", "rate_fit", "run", "save_instance",
     "tiny_reference", "trace",
 ]

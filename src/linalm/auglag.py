@@ -7,9 +7,9 @@ u = f_j(x) with its multiplier v = z_j through the piecewise scalar penalty
                     -v^2 / (2 beta)      otherwise,
 
 which is continuously differentiable in u with derivative [beta u + v]_+.
-This module evaluates the full augmented Lagrangian, its smooth part and
-gradient, and the point-dependent curvature bounds used for analytic step
-sizes.
+This module evaluates the smooth part of the augmented Lagrangian (the
+full one adds h(x)) and its gradient, and the point-dependent curvature
+bounds used for analytic step sizes.
 """
 
 from __future__ import annotations
@@ -45,19 +45,6 @@ def scalar_penalty_deriv(u, v, beta):
     return float(out) if out.ndim == 0 else out
 
 
-def constraint_penalty(x, z, beta, prob, fvals=None):
-    """Sum of scalar penalties over all inequality constraints at x."""
-    z = np.asarray(z, dtype=float)
-    if z.shape[0] != prob.m:
-        raise ValueError("z length does not match constraint count")
-    if prob.m == 0:
-        _check_beta(beta)
-        return 0.0
-    if fvals is None:
-        fvals = prob.constraint_values(x)
-    return float(np.sum(scalar_penalty(fvals, z, beta)))
-
-
 def smooth_value(w, beta, prob, gval=None):
     """Smooth part of the augmented Lagrangian (everything except h).
 
@@ -74,14 +61,6 @@ def smooth_value(w, beta, prob, gval=None):
     return val
 
 
-def auglag_value(w, beta, prob):
-    """Full augmented Lagrangian; +inf when x lies outside dom(h)."""
-    hval = prob.h.value(w.x)
-    if not np.isfinite(hval):
-        return np.inf
-    return smooth_value(w, beta, prob) + hval
-
-
 def smooth_grad(w, beta, prob, grads=None):
     """Gradient of the smooth part with respect to x.
 
@@ -96,13 +75,13 @@ def smooth_grad(w, beta, prob, grads=None):
         grads = np.vstack([prob.g.grad(w.x), prob.constraint_grads(w.x)])
     grad = grads[0]
     if not prob.affine.is_empty:
-        grad = grad + prob.affine.adjoint(w.y + beta * w.r)
+        grad = grad + prob.affine.A.T @ (w.y + beta * w.r)
     if prob.m:
         grad = grad + scalar_penalty_deriv(w.fvals, w.z, beta) @ grads[1:]
     return grad
 
 
-def smooth_grad_block(w, beta, prob, i, grads=None):
+def smooth_grad_block(w, beta, prob, i, grads):
     """Block i of the smooth gradient; equals smooth_grad(...)[blocks[i]].
 
     ``grads`` gives block i of every gradient at once, as the (1 + m, width)
@@ -114,13 +93,10 @@ def smooth_grad_block(w, beta, prob, i, grads=None):
         raise ValueError("problem has no block partition")
     if not 0 <= i < len(prob.blocks):
         raise IndexError(f"block index {i} out of range")
-    sl = prob.blocks[i]
-    if grads is None:
-        return smooth_grad(w, beta, prob)[sl]
     _check_beta(beta)
     grad = grads[0]
     if not prob.affine.is_empty:
-        grad = grad + prob.affine.block(sl).T @ (w.y + beta * w.r)
+        grad = grad + prob.affine.A[:, prob.blocks[i]].T @ (w.y + beta * w.r)
     if prob.m:
         grad = grad + scalar_penalty_deriv(w.fvals, w.z, beta) @ grads[1:]
     return grad

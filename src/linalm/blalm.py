@@ -52,13 +52,9 @@ class BlockState:
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
         self.eta = np.full(n, seed_eta)
         self.block_norm_sq = np.array(
-            [operator_norm_sq(prob.affine.block(sl)) for sl in self.blocks])
+            [operator_norm_sq(prob.affine.A[:, sl]) for sl in self.blocks])
         self.rng = np.random.default_rng(seed)
         self.last_trials = 0
-
-    @property
-    def n_blocks(self):
-        return len(self.blocks)
 
     @property
     def fvals(self):
@@ -66,8 +62,8 @@ class BlockState:
         return self.tracker.value[1:]
 
     def pick_block(self):
-        """Uniform draw from [0, n_blocks); deterministic under a fixed seed."""
-        return int(self.rng.integers(self.n_blocks))
+        """Uniform draw of a block index; deterministic under a fixed seed."""
+        return int(self.rng.integers(len(self.blocks)))
 
     def point(self):
         """Detached snapshot of the current primal-dual point."""
@@ -108,7 +104,7 @@ class BlockState:
         block i across iterations, and ``last_trials`` counts its increases.
         """
         sl = self.blocks[i]
-        A_i = None if self.prob.affine.is_empty else self.prob.affine.block(sl)
+        A_i = None if self.prob.affine.is_empty else self.prob.affine.A[:, sl]
 
         def trial(blk_new):
             dx = blk_new - self.x[sl]
@@ -130,7 +126,7 @@ class BlockState:
         sl = self.blocks[i]
         dx = blk_new - self.x[sl]
         if not self.prob.affine.is_empty:
-            self.r += self.prob.affine.block(sl) @ dx
+            self.r += self.prob.affine.A[:, sl] @ dx
         # reuse the value deltas of the trial that proposed blk_new
         delta = self._trial_delta if self._evaluated is blk_new else None
         self.tracker.commit(sl, dx, delta)
@@ -154,7 +150,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
     "blalm".
     """
     state = BlockState(prob, config, x0, y0, z0, seed)
-    n = state.n_blocks
+    n = len(state.blocks)
     rho_y, rho_z = config.resolve_rho(n_blocks=n)
     beta = config.beta
     acc = ErgodicAccumulator(prob.dim)

@@ -64,11 +64,11 @@ def config_from_options(opts):
         raise ValueError(f"unknown configuration keys: {sorted(unknown)}")
     if "problem" not in opts or "method" not in opts:
         raise ValueError("--problem and --method are required (flag or config file)")
-    solver = SolverConfig(max_epochs=int(opts.get("epochs", 100_000)),
+    solver = SolverConfig(max_epochs=opts.get("epochs", 100_000),
                           **{k: opts[k] for k in _SOLVER_KEYS if k in opts})
     return ExperimentConfig(
         method=opts["method"], problem=opts["problem"], solver=solver,
-        seed=int(opts.get("seed", 0)),
+        seed=opts.get("seed", 0),
         blocks=opts.get("blocks"), out=opts.get("out"),
         reference=opts.get("reference", "auto"),
         problem_opts=opts.get("problem_opts", {}))

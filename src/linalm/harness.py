@@ -7,14 +7,14 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field as dataclass_field, fields
+from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
 from . import blalm, instances, lalm, pdyn
-from .lalm import SolverConfig
+from .lalm import SolverConfig, check_types
 from .model import kkt_residual
 from .trace import write_trace_csv
 
@@ -25,12 +25,12 @@ _REFERENCE_KKT = 1e-10
 
 METHODS = ("lalm", "blalm", "pdyn")
 PROBLEMS = ("bpdn", "qcqp", "minimax")
-# The problem_opts keys each generated problem accepts; its seed is
-# ExperimentConfig.seed. Tiny and file instances accept none.
+# The problem_opts keys each generated problem accepts, with their types;
+# its seed is ExperimentConfig.seed. Tiny and file instances accept none.
 _PROBLEM_OPTS = {
-    "bpdn": tuple(f.name for f in fields(instances.BpdnSpec) if f.name != "seed"),
-    "qcqp": tuple(f.name for f in fields(instances.QcqpSpec) if f.name != "seed"),
-    "minimax": ("m", "box"),
+    name: {k: v for k, v in get_type_hints(make).items() if k not in ("seed", "return")}
+    for name, make in (("bpdn", instances.BpdnSpec), ("qcqp", instances.QcqpSpec),
+                       ("minimax", instances.random_minimax_1d))
 }
 
 
@@ -43,7 +43,8 @@ class ExperimentConfig:
     instance-size overrides, the keys ``_PROBLEM_OPTS`` names for the problem.
     ``reference`` is 'auto' (hand value for tiny instances, brute force up
     to dimension 3, otherwise a cached long solver run) or 'none'. The
-    epoch budget is ``solver.max_epochs``.
+    epoch budget is ``solver.max_epochs``. Every field's type is checked
+    here, at construction.
     """
 
     method: str
@@ -51,11 +52,12 @@ class ExperimentConfig:
     solver: SolverConfig = dataclass_field(default_factory=SolverConfig)
     seed: int = 0
     blocks: Optional[int] = None
-    out: Optional[str] = None
+    out: Union[str, os.PathLike, None] = None
     reference: str = "auto"
     problem_opts: dict = dataclass_field(default_factory=dict)
 
     def __post_init__(self):
+        check_types(vars(self), get_type_hints(ExperimentConfig))
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; choose from {METHODS}")
         if self.reference not in ("auto", "none"):
@@ -72,13 +74,12 @@ class RunResult:
 def build_problem(config):
     """Construct the ProblemInstance named by the config."""
     name, opts, seed = config.problem, config.problem_opts, config.seed
-    if not isinstance(opts, dict):
-        raise ValueError("problem_opts must be a JSON object")
-    accepted = _PROBLEM_OPTS.get(name, ())
+    accepted = _PROBLEM_OPTS.get(name, {})
     unknown = sorted(set(opts) - set(accepted))
     if unknown:
         raise ValueError(f"problem {name!r} does not accept problem_opts "
                          f"{unknown}; it accepts {list(accepted)}")
+    check_types(opts, accepted)
     if name.startswith("tiny:"):
         prob, _ = instances.tiny_reference(name.split(":", 1)[1])
     elif name == "bpdn":

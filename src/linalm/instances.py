@@ -9,6 +9,7 @@ quadratic-family instances for reproducibility.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -195,7 +196,8 @@ def minimax_reformulate(fns, lower, upper):
         meta={"kind": "minimax", "x0": np.concatenate([x_start, [t_start]]).tolist()})
 
 
-def random_minimax_1d(m=3, seed=0, box=(-5.0, 5.0)):
+def random_minimax_1d(m: int = 3, seed: int = 0,
+                      box: tuple[float, float] = (-5.0, 5.0)):
     """m random strictly convex scalar quadratics a(x-b)^2 + c on a box."""
     rng = np.random.default_rng(seed)
     fns = []
@@ -422,13 +424,13 @@ def _fn_to_dict(fn):
     if isinstance(fn, ZeroFunction):
         return {"kind": "zero"}
     if isinstance(fn, QuadraticFunction):
-        return {"kind": "quadratic", "Q": fn.Q.tolist(), "c": fn.c.tolist(),
-                "d": fn.d, "lipschitz": fn.lipschitz}
+        return {"kind": "quadratic", "Q": fn.Q, "c": fn.c, "d": fn.d,
+                "lipschitz": fn.lipschitz}
     if isinstance(fn, LeastSquaresFunction):
-        return {"kind": "least_squares", "A": fn.A.tolist(), "b": fn.b.tolist(),
+        return {"kind": "least_squares", "A": fn.A, "b": fn.b,
                 "offset": fn.offset, "lipschitz": fn.lipschitz}
     if isinstance(fn, LinearFunction):
-        return {"kind": "linear", "a": fn.a.tolist(), "shift": fn.shift}
+        return {"kind": "linear", "a": fn.a, "shift": fn.shift}
     if isinstance(fn, MinimaxConstraint):
         return {"kind": "minimax", "inner": _fn_to_dict(fn.inner),
                 "inner_dim": fn.inner_dim}
@@ -457,7 +459,7 @@ def _prox_to_dict(h):
     if isinstance(h, L1Norm):
         return {"kind": "l1", "scale": h.scale}
     if isinstance(h, BoxIndicator):
-        return {"kind": "box", "lower": h.lower.tolist(), "upper": h.upper.tolist()}
+        return {"kind": "box", "lower": h.lower, "upper": h.upper}
     raise ValueError(f"cannot serialize prox function of type {type(h).__name__}")
 
 
@@ -472,14 +474,14 @@ def _prox_from_dict(d):
     raise ValueError(f"unknown prox function kind: {kind!r}")
 
 
-def instance_to_dict(prob):
-    """JSON-ready dict with dense matrices as row-major nested lists."""
+def _instance_tree(prob):
+    """The instance as a dict of JSON values and float arrays."""
     return {
         "dim": prob.dim,
         "g": _fn_to_dict(prob.g),
         "h": _prox_to_dict(prob.h),
         "affine": None if prob.affine.is_empty else
-            {"A": prob.affine.A.tolist(), "b": prob.affine.b.tolist()},
+            {"A": prob.affine.A, "b": prob.affine.b},
         "constraints": [{"fn": _fn_to_dict(con.fn), "grad_bound": con.grad_bound}
                         for con in prob.constraints],
         "blocks": None if prob.blocks is None else
@@ -488,6 +490,22 @@ def instance_to_dict(prob):
         "meta": {k: v for k, v in prob.meta.items()
                  if isinstance(v, (str, int, float, bool, list, type(None)))},
     }
+
+
+def _with_lists(tree):
+    """``tree`` with every array replaced by its row-major nested lists."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: _with_lists(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_with_lists(v) for v in tree]
+    return tree
+
+
+def instance_to_dict(prob):
+    """JSON-ready dict with dense matrices as row-major nested lists."""
+    return _with_lists(_instance_tree(prob))
 
 
 def instance_from_dict(data):
@@ -515,12 +533,34 @@ def save_instance(prob, path):
 
 
 def load_instance(path):
+    """Read an instance written by ``save_instance``. A malformed file raises
+    ValueError naming the missing key or the wrong type."""
     with open(path) as fh:
-        return instance_from_dict(json.load(fh))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"instance file {path} must hold a JSON object, "
+                         f"not a {type(data).__name__}")
+    try:
+        return instance_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"instance file {path} lacks the key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"instance file {path} holds a value of the wrong "
+                         f"type: {exc}") from exc
 
 
 def instance_digest(prob):
-    """Stable content hash used to key cached reference solutions."""
-    import hashlib
-    payload = json.dumps(instance_to_dict(prob), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    """Stable content hash used to key cached reference solutions: SHA-256
+    over each array's dtype, shape and bytes and the JSON of the rest, so no
+    matrix is turned into Python lists."""
+    digest = hashlib.sha256()
+
+    def array(a):
+        a = np.ascontiguousarray(a, dtype=float)
+        digest.update(f"{a.dtype.str}{a.shape}".encode())
+        digest.update(a)
+        return "array"
+
+    rest = json.dumps(_instance_tree(prob), sort_keys=True, default=array)
+    digest.update(rest.encode())
+    return digest.hexdigest()

@@ -10,7 +10,9 @@ never decreases across iterations. All three solvers share ``prox_step``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+import typing
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -25,6 +27,36 @@ _DESCENT_RTOL = 1e-12
 # Candidates one backtracking step may evaluate: the first and up to 200
 # step-size increases.
 _MAX_TRIALS = 201
+# Each backtracking increase multiplies eta by this factor.
+_BACKTRACK_FACTOR = 1.5
+
+
+def check_types(values, hints):
+    """Refuse, with a ValueError naming the key, each value that its
+    annotation in ``hints`` does not admit. int admits any integer and float
+    any real number, neither a bool; Optional admits None, and tuple[...]
+    a list or tuple of that length, item by item."""
+    for key, value in values.items():
+        if not _admits(hints[key], value):
+            raise ValueError(f"{key} must be {_describe(hints[key])}, not {value!r}")
+
+
+def _admits(hint, value):
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, (list, tuple)) and len(value) == len(args)
+                and all(map(_admits, args, value)))
+    kinds = tuple({int: numbers.Integral, float: numbers.Real}.get(a, a)
+                  for a in args or (hint,))
+    return isinstance(value, kinds) and not (isinstance(value, bool)
+                                             and bool not in kinds)
+
+
+def _describe(hint):
+    if typing.get_origin(hint) is tuple:
+        return str(hint)
+    return " or ".join("None" if a is type(None) else a.__name__
+                       for a in typing.get_args(hint) or (hint,))
 
 
 @dataclass
@@ -35,9 +67,9 @@ class SolverConfig:
     beta/n_blocks for the block solver; both must lie in (0, beta] so the
     inequality multipliers stay nonnegative. In backtracking mode the trial
     step starts from eta0 (positive; default max(1, L_g) when L_g is known,
-    else 1) and is multiplied by backtrack_factor until the descent
-    inequality holds. tol <= 0 disables early stopping. Every value is
-    checked here, at construction.
+    else 1) and is multiplied by 1.5 until the descent inequality holds.
+    tol <= 0 disables early stopping. Every value and its type are checked
+    here, at construction.
     """
 
     beta: float = 1.0
@@ -45,13 +77,13 @@ class SolverConfig:
     rho_z: Optional[float] = None
     delta: float = 0.0
     step_mode: str = "backtracking"
-    backtrack_factor: float = 1.5
     eta0: Optional[float] = None
     max_epochs: int = 1000
     tol: float = 0.0
     record_every: Optional[int] = None
 
     def __post_init__(self):
+        check_types(vars(self), typing.get_type_hints(SolverConfig))
         if self.beta <= 0:
             raise ValueError("beta must be positive")
         for name in ("rho_y", "rho_z"):
@@ -62,8 +94,6 @@ class SolverConfig:
             raise ValueError("delta must be nonnegative")
         if self.step_mode not in ("analytic", "backtracking"):
             raise ValueError("step_mode must be 'analytic' or 'backtracking'")
-        if self.backtrack_factor <= 1:
-            raise ValueError("backtrack_factor must exceed 1")
         if self.eta0 is not None and self.eta0 <= 0:
             raise ValueError("eta0 must be positive")
         if self.max_epochs < 1:
@@ -139,7 +169,6 @@ class SolveResult:
     # Block solver only: running sum divided by 1 + k/n instead of by the
     # iterate count (the two normalizations differ by a factor approaching n).
     ergodic_x_scaled: Optional[np.ndarray] = None
-    extras: dict = field(default_factory=dict)
 
 
 def multiplier_step_y(y, r_new, rho_y):
@@ -182,7 +211,7 @@ def prox_step(x, grad, eta, prox, trial, base, config):
     tracker) and returns a function giving the smooth value at it; ``base()``
     gives the value at x and is called before any trial. Analytic mode takes
     the first candidate and asks for no value. Backtracking grows eta by
-    backtrack_factor until the descent test holds, or raises SolverError
+    _BACKTRACK_FACTOR until the descent test holds, or raises SolverError
     after _MAX_TRIALS - 1 increases, or at once on a non-finite grad. Returns
     (eta, candidate, its value or None in analytic mode, increases made).
     """
@@ -202,7 +231,7 @@ def prox_step(x, grad, eta, prox, trial, base, config):
         if np.isfinite(val) and descent_holds(val, base_value, float(grad @ dx),
                                               eta, float(dx @ dx)):
             return eta, x_new, val, k
-        eta *= config.backtrack_factor
+        eta *= _BACKTRACK_FACTOR
     raise SolverError(f"backtracking failed after {_MAX_TRIALS - 1} step-size "
                       "increases; oracle values may be non-finite")
 

@@ -7,8 +7,8 @@ Defines the building blocks of a composite convex program
 
 where ``g`` and every ``f_j`` are convex with Lipschitz gradients and ``h``
 is a proper closed convex function accessed through its proximal mapping.
-Also provides the optimality metrics (KKT residuals, objective/feasibility
-gaps) used for stopping and reporting.
+Also provides the optimality metrics (KKT and feasibility residuals, the
+Lagrangian gap) used for stopping and reporting.
 """
 
 from __future__ import annotations
@@ -539,7 +539,7 @@ class InequalityConstraint:
 
 
 class AffineConstraint:
-    """Equality constraints A x = b with adjoint and column-block access."""
+    """Equality constraints A x = b, their residual and a cached ||A||^2."""
 
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -560,15 +560,8 @@ class AffineConstraint:
     def is_empty(self):
         return self.A.shape[0] == 0
 
-    def adjoint(self, y):
-        return self.A.T @ y
-
     def residual(self, x):
         return self.A @ x - self.b
-
-    def block(self, sl):
-        """Column block A_i for a contiguous coordinate slice."""
-        return self.A[:, sl]
 
     def op_norm_sq(self):
         """Cached ||A||^2 (largest eigenvalue of A'A)."""
@@ -712,8 +705,6 @@ def project_box(v, lower, upper):
     return np.clip(np.asarray(v, dtype=float), lower, upper)
 
 
-EpsOptimality = namedtuple("EpsOptimality", "obj_gap feasibility ok")
-
 KktResidual = namedtuple("KktResidual", "stationarity feasibility complementarity")
 
 
@@ -739,16 +730,6 @@ def feasibility_residual(x, prob, r=None, fvals=None):
     return float(np.linalg.norm(r) + np.sum(np.maximum(fvals, 0.0)))
 
 
-def eps_optimality(x_new, f0_star, eps, prob):
-    """Objective gap and feasibility residual, and whether both are <= eps."""
-    f0_star = float(f0_star)
-    if not np.isfinite(f0_star):
-        raise ValueError("f0_star must be finite")
-    obj_gap = abs(prob.f0(x_new) - f0_star)
-    feas = feasibility_residual(x_new, prob)
-    return EpsOptimality(obj_gap, feas, bool(obj_gap <= eps and feas <= eps))
-
-
 def kkt_residual(w, prob, grads=None):
     """Stationarity, primal feasibility, and complementarity residuals.
 
@@ -763,7 +744,7 @@ def kkt_residual(w, prob, grads=None):
         raise ValueError("multipliers z must be nonnegative")
     total = prob.g.grad(w.x) if grads is None else grads[0]
     if not prob.affine.is_empty:
-        total = total + prob.affine.adjoint(w.y)
+        total = total + prob.affine.A.T @ w.y
     if grads is not None:
         total = total + w.z @ grads[1:]
     else:

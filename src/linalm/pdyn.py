@@ -121,5 +121,4 @@ def solve(prob, config, x0=None, callback=None, clock=None):
 
     records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
     return SolveResult(w=point(), ergodic_x=None, trace=records, epochs=epochs,
-                       stopped_early=stopped, eta=state.eta,
-                       extras={"lam": state.lam.copy()})
+                       stopped_early=stopped, eta=state.eta)

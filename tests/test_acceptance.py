@@ -46,10 +46,10 @@ def bpdn_experiment():
     ref = long_run_reference(prob, budget=1_000_000, cache=None)
     prob = prob.with_f0_star(ref.f0)
     full = lalm.solve(prob, SolverConfig(
-        beta=1.0, rho_y=1.0, rho_z=1.0, backtrack_factor=1.5,
+        beta=1.0, rho_y=1.0, rho_z=1.0,
         max_epochs=100_000, record_every=10), x0=x0)
     block = blalm.solve(prob.with_blocks(10), SolverConfig(
-        beta=1.0, rho_y=0.1, rho_z=0.1, backtrack_factor=1.5,
+        beta=1.0, rho_y=0.1, rho_z=0.1,
         max_epochs=30_000, record_every=10), x0=x0, seed=0)
     return {"full": full, "block": block, "reference": ref}
 

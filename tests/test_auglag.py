@@ -3,9 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linalm import auglag
-from linalm.auglag import (auglag_value, constraint_penalty, penalty_lipschitz,
-                           scalar_penalty, scalar_penalty_deriv, smooth_grad,
-                           smooth_grad_block, smooth_lipschitz, smooth_value)
+from linalm.auglag import (penalty_lipschitz, scalar_penalty,
+                           scalar_penalty_deriv, smooth_grad, smooth_grad_block,
+                           smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
 from linalm.lalm import SolverConfig, backtrack_primal, prox_step
 from linalm.model import (BoxIndicator, InequalityConstraint, PrimalDualPoint,
@@ -117,17 +117,25 @@ def scalar_prob():
         constraints=[InequalityConstraint(LinearFunction([1.0]), grad_bound=1.0)])
 
 
+def penalty_sum(x, z, beta, prob):
+    """The penalty sum smooth_value adds: sum_j penalty(f_j(x), z_j)."""
+    return float(scalar_penalty(prob.constraint_values(x), z, beta).sum())
+
+
+def auglag_value(w, beta, prob):
+    """The full augmented Lagrangian: the smooth part plus h(x)."""
+    return smooth_value(w, beta, prob) + prob.h.value(w.x)
+
+
 def test_constraint_penalty_cases(rng):
     prob = scalar_prob()
-    assert constraint_penalty([-1.0], [0.0], 1.0, prob) == 0.0
+    assert penalty_sum([-1.0], [0.0], 1.0, prob) == 0.0
     # no constraints: empty sum
     plain = ProblemInstance(QuadraticFunction([[1.0]], [0.0]), ZeroProx(), dim=1)
-    assert constraint_penalty([0.5], np.zeros(0), 1.0, plain) == 0.0
+    assert penalty_sum([0.5], np.zeros(0), 1.0, plain) == 0.0
     # two-constraint branch-wise evaluation
     vals = scalar_penalty(np.array([1.0, -2.0]), np.array([1.0, 1.0]), 1.0)
     assert vals.sum() == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        constraint_penalty([0.0], [1.0, 2.0], 1.0, prob)
 
 
 def test_constraint_penalty_nonpositive_when_feasible(rng):
@@ -142,7 +150,7 @@ def test_constraint_penalty_nonpositive_when_feasible(rng):
         feasible.extend(pts[ok])
     for x in feasible[:100]:
         z = rng.uniform(0, 3, size=prob.m)
-        assert constraint_penalty(x, z, 1.0, prob) <= 1e-12
+        assert penalty_sum(x, z, 1.0, prob) <= 1e-12
 
 
 def test_auglag_value_hand_cases():
@@ -164,13 +172,6 @@ def test_auglag_value_feasible_equals_objective():
         affine=AffineConstraint([[1.0, 1.0]], [1.0]))
     w = PrimalDualPoint.at(prob, [0.5, 0.5], y=[3.0])
     assert auglag_value(w, 2.0, prob) == pytest.approx(prob.f0([0.5, 0.5]))
-
-
-def test_auglag_value_infinite_outside_domain():
-    prob = ProblemInstance(QuadraticFunction([[1.0]], [0.0]),
-                           BoxIndicator([-1.0], [1.0]), dim=1)
-    w = PrimalDualPoint.at(prob, [2.0])
-    assert auglag_value(w, 1.0, prob) == np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +216,6 @@ def test_block_gradient_slices_match_full(rng):
     for _ in range(20):
         w = random_state(prob, rng)
         full = smooth_grad(w, 1.0, prob)
-        parts = [smooth_grad_block(w, 1.0, prob, i) for i in range(4)]
-        np.testing.assert_allclose(np.concatenate(parts), full, atol=1e-12)
         # assembly from a freshly based stack tracker agrees
         tracker = smooth_stack(prob).tracker(w.x)
         parts_t = [smooth_grad_block(w, 1.0, prob, i,
@@ -228,15 +227,17 @@ def test_block_gradient_slices_match_full(rng):
 def test_block_gradient_single_block_is_full(rng):
     prob = gen_qcqp(QcqpSpec(m=2, p=6, seed=6)).with_blocks(1)
     w = random_state(prob, rng)
-    np.testing.assert_allclose(smooth_grad_block(w, 1.0, prob, 0),
+    grads = smooth_stack(prob).tracker(w.x).block_grad(prob.blocks[0])
+    np.testing.assert_allclose(smooth_grad_block(w, 1.0, prob, 0, grads),
                                smooth_grad(w, 1.0, prob))
 
 
 def test_block_gradient_requires_partition():
     prob = gen_qcqp(QcqpSpec(m=2, p=6, seed=6))
     w = PrimalDualPoint.at(prob, np.zeros(6))
+    grads = smooth_stack(prob).tracker(w.x).grad()
     with pytest.raises(ValueError):
-        smooth_grad_block(w, 1.0, prob, 0)
+        smooth_grad_block(w, 1.0, prob, 0, grads)
 
 
 @pytest.mark.slow

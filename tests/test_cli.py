@@ -106,6 +106,35 @@ def test_unaccepted_problem_opts_fail_cleanly(tmp_path, capsys, problem, key):
     assert not out.exists()
 
 
+# "out" takes 2.5, not 1: a CLI that accepts 1 opens file descriptor 1 as the
+# trace file and closes the test process's stdout.
+@pytest.mark.parametrize("opts, key", [
+    ({"beta": "x"}, "beta"), ({"tol": "x"}, "tol"), ({"eta0": "x"}, "eta0"),
+    ({"problem": 1}, "problem"), ({"method": "blalm", "blocks": 2.5}, "blocks"),
+    ({"problem": "bpdn", "problem_opts": {"rows": "x"}}, "rows"),
+    ({"out": 2.5}, "out"),
+])
+def test_wrong_typed_config_values_fail_cleanly(tmp_path, capsys, opts, key):
+    cfg_path = tmp_path / "typed.json"
+    cfg_path.write_text(json.dumps({"problem": "tiny:scalar-qcqp", "method": "lalm",
+                                    "epochs": 5, "out": str(tmp_path / "r.csv"),
+                                    **opts}))
+    rc = main(["solve", "--config", str(cfg_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be ")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_malformed_instance_file_fails_cleanly(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text("{}")
+    rc = main(["solve", "--problem", str(path), "--method", "lalm",
+               "--epochs", "5", "--out", str(tmp_path / "r.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_parser_exposes_documented_flags():
     parser = build_parser()
     text = parser.format_help()

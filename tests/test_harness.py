@@ -357,6 +357,11 @@ def test_build_problem_variants(tmp_path):
         build_problem(ExperimentConfig(method="lalm", problem="sudoku"))
 
 
+def test_every_exported_name_resolves():
+    import linalm
+    assert [name for name in linalm.__all__ if not hasattr(linalm, name)] == []
+
+
 def test_experiment_config_validation():
     with pytest.raises(ValueError, match="method"):
         ExperimentConfig(method="sgd", problem="bpdn")

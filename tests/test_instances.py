@@ -272,6 +272,21 @@ def test_save_unserializable_instance_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("data, named", [
+    ({}, "'g'"),
+    ({"dim": 1, "g": {"kind": "quadratic", "Q": [[1.0]], "d": 0.0},
+      "h": {"kind": "zero"}}, "'c'"),
+    ([1], "list"),
+    ({"dim": 1, "g": {"kind": "zero"}, "h": {"kind": "zero"}, "constraints": [[1]]},
+     "list indices"),
+])
+def test_load_malformed_instance_raises_value_error(tmp_path, data, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=named):
+        load_instance(path)
+
+
 def test_instance_json_matrices_row_major(tmp_path):
     prob = gen_bpdn(BpdnSpec(rows=3, cols=4, sparsity=1, seed=0))
     data = instance_to_dict(prob)

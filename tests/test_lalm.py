@@ -42,8 +42,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(beta=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(backtrack_factor=1.0)
-    with pytest.raises(ValueError):
         SolverConfig(step_mode="wild")
     with pytest.raises(ValueError):
         SolverConfig(rho_z=2.0).resolve_rho()  # above beta=1

@@ -111,7 +111,7 @@ def test_backtracking_quadratic_acceptance_threshold():
     # phi has curvature 3 with inactive constraints: acceptance iff eta >= 3
     g = QuadraticFunction([[3.0]], [0.0], lipschitz=3.0)
     prob = box_prob(g)
-    cfg = SolverConfig(beta=1.0, eta0=1.0, backtrack_factor=1.5)
+    cfg = SolverConfig(beta=1.0, eta0=1.0)
     state = PdynState.start(prob, np.array([5.0]), eta=1.0)
     new = step(state, prob, cfg)
     assert new.eta == pytest.approx(1.5 ** 3)
