@@ -22,6 +22,25 @@ def _check_beta(beta):
         raise ValueError("penalty parameter beta must be positive")
 
 
+def penalty_floor(v, beta):
+    """-v^2 / (2 beta): the penalty where beta*u + v < 0, which does not
+    depend on u, so a caller holding v fixed computes it once."""
+    return -v * v / (2.0 * beta)
+
+
+def penalty_terms(u, v, beta, floor=None):
+    """The penalty's elementwise arithmetic, in the one place it lives.
+
+    Returns (s, penalty) for same-shaped arrays u and v: s = beta*u + v,
+    whose positive part is the derivative in u, and, when ``floor`` =
+    penalty_floor(v, beta) is given, penalty(u, v), else None.
+    """
+    s = beta * u + v
+    if floor is None:
+        return s, None
+    return s, np.where(s >= 0, u * v + 0.5 * beta * u * u, floor)
+
+
 def scalar_penalty(u, v, beta):
     """Piecewise penalty coupling a constraint value u with its multiplier v.
 
@@ -31,18 +50,29 @@ def scalar_penalty(u, v, beta):
     _check_beta(beta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    out = np.where(beta * u + v >= 0, u * v + 0.5 * beta * u * u,
-                   -v * v / (2.0 * beta))
+    _, out = penalty_terms(u, v, beta, penalty_floor(v, beta))
     return float(out) if out.ndim == 0 else out
 
 
 def scalar_penalty_deriv(u, v, beta):
     """Derivative of scalar_penalty in its first argument: [beta*u + v]_+."""
     _check_beta(beta)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    out = np.maximum(beta * u + v, 0.0)
+    s, _ = penalty_terms(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
+                         beta)
+    out = np.maximum(s, 0.0)
     return float(out) if out.ndim == 0 else out
+
+
+def smooth_value_from_parts(gval, y, r, penalties, beta):
+    """g(x) + y'r + (beta/2)||r||^2 + sum(penalties), summed in this order;
+    r is None without equality rows and ``penalties`` None without
+    inequality constraints."""
+    val = gval
+    if r is not None:
+        val += float(y @ r) + 0.5 * beta * float(r @ r)
+    if penalties is not None:
+        val += float(penalties.sum())
+    return val
 
 
 def smooth_value(w, beta, prob, gval=None):
@@ -53,12 +83,12 @@ def smooth_value(w, beta, prob, gval=None):
     g(x) when the caller already has it.
     """
     _check_beta(beta)
-    val = prob.g(w.x) if gval is None else gval
-    if not prob.affine.is_empty:
-        val += float(w.y @ w.r) + 0.5 * beta * float(w.r @ w.r)
+    penalties = None
     if prob.m:
-        val += float(scalar_penalty(w.fvals, w.z, beta).sum())
-    return val
+        _, penalties = penalty_terms(w.fvals, w.z, beta, penalty_floor(w.z, beta))
+    return smooth_value_from_parts(
+        prob.g(w.x) if gval is None else gval, w.y,
+        None if prob.affine.is_empty else w.r, penalties, beta)
 
 
 def smooth_grad(w, beta, prob, grads=None):
@@ -81,13 +111,15 @@ def smooth_grad(w, beta, prob, grads=None):
     return grad
 
 
-def smooth_grad_block(w, beta, prob, i, grads):
-    """Block i of the smooth gradient; equals smooth_grad(...)[blocks[i]].
+def smooth_grad_block(w, beta, prob, i, grads, coef=None):
+    """Block i of the smooth gradient: smooth_grad(...)[blocks[i]], up to
+    the order in which the products sum.
 
     ``grads`` gives block i of every gradient at once, as the (1 + m, width)
     ``block_grad`` of a smooth-stack tracker, so the block is assembled from
     maintained state in O(rows * width) instead of a full gradient
-    evaluation.
+    evaluation. ``coef`` is scalar_penalty_deriv(w.fvals, w.z, beta) when
+    the caller already has it.
     """
     if prob.blocks is None:
         raise ValueError("problem has no block partition")
@@ -98,7 +130,9 @@ def smooth_grad_block(w, beta, prob, i, grads):
     if not prob.affine.is_empty:
         grad = grad + prob.affine.A[:, prob.blocks[i]].T @ (w.y + beta * w.r)
     if prob.m:
-        grad = grad + scalar_penalty_deriv(w.fvals, w.z, beta) @ grads[1:]
+        if coef is None:
+            coef = scalar_penalty_deriv(w.fvals, w.z, beta)
+        grad = grad + coef @ grads[1:]
     return grad
 
 

@@ -44,9 +44,14 @@ class BlockState:
         # One tracker of the smooth stack serves g and every constraint.
         self.stack = smooth_stack(prob)
         self.tracker = self.stack.tracker(self.x)
-        # The value deltas of the last candidate evaluated, and its block
-        # value; analytic mode evaluates none.
-        self._trial_delta = self._evaluated = None
+        # Each block's columns of A, as views; None without equality rows.
+        self.A_blocks = (None if prob.affine.is_empty
+                         else [prob.affine.A[:, sl] for sl in self.blocks])
+        # The last candidate tried, as (block value, dx, A_i dx or None).
+        self._trial = None
+        # The iteration's penalty floor -z^2/(2 beta) and smooth value at x,
+        # from block_gradient's pass; None outside an iteration.
+        self._floor = self._base = None
 
         self.analytic = config.step_mode == "analytic"
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
@@ -71,24 +76,50 @@ class BlockState:
                                self.r.copy(), self.fvals.copy())
 
     def block_gradient(self, i):
-        """Block i of the smooth-part gradient, assembled from the tracker."""
+        """Block i of the smooth-part gradient, assembled from the tracker.
+
+        Begins an iteration with one pass over (f, z): s = beta*f + z gives
+        the gradient's [s]_+ and, when backtracking, the penalty at x, so the
+        base value and the floor -z^2/(2 beta) are ready for every trial. z
+        and y stay fixed until ``apply_block`` or ``refresh`` ends the
+        iteration.
+        """
+        beta = self.config.beta
+        coef = penalties = None
+        if self.prob.m:
+            self._floor = (None if self.analytic
+                           else auglag.penalty_floor(self.z, beta))
+            s, penalties = auglag.penalty_terms(self.fvals, self.z, beta,
+                                                self._floor)
+            coef = np.maximum(s, 0.0)
+        if not self.analytic:
+            self._base = auglag.smooth_value_from_parts(
+                self.tracker.value[0], self.y,
+                None if self.A_blocks is None else self.r, penalties, beta)
         return auglag.smooth_grad_block(
-            self, self.config.beta, self.prob, i,
-            grads=self.tracker.block_grad(self.blocks[i]))
+            self, beta, self.prob, i,
+            grads=self.tracker.block_grad(self.blocks[i]), coef=coef)
 
     def smooth_value(self):
-        """Current smooth-part value from maintained state."""
-        return auglag.smooth_value(self, self.config.beta, self.prob,
-                                   gval=self.tracker.value[0])
+        """Smooth-part value at x: the iteration's base value when
+        ``block_gradient`` has computed it, else from maintained state."""
+        if self._base is None:
+            return auglag.smooth_value(self, self.config.beta, self.prob,
+                                       gval=self.tracker.value[0])
+        return self._base
 
     def candidate_smooth_value(self, sl, dx, dr):
-        """Smooth-part value after changing block sl by dx (nothing committed)."""
-        r_new = None if self.prob.affine.is_empty else self.r + dr
-        self._trial_delta = self.tracker.delta_value(sl, dx)
-        new = self.tracker.value + self._trial_delta
-        # g's value comes in as gval, so the candidate point needs no x
-        cand = PrimalDualPoint(None, self.y, self.z, r_new, new[1:])
-        return auglag.smooth_value(cand, self.config.beta, self.prob, gval=new[0])
+        """Smooth-part value after changing block sl by dx, with dr = A_i dx
+        (None without equality rows); nothing is committed."""
+        beta = self.config.beta
+        new = self.tracker.value + self.tracker.delta_value(sl, dx)
+        penalties = None
+        if self.prob.m:
+            floor = (auglag.penalty_floor(self.z, beta) if self._floor is None
+                     else self._floor)
+            _, penalties = auglag.penalty_terms(new[1:], self.z, beta, floor)
+        return auglag.smooth_value_from_parts(
+            new[0], self.y, None if dr is None else self.r + dr, penalties, beta)
 
     def block_eta(self, i):
         """Analytic per-block step bound, monotone across iterations."""
@@ -104,39 +135,48 @@ class BlockState:
         block i across iterations, and ``last_trials`` counts its increases.
         """
         sl = self.blocks[i]
-        A_i = None if self.prob.affine.is_empty else self.prob.affine.A[:, sl]
+        x_blk = self.x[sl]
+        A_i = None if self.A_blocks is None else self.A_blocks[i]
 
         def trial(blk_new):
-            dx = blk_new - self.x[sl]
-            dr = None if A_i is None else A_i @ dx
-
-            def value():
-                self._evaluated = blk_new
-                return self.candidate_smooth_value(sl, dx, dr)
+            dx = blk_new - x_blk
+            self._trial = (blk_new, dx, None if A_i is None else A_i @ dx)
             return value
 
+        def value():
+            _, dx, dr = self._trial
+            return self.candidate_smooth_value(sl, dx, dr)
+
         eta, blk_new, _, self.last_trials = prox_step(
-            self.x[sl], grad_blk, self.eta[i], self.h_blocks[i].prox, trial,
+            x_blk, grad_blk, self.eta[i], self.h_blocks[i].prox, trial,
             self.smooth_value, self.config)
         self.eta[i] = eta
         return eta, blk_new
 
     def apply_block(self, i, blk_new):
-        """Commit a block change: x, residual, and constraint values in place."""
+        """Commit a block change: x, residual, and constraint values in place.
+
+        The candidate ``backtrack_block`` returned brings its dx, its A_i dx
+        and the tracker's products along; any other block value is
+        computed afresh. Ends the iteration.
+        """
         sl = self.blocks[i]
-        dx = blk_new - self.x[sl]
-        if not self.prob.affine.is_empty:
-            self.r += self.prob.affine.A[:, sl] @ dx
-        # reuse the value deltas of the trial that proposed blk_new
-        delta = self._trial_delta if self._evaluated is blk_new else None
-        self.tracker.commit(sl, dx, delta)
+        if self._trial is not None and self._trial[0] is blk_new:
+            _, dx, dr = self._trial
+        else:
+            dx = blk_new - self.x[sl]
+            dr = None if self.A_blocks is None else self.A_blocks[i] @ dx
+        if dr is not None:
+            self.r += dr
+        self.tracker.commit(sl, dx)
         self.x[sl] = blk_new
-        self._evaluated = None
+        self._trial = self._floor = self._base = None
 
     def refresh(self):
         """Recompute residual, constraint values, and the tracker from scratch."""
         self.r = self.prob.affine.residual(self.x)
         self.tracker.rebase(self.x)
+        self._trial = self._floor = self._base = None
 
 
 def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
@@ -155,6 +195,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
     beta = config.beta
     acc = ErgodicAccumulator(prob.dim)
     recorder = MetricsRecorder(prob, "blalm", state.stack, clock=clock)
+    has_rows = not prob.affine.is_empty
 
     def advance(epoch):
         for k in range((epoch - 1) * n, epoch * n):
@@ -164,7 +205,8 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
                 state.block_eta(i)
             _, blk_new = state.backtrack_block(i, grad_blk)
             state.apply_block(i, blk_new)
-            state.y = multiplier_step_y(state.y, state.r, rho_y)
+            if has_rows:
+                state.y = multiplier_step_y(state.y, state.r, rho_y)
             state.z = multiplier_step_z(state.z, state.fvals, rho_z, beta)
             acc.add(state.x, 1.0, state.stack.image(state.tracker))
             if callback is not None:

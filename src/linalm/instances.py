@@ -22,6 +22,15 @@ from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     ZeroFunction, ZeroProx, operator_norm_sq)
 
 
+def _check_at_least(spec, **floors):
+    """Refuse, with a ValueError naming the key, each field of ``spec``
+    below its floor in ``floors`` (NaN included)."""
+    for key, floor in floors.items():
+        value = getattr(spec, key)
+        if not value >= floor:
+            raise ValueError(f"{key} must be >= {floor}, not {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # basis pursuit denoising
 
@@ -44,6 +53,7 @@ class BpdnSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_at_least(self, rows=1, cols=1, sparsity=0, noise=0)
         if self.sparsity > self.cols:
             raise ValueError("sparsity cannot exceed cols")
 
@@ -101,6 +111,7 @@ class QcqpSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _check_at_least(self, p=1, m=0)
         if self.d_value >= 0:
             raise ValueError("constraint offsets must be negative")
         if self.box_low >= self.box_high:

@@ -78,8 +78,7 @@ class ZeroFunction(SmoothFunction):
         return np.zeros(len(pts))
 
     def tracker(self, x):
-        # constant gradient: cheaper than FullTracker's re-evaluation
-        return LinearTracker(LinearFunction(np.zeros(len(x))), x)
+        return ZeroTracker(len(x))
 
 
 class QuadraticFunction(SmoothFunction):
@@ -269,15 +268,39 @@ class LinearFunction(SmoothFunction):
 # current value and answers block gradients and value changes for a
 # candidate change of one coordinate block, in time proportional to the
 # block width where the function structure allows it.
+#
+# ``delta_value(sl, dx)`` remembers the products it computed, and
+# ``commit(sl, dx)`` with the same ``sl`` and ``dx`` objects reuses them, so
+# committing the last candidate valued costs no second product. A commit of
+# any other block change, or after a rebase or another commit, computes its
+# own; ``dx`` must not be changed in between.
 
 
-class FullTracker:
+class _TrialMemo:
+    """The products of a tracker's last ``delta_value``, kept for ``commit``."""
+
+    _trial = None
+
+    def _remember(self, sl, dx, *products):
+        self._trial = (sl, dx) + products
+
+    def _products(self, sl, dx):
+        """The products of ``delta_value(sl, dx)``: the remembered ones when
+        they are for these very ``sl`` and ``dx``, else computed now."""
+        trial = self._trial
+        if trial is None or trial[0] is not sl or trial[1] is not dx:
+            self.delta_value(sl, dx)
+            trial = self._trial
+        self._trial = None
+        return trial[2:]
+
+
+class FullTracker(_TrialMemo):
     """Fallback tracker: every query re-evaluates the wrapped function."""
 
     def __init__(self, fn, x):
         self.fn = fn
-        self.x = np.array(x, dtype=float)
-        self.value = fn(self.x)
+        self.rebase(x)
 
     def grad(self):
         return self.fn.grad(self.x)
@@ -288,18 +311,20 @@ class FullTracker:
     def delta_value(self, sl, dx):
         trial = self.x.copy()
         trial[sl] += dx
-        return self.fn(trial) - self.value
+        value = self.fn(trial)
+        self._remember(sl, dx, trial, value)
+        return value - self.value
 
     def commit(self, sl, dx):
-        self.x[sl] += dx
-        self.value = self.fn(self.x)
+        self.x, self.value = self._products(sl, dx)
 
     def rebase(self, x):
+        self._trial = None
         self.x = np.array(x, dtype=float)
         self.value = self.fn(self.x)
 
 
-class QuadraticTracker:
+class QuadraticTracker(_TrialMemo):
     """Maintains q = Qx so block gradients and value deltas are O(p * width).
 
     Tracks one QuadraticFunction, or every function of a QuadraticStack at
@@ -313,6 +338,7 @@ class QuadraticTracker:
         self.rebase(x)
 
     def rebase(self, x):
+        self._trial = None
         x = np.asarray(x, dtype=float)
         self.qx = _matvec(self.fn.Q, x)
         self.value = self.fn.values_from_image(x, self.qx)
@@ -324,18 +350,18 @@ class QuadraticTracker:
         return self.qx[..., sl] + self.fn.c[..., sl]
 
     def delta_value(self, sl, dx):
-        return (self.qx[..., sl] @ dx + 0.5 * ((self.fn.Q[..., sl, sl] @ dx) @ dx)
-                + self.fn.c[..., sl] @ dx)
+        delta = (self.qx[..., sl] @ dx + 0.5 * ((self.fn.Q[..., sl, sl] @ dx) @ dx)
+                 + self.fn.c[..., sl] @ dx)
+        self._remember(sl, dx, delta)
+        return delta
 
-    def commit(self, sl, dx, delta=None):
-        """Apply x[sl] += dx; ``delta`` is ``delta_value(sl, dx)`` when the
-        caller already has it.
+    def commit(self, sl, dx):
+        """Apply x[sl] += dx.
 
         Q is symmetric, so the contiguous row block Q[sl, :] stands in for
         the strided column block Q[:, sl].
         """
-        if delta is None:
-            delta = self.delta_value(sl, dx)
+        delta, = self._products(sl, dx)
         self.value = self.value + delta
         self.qx += dx @ self.fn.Q[..., sl, :]
 
@@ -343,8 +369,7 @@ class QuadraticTracker:
 class StackTracker:
     """A FunctionStack's per-function trackers behind the QuadraticTracker
     interface: ``value`` (k,), gradients (k, dim) or (k, width), value
-    deltas (k,). ``commit`` ignores the caller's deltas; each function's
-    tracker updates itself.
+    deltas (k,). Each function's tracker remembers its own trial products.
     """
 
     def __init__(self, trackers):
@@ -365,13 +390,13 @@ class StackTracker:
     def delta_value(self, sl, dx):
         return np.array([t.delta_value(sl, dx) for t in self.trackers])
 
-    def commit(self, sl, dx, delta=None):
+    def commit(self, sl, dx):
         for t in self.trackers:
             t.commit(sl, dx)
         self.value = np.array([t.value for t in self.trackers])
 
 
-class LeastSquaresTracker:
+class LeastSquaresTracker(_TrialMemo):
     """Maintains the residual u = Ax - b for ||Ax - b||^2 - offset."""
 
     def __init__(self, fn, x):
@@ -379,6 +404,7 @@ class LeastSquaresTracker:
         self.rebase(x)
 
     def rebase(self, x):
+        self._trial = None
         self.u = self.fn.A @ np.asarray(x, dtype=float) - self.fn.b
         self.value = float(self.u @ self.u - self.fn.offset)
 
@@ -390,15 +416,17 @@ class LeastSquaresTracker:
 
     def delta_value(self, sl, dx):
         du = self.fn.A[:, sl] @ dx
-        return float(2.0 * self.u @ du + du @ du)
+        delta = float(2.0 * self.u @ du + du @ du)
+        self._remember(sl, dx, du, delta)
+        return delta
 
     def commit(self, sl, dx):
-        du = self.fn.A[:, sl] @ dx
-        self.value += float(2.0 * self.u @ du + du @ du)
+        du, delta = self._products(sl, dx)
+        self.value += delta
         self.u += du
 
 
-class LinearTracker:
+class LinearTracker(_TrialMemo):
     """Tracker for a'x + shift; gradient is constant."""
 
     def __init__(self, fn, x):
@@ -406,6 +434,7 @@ class LinearTracker:
         self.rebase(x)
 
     def rebase(self, x):
+        self._trial = None
         self.value = self.fn(x)
 
     def grad(self):
@@ -415,10 +444,37 @@ class LinearTracker:
         return self.fn.a[sl]
 
     def delta_value(self, sl, dx):
-        return float(self.fn.a[sl] @ dx)
+        delta = float(self.fn.a[sl] @ dx)
+        self._remember(sl, dx, delta)
+        return delta
 
     def commit(self, sl, dx):
-        self.value += float(self.fn.a[sl] @ dx)
+        delta, = self._products(sl, dx)
+        self.value += delta
+
+
+class ZeroTracker:
+    """Tracker for g identically zero: every query is free of arithmetic."""
+
+    value = 0.0
+
+    def __init__(self, dim):
+        self._zeros = np.zeros(dim)
+
+    def rebase(self, x):
+        pass
+
+    def grad(self):
+        return np.zeros(len(self._zeros))
+
+    def block_grad(self, sl):
+        return self._zeros[sl]
+
+    def delta_value(self, sl, dx):
+        return 0.0
+
+    def commit(self, sl, dx):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +565,8 @@ class BoxIndicator(ProxFunction):
         return np.inf
 
     def prox(self, v, weight):
-        return project_box(v, self.lower, self.upper)
+        # the bounds were checked once, at construction
+        return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
 
     def block(self, sl):
         return BoxIndicator(self.lower[sl], self.upper[sl])
@@ -689,7 +746,7 @@ class PrimalDualPoint:
 def prox_l1(v, tau):
     """Soft thresholding: componentwise sign(v) * max(|v| - tau, 0)."""
     v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("prox_l1 requires finite input")
     if tau <= 0:
         raise ValueError("threshold must be positive")

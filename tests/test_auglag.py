@@ -8,9 +8,9 @@ from linalm.auglag import (penalty_lipschitz, scalar_penalty,
                            smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
 from linalm.lalm import SolverConfig, backtrack_primal, prox_step
-from linalm.model import (BoxIndicator, InequalityConstraint, PrimalDualPoint,
-                          ProblemInstance, QuadraticFunction, ZeroProx,
-                          smooth_stack)
+from linalm.model import (AffineConstraint, BoxIndicator, InequalityConstraint,
+                          LinearFunction, PrimalDualPoint, ProblemInstance,
+                          QuadraticFunction, ZeroProx, smooth_stack)
 
 from conftest import central_diff_grad
 
@@ -76,6 +76,46 @@ def test_scalar_penalty_is_c1_across_the_switching_surface(u, beta):
         assert abs(scalar_penalty_deriv(u + h, v, beta) - d0) <= beta * abs(h) + slack
 
 
+def _old_penalty(u, v, beta):
+    """The penalty as scalar_penalty computed it before penalty_terms."""
+    return np.where(beta * u + v >= 0, u * v + 0.5 * beta * u * u,
+                    -v * v / (2.0 * beta))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 12), beta=st.floats(1e-3, 1e3))
+def test_penalty_terms_equal_the_old_formulas_bitwise(data, k, beta):
+    # each entry of v is random, 0 (z = 0) or -beta*u (on the switching
+    # surface beta*u + v = 0 exactly)
+    u = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)))
+    kinds = data.draw(st.lists(st.sampled_from(["random", "zero", "surface"]),
+                               min_size=k, max_size=k))
+    v = np.array([data.draw(st.floats(-1e6, 1e6)) if kind == "random" else
+                  0.0 if kind == "zero" else -beta * uj
+                  for kind, uj in zip(kinds, u)])
+    want = _old_penalty(u, v, beta)
+    want_deriv = np.maximum(beta * u + v, 0.0)
+    s, got = auglag.penalty_terms(u, v, beta, auglag.penalty_floor(v, beta))
+    assert got.tobytes() == want.tobytes()
+    assert np.maximum(s, 0.0).tobytes() == want_deriv.tobytes()
+    assert scalar_penalty(u, v, beta).tobytes() == want.tobytes()
+    assert scalar_penalty_deriv(u, v, beta).tobytes() == want_deriv.tobytes()
+    # one floor serves every u at the same v
+    _, shifted = auglag.penalty_terms(u + 1.0, v, beta, auglag.penalty_floor(v, beta))
+    assert shifted.tobytes() == _old_penalty(u + 1.0, v, beta).tobytes()
+    # smooth_value adds the penalties after g(x) and the affine terms
+    y, r, gval = np.array([0.5, -2.0]), np.array([1e-3, 3.0]), 1.25
+    w = PrimalDualPoint(None, y, v, r, u)
+    con = InequalityConstraint(LinearFunction([1.0]))
+    prob = ProblemInstance(QuadraticFunction(np.eye(1), np.zeros(1)), ZeroProx(), 1,
+                           affine=AffineConstraint(np.ones((2, 1)), np.zeros(2)),
+                           constraints=[con] * k)
+    old = gval
+    old += float(y @ r) + 0.5 * beta * float(r @ r)
+    old += float(want.sum())
+    assert smooth_value(w, beta, prob, gval=gval) == old
+
+
 def test_scalar_penalty_deriv_values():
     assert scalar_penalty_deriv(0.0, 0.0, 1.0) == 0.0
     assert scalar_penalty_deriv(1.0, 1.0, 1.0) == 2.0
@@ -111,7 +151,6 @@ def test_scalar_penalty_deriv_lipschitz_in_u(rng):
 
 def scalar_prob():
     # min 0.5 x^2 with one constraint f(x) = x (affine)
-    from linalm.model import LinearFunction
     return ProblemInstance(
         QuadraticFunction([[1.0]], [0.0], lipschitz=1.0), ZeroProx(), dim=1,
         constraints=[InequalityConstraint(LinearFunction([1.0]), grad_bound=1.0)])

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import nan_away_from_origin
-from linalm import blalm, lalm
+from linalm import auglag, blalm, lalm
 from linalm.blalm import BlockState
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               tiny_reference)
@@ -15,6 +16,28 @@ from linalm.model import (AffineConstraint, InequalityConstraint, L1Norm,
 def make_state(prob, seed=0, **cfg_kwargs):
     cfg = SolverConfig(**cfg_kwargs)
     return BlockState(prob, cfg, seed=seed)
+
+
+def with_equalities(kind, seed):
+    """A generated 12-variable QCQP or BPDN instance with three random
+    equality rows added to its inequality constraints, in four blocks."""
+    prob = (gen_qcqp(QcqpSpec(m=3, p=12, seed=seed)) if kind == "qcqp" else
+            gen_bpdn(BpdnSpec(rows=6, cols=12, sparsity=2, seed=seed)))
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3, prob.dim))
+    affine = AffineConstraint(A, A @ rng.uniform(-0.5, 0.5, size=prob.dim))
+    return ProblemInstance(prob.g, prob.h, prob.dim, affine, prob.constraints,
+                           even_blocks(prob.dim, 4))
+
+
+def state_bytes(state):
+    """x, r and every array the tracker maintains, as bytes."""
+    tracker = state.tracker
+    arrays = [state.x, state.r, tracker.value]
+    for t in getattr(tracker, "trackers", [tracker]):
+        arrays += [np.asarray(getattr(t, a)) for a in ("value", "qx", "u")
+                   if hasattr(t, a)]
+    return [a.tobytes() for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -133,6 +156,83 @@ def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
                                    rtol=1e-12, atol=1e-10)
 
 
+# analytic steps need a gradient bound, which the BPDN constraint lacks
+@pytest.mark.parametrize("kind, mode", [("qcqp", "backtracking"),
+                                        ("qcqp", "analytic"),
+                                        ("bpdn", "backtracking")])
+def test_iteration_pass_equals_reference_formulas_with_equality_rows(kind, mode):
+    # the base value and block gradient that block_gradient's one pass over
+    # (f, z) gives equal the reference formulas at state.point() exactly; the
+    # full gradient's slice agrees to roundoff, as A'v and A[:, sl]'v sum in
+    # a different order
+    prob = with_equalities(kind, 3)
+    rng = np.random.default_rng(4)
+    beta = 0.7
+    state = BlockState(prob, SolverConfig(beta=beta, step_mode=mode),
+                       x0=rng.uniform(-1, 1, size=prob.dim),
+                       y0=rng.normal(size=prob.affine.rows),
+                       z0=rng.uniform(0, 1, size=prob.m))
+    assert prob.affine.rows == 3 and prob.m >= 1
+    for _ in range(12):
+        i = state.pick_block()
+        sl = prob.blocks[i]
+        grad = state.block_gradient(i)
+        w = state.point()
+        gval = state.tracker.value[0]
+        assert state.smooth_value() == auglag.smooth_value(w, beta, prob, gval=gval)
+        want = auglag.smooth_grad_block(w, beta, prob, i,
+                                        grads=state.tracker.block_grad(sl))
+        assert grad.tobytes() == want.tobytes()
+        full = auglag.smooth_grad(w, beta, prob, grads=state.tracker.grad())
+        np.testing.assert_allclose(grad, full[sl], rtol=1e-12,
+                                   atol=1e-12 * np.abs(full).max())
+        if state.analytic:
+            state.block_eta(i)
+        _, blk = state.backtrack_block(i, grad)
+        state.apply_block(i, blk)
+        state.y = lalm.multiplier_step_y(state.y, state.r, beta)
+        state.z = lalm.multiplier_step_z(state.z, state.fvals, beta, beta)
+        # apply_block ended the iteration: nothing of its pass is served
+        assert state.smooth_value() == auglag.smooth_value(
+            state.point(), beta, prob, gval=state.tracker.value[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["qcqp", "bpdn"]),
+       steps=st.integers(1, 12))
+def test_commit_reusing_trial_products_equals_commit_recomputing_them(seed, kind,
+                                                                      steps):
+    prob = with_equalities(kind, seed % 1000)
+    rng = np.random.default_rng(seed)
+    x0 = rng.uniform(-1, 1, size=prob.dim)
+    z0 = rng.uniform(0, 1, size=prob.m)
+    reuse, fresh, stale, control = (
+        BlockState(prob, SolverConfig(beta=0.5), x0=x0, z0=z0) for _ in range(4))
+    for _ in range(steps):
+        i = int(rng.integers(len(prob.blocks)))
+        sl = prob.blocks[i]
+        # the accepted candidate brings its dx, A_i dx and tracker products
+        # along; an equal copy of it makes the commit compute its own
+        _, blk = reuse.backtrack_block(i, reuse.block_gradient(i))
+        _, blk_fresh = fresh.backtrack_block(i, fresh.block_gradient(i))
+        assert blk.tobytes() == blk_fresh.tobytes()
+        reuse.apply_block(i, blk)
+        fresh.apply_block(i, blk_fresh.copy())
+        assert state_bytes(reuse) == state_bytes(fresh)
+        # a block value other than the last candidate valued reuses nothing:
+        # it commits as on a state that valued no candidate at all
+        _, tried = stale.backtrack_block(i, stale.block_gradient(i))
+        moved = tried + rng.normal(size=sl.stop - sl.start)
+        stale.apply_block(i, moved)
+        control.apply_block(i, moved.copy())
+        assert state_bytes(stale) == state_bytes(control)
+    for state in (reuse, stale):
+        np.testing.assert_allclose(state.r, prob.affine.residual(state.x),
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
+                                   rtol=1e-10, atol=1e-10)
+
+
 def test_affine_constraint_increment_is_linear(rng):
     # f(x) = a'x - d updates by the block inner product
     fn = LinearFunction(np.arange(1.0, 7.0), -1.0)
@@ -211,21 +311,23 @@ def test_nonfinite_iterate_abort_carries_trace_from_epoch_0():
 
 
 def test_analytic_block_bound_always_accepted(rng):
-    # candidates at the analytic per-block bound satisfy the descent test
-    prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4)
+    # candidates at the analytic per-block bound satisfy the descent test,
+    # without and with equality rows
     cfg = SolverConfig(beta=0.5, step_mode="analytic")
-    state = BlockState(prob, cfg, x0=rng.uniform(-10, 10, size=12),
-                       z0=rng.uniform(0, 1, size=3), seed=0)
-    for i in range(4):
-        eta_i = state.block_eta(i)
-        grad = state.block_gradient(i)
-        sl = prob.blocks[i]
-        blk = state.h_blocks[i].prox(state.x[sl] - grad / eta_i, 1.0 / eta_i)
-        dx = blk - state.x[sl]
-        dr = None if prob.affine.is_empty else prob.affine.block(sl) @ dx
-        val = state.candidate_smooth_value(sl, dx, dr)
-        bound = state.smooth_value() + grad @ dx + 0.5 * eta_i * dx @ dx
-        assert val <= bound + 1e-10 * max(1.0, abs(bound))
+    for prob in (gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4),
+                 with_equalities("qcqp", 5)):
+        state = BlockState(prob, cfg, x0=rng.uniform(-10, 10, size=12),
+                           z0=rng.uniform(0, 1, size=3), seed=0)
+        for i in range(4):
+            eta_i = state.block_eta(i)
+            grad = state.block_gradient(i)
+            sl = prob.blocks[i]
+            blk = state.h_blocks[i].prox(state.x[sl] - grad / eta_i, 1.0 / eta_i)
+            dx = blk - state.x[sl]
+            dr = None if prob.affine.is_empty else prob.affine.A[:, sl] @ dx
+            val = state.candidate_smooth_value(sl, dx, dr)
+            bound = state.smooth_value() + grad @ dx + 0.5 * eta_i * dx @ dx
+            assert val <= bound + 1e-10 * max(1.0, abs(bound))
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ def test_wrong_typed_config_values_fail_cleanly(tmp_path, capsys, opts, key):
     assert not (tmp_path / "r.csv").exists()
 
 
+@pytest.mark.parametrize("problem, opts, key", [
+    ("qcqp", {"p": 3, "m": -1}, "m"), ("qcqp", {"p": 0}, "p"),
+    ("bpdn", {"sparsity": -1}, "sparsity"),
+])
+def test_out_of_range_problem_sizes_fail_cleanly(tmp_path, capsys, problem, opts,
+                                                 key):
+    cfg_path = tmp_path / "sizes.json"
+    cfg_path.write_text(json.dumps({"problem_opts": opts}))
+    out = tmp_path / "r.csv"
+    rc = main(["solve", "--problem", problem, "--method", "lalm",
+               "--epochs", "5", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {key} must be >= ")
+    assert not out.exists()
+
+
 def test_malformed_instance_file_fails_cleanly(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{}")

@@ -110,6 +110,23 @@ def test_qcqp_spec_validation():
         QcqpSpec(box_low=3.0, box_high=-3.0)
 
 
+@pytest.mark.parametrize("spec, opts, key", [
+    (QcqpSpec, {"p": 3, "m": -1}, "m"), (QcqpSpec, {"p": 0}, "p"),
+    (BpdnSpec, {"sparsity": -1}, "sparsity"), (BpdnSpec, {"rows": 0}, "rows"),
+    (BpdnSpec, {"cols": 0, "sparsity": 0}, "cols"),
+    (BpdnSpec, {"noise": -0.1}, "noise"), (BpdnSpec, {"noise": float("nan")}, "noise"),
+])
+def test_spec_sizes_out_of_range_name_their_key(spec, opts, key):
+    with pytest.raises(ValueError, match=f"^{key} must be >= "):
+        spec(**opts)
+
+
+def test_smallest_admitted_specs_generate():
+    assert gen_qcqp(QcqpSpec(m=0, p=1)).m == 0
+    prob = gen_bpdn(BpdnSpec(rows=1, cols=1, sparsity=0, noise=0.1))
+    assert prob.dim == 1
+
+
 # ---------------------------------------------------------------------------
 # minimax reformulation
 

@@ -256,8 +256,9 @@ def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
         trial[sl] += dx
         scale = value_scale(fns, trial)
         assert_close(delta, [fn(trial) - fn(x) for fn in fns], scale, 1e-10)
-        # commit with the caller's delta or with one it recomputes
-        tracker.commit(sl, dx, delta if rng.random() < 0.5 else None)
+        # commit the block change just valued, whose products it reuses,
+        # or an equal copy, for which it computes its own
+        tracker.commit(sl, dx if rng.random() < 0.5 else dx.copy())
         x = trial
         assert_close(tracker.value, [fn(x) for fn in fns], scale, 1e-10)
         for blk in blocks:
@@ -372,7 +373,7 @@ def test_every_stack_tracker_matches_from_scratch(seed, g_kind, con_kinds, dim,
         dx = rng.normal(size=sl.stop - sl.start)
         delta = tracker.delta_value(sl, dx)
         before = stack(x)
-        tracker.commit(sl, dx, delta if rng.random() < 0.5 else None)
+        tracker.commit(sl, dx if rng.random() < 0.5 else dx.copy())
         x[sl] += dx
         vals, grads = stack.value_grad(x)
         np.testing.assert_allclose(delta, vals - before, rtol=1e-10, atol=1e-10)
@@ -384,6 +385,38 @@ def test_every_stack_tracker_matches_from_scratch(seed, g_kind, con_kinds, dim,
         for blk in blocks:
             np.testing.assert_allclose(tracker.block_grad(blk), grads[:, blk],
                                        rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("g_kind, con_kinds", [
+    ("quadratic", ["quadratic", "quadratic"]), ("zero", ["least-squares"]),
+    ("quadratic", ["linear", "oracle", "least-squares"]),
+])
+def test_commit_reuses_only_the_trial_of_the_same_block_change(g_kind, con_kinds):
+    # a tracker that valued other block changes, or valued this one before a
+    # rebase, commits exactly as one that valued nothing
+    rng = np.random.default_rng(7)
+    fns = [make_smooth(kind, rng, 6) for kind in [g_kind] + con_kinds]
+    prob = ProblemInstance(fns[0], ZeroProx(), 6,
+                           constraints=[InequalityConstraint(fn) for fn in fns[1:]])
+    stack = smooth_stack(prob)
+    a, b = slice(0, 3), slice(3, 6)
+    x = rng.normal(size=6)
+    dx, other = rng.normal(size=3), rng.normal(size=3)
+
+    def arrays(tracker):
+        parts = getattr(tracker, "trackers", [tracker])
+        return [np.asarray(getattr(t, name)).tobytes() for t in parts
+                for name in ("value", "qx", "u", "x") if hasattr(t, name)]
+
+    cases = ((x, lambda t: t.delta_value(a, other)),      # another dx
+             (x, lambda t: t.delta_value(b, dx)),         # another block
+             (x + 1.0, lambda t: (t.delta_value(a, dx), t.rebase(x + 1.0))))
+    for base, misled in cases:
+        tracker, control = stack.tracker(x.copy()), stack.tracker(base.copy())
+        misled(tracker)
+        tracker.commit(a, dx)
+        control.commit(a, dx)
+        assert arrays(tracker) == arrays(control)
 
 
 # ---------------------------------------------------------------------------
