@@ -44,9 +44,9 @@ class BlockState:
         # One tracker of the smooth stack serves g and every constraint.
         self.stack = smooth_stack(prob)
         self.tracker = self.stack.tracker(self.x)
-        # Each block's columns of A, as views; None without equality rows.
-        self.A_blocks = (None if prob.affine.is_empty
-                         else [prob.affine.A[:, sl] for sl in self.blocks])
+        # Each block's columns of A, as views; each None without equality rows.
+        self.A_blocks = [None if prob.affine.is_empty else prob.affine.A[:, sl]
+                         for sl in self.blocks]
         # The last candidate tried, as (block value, dx, A_i dx or None).
         self._trial = None
         # The iteration's penalty floor -z^2/(2 beta) and smooth value at x,
@@ -79,54 +79,43 @@ class BlockState:
         """Block i of the smooth-part gradient, assembled from the tracker.
 
         Begins an iteration with one pass over (f, z): s = beta*f + z gives
-        the gradient's [s]_+ and, when backtracking, the penalty at x, so the
-        base value and the floor -z^2/(2 beta) are ready for every trial. z
-        and y stay fixed until ``apply_block`` or ``refresh`` ends the
-        iteration.
+        the weights [s]_+ of the gradient and, in analytic mode, of block i's
+        step bound, which is set here (monotone across iterations). When
+        backtracking the pass also gives the penalty at x, so the base value
+        and the floor -z^2/(2 beta) are ready for every trial. z and y stay
+        fixed until ``apply_block`` or ``refresh`` ends the iteration.
         """
-        beta = self.config.beta
+        beta, A_i = self.config.beta, self.A_blocks[i]
         coef = penalties = None
         if self.prob.m:
-            self._floor = (None if self.analytic
-                           else auglag.penalty_floor(self.z, beta))
-            s, penalties = auglag.penalty_terms(self.fvals, self.z, beta,
-                                                self._floor)
+            self._floor = None if self.analytic else auglag.penalty_floor(self.z, beta)
+            s, penalties = auglag.penalty_terms(self.fvals, self.z, beta, self._floor)
             coef = np.maximum(s, 0.0)
-        if not self.analytic:
-            self._base = auglag.smooth_value_from_parts(
-                self.tracker.value[0], self.y,
-                None if self.A_blocks is None else self.r, penalties, beta)
-        return auglag.smooth_grad_block(
-            self, beta, self.prob, i,
-            grads=self.tracker.block_grad(self.blocks[i]), coef=coef)
+        if self.analytic:
+            self.eta[i] = analytic_eta(self.eta[i], coef, beta, self.config.delta,
+                                       self.prob, self.block_norm_sq[i])
+        else:
+            self._base = auglag.smooth_value(self.tracker.value[0], self.y,
+                                             None if A_i is None else self.r,
+                                             penalties, beta)
+        return auglag.smooth_grad_block(self.tracker.block_grad(self.blocks[i]), A_i,
+                                        self.y, self.r, coef, beta)
 
     def smooth_value(self):
-        """Smooth-part value at x: the iteration's base value when
-        ``block_gradient`` has computed it, else from maintained state."""
-        if self._base is None:
-            return auglag.smooth_value(self, self.config.beta, self.prob,
-                                       gval=self.tracker.value[0])
+        """Smooth-part value at x, as the backtracking iteration's
+        ``block_gradient`` computed it; None outside one."""
         return self._base
 
     def candidate_smooth_value(self, sl, dx, dr):
         """Smooth-part value after changing block sl by dx, with dr = A_i dx
-        (None without equality rows); nothing is committed."""
+        (None without equality rows), in a backtracking iteration: it uses
+        that iteration's floor. Nothing is committed."""
         beta = self.config.beta
         new = self.tracker.value + self.tracker.delta_value(sl, dx)
-        penalties = None
-        if self.prob.m:
-            floor = (auglag.penalty_floor(self.z, beta) if self._floor is None
-                     else self._floor)
-            _, penalties = auglag.penalty_terms(new[1:], self.z, beta, floor)
-        return auglag.smooth_value_from_parts(
+        penalties = (auglag.penalty_terms(new[1:], self.z, beta, self._floor)[1]
+                     if self.prob.m else None)
+        return auglag.smooth_value(
             new[0], self.y, None if dr is None else self.r + dr, penalties, beta)
-
-    def block_eta(self, i):
-        """Analytic per-block step bound, monotone across iterations."""
-        self.eta[i] = analytic_eta(
-            self.eta[i], self.x, self.z, self.config.beta, self.config.delta,
-            self.prob, fvals=self.fvals, norm_sq=self.block_norm_sq[i])
-        return self.eta[i]
 
     def backtrack_block(self, i, grad_blk):
         """Block i's primal update: ``prox_step`` on that block.
@@ -136,7 +125,7 @@ class BlockState:
         """
         sl = self.blocks[i]
         x_blk = self.x[sl]
-        A_i = None if self.A_blocks is None else self.A_blocks[i]
+        A_i = self.A_blocks[i]
 
         def trial(blk_new):
             dx = blk_new - x_blk
@@ -165,7 +154,8 @@ class BlockState:
             _, dx, dr = self._trial
         else:
             dx = blk_new - self.x[sl]
-            dr = None if self.A_blocks is None else self.A_blocks[i] @ dx
+            A_i = self.A_blocks[i]
+            dr = None if A_i is None else A_i @ dx
         if dr is not None:
             self.r += dr
         self.tracker.commit(sl, dx)
@@ -201,8 +191,6 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
         for k in range((epoch - 1) * n, epoch * n):
             i = state.pick_block()
             grad_blk = state.block_gradient(i)
-            if state.analytic:
-                state.block_eta(i)
             _, blk_new = state.backtrack_block(i, grad_blk)
             state.apply_block(i, blk_new)
             if has_rows:

@@ -118,15 +118,15 @@ class SolverConfig:
 class ErgodicAccumulator:
     """Running weighted sum of primal iterates; never stores the history.
 
-    ``add`` also sums, with the same weights, an ``image`` of each iterate
-    (a smooth stack's ``image`` of the solve's tracker: the stacked ``Q x``
-    for quadratics), so ``point`` gives an ergodic point together with the
-    stack's values there without evaluating the stack at it.
+    ``add`` also sums, with the same weights and in place in an array of its
+    own, an ``image`` of each iterate (a smooth stack's ``image`` of the
+    solve's tracker: the stacked ``Q x`` for quadratics), so ``point`` gives
+    an ergodic point together with the stack's values there without
+    evaluating the stack at it.
     """
 
     def __init__(self, dim):
         self._sum = np.zeros(dim)
-        self._image = 0.0
         self.weight = 0.0
         self.count = 0
 
@@ -134,7 +134,9 @@ class ErgodicAccumulator:
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
         self._sum += weight * x
-        self._image = self._image + weight * image
+        if self.count == 0:
+            self._image = np.zeros(np.shape(image))
+        self._image += weight * image
         self.weight += weight
         self.count += 1
 
@@ -190,10 +192,11 @@ def multiplier_step_z(z, fvals_new, rho_z, beta):
     return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
 
 
-def analytic_eta(eta_prev, x, z, beta, delta, prob, fvals=None, norm_sq=None):
-    """Monotone analytic step bound max(eta_prev, L_F(x, z) + delta)."""
-    return max(eta_prev, auglag.smooth_lipschitz(x, z, beta, prob, fvals=fvals,
-                                                 norm_sq=norm_sq) + delta)
+def analytic_eta(eta_prev, coef, beta, delta, prob, norm_sq):
+    """Monotone analytic step bound max(eta_prev, L_F + delta), with L_F the
+    smooth-part bound at weights coef = [beta f + z]_+ over equality columns
+    of squared norm ``norm_sq``."""
+    return max(eta_prev, auglag.smooth_lipschitz(coef, beta, prob, norm_sq) + delta)
 
 
 def descent_holds(value_new, value_base, inner, eta, step_sq):
@@ -239,23 +242,29 @@ def prox_step(x, grad, eta, prox, trial, base, config):
 def backtrack_primal(w, grad, eta_start, config, prob, tracker):
     """lalm's primal update: ``prox_step`` from w, each trial rebasing
     ``tracker`` (the smooth stack's, based at w.x) at its candidate, so it
-    ends at x_new. Returns (eta, x_new, r_new, fvals_new, smooth_new, trials),
-    smooth_new None in analytic mode."""
-    cand = w
+    ends at x_new. Values come from the tracker, the residual and w's
+    multipliers, with one penalty floor of w.z. Returns (eta, x_new, r_new,
+    fvals_new, smooth_new, trials), smooth_new None in analytic mode."""
+    beta, r = config.beta, w.r
+    floor = (auglag.penalty_floor(w.z, beta)
+             if prob.m and config.step_mode == "backtracking" else None)
 
     def value():
-        return auglag.smooth_value(cand, config.beta, prob, gval=tracker.value[0])
+        vals = tracker.value
+        penalties = (auglag.penalty_terms(vals[1:], w.z, beta, floor)[1]
+                     if prob.m else None)
+        return auglag.smooth_value(vals[0], w.y, None if prob.affine.is_empty else r,
+                                   penalties, beta)
 
     def trial(x_new):
-        nonlocal cand
+        nonlocal r
         tracker.rebase(x_new)
-        cand = PrimalDualPoint(x_new, w.y, w.z, prob.affine.residual(x_new),
-                               tracker.value[1:])
+        r = prob.affine.residual(x_new)
         return value
 
     eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial,
                                         value, config)
-    return eta, x_new, cand.r, cand.fvals, val, trials
+    return eta, x_new, r, tracker.value[1:], val, trials
 
 
 def run_epochs(prob, config, advance, snapshot):
@@ -316,6 +325,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
     stack = smooth_stack(prob)
     tracker = stack.tracker(w.x)
     w.fvals = tracker.value[1:]
+    A = None if prob.affine.is_empty else prob.affine.A
     # The gradients at the current iterate serve both the recorder and the
     # next step.
     grads = tracker.grad()
@@ -324,9 +334,13 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
 
     def advance(epoch):
         nonlocal w, eta, grads
-        grad = auglag.smooth_grad(w, beta, prob, grads=grads)
+        # the weights [beta f + z]_+ of the gradient and the analytic bound
+        coef = None
+        if prob.m:
+            coef = np.maximum(auglag.penalty_terms(w.fvals, w.z, beta)[0], 0.0)
+        grad = auglag.smooth_grad(grads, A, w.y, w.r, coef, beta)
         if analytic:
-            eta = analytic_eta(eta, w.x, w.z, beta, delta, prob, fvals=w.fvals)
+            eta = analytic_eta(eta, coef, beta, delta, prob, prob.affine.op_norm_sq())
         eta, x_new, r_new, fvals_new, _, _ = backtrack_primal(
             w, grad, eta, config, prob, tracker)
         y_new = multiplier_step_y(w.y, r_new, rho_y)

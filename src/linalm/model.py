@@ -172,9 +172,9 @@ class QuadraticStack(QuadraticFunction):
 class FunctionStack:
     """k smooth functions of any kinds as one vector-valued oracle.
 
-    Values (k,) come from each function's own oracle, gradients (k, dim)
-    from each function's own tracker, and ``tracker`` gathers those
-    trackers behind the QuadraticTracker interface.
+    Values (k,) and gradients (k, dim) at a point come from each function's
+    own oracles; ``tracker`` gathers the functions' own trackers behind the
+    QuadraticTracker interface.
     """
 
     def __init__(self, fns):
@@ -184,8 +184,7 @@ class FunctionStack:
         return np.array([fn(x) for fn in self.fns])
 
     def value_grad(self, x):
-        tracker = self.tracker(x)
-        return tracker.value, tracker.grad()
+        return self(x), np.array([fn.grad(x) for fn in self.fns])
 
     def tracker(self, x):
         return StackTracker([fn.tracker(x) for fn in self.fns])
@@ -689,11 +688,6 @@ class ProblemInstance:
 
     def constraint_values(self, x):
         return np.array([con.fn(x) for con in self.constraints])
-
-    def constraint_grads(self, x):
-        if not self.constraints:
-            return np.zeros((0, self.dim))
-        return np.stack([con.fn.grad(x) for con in self.constraints])
 
     def with_blocks(self, n):
         """Copy of this instance carrying an even n-block partition."""

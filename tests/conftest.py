@@ -71,3 +71,26 @@ def fejer_quantities(prob, ref, cfg, solve_fn, **kwargs):
             d += np.linalg.norm(z - ref.z) ** 2 / (2 * rho_z)
         vals.append(d)
     return np.array(vals)
+
+
+def smooth_value_at(w, beta, prob):
+    """The smooth part of the augmented Lagrangian at a PrimalDualPoint w:
+    g(x) from its oracle, the residual and constraint values w caches, and
+    the penalties from scalar_penalty."""
+    from linalm import auglag
+
+    return auglag.smooth_value(
+        prob.g(w.x), w.y, None if prob.affine.is_empty else w.r,
+        auglag.scalar_penalty(w.fvals, w.z, beta) if prob.m else None, beta)
+
+
+def smooth_grad_at(w, beta, prob):
+    """The smooth part's gradient at a PrimalDualPoint w, from every
+    gradient oracle and the weights scalar_penalty_deriv gives."""
+    from linalm import auglag
+
+    grads = np.array([fn.grad(w.x)
+                      for fn in [prob.g] + [con.fn for con in prob.constraints]])
+    return auglag.smooth_grad(
+        grads, None if prob.affine.is_empty else prob.affine.A, w.y, w.r,
+        auglag.scalar_penalty_deriv(w.fvals, w.z, beta) if prob.m else None, beta)

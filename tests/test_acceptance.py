@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from linalm import blalm, lalm, pdyn
-from linalm.auglag import (scalar_penalty, scalar_penalty_deriv, smooth_grad,
-                           smooth_value, penalty_lipschitz)
+from linalm.auglag import scalar_penalty, scalar_penalty_deriv, penalty_lipschitz
 from linalm.harness import long_run_reference, rate_fit
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               random_minimax_1d, tiny_reference, TINY_KINDS)
 from linalm.lalm import SolverConfig, multiplier_step_z
 from linalm.model import PrimalDualPoint
 
-from conftest import central_diff_grad, fejer_quantities
+from conftest import (central_diff_grad, fejer_quantities, smooth_grad_at,
+                      smooth_value_at)
 
 
 def check(num, description, ok):
@@ -99,11 +99,11 @@ def test_criterion_1_penalty_calculus(rng):
             w = PrimalDualPoint.at(prob, x, z=z)
 
             def value_at(pt):
-                return smooth_value(PrimalDualPoint.at(prob, pt, w.y, w.z),
-                                    beta, prob)
+                return smooth_value_at(PrimalDualPoint.at(prob, pt, w.y, w.z),
+                                       beta, prob)
 
             num = central_diff_grad(value_at, w.x)
-            ana = smooth_grad(w, beta, prob)
+            ana = smooth_grad_at(w, beta, prob)
             err = np.linalg.norm(num - ana) / (1.0 + np.linalg.norm(ana))
             fd_ok &= err <= 1e-5
     check(1, "penalty branch continuity exact; gradient matches finite "
@@ -127,7 +127,8 @@ def test_criterion_2_penalty_lipschitz_sampling(rng):
     ok = True
     for _ in range(1000):
         a, b = rng.uniform(lo, hi), rng.uniform(lo, hi)
-        bound = penalty_lipschitz(a, z, beta, prob)
+        coef = scalar_penalty_deriv(prob.constraint_values(a), z, beta)
+        bound = penalty_lipschitz(coef, beta, prob)
         ok &= (np.linalg.norm(penalty_grad(b) - penalty_grad(a))
                <= bound * np.linalg.norm(b - a) + 1e-8)
         if not ok:

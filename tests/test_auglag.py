@@ -4,15 +4,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from linalm import auglag
 from linalm.auglag import (penalty_lipschitz, scalar_penalty,
-                           scalar_penalty_deriv, smooth_grad, smooth_grad_block,
+                           scalar_penalty_deriv, smooth_grad_block,
                            smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
-from linalm.lalm import SolverConfig, backtrack_primal, prox_step
-from linalm.model import (AffineConstraint, BoxIndicator, InequalityConstraint,
-                          LinearFunction, PrimalDualPoint, ProblemInstance,
-                          QuadraticFunction, ZeroProx, smooth_stack)
+from linalm.lalm import SolverConfig, prox_step
+from linalm.model import (BoxIndicator, InequalityConstraint, LinearFunction,
+                          PrimalDualPoint, ProblemInstance, QuadraticFunction,
+                          ZeroProx, smooth_stack)
 
-from conftest import central_diff_grad
+from conftest import central_diff_grad, smooth_grad_at, smooth_value_at
 
 
 def random_state(prob, rng, z_scale=1.0):
@@ -23,6 +23,11 @@ def random_state(prob, rng, z_scale=1.0):
     y = rng.normal(size=prob.affine.rows)
     z = rng.uniform(0, z_scale, size=prob.m)
     return PrimalDualPoint.at(prob, x, y, z)
+
+
+def weights(x, z, beta, prob):
+    """The penalty weights [beta f(x) + z]_+ at x."""
+    return scalar_penalty_deriv(prob.constraint_values(x), z, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +110,10 @@ def test_penalty_terms_equal_the_old_formulas_bitwise(data, k, beta):
     assert shifted.tobytes() == _old_penalty(u + 1.0, v, beta).tobytes()
     # smooth_value adds the penalties after g(x) and the affine terms
     y, r, gval = np.array([0.5, -2.0]), np.array([1e-3, 3.0]), 1.25
-    w = PrimalDualPoint(None, y, v, r, u)
-    con = InequalityConstraint(LinearFunction([1.0]))
-    prob = ProblemInstance(QuadraticFunction(np.eye(1), np.zeros(1)), ZeroProx(), 1,
-                           affine=AffineConstraint(np.ones((2, 1)), np.zeros(2)),
-                           constraints=[con] * k)
     old = gval
     old += float(y @ r) + 0.5 * beta * float(r @ r)
     old += float(want.sum())
-    assert smooth_value(w, beta, prob, gval=gval) == old
+    assert smooth_value(gval, y, r, scalar_penalty(u, v, beta), beta) == old
 
 
 def test_scalar_penalty_deriv_values():
@@ -163,7 +163,7 @@ def penalty_sum(x, z, beta, prob):
 
 def auglag_value(w, beta, prob):
     """The full augmented Lagrangian: the smooth part plus h(x)."""
-    return smooth_value(w, beta, prob) + prob.h.value(w.x)
+    return smooth_value_at(w, beta, prob) + prob.h.value(w.x)
 
 
 def test_constraint_penalty_cases(rng):
@@ -220,14 +220,14 @@ def test_auglag_value_feasible_equals_objective():
 def test_smooth_grad_hand_case():
     prob = scalar_prob()
     w = PrimalDualPoint.at(prob, [2.0], z=[1.0])
-    np.testing.assert_allclose(smooth_grad(w, 1.0, prob), [5.0])
+    np.testing.assert_allclose(smooth_grad_at(w, 1.0, prob), [5.0])
 
 
 def test_smooth_grad_inactive_penalty(rng):
     prob = gen_qcqp(QcqpSpec(m=2, p=5, seed=3))
     x = np.zeros(5)  # strictly feasible, z = 0: only grad g remains
     w = PrimalDualPoint.at(prob, x)
-    np.testing.assert_allclose(smooth_grad(w, 1.0, prob), prob.g.grad(x))
+    np.testing.assert_allclose(smooth_grad_at(w, 1.0, prob), prob.g.grad(x))
 
 
 @pytest.mark.parametrize("maker", [
@@ -242,23 +242,29 @@ def test_smooth_grad_matches_fd(maker, rng):
 
         def value_at(x):
             trial = PrimalDualPoint.at(prob, x, w.y, w.z)
-            return smooth_value(trial, beta, prob)
+            return smooth_value_at(trial, beta, prob)
 
         num = central_diff_grad(value_at, w.x)
-        ana = smooth_grad(w, beta, prob)
+        ana = smooth_grad_at(w, beta, prob)
         err = np.linalg.norm(num - ana) / (1.0 + np.linalg.norm(ana))
         assert err <= 1e-5
+
+
+def block_grad(w, beta, prob, tracker, sl):
+    """smooth_grad over block sl, from a tracker based at w.x."""
+    A = None if prob.affine.is_empty else prob.affine.A[:, sl]
+    return smooth_grad_block(tracker.block_grad(sl), A, w.y, w.r,
+                             scalar_penalty_deriv(w.fvals, w.z, beta), beta)
 
 
 def test_block_gradient_slices_match_full(rng):
     prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4)
     for _ in range(20):
         w = random_state(prob, rng)
-        full = smooth_grad(w, 1.0, prob)
+        full = smooth_grad_at(w, 1.0, prob)
         # assembly from a freshly based stack tracker agrees
         tracker = smooth_stack(prob).tracker(w.x)
-        parts_t = [smooth_grad_block(w, 1.0, prob, i,
-                                     grads=tracker.block_grad(prob.blocks[i]))
+        parts_t = [block_grad(w, 1.0, prob, tracker, prob.blocks[i])
                    for i in range(4)]
         np.testing.assert_allclose(np.concatenate(parts_t), full, atol=1e-10)
 
@@ -266,17 +272,9 @@ def test_block_gradient_slices_match_full(rng):
 def test_block_gradient_single_block_is_full(rng):
     prob = gen_qcqp(QcqpSpec(m=2, p=6, seed=6)).with_blocks(1)
     w = random_state(prob, rng)
-    grads = smooth_stack(prob).tracker(w.x).block_grad(prob.blocks[0])
-    np.testing.assert_allclose(smooth_grad_block(w, 1.0, prob, 0, grads),
-                               smooth_grad(w, 1.0, prob))
-
-
-def test_block_gradient_requires_partition():
-    prob = gen_qcqp(QcqpSpec(m=2, p=6, seed=6))
-    w = PrimalDualPoint.at(prob, np.zeros(6))
-    grads = smooth_stack(prob).tracker(w.x).grad()
-    with pytest.raises(ValueError):
-        smooth_grad_block(w, 1.0, prob, 0, grads)
+    tracker = smooth_stack(prob).tracker(w.x)
+    np.testing.assert_allclose(block_grad(w, 1.0, prob, tracker, prob.blocks[0]),
+                               smooth_grad_at(w, 1.0, prob))
 
 
 @pytest.mark.slow
@@ -289,14 +287,13 @@ def test_block_gradient_cost_scales_with_width():
     tracker = smooth_stack(prob).tracker(w.x)
 
     def block(i):
-        return smooth_grad_block(w, 1.0, prob, i,
-                                 grads=tracker.block_grad(prob.blocks[i]))
+        return block_grad(w, 1.0, prob, tracker, prob.blocks[i])
 
     reps = 50
-    smooth_grad(w, 1.0, prob)  # warm up
+    smooth_grad_at(w, 1.0, prob)  # warm up
     t0 = time.perf_counter()
     for _ in range(reps):
-        smooth_grad(w, 1.0, prob)
+        smooth_grad_at(w, 1.0, prob)
     full = (time.perf_counter() - t0) / reps
 
     block(0)
@@ -318,7 +315,7 @@ def test_penalty_lipschitz_hand_case():
         QuadraticFunction([[1.0]], [0.0], lipschitz=1.0),
         BoxIndicator([-1.0], [1.0]), dim=1,
         constraints=[InequalityConstraint(fn, grad_bound=2.0)])
-    val = penalty_lipschitz([0.5], [1.0], 1.0, prob)
+    val = penalty_lipschitz(weights([0.5], [1.0], 1.0, prob), 1.0, prob)
     assert val == pytest.approx(1.0 * 4.0 + 2.0 * 1.25)
 
 
@@ -326,14 +323,14 @@ def test_penalty_lipschitz_inactive_reduces_to_grad_bounds():
     prob = gen_qcqp(QcqpSpec(m=3, p=4, seed=8))
     beta = 2.0
     expect = beta * sum(c.grad_bound ** 2 for c in prob.constraints)
-    assert penalty_lipschitz(np.zeros(4), np.zeros(3), beta, prob) == \
-        pytest.approx(expect)
+    assert penalty_lipschitz(weights(np.zeros(4), np.zeros(3), beta, prob), beta,
+                             prob) == pytest.approx(expect)
 
 
 def test_penalty_lipschitz_requires_constants():
     prob = gen_bpdn(BpdnSpec(rows=5, cols=8, sparsity=2, seed=0))
     with pytest.raises(ValueError, match="backtracking"):
-        penalty_lipschitz(np.zeros(8), np.zeros(1), 1.0, prob)
+        penalty_lipschitz(weights(np.zeros(8), np.zeros(1), 1.0, prob), 1.0, prob)
 
 
 def test_penalty_lipschitz_monotone_in_z(rng):
@@ -342,8 +339,8 @@ def test_penalty_lipschitz_monotone_in_z(rng):
         x = rng.uniform(-10, 10, size=5)
         z = rng.uniform(0, 2, size=3)
         z_up = z + rng.uniform(0, 1, size=3)
-        assert penalty_lipschitz(x, z_up, 1.0, prob) >= \
-            penalty_lipschitz(x, z, 1.0, prob)
+        assert penalty_lipschitz(weights(x, z_up, 1.0, prob), 1.0, prob) >= \
+            penalty_lipschitz(weights(x, z, 1.0, prob), 1.0, prob)
 
 
 def test_penalty_gradient_lipschitz_sampled(rng):
@@ -363,7 +360,7 @@ def test_penalty_gradient_lipschitz_sampled(rng):
         return out
 
     for a, b in zip(xs, xh):
-        bound = penalty_lipschitz(a, z, beta, prob)
+        bound = penalty_lipschitz(weights(a, z, beta, prob), beta, prob)
         diff = np.linalg.norm(penalty_grad(b) - penalty_grad(a))
         assert diff <= bound * np.linalg.norm(b - a) + 1e-8
 
@@ -372,14 +369,15 @@ def test_smooth_lipschitz_composition():
     # no affine part, no constraints: just L_g
     plain = ProblemInstance(QuadraticFunction([[3.0]], [0.0], lipschitz=3.0),
                             ZeroProx(), dim=1)
-    assert smooth_lipschitz([0.0], np.zeros(0), 1.0, plain) == 3.0
+    assert smooth_lipschitz(np.zeros(0), 1.0, plain,
+                            plain.affine.op_norm_sq()) == 3.0
     # identity A adds beta * 1
     from linalm.model import AffineConstraint
     with_eq = ProblemInstance(
         QuadraticFunction(np.eye(2), np.zeros(2), lipschitz=1.0), ZeroProx(),
         dim=2, affine=AffineConstraint(np.eye(2), np.zeros(2)))
-    assert smooth_lipschitz(np.zeros(2), np.zeros(0), 1.0, with_eq) == \
-        pytest.approx(2.0, rel=1e-6)
+    assert smooth_lipschitz(np.zeros(0), 1.0, with_eq,
+                            with_eq.affine.op_norm_sq()) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_descent_inequality_holds_at_smooth_lipschitz(rng):
@@ -390,13 +388,14 @@ def test_descent_inequality_holds_at_smooth_lipschitz(rng):
     cfg = SolverConfig(beta=beta, step_mode="analytic")
     for _ in range(50):
         w = random_state(prob, rng, z_scale=2.0)
-        eta = smooth_lipschitz(w.x, w.z, beta, prob, fvals=w.fvals)
-        grad = smooth_grad(w, beta, prob)
+        eta = smooth_lipschitz(scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
+                               prob.affine.op_norm_sq())
+        grad = smooth_grad_at(w, beta, prob)
         _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None, None,
                                    cfg)
         cand = PrimalDualPoint.at(prob, x_new, w.y, w.z)
-        lhs = smooth_value(cand, beta, prob)
+        lhs = smooth_value_at(cand, beta, prob)
         dx = x_new - w.x
-        rhs = (smooth_value(w, beta, prob) + grad @ dx
+        rhs = (smooth_value_at(w, beta, prob) + grad @ dx
                + 0.5 * eta * float(dx @ dx))
         assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))

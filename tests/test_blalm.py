@@ -161,10 +161,11 @@ def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
                                         ("qcqp", "analytic"),
                                         ("bpdn", "backtracking")])
 def test_iteration_pass_equals_reference_formulas_with_equality_rows(kind, mode):
-    # the base value and block gradient that block_gradient's one pass over
-    # (f, z) gives equal the reference formulas at state.point() exactly; the
-    # full gradient's slice agrees to roundoff, as A'v and A[:, sl]'v sum in
-    # a different order
+    # the base value (backtracking), the analytic step bound (analytic) and
+    # the block gradient that block_gradient's one pass over (f, z) gives
+    # equal the reference formulas at state.point() exactly; the full
+    # gradient's slice agrees to roundoff, as A'v and A[:, sl]'v sum in a
+    # different order
     prob = with_equalities(kind, 3)
     rng = np.random.default_rng(4)
     beta = 0.7
@@ -176,25 +177,30 @@ def test_iteration_pass_equals_reference_formulas_with_equality_rows(kind, mode)
     for _ in range(12):
         i = state.pick_block()
         sl = prob.blocks[i]
+        eta_before = state.eta[i]
         grad = state.block_gradient(i)
         w = state.point()
-        gval = state.tracker.value[0]
-        assert state.smooth_value() == auglag.smooth_value(w, beta, prob, gval=gval)
-        want = auglag.smooth_grad_block(w, beta, prob, i,
-                                        grads=state.tracker.block_grad(sl))
+        coef = auglag.scalar_penalty_deriv(w.fvals, w.z, beta)
+        if state.analytic:
+            assert state.eta[i] == lalm.analytic_eta(
+                eta_before, coef, beta, 0.0, prob, state.block_norm_sq[i])
+        else:
+            assert state.smooth_value() == auglag.smooth_value(
+                state.tracker.value[0], w.y, w.r,
+                auglag.scalar_penalty(w.fvals, w.z, beta), beta)
+        want = auglag.smooth_grad_block(state.tracker.block_grad(sl),
+                                        prob.affine.A[:, sl], w.y, w.r, coef, beta)
         assert grad.tobytes() == want.tobytes()
-        full = auglag.smooth_grad(w, beta, prob, grads=state.tracker.grad())
+        full = auglag.smooth_grad(state.tracker.grad(), prob.affine.A, w.y, w.r,
+                                  coef, beta)
         np.testing.assert_allclose(grad, full[sl], rtol=1e-12,
                                    atol=1e-12 * np.abs(full).max())
-        if state.analytic:
-            state.block_eta(i)
         _, blk = state.backtrack_block(i, grad)
         state.apply_block(i, blk)
         state.y = lalm.multiplier_step_y(state.y, state.r, beta)
         state.z = lalm.multiplier_step_z(state.z, state.fvals, beta, beta)
         # apply_block ended the iteration: nothing of its pass is served
-        assert state.smooth_value() == auglag.smooth_value(
-            state.point(), beta, prob, gval=state.tracker.value[0])
+        assert state.smooth_value() is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -311,22 +317,31 @@ def test_nonfinite_iterate_abort_carries_trace_from_epoch_0():
 
 
 def test_analytic_block_bound_always_accepted(rng):
-    # candidates at the analytic per-block bound satisfy the descent test,
-    # without and with equality rows
-    cfg = SolverConfig(beta=0.5, step_mode="analytic")
+    # candidates at the analytic per-block bound, which block_gradient sets,
+    # satisfy the descent test, without and with equality rows
+    beta = 0.5
+    cfg = SolverConfig(beta=beta, step_mode="analytic")
     for prob in (gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4),
                  with_equalities("qcqp", 5)):
         state = BlockState(prob, cfg, x0=rng.uniform(-10, 10, size=12),
                            z0=rng.uniform(0, 1, size=3), seed=0)
+
+        def value(vals, r):
+            return auglag.smooth_value(
+                vals[0], state.y, r, auglag.scalar_penalty(vals[1:], state.z, beta),
+                beta)
+
         for i in range(4):
-            eta_i = state.block_eta(i)
             grad = state.block_gradient(i)
+            eta_i = state.eta[i]
             sl = prob.blocks[i]
             blk = state.h_blocks[i].prox(state.x[sl] - grad / eta_i, 1.0 / eta_i)
             dx = blk - state.x[sl]
             dr = None if prob.affine.is_empty else prob.affine.A[:, sl] @ dx
-            val = state.candidate_smooth_value(sl, dx, dr)
-            bound = state.smooth_value() + grad @ dx + 0.5 * eta_i * dx @ dx
+            val = value(state.tracker.value + state.tracker.delta_value(sl, dx),
+                        None if dr is None else state.r + dr)
+            bound = (value(state.tracker.value, None if dr is None else state.r)
+                     + grad @ dx + 0.5 * eta_i * dx @ dx)
             assert val <= bound + 1e-10 * max(1.0, abs(bound))
 
 

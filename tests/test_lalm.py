@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import nan_away_from_origin, nan_grad_away_from_origin
-from linalm import blalm, lalm, pdyn
-from linalm.auglag import smooth_grad, smooth_value
+from conftest import (nan_away_from_origin, nan_grad_away_from_origin,
+                      smooth_grad_at, smooth_value_at)
+from linalm import auglag, blalm, lalm, pdyn
 from linalm.blalm import BlockState
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
 from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
@@ -69,19 +69,20 @@ def test_analytic_mode_refuses_nonpositive_eta0(solver):
 def test_analytic_eta_hand_cases():
     prob, _ = tiny_reference("equality-qp")
     # L_F = L_g + beta ||A||^2 = 1 + 2; delta = 1 -> eta = 4 from eta_prev 0
-    val = analytic_eta(0.0, np.zeros(2), np.zeros(0), 1.0, 1.0, prob)
+    norm_sq = prob.affine.op_norm_sq()
+    val = analytic_eta(0.0, np.zeros(0), 1.0, 1.0, prob, norm_sq)
     assert val == pytest.approx(4.0, rel=1e-6)
     # the max keeps monotonicity when the bound drops
-    assert analytic_eta(10.0, np.zeros(2), np.zeros(0), 1.0, 1.0, prob) == 10.0
+    assert analytic_eta(10.0, np.zeros(0), 1.0, 1.0, prob, norm_sq) == 10.0
     # constant problem data: eta settles after the first iteration
-    again = analytic_eta(val, np.zeros(2), np.zeros(0), 1.0, 1.0, prob)
+    again = analytic_eta(val, np.zeros(0), 1.0, 1.0, prob, norm_sq)
     assert again == val
 
 
 def test_analytic_eta_requires_constants():
     prob = gen_bpdn(BpdnSpec(rows=4, cols=6, sparsity=2, seed=0))
     with pytest.raises(ValueError, match="backtracking"):
-        analytic_eta(0.0, np.zeros(6), np.zeros(1), 1.0, 0.0, prob)
+        analytic_eta(0.0, np.zeros(1), 1.0, 0.0, prob, prob.affine.op_norm_sq())
 
 
 def test_backtracking_quadratic_acceptance_count():
@@ -89,7 +90,7 @@ def test_backtracking_quadratic_acceptance_count():
     # eta >= L, so from eta 1 with factor 1.5 three increases are needed
     prob = quadratic_prob(3.0)
     w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad(w, 1.0, prob)
+    grad = smooth_grad_at(w, 1.0, prob)
     cfg = SolverConfig(beta=1.0, eta0=1.0)
     eta, x_new, _, _, _, trials = backtrack_primal(w, grad, 1.0, cfg, prob,
                                                    tracker_at(w, prob))
@@ -101,7 +102,7 @@ def test_backtracking_quadratic_acceptance_count():
 def test_backtracking_accepts_at_sufficient_eta():
     prob = quadratic_prob(3.0)
     w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad(w, 1.0, prob)
+    grad = smooth_grad_at(w, 1.0, prob)
     cfg = SolverConfig(beta=1.0)
     eta, _, _, _, _, trials = backtrack_primal(w, grad, 5.0, cfg, prob,
                                              tracker_at(w, prob))
@@ -122,7 +123,7 @@ class CountingProx(ZeroProx):
 
 def _lalm_step(prob, cfg):
     w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad(w, 1.0, prob)
+    grad = smooth_grad_at(w, 1.0, prob)
     eta, _, _, _, _, trials = backtrack_primal(w, grad, 1.0, cfg, prob,
                                                tracker_at(w, prob))
     return eta, trials
@@ -130,8 +131,9 @@ def _lalm_step(prob, cfg):
 
 def _block_step(prob, cfg):
     state = BlockState(prob.with_blocks(1), cfg, x0=[1.0])
+    grad = state.block_gradient(0)   # sets the analytic bound in analytic mode
     state.eta[0] = 1.0
-    eta, _ = state.backtrack_block(0, state.block_gradient(0))
+    eta, _ = state.backtrack_block(0, grad)
     return eta, state.last_trials
 
 
@@ -173,11 +175,11 @@ def test_accepted_pairs_satisfy_descent_inequality(rng):
         x = rng.normal(size=10)
         z = rng.uniform(0, 2, size=1)
         w = PrimalDualPoint.at(prob, x, z=z)
-        grad = smooth_grad(w, 1.0, prob)
+        grad = smooth_grad_at(w, 1.0, prob)
         eta, x_new, r_new, fv_new, val, _ = backtrack_primal(
             w, grad, 1.0, cfg, prob, tracker_at(w, prob))
         dx = x_new - w.x
-        rhs = smooth_value(w, 1.0, prob) + grad @ dx + 0.5 * eta * dx @ dx
+        rhs = smooth_value_at(w, 1.0, prob) + grad @ dx + 0.5 * eta * dx @ dx
         assert val <= rhs + 1e-10 * max(1.0, abs(rhs))
 
 
@@ -188,7 +190,7 @@ def test_accepted_pairs_satisfy_descent_inequality(rng):
 def test_prox_step_is_gradient_step_without_h():
     prob = quadratic_prob(2.0)
     w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad(w, 1.0, prob)
+    grad = smooth_grad_at(w, 1.0, prob)
     np.testing.assert_allclose(candidate(w, grad, 4.0, prob),
                                w.x - grad / 4.0)
 
@@ -286,17 +288,29 @@ def test_ergodic_single_iterate_and_empty():
     lambda: gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=1)),
 ], ids=["quadratic-stack", "function-stack"])
 def test_ergodic_point_values_match_the_stack_at_the_point(rng, make):
-    # the stack's values at sum/normalizer come from the summed images
+    # the stack's values at sum/normalizer come from the summed images; the
+    # sum equals sum_k weight_k * image_k bitwise and never aliases the
+    # tracker's image, which a commit moves in place
     prob = make()
     stack = smooth_stack(prob)
     acc = ErgodicAccumulator(prob.dim)
+    x = rng.normal(size=prob.dim)
+    tracker = stack.tracker(x)
+    image_sum = 0.0
     for _ in range(6):
-        x = rng.normal(size=prob.dim)
-        acc.add(x, rng.uniform(0.05, 3.0), stack.image(stack.tracker(x)))
+        dx = rng.normal(size=prob.dim)
+        x = x + dx
+        tracker.commit(slice(0, prob.dim), dx)
+        weight = rng.uniform(0.05, 3.0)
+        acc.add(x, weight, stack.image(tracker))
+        image_sum = image_sum + weight * np.copy(stack.image(tracker))
         for normalizer in (None, rng.uniform(0.5, 4.0)):
             x_bar, vals = acc.point(stack, normalizer)
             want = acc.average() if normalizer is None else acc.scaled(normalizer)
             assert x_bar.tobytes() == want.tobytes()
+            total = acc.weight if normalizer is None else normalizer
+            summed = stack.values_from_image(want, image_sum / total)
+            assert np.asarray(vals).tobytes() == np.asarray(summed).tobytes()
             direct = stack(want)
             assert np.all(np.abs(vals - direct)
                           <= 1e-10 * np.maximum(1.0, np.abs(direct)))
@@ -449,4 +463,25 @@ def test_analytic_eta_literal_bound_plus_delta():
     # the first bound is 6 starting from the zero sentinel
     prob = ProblemInstance(QuadraticFunction([[5.0]], [0.0], lipschitz=5.0),
                            ZeroProx(), dim=1)
-    assert analytic_eta(0.0, np.zeros(1), np.zeros(0), 1.0, 1.0, prob) == 6.0
+    assert analytic_eta(0.0, np.zeros(0), 1.0, 1.0, prob, 0.0) == 6.0
+
+
+@pytest.mark.parametrize("solver, n_blocks", [(lalm, 1), (blalm, 4)],
+                         ids=["lalm", "blalm"])
+def test_analytic_mode_computes_the_penalty_weights_once_per_iteration(
+        monkeypatch, solver, n_blocks):
+    # one pass over (f, z) gives [beta f + z]_+ for both the gradient and the
+    # analytic step bound: one penalty_terms call per (block) iteration
+    prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=0)).with_blocks(n_blocks)
+    calls = []
+    terms = auglag.penalty_terms
+
+    def counting(*args):
+        calls.append(args)
+        return terms(*args)
+
+    monkeypatch.setattr(auglag, "penalty_terms", counting)
+    res = solver.solve(prob, SolverConfig(beta=0.5, step_mode="analytic",
+                                          max_epochs=5, record_every=1))
+    assert res.epochs == 5
+    assert len(calls) == 5 * n_blocks

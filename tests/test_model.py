@@ -310,12 +310,14 @@ def test_quadratic_stack_needs_every_function_quadratic():
 
 
 def test_function_stack_values_come_from_each_oracle(monkeypatch, rng):
-    # the values at a point (every FunctionStack ergodic value) call each
-    # function's own oracle and build no tracker
+    # the values at a point (every FunctionStack ergodic value) and the
+    # values and gradients the recorder asks for call each function's own
+    # oracles and build no tracker
     fns = [make_smooth(kind, rng, 5) for kind in ("zero",) + _KINDS]
     stack = FunctionStack(fns)
     x = rng.normal(size=5)
     want = stack.tracker(x).value
+    want_grads = stack.tracker(x).grad()
     monkeypatch.setattr(FunctionStack, "tracker",
                         lambda self, x: pytest.fail("tracker built"))
     for fn in fns:
@@ -324,6 +326,9 @@ def test_function_stack_values_come_from_each_oracle(monkeypatch, rng):
     np.testing.assert_allclose(stack(x), want, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(stack.values_from_image(x, 0.0), want, rtol=1e-12,
                                atol=1e-12)
+    vals, grads = stack.value_grad(x)
+    np.testing.assert_allclose(vals, want, rtol=1e-12, atol=1e-12)
+    assert grads.tobytes() == want_grads.tobytes()
 
 
 def make_smooth(kind, rng, dim):
