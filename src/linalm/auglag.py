@@ -9,9 +9,10 @@ u = f_j(x) with its multiplier v = z_j through the piecewise scalar penalty
 which is continuously differentiable in u with derivative [beta u + v]_+.
 This module evaluates the smooth part of the augmented Lagrangian (the
 full one adds h(x)), its gradient and the curvature bounds for analytic
-step sizes from arrays a solver holds: g(x), the stacked gradients,
-r = Ax - b, y, and the penalties or the weights [beta f + z]_+ of one
-``penalty_terms`` pass over (f(x), z). No function here calls an oracle.
+step sizes from arrays a solver holds: the stack values (g, f), the stacked
+gradients, r = Ax - b, y and z. lalm and blalm begin each iteration with one
+``iteration_terms`` pass over (f(x), z) and value each backtracking
+candidate with ``candidate_value``. No function here calls an oracle.
 """
 
 from __future__ import annotations
@@ -76,6 +77,35 @@ def smooth_value(gval, y, r, penalties, beta):
     if penalties is not None:
         val += float(penalties.sum())
     return val
+
+
+def iteration_terms(vals, y, r, z, beta, backtracking):
+    """An iteration's one pass over (f(x), z), from x's stack values
+    ``vals`` = (g(x), f(x)) and r (None without equality rows).
+
+    Returns (coef, floor, base): the weights coef = [beta f + z]_+ and, when
+    ``backtracking``, the floor -z^2/(2 beta) for ``candidate_value`` and the
+    smooth value at x, else None for both. coef and floor are None without
+    inequality constraints.
+    """
+    coef = floor = penalties = None
+    if len(z):
+        floor = penalty_floor(z, beta) if backtracking else None
+        s, penalties = penalty_terms(vals[1:], z, beta, floor)
+        coef = np.maximum(s, 0.0)
+    base = smooth_value(vals[0], y, r, penalties, beta) if backtracking else None
+    return coef, floor, base
+
+
+def candidate_value(vals, y, r, z, beta, floor):
+    """Smooth value at a candidate's stack values and residual, with its
+    iteration's ``floor``, which inequality constraints require."""
+    penalties = None
+    if len(z):
+        if floor is None:
+            raise ValueError("a candidate needs its iteration's penalty floor")
+        penalties = penalty_terms(vals[1:], z, beta, floor)[1]
+    return smooth_value(vals[0], y, r, penalties, beta)
 
 
 def smooth_grad(grads, A, y, r, coef, beta):

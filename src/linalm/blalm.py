@@ -49,9 +49,6 @@ class BlockState:
                          for sl in self.blocks]
         # The last candidate tried, as (block value, dx, A_i dx or None).
         self._trial = None
-        # The iteration's penalty floor -z^2/(2 beta) and smooth value at x,
-        # from block_gradient's pass; None outside an iteration.
-        self._floor = self._base = None
 
         self.analytic = config.step_mode == "analytic"
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
@@ -78,47 +75,28 @@ class BlockState:
     def block_gradient(self, i):
         """Block i of the smooth-part gradient, assembled from the tracker.
 
-        Begins an iteration with one pass over (f, z): s = beta*f + z gives
-        the weights [s]_+ of the gradient and, in analytic mode, of block i's
-        step bound, which is set here (monotone across iterations). When
-        backtracking the pass also gives the penalty at x, so the base value
-        and the floor -z^2/(2 beta) are ready for every trial. z and y stay
-        fixed until ``apply_block`` or ``refresh`` ends the iteration.
+        Begins an iteration with one ``auglag.iteration_terms`` pass over
+        (f, z): its weights give the gradient and, in analytic mode, block
+        i's step bound, set here (monotone across iterations). Returns
+        (grad, floor, base), the pass's floor and base value going on to
+        ``backtrack_block``. z and y stay fixed until ``apply_block`` or
+        ``refresh`` ends the iteration.
         """
         beta, A_i = self.config.beta, self.A_blocks[i]
-        coef = penalties = None
-        if self.prob.m:
-            self._floor = None if self.analytic else auglag.penalty_floor(self.z, beta)
-            s, penalties = auglag.penalty_terms(self.fvals, self.z, beta, self._floor)
-            coef = np.maximum(s, 0.0)
+        coef, floor, base = auglag.iteration_terms(
+            self.tracker.value, self.y, None if A_i is None else self.r, self.z,
+            beta, not self.analytic)
         if self.analytic:
             self.eta[i] = analytic_eta(self.eta[i], coef, beta, self.config.delta,
                                        self.prob, self.block_norm_sq[i])
-        else:
-            self._base = auglag.smooth_value(self.tracker.value[0], self.y,
-                                             None if A_i is None else self.r,
-                                             penalties, beta)
-        return auglag.smooth_grad_block(self.tracker.block_grad(self.blocks[i]), A_i,
-                                        self.y, self.r, coef, beta)
+        return (auglag.smooth_grad_block(self.tracker.block_grad(self.blocks[i]),
+                                         A_i, self.y, self.r, coef, beta),
+                floor, base)
 
-    def smooth_value(self):
-        """Smooth-part value at x, as the backtracking iteration's
-        ``block_gradient`` computed it; None outside one."""
-        return self._base
-
-    def candidate_smooth_value(self, sl, dx, dr):
-        """Smooth-part value after changing block sl by dx, with dr = A_i dx
-        (None without equality rows), in a backtracking iteration: it uses
-        that iteration's floor. Nothing is committed."""
-        beta = self.config.beta
-        new = self.tracker.value + self.tracker.delta_value(sl, dx)
-        penalties = (auglag.penalty_terms(new[1:], self.z, beta, self._floor)[1]
-                     if self.prob.m else None)
-        return auglag.smooth_value(
-            new[0], self.y, None if dr is None else self.r + dr, penalties, beta)
-
-    def backtrack_block(self, i, grad_blk):
-        """Block i's primal update: ``prox_step`` on that block.
+    def backtrack_block(self, i, grad_blk, floor, base):
+        """Block i's primal update: ``prox_step`` on that block from
+        ``block_gradient``'s (grad, floor, base). Candidates are valued from
+        the tracker's value deltas; nothing is committed.
 
         Returns (eta_i, new_block_value); the accepted eta persists for
         block i across iterations, and ``last_trials`` counts its increases.
@@ -129,16 +107,14 @@ class BlockState:
 
         def trial(blk_new):
             dx = blk_new - x_blk
-            self._trial = (blk_new, dx, None if A_i is None else A_i @ dx)
-            return value
-
-        def value():
-            _, dx, dr = self._trial
-            return self.candidate_smooth_value(sl, dx, dr)
+            dr = None if A_i is None else A_i @ dx
+            self._trial = (blk_new, dx, dr)
+            return lambda: auglag.candidate_value(
+                self.tracker.value + self.tracker.delta_value(sl, dx), self.y,
+                None if dr is None else self.r + dr, self.z, self.config.beta, floor)
 
         eta, blk_new, _, self.last_trials = prox_step(
-            x_blk, grad_blk, self.eta[i], self.h_blocks[i].prox, trial,
-            self.smooth_value, self.config)
+            x_blk, grad_blk, self.eta[i], self.h_blocks[i].prox, trial, base)
         self.eta[i] = eta
         return eta, blk_new
 
@@ -160,13 +136,13 @@ class BlockState:
             self.r += dr
         self.tracker.commit(sl, dx)
         self.x[sl] = blk_new
-        self._trial = self._floor = self._base = None
+        self._trial = None
 
     def refresh(self):
         """Recompute residual, constraint values, and the tracker from scratch."""
         self.r = self.prob.affine.residual(self.x)
         self.tracker.rebase(self.x)
-        self._trial = self._floor = self._base = None
+        self._trial = None
 
 
 def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
@@ -190,8 +166,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
     def advance(epoch):
         for k in range((epoch - 1) * n, epoch * n):
             i = state.pick_block()
-            grad_blk = state.block_gradient(i)
-            _, blk_new = state.backtrack_block(i, grad_blk)
+            _, blk_new = state.backtrack_block(i, *state.block_gradient(i))
             state.apply_block(i, blk_new)
             if has_rows:
                 state.y = multiplier_step_y(state.y, state.r, rho_y)

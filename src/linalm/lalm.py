@@ -207,13 +207,13 @@ def descent_holds(value_new, value_base, inner, eta, step_sq):
     return value_new <= bound + slack
 
 
-def prox_step(x, grad, eta, prox, trial, base, config):
+def prox_step(x, grad, eta, prox, trial, base):
     """Every solver's primal step: the candidate prox(x - grad/eta, 1/eta).
 
     ``trial(candidate)`` moves the caller's trial state there (a rebased
-    tracker) and returns a function giving the smooth value at it; ``base()``
-    gives the value at x and is called before any trial. Analytic mode takes
-    the first candidate and asks for no value. Backtracking grows eta by
+    tracker) and returns a function giving the smooth value at it. ``base``
+    is the smooth value at x, or None in analytic mode, which takes the
+    first candidate and asks for no value. Backtracking grows eta by
     _BACKTRACK_FACTOR until the descent test holds, or raises SolverError
     after _MAX_TRIALS - 1 increases, or at once on a non-finite grad. Returns
     (eta, candidate, its value or None in analytic mode, increases made).
@@ -222,16 +222,14 @@ def prox_step(x, grad, eta, prox, trial, base, config):
         raise ValueError("eta must be positive")
     if not np.isfinite(grad).all():
         raise SolverError("non-finite gradient of the smooth part")
-    analytic = config.step_mode == "analytic"
-    base_value = None if analytic else base()
     for k in range(_MAX_TRIALS):
         x_new = prox(x - grad / eta, 1.0 / eta)
         value = trial(x_new)
-        if analytic:
+        if base is None:
             return eta, x_new, None, k
         val = value()
         dx = x_new - x
-        if np.isfinite(val) and descent_holds(val, base_value, float(grad @ dx),
+        if np.isfinite(val) and descent_holds(val, base, float(grad @ dx),
                                               eta, float(dx @ dx)):
             return eta, x_new, val, k
         eta *= _BACKTRACK_FACTOR
@@ -239,31 +237,23 @@ def prox_step(x, grad, eta, prox, trial, base, config):
                       "increases; oracle values may be non-finite")
 
 
-def backtrack_primal(w, grad, eta_start, config, prob, tracker):
+def backtrack_primal(w, grad, eta_start, beta, prob, tracker, floor, base):
     """lalm's primal update: ``prox_step`` from w, each trial rebasing
     ``tracker`` (the smooth stack's, based at w.x) at its candidate, so it
-    ends at x_new. Values come from the tracker, the residual and w's
-    multipliers, with one penalty floor of w.z. Returns (eta, x_new, r_new,
-    fvals_new, smooth_new, trials), smooth_new None in analytic mode."""
-    beta, r = config.beta, w.r
-    floor = (auglag.penalty_floor(w.z, beta)
-             if prob.m and config.step_mode == "backtracking" else None)
-
-    def value():
-        vals = tracker.value
-        penalties = (auglag.penalty_terms(vals[1:], w.z, beta, floor)[1]
-                     if prob.m else None)
-        return auglag.smooth_value(vals[0], w.y, None if prob.affine.is_empty else r,
-                                   penalties, beta)
+    ends at x_new. ``floor`` and ``base`` come from the iteration's
+    ``auglag.iteration_terms`` at w; a candidate is valued from the tracker,
+    its residual and w's multipliers. Returns (eta, x_new, r_new, fvals_new,
+    smooth_new, trials), smooth_new None in analytic mode."""
+    r = w.r
 
     def trial(x_new):
         nonlocal r
         tracker.rebase(x_new)
         r = prob.affine.residual(x_new)
-        return value
+        return lambda: auglag.candidate_value(
+            tracker.value, w.y, None if prob.affine.is_empty else r, w.z, beta, floor)
 
-    eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial,
-                                        value, config)
+    eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial, base)
     return eta, x_new, r, tracker.value[1:], val, trials
 
 
@@ -334,15 +324,13 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
 
     def advance(epoch):
         nonlocal w, eta, grads
-        # the weights [beta f + z]_+ of the gradient and the analytic bound
-        coef = None
-        if prob.m:
-            coef = np.maximum(auglag.penalty_terms(w.fvals, w.z, beta)[0], 0.0)
+        coef, floor, base = auglag.iteration_terms(
+            tracker.value, w.y, None if A is None else w.r, w.z, beta, not analytic)
         grad = auglag.smooth_grad(grads, A, w.y, w.r, coef, beta)
         if analytic:
             eta = analytic_eta(eta, coef, beta, delta, prob, prob.affine.op_norm_sq())
         eta, x_new, r_new, fvals_new, _, _ = backtrack_primal(
-            w, grad, eta, config, prob, tracker)
+            w, grad, eta, beta, prob, tracker, floor, base)
         y_new = multiplier_step_y(w.y, r_new, rho_y)
         z_new = multiplier_step_z(w.z, fvals_new, rho_z, beta)
         w = PrimalDualPoint(x_new, y_new, z_new, r_new, fvals_new)

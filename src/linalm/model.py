@@ -702,11 +702,17 @@ class ProblemInstance:
 
 def primal_start(prob, x0=None):
     """Every solver's start point: x0 as a fresh flat float vector of length
-    prob.dim, zeros when None."""
+    prob.dim, zeros when None; a non-finite entry is refused."""
     x = np.zeros(prob.dim) if x0 is None else np.array(x0, dtype=float).ravel()
     if x.shape[0] != prob.dim:
         raise ValueError(f"x has dim {x.shape[0]}, expected {prob.dim}")
+    _check_finite("x0", x)
     return x
+
+
+def _check_finite(name, v):
+    if not np.isfinite(v).all():
+        raise ValueError(f"start point {name} must be finite")
 
 
 @dataclass
@@ -728,6 +734,8 @@ class PrimalDualPoint:
             raise ValueError("y length does not match equality constraint count")
         if z.shape[0] != prob.m:
             raise ValueError("z length does not match inequality constraint count")
+        _check_finite("y0", y)
+        _check_finite("z0", z)
         if np.any(z < 0):
             raise ValueError("multipliers z must be nonnegative")
         return cls(x, y, z, prob.affine.residual(x), prob.constraint_values(x))

@@ -62,22 +62,20 @@ def _phi(tracker, z):
 def step(state, prob, config):
     """One primal projection step plus the queue update; returns a new state.
 
-    The step is ``prox_step`` on phi(., z); each trial rebases the tracker
-    at its candidate, so the one taken leaves it at the new iterate.
+    The step is ``prox_step`` on phi(., z), which is evaluated at x only
+    when backtracking; each trial rebases the tracker at its candidate, so
+    the one taken leaves it at the new iterate.
     """
     tracker = state.tracker
     fvals = tracker.value[1:]  # pre-step values: a rebase assigns a new array
     grad, z = direction(state)
-
-    def phi():
-        return _phi(tracker, z)
+    base = None if config.step_mode == "analytic" else _phi(tracker, z)
 
     def trial(x_new):
         tracker.rebase(x_new)
-        return phi
+        return lambda: _phi(tracker, z)
 
-    eta, x_new, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox, trial,
-                                 phi, config)
+    eta, x_new, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox, trial, base)
     lam_new = np.maximum(-fvals, state.lam + fvals)
     return PdynState(x_new, lam_new, eta, tracker)
 

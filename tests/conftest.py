@@ -73,14 +73,15 @@ def fejer_quantities(prob, ref, cfg, solve_fn, **kwargs):
     return np.array(vals)
 
 
-def smooth_value_at(w, beta, prob):
+def smooth_value_at(w, beta, prob, gval=None):
     """The smooth part of the augmented Lagrangian at a PrimalDualPoint w:
-    g(x) from its oracle, the residual and constraint values w caches, and
-    the penalties from scalar_penalty."""
+    g(x) from its oracle (or ``gval``, a tracker's value of it), the residual
+    and constraint values w caches, and the penalties from scalar_penalty."""
     from linalm import auglag
 
     return auglag.smooth_value(
-        prob.g(w.x), w.y, None if prob.affine.is_empty else w.r,
+        prob.g(w.x) if gval is None else gval, w.y,
+        None if prob.affine.is_empty else w.r,
         auglag.scalar_penalty(w.fvals, w.z, beta) if prob.m else None, beta)
 
 

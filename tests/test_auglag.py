@@ -7,7 +7,7 @@ from linalm.auglag import (penalty_lipschitz, scalar_penalty,
                            scalar_penalty_deriv, smooth_grad_block,
                            smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
-from linalm.lalm import SolverConfig, prox_step
+from linalm.lalm import prox_step
 from linalm.model import (BoxIndicator, InequalityConstraint, LinearFunction,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           ZeroProx, smooth_stack)
@@ -385,14 +385,12 @@ def test_descent_inequality_holds_at_smooth_lipschitz(rng):
     # smooth-part descent inequality
     prob = gen_qcqp(QcqpSpec(m=3, p=10, seed=11))
     beta = 0.5
-    cfg = SolverConfig(beta=beta, step_mode="analytic")
     for _ in range(50):
         w = random_state(prob, rng, z_scale=2.0)
         eta = smooth_lipschitz(scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
                                prob.affine.op_norm_sq())
         grad = smooth_grad_at(w, beta, prob)
-        _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None, None,
-                                   cfg)
+        _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None, None)
         cand = PrimalDualPoint.at(prob, x_new, w.y, w.z)
         lhs = smooth_value_at(cand, beta, prob)
         dx = x_new - w.x

@@ -1,16 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import nan_away_from_origin
+from conftest import nan_away_from_origin, smooth_value_at
 from linalm import auglag, blalm, lalm
 from linalm.blalm import BlockState
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               tiny_reference)
 from linalm.lalm import SolverConfig, SolverError
 from linalm.model import (AffineConstraint, InequalityConstraint, L1Norm,
-                          LinearFunction, ProblemInstance, QuadraticFunction,
-                          ZeroProx, even_blocks)
+                          LinearFunction, PrimalDualPoint, ProblemInstance,
+                          QuadraticFunction, ZeroProx, even_blocks)
 
 
 def make_state(prob, seed=0, **cfg_kwargs):
@@ -148,7 +150,7 @@ def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
     for _ in range(20):
         i = int(rng.integers(4))
         sl = prob.blocks[i]
-        _, accepted = state.backtrack_block(i, state.block_gradient(i))
+        _, accepted = state.backtrack_block(i, *state.block_gradient(i))
         own = rng.random() < 0.5
         state.apply_block(i, accepted if own else
                           state.x[sl] + rng.normal(size=sl.stop - sl.start))
@@ -156,51 +158,94 @@ def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
                                    rtol=1e-12, atol=1e-10)
 
 
+def pass_instance(kind):
+    """with_equalities(kind, 3), for 'qcqp-norows'/'qcqp-noineq' without its
+    equality rows/inequality constraints, for 'qcqp-bare' without both."""
+    prob = with_equalities(kind.split("-")[0], 3)
+    rows = None if kind in ("qcqp-norows", "qcqp-bare") else prob.affine
+    ineq = () if kind in ("qcqp-noineq", "qcqp-bare") else prob.constraints
+    return ProblemInstance(prob.g, prob.h, prob.dim, rows, ineq, prob.blocks)
+
+
 # analytic steps need a gradient bound, which the BPDN constraint lacks
-@pytest.mark.parametrize("kind, mode", [("qcqp", "backtracking"),
-                                        ("qcqp", "analytic"),
-                                        ("bpdn", "backtracking")])
-def test_iteration_pass_equals_reference_formulas_with_equality_rows(kind, mode):
-    # the base value (backtracking), the analytic step bound (analytic) and
-    # the block gradient that block_gradient's one pass over (f, z) gives
-    # equal the reference formulas at state.point() exactly; the full
-    # gradient's slice agrees to roundoff, as A'v and A[:, sl]'v sum in a
-    # different order
-    prob = with_equalities(kind, 3)
+@pytest.mark.parametrize("kind, mode", [
+    ("qcqp", "backtracking"), ("qcqp", "analytic"), ("bpdn", "backtracking"),
+    *((kind, mode) for kind in ("qcqp-norows", "qcqp-noineq", "qcqp-bare")
+      for mode in ("backtracking", "analytic"))])
+def test_iteration_pass_equals_reference_formulas_with_equality_rows(
+        monkeypatch, kind, mode):
+    # Each iteration's one pass over (f, z), in blalm's block_gradient and in
+    # lalm's solve loop, gives the weights [beta f + z]_+ and (backtracking)
+    # the base value of the reference formulas at the iterate exactly. So do
+    # blalm's analytic step bound and block gradient; the full gradient's
+    # slice agrees to roundoff, as A'v and A[:, sl]'v sum in a different order
+    prob = pass_instance(kind)
     rng = np.random.default_rng(4)
     beta = 0.7
-    state = BlockState(prob, SolverConfig(beta=beta, step_mode=mode),
-                       x0=rng.uniform(-1, 1, size=prob.dim),
-                       y0=rng.normal(size=prob.affine.rows),
-                       z0=rng.uniform(0, 1, size=prob.m))
-    assert prob.affine.rows == 3 and prob.m >= 1
+    cfg = SolverConfig(beta=beta, step_mode=mode, max_epochs=12)
+    x0, y0, z0 = (rng.uniform(-1, 1, size=prob.dim),
+                  rng.normal(size=prob.affine.rows), rng.uniform(0, 1, size=prob.m))
+    A = None if prob.affine.is_empty else prob.affine.A
+    assert (A is None, prob.m == 0) == (kind in ("qcqp-norows", "qcqp-bare"),
+                                        kind in ("qcqp-noineq", "qcqp-bare"))
+    passes = []
+    iteration_terms = auglag.iteration_terms
+
+    def spy(*args):
+        passes.append((args, iteration_terms(*args)))
+        return passes[-1][1]
+
+    monkeypatch.setattr(auglag, "iteration_terms", spy)
+
+    def reference_weights(w):
+        return auglag.scalar_penalty_deriv(w.fvals, w.z, beta) if prob.m else None
+
+    def check_pass(w, gval, coef, base):
+        want = reference_weights(w)
+        assert (None if coef is None else coef.tobytes()) == \
+            (None if want is None else want.tobytes())
+        assert base == (None if mode == "analytic" else
+                        smooth_value_at(w, beta, prob, gval))
+
+    state = BlockState(prob, cfg, x0=x0, y0=y0, z0=z0)
     for _ in range(12):
         i = state.pick_block()
         sl = prob.blocks[i]
         eta_before = state.eta[i]
-        grad = state.block_gradient(i)
+        grad, floor, base = state.block_gradient(i)
         w = state.point()
-        coef = auglag.scalar_penalty_deriv(w.fvals, w.z, beta)
+        (vals, *_), (coef, _, pass_base) = passes[-1]
+        assert pass_base == base and vals.tobytes() == state.tracker.value.tobytes()
+        check_pass(w, vals[0], coef, base)
+        coef = reference_weights(w)
         if state.analytic:
             assert state.eta[i] == lalm.analytic_eta(
                 eta_before, coef, beta, 0.0, prob, state.block_norm_sq[i])
-        else:
-            assert state.smooth_value() == auglag.smooth_value(
-                state.tracker.value[0], w.y, w.r,
-                auglag.scalar_penalty(w.fvals, w.z, beta), beta)
         want = auglag.smooth_grad_block(state.tracker.block_grad(sl),
-                                        prob.affine.A[:, sl], w.y, w.r, coef, beta)
+                                        None if A is None else A[:, sl], w.y, w.r,
+                                        coef, beta)
         assert grad.tobytes() == want.tobytes()
-        full = auglag.smooth_grad(state.tracker.grad(), prob.affine.A, w.y, w.r,
-                                  coef, beta)
+        full = auglag.smooth_grad(state.tracker.grad(), A, w.y, w.r, coef, beta)
         np.testing.assert_allclose(grad, full[sl], rtol=1e-12,
                                    atol=1e-12 * np.abs(full).max())
-        _, blk = state.backtrack_block(i, grad)
+        _, blk = state.backtrack_block(i, grad, floor, base)
         state.apply_block(i, blk)
         state.y = lalm.multiplier_step_y(state.y, state.r, beta)
         state.z = lalm.multiplier_step_z(state.z, state.fvals, beta, beta)
-        # apply_block ended the iteration: nothing of its pass is served
-        assert state.smooth_value() is None
+    assert len(passes) == 12
+
+    # lalm: each pass is at the iterate the previous iteration handed its
+    # callback, with the tracker's values there
+    passes.clear()
+    points = [PrimalDualPoint.at(prob, x0, y0, z0)]
+    lalm.solve(prob, cfg, x0, y0, z0, callback=lambda k, w: points.append(w))
+    assert len(passes) == 12
+    for w, ((vals, y, r, z, _, _), (coef, _, base)) in zip(points, passes):
+        assert (y.tobytes(), z.tobytes()) == (w.y.tobytes(), w.z.tobytes())
+        assert (None if r is None else r.tobytes()) == \
+            (None if A is None else w.r.tobytes())
+        np.testing.assert_allclose(vals[1:], w.fvals, rtol=1e-12, atol=1e-12)
+        check_pass(replace(w, fvals=vals[1:]), vals[0], coef, base)
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,15 +264,15 @@ def test_commit_reusing_trial_products_equals_commit_recomputing_them(seed, kind
         sl = prob.blocks[i]
         # the accepted candidate brings its dx, A_i dx and tracker products
         # along; an equal copy of it makes the commit compute its own
-        _, blk = reuse.backtrack_block(i, reuse.block_gradient(i))
-        _, blk_fresh = fresh.backtrack_block(i, fresh.block_gradient(i))
+        _, blk = reuse.backtrack_block(i, *reuse.block_gradient(i))
+        _, blk_fresh = fresh.backtrack_block(i, *fresh.block_gradient(i))
         assert blk.tobytes() == blk_fresh.tobytes()
         reuse.apply_block(i, blk)
         fresh.apply_block(i, blk_fresh.copy())
         assert state_bytes(reuse) == state_bytes(fresh)
         # a block value other than the last candidate valued reuses nothing:
         # it commits as on a state that valued no candidate at all
-        _, tried = stale.backtrack_block(i, stale.block_gradient(i))
+        _, tried = stale.backtrack_block(i, *stale.block_gradient(i))
         moved = tried + rng.normal(size=sl.stop - sl.start)
         stale.apply_block(i, moved)
         control.apply_block(i, moved.copy())
@@ -267,9 +312,9 @@ def test_block_backtracking_curvature_counts():
     cfg = SolverConfig(eta0=1.0)
     state = BlockState(prob, cfg, x0=np.ones(4), seed=0)
     for i, L_i, want in ((0, 3.0, 3), (1, 7.0, 5)):
-        grad = state.block_gradient(i)
+        grad, floor, base = state.block_gradient(i)
         assert np.any(grad != 0)
-        eta, _ = state.backtrack_block(i, grad)
+        eta, _ = state.backtrack_block(i, grad, floor, base)
         assert state.last_trials == want
         assert eta == pytest.approx(1.5 ** want)
         assert eta >= L_i and eta / 1.5 < L_i
@@ -280,7 +325,7 @@ def test_block_backtracking_accepts_at_seed():
         QuadraticFunction(np.diag([2.0, 2.0]), np.zeros(2), lipschitz=2.0),
         ZeroProx(), dim=2, blocks=even_blocks(2, 1))
     state = make_state(prob, eta0=5.0)
-    eta, _ = state.backtrack_block(0, state.block_gradient(0))
+    eta, _ = state.backtrack_block(0, *state.block_gradient(0))
     assert eta == 5.0 and state.last_trials == 0
 
 
@@ -332,7 +377,7 @@ def test_analytic_block_bound_always_accepted(rng):
                 beta)
 
         for i in range(4):
-            grad = state.block_gradient(i)
+            grad, _, _ = state.block_gradient(i)
             eta_i = state.eta[i]
             sl = prob.blocks[i]
             blk = state.h_blocks[i].prox(state.x[sl] - grad / eta_i, 1.0 / eta_i)
@@ -343,6 +388,19 @@ def test_analytic_block_bound_always_accepted(rng):
             bound = (value(state.tracker.value, None if dr is None else state.r)
                      + grad @ dx + 0.5 * eta_i * dx @ dx)
             assert val <= bound + 1e-10 * max(1.0, abs(bound))
+
+
+def test_analytic_pass_gives_no_floor_to_value_a_candidate_with():
+    # analytic mode's pass makes no penalty floor and no base value; with
+    # constraints present a candidate cannot be valued without that floor,
+    # so candidate_value refuses instead of dropping the penalty sum
+    prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4)
+    state = BlockState(prob, SolverConfig(step_mode="analytic"), z0=[0.5] * 3)
+    grad, floor, base = state.block_gradient(0)
+    assert floor is None and base is None
+    with pytest.raises(ValueError, match="floor"):
+        auglag.candidate_value(state.tracker.value, state.y, None, state.z, 1.0,
+                               floor)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +525,7 @@ def test_zero_partial_gradient_leaves_block_unchanged():
                            ZeroProx(), dim=4, blocks=even_blocks(4, 2))
     state = BlockState(prob, SolverConfig(eta0=1.0),
                        x0=np.array([0.0, 0.0, 1.0, -1.0]), seed=0)
-    grad0 = state.block_gradient(0)
+    grad0, floor, base = state.block_gradient(0)
     np.testing.assert_array_equal(grad0, np.zeros(2))
-    eta, blk = state.backtrack_block(0, grad0)
+    eta, blk = state.backtrack_block(0, grad0, floor, base)
     np.testing.assert_array_equal(blk, state.x[prob.blocks[0]])

@@ -16,8 +16,14 @@ from linalm.model import (BoxIndicator, InequalityConstraint, L1Norm,
 from linalm.pdyn import PdynState
 
 
-def tracker_at(w, prob):
-    return smooth_stack(prob).tracker(w.x)
+def backtrack_at(w, grad, eta, cfg, prob):
+    """backtrack_primal from w with a fresh tracker at w.x and the floor and
+    base value of lalm's iteration pass there."""
+    tracker = smooth_stack(prob).tracker(w.x)
+    _, floor, base = auglag.iteration_terms(
+        tracker.value, w.y, None if prob.affine.is_empty else w.r, w.z, cfg.beta,
+        cfg.step_mode == "backtracking")
+    return backtrack_primal(w, grad, eta, cfg.beta, prob, tracker, floor, base)
 
 
 def quadratic_prob(curvature=3.0):
@@ -29,7 +35,7 @@ def quadratic_prob(curvature=3.0):
 def candidate(w, grad, eta, prob):
     """The prox-gradient candidate that prox_step takes first."""
     _, x_new, _, trials = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None,
-                                    None, SolverConfig(step_mode="analytic"))
+                                    None)
     assert trials == 0
     return x_new
 
@@ -92,8 +98,7 @@ def test_backtracking_quadratic_acceptance_count():
     w = PrimalDualPoint.at(prob, [1.0])
     grad = smooth_grad_at(w, 1.0, prob)
     cfg = SolverConfig(beta=1.0, eta0=1.0)
-    eta, x_new, _, _, _, trials = backtrack_primal(w, grad, 1.0, cfg, prob,
-                                                   tracker_at(w, prob))
+    eta, x_new, _, _, _, trials = backtrack_at(w, grad, 1.0, cfg, prob)
     assert eta == pytest.approx(1.5 ** 3)
     assert trials == 3
     np.testing.assert_allclose(x_new, w.x - grad / eta)
@@ -104,8 +109,7 @@ def test_backtracking_accepts_at_sufficient_eta():
     w = PrimalDualPoint.at(prob, [1.0])
     grad = smooth_grad_at(w, 1.0, prob)
     cfg = SolverConfig(beta=1.0)
-    eta, _, _, _, _, trials = backtrack_primal(w, grad, 5.0, cfg, prob,
-                                             tracker_at(w, prob))
+    eta, _, _, _, _, trials = backtrack_at(w, grad, 5.0, cfg, prob)
     assert eta == 5.0 and trials == 0
 
 
@@ -124,16 +128,15 @@ class CountingProx(ZeroProx):
 def _lalm_step(prob, cfg):
     w = PrimalDualPoint.at(prob, [1.0])
     grad = smooth_grad_at(w, 1.0, prob)
-    eta, _, _, _, _, trials = backtrack_primal(w, grad, 1.0, cfg, prob,
-                                               tracker_at(w, prob))
+    eta, _, _, _, _, trials = backtrack_at(w, grad, 1.0, cfg, prob)
     return eta, trials
 
 
 def _block_step(prob, cfg):
     state = BlockState(prob.with_blocks(1), cfg, x0=[1.0])
-    grad = state.block_gradient(0)   # sets the analytic bound in analytic mode
+    step = state.block_gradient(0)   # sets the analytic bound in analytic mode
     state.eta[0] = 1.0
-    eta, _ = state.backtrack_block(0, grad)
+    eta, _ = state.backtrack_block(0, *step)
     return eta, state.last_trials
 
 
@@ -163,8 +166,7 @@ def test_backtracking_error_on_divergent_oracle():
         QuadraticFunction([[-1e300]], [1e300]), ZeroProx(), dim=1)
     w = PrimalDualPoint.at(bad, [1.0])
     with pytest.raises(SolverError):
-        backtrack_primal(w, np.array([1e300]), 1.0, SolverConfig(), bad,
-                         tracker_at(w, bad))
+        backtrack_at(w, np.array([1e300]), 1.0, SolverConfig(), bad)
 
 
 def test_accepted_pairs_satisfy_descent_inequality(rng):
@@ -176,8 +178,7 @@ def test_accepted_pairs_satisfy_descent_inequality(rng):
         z = rng.uniform(0, 2, size=1)
         w = PrimalDualPoint.at(prob, x, z=z)
         grad = smooth_grad_at(w, 1.0, prob)
-        eta, x_new, r_new, fv_new, val, _ = backtrack_primal(
-            w, grad, 1.0, cfg, prob, tracker_at(w, prob))
+        eta, x_new, r_new, fv_new, val, _ = backtrack_at(w, grad, 1.0, cfg, prob)
         dx = x_new - w.x
         rhs = smooth_value_at(w, 1.0, prob) + grad @ dx + 0.5 * eta * dx @ dx
         assert val <= rhs + 1e-10 * max(1.0, abs(rhs))
@@ -468,20 +469,56 @@ def test_analytic_eta_literal_bound_plus_delta():
 
 @pytest.mark.parametrize("solver, n_blocks", [(lalm, 1), (blalm, 4)],
                          ids=["lalm", "blalm"])
+@pytest.mark.parametrize("mode", ["analytic", "backtracking"])
 def test_analytic_mode_computes_the_penalty_weights_once_per_iteration(
-        monkeypatch, solver, n_blocks):
+        monkeypatch, solver, n_blocks, mode):
     # one pass over (f, z) gives [beta f + z]_+ for both the gradient and the
-    # analytic step bound: one penalty_terms call per (block) iteration
+    # analytic step bound, and when backtracking also the floor and the base
+    # value: one penalty_terms call per (block) iteration, plus one per
+    # backtracking candidate, each of which meets one descent test
     prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=0)).with_blocks(n_blocks)
-    calls = []
-    terms = auglag.penalty_terms
+    calls, candidates = [], []
+    terms, holds = auglag.penalty_terms, lalm.descent_holds
 
     def counting(*args):
         calls.append(args)
         return terms(*args)
 
+    def counting_holds(*args):
+        candidates.append(args)
+        return holds(*args)
+
     monkeypatch.setattr(auglag, "penalty_terms", counting)
-    res = solver.solve(prob, SolverConfig(beta=0.5, step_mode="analytic",
+    monkeypatch.setattr(lalm, "descent_holds", counting_holds)
+    res = solver.solve(prob, SolverConfig(beta=0.5, step_mode=mode,
                                           max_epochs=5, record_every=1))
     assert res.epochs == 5
-    assert len(calls) == 5 * n_blocks
+    assert len(calls) == 5 * n_blocks + len(candidates)
+    if mode == "backtracking":
+        assert len(candidates) >= 5 * n_blocks
+    else:
+        assert not candidates
+
+
+_NON_FINITE_STARTS = {"x0-inf": ("scalar-qcqp", {"x0": [np.inf]}),
+                      "x0-nan": ("scalar-qcqp", {"x0": [np.nan]}),
+                      "z0-inf": ("scalar-qcqp", {"z0": [np.inf]}),
+                      "z0-nan": ("scalar-qcqp", {"z0": [np.nan]}),
+                      "y0-nan": ("equality-qp", {"x0": [0.0, 1.0], "y0": [np.nan]})}
+
+
+@pytest.mark.parametrize("solver, kind, start", [
+    pytest.param(solver, kind, start, id=f"{solver.__name__.rpartition('.')[2]}-{case}")
+    for solver in (lalm, blalm, pdyn)
+    for case, (kind, start) in _NON_FINITE_STARTS.items()
+    # pdyn takes x0 only, and no equality rows
+    if solver is not pdyn or list(start) == ["x0"]])
+def test_non_finite_start_is_refused_naming_it(solver, kind, start):
+    # refused before any oracle or product runs at it: numpy's invalid-value
+    # warning, an error under this suite's settings, is never reached
+    prob, _ = tiny_reference(kind)
+    name = list(start)[-1]
+    if solver is blalm:
+        prob = prob.with_blocks(prob.dim)
+    with pytest.raises(ValueError, match=f"start point {name} must be finite"):
+        solver.solve(prob, SolverConfig(max_epochs=5), **start)
