@@ -17,7 +17,8 @@ from . import auglag
 from .lalm import (ErgodicAccumulator, SolveResult, analytic_eta,  # noqa: F401
                    descent_holds, multiplier_step_y, multiplier_step_z, prox_step,
                    run_epochs)
-from .model import PrimalDualPoint, operator_norm_sq, smooth_stack
+from .model import (PrimalDualPoint, checked_start, operator_norm_sq,
+                    smooth_stack)
 from .trace import MetricsRecorder
 
 # Full cache recomputation cadence, in epochs.
@@ -39,8 +40,8 @@ class BlockState:
         if any(hb is None for hb in self.h_blocks):
             raise ValueError("h is not separable across the block partition")
 
-        start = PrimalDualPoint.at(prob, x0, y0, z0)
-        self.x, self.y, self.z, self.r = start.x, start.y, start.z, start.r
+        self.x, self.y, self.z = checked_start(prob, x0, y0, z0)
+        self.r = prob.affine.residual(self.x)
         # One tracker of the smooth stack serves g and every constraint.
         self.stack = smooth_stack(prob)
         self.tracker = self.stack.tracker(self.x)
@@ -53,8 +54,11 @@ class BlockState:
         self.analytic = config.step_mode == "analytic"
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
         self.eta = np.full(n, seed_eta)
+        # Each block's squared equality-column norm, which only analytic
+        # step bounds read; None when backtracking.
         self.block_norm_sq = np.array(
-            [operator_norm_sq(prob.affine.A[:, sl]) for sl in self.blocks])
+            [operator_norm_sq(prob.affine.A[:, sl]) for sl in self.blocks]
+        ) if self.analytic else None
         self.rng = np.random.default_rng(seed)
         self.last_trials = 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -66,6 +67,8 @@ def gen_bpdn(spec):
     Starting there keeps the backtracked step bound at the boundary
     curvature scale; starting far outside the ball (e.g. at zero) inflates
     the monotone step bound by the initial curvature and stalls the run.
+    The constraint's Lipschitz constant 2||A||^2 is computed on its first
+    read, which no backtracking solve makes.
     """
     rng = np.random.default_rng(spec.seed)
     A = rng.standard_normal((spec.rows, spec.cols))
@@ -78,7 +81,7 @@ def gen_bpdn(spec):
     if delta <= 0:
         raise ValueError("delta must resolve to a positive value")
     fn = LeastSquaresFunction(A, b, offset=delta,
-                              lipschitz=2.0 * operator_norm_sq(A))
+                              lipschitz=partial(_least_squares_lipschitz, A))
     x_ls = np.linalg.lstsq(A, b, rcond=None)[0]
     scale = max(0.0, 1.0 - np.sqrt(delta) / np.linalg.norm(b))
     return ProblemInstance(
@@ -125,11 +128,32 @@ def _gaussian_psd(rng, p, out):
     return out
 
 
+def _least_squares_lipschitz(A):
+    """2 ||A||^2, the Lipschitz constant of grad ||Ax - b||^2."""
+    return 2.0 * operator_norm_sq(A)
+
+
+def _quadratic_lipschitz(Q):
+    """||Q||, the Lipschitz constant of grad 0.5 x'Qx + c'x."""
+    return float(np.sqrt(operator_norm_sq(Q)))
+
+
+def _quadratic_grad_bound(fn, radius):
+    """||Q|| radius + ||c||, a bound on ||Qx + c|| over the ball of that
+    radius; reads (and so computes) fn.lipschitz = ||Q||."""
+    return fn.lipschitz * radius + float(np.linalg.norm(fn.c))
+
+
 def gen_qcqp(spec):
     """Build a QCQP instance with analytic step constants derived from the box.
 
     All m + 1 matrices live in one (m + 1, p, p) array and each function
     holds a view of it, so ``QuadraticStack.of`` stacks them without a copy.
+    The objective's Lipschitz constant ||Q_0|| is computed here, since every
+    backtracking solve seeds its step size with it. Each constraint's
+    ||Q_j|| and gradient bound ||Q_j|| R + ||c_j|| (R the box's radius) are
+    computed on their first read, which only analytic step sizes,
+    ``save_instance`` and ``instance_digest`` make.
     """
     rng = np.random.default_rng(spec.seed)
     p = spec.p
@@ -138,19 +162,18 @@ def gen_qcqp(spec):
     Qs = np.empty((spec.m + 1, p, p))
     slabs = iter(Qs)
 
-    def quad(d):
+    def quad(d, defer):
         Q = _gaussian_psd(rng, p, next(slabs))
-        c = rng.standard_normal(p)
-        norm = float(np.sqrt(operator_norm_sq(Q)))
-        fn = QuadraticFunction(Q, c, d, lipschitz=norm)
-        bound = norm * box_radius + float(np.linalg.norm(c))
-        return fn, bound
+        norm = partial(_quadratic_lipschitz, Q)
+        return QuadraticFunction(Q, rng.standard_normal(p), d,
+                                 lipschitz=norm if defer else norm())
 
-    g, _ = quad(0.0)
+    g = quad(0.0, False)
     constraints = []
     for _ in range(spec.m):
-        fn, bound = quad(spec.d_value)
-        constraints.append(InequalityConstraint(fn, grad_bound=bound))
+        fn = quad(spec.d_value, True)
+        constraints.append(InequalityConstraint(
+            fn, grad_bound=partial(_quadratic_grad_bound, fn, box_radius)))
     h = BoxIndicator(np.full(p, spec.box_low), np.full(p, spec.box_high))
     return ProblemInstance(
         g=g, h=h, dim=p, constraints=constraints,

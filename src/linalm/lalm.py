@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import auglag
-from .model import PrimalDualPoint, smooth_stack
+from .model import PrimalDualPoint, checked_start, smooth_stack
 from .trace import MetricsRecorder, SolverError, record_epochs, should_stop
 
 # Relative slack admitted when testing the descent inequality, so that a
@@ -133,10 +133,13 @@ class ErgodicAccumulator:
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
-        self._sum += weight * x
+        if weight != 1.0:  # 1.0 * v == v: unit weights need no products
+            x = weight * x
+            image = weight * image
+        self._sum += x
         if self.count == 0:
             self._image = np.zeros(np.shape(image))
-        self._image += weight * image
+        self._image += image
         self.weight += weight
         self.count += 1
 
@@ -305,7 +308,7 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
     SolveResult with the final triple, the 1/eta-weighted ergodic average,
     and the trace, whose records carry the method label "lalm".
     """
-    w = PrimalDualPoint.at(prob, x0, y0, z0)
+    x, y, z = checked_start(prob, x0, y0, z0)
     rho_y, rho_z = config.resolve_rho(n_blocks=1)
     beta, delta = config.beta, config.delta
     analytic = config.step_mode == "analytic"
@@ -313,8 +316,8 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
     # One tracker of the smooth stack, based at the current iterate, gives
     # the values and gradients of g and every constraint.
     stack = smooth_stack(prob)
-    tracker = stack.tracker(w.x)
-    w.fvals = tracker.value[1:]
+    tracker = stack.tracker(x)
+    w = PrimalDualPoint(x, y, z, prob.affine.residual(x), tracker.value[1:])
     A = None if prob.affine.is_empty else prob.affine.A
     # The gradients at the current iterate serve both the recorder and the
     # next step.

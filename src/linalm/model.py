@@ -20,6 +20,36 @@ import numpy as np
 
 
 # ---------------------------------------------------------------------------
+# constants computed on first use
+
+
+class _Constant:
+    """A problem constant read as a plain attribute: a number, or None when
+    unknown, or, when ``_set_constant`` was given a zero-argument function,
+    that function's result, computed on the first read. The value then sits
+    in the instance's dict, which this non-data descriptor does not shadow,
+    so every later read costs what any attribute read costs."""
+
+    def __set_name__(self, owner, name):
+        self.name, self.pending = name, "_" + name
+
+    def __get__(self, obj, owner):
+        if obj is None:
+            return self
+        state = vars(obj)
+        value = state[self.pending]() if self.pending in state else None
+        state.pop(self.pending, None)
+        state[self.name] = value
+        return value
+
+
+def _set_constant(obj, name, value):
+    """Give ``obj`` the constant ``name``: a number or None as it is, a
+    zero-argument function to run on the first read."""
+    vars(obj)["_" + name if callable(value) else name] = value
+
+
+# ---------------------------------------------------------------------------
 # smooth functions
 
 
@@ -27,12 +57,16 @@ class SmoothFunction:
     """Convex differentiable function with value and gradient oracles.
 
     Subclasses implement ``__call__`` and ``grad``; ``lipschitz`` is the
-    Lipschitz constant of the gradient when known (None otherwise).
-    ``tracker`` returns per-solve mutable state supporting cheap block
-    updates; the default re-evaluates from scratch.
+    Lipschitz constant of the gradient when known (None otherwise). The
+    constructors of the oracle, quadratic and least-squares functions also
+    take it as a zero-argument function, which runs on the first read of
+    ``lipschitz`` (analytic step sizes read it, as do the default
+    backtracking seed for g, ``save_instance`` and ``instance_digest``);
+    the result is then kept. ``tracker`` returns per-solve mutable state
+    supporting cheap block updates; the default re-evaluates from scratch.
     """
 
-    lipschitz = None
+    lipschitz = _Constant()
 
     def __call__(self, x):
         raise NotImplementedError
@@ -54,7 +88,7 @@ class OracleFunction(SmoothFunction):
     def __init__(self, value, grad, lipschitz=None):
         self._value = value
         self._grad = grad
-        self.lipschitz = lipschitz
+        _set_constant(self, "lipschitz", lipschitz)
 
     def __call__(self, x):
         return float(self._value(np.asarray(x, dtype=float)))
@@ -88,7 +122,7 @@ class QuadraticFunction(SmoothFunction):
         self.Q = np.asarray(Q, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.d = float(d)
-        self.lipschitz = lipschitz
+        _set_constant(self, "lipschitz", lipschitz)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -221,7 +255,7 @@ class LeastSquaresFunction(SmoothFunction):
         self.b = np.asarray(b, dtype=float)
         self.offset = float(offset)
         # 2 ||A||^2 bounds the gradient's Lipschitz constant exactly
-        self.lipschitz = lipschitz
+        _set_constant(self, "lipschitz", lipschitz)
 
     def __call__(self, x):
         r = self.A @ np.asarray(x, dtype=float) - self.b
@@ -586,12 +620,19 @@ class InequalityConstraint:
     ``grad_bound`` is an upper bound on ||grad fn|| over the domain when
     available; together with ``fn.lipschitz`` it enables analytic step
     sizes. Either may be None, in which case solvers fall back to
-    backtracking.
+    backtracking. Like ``fn.lipschitz``, ``grad_bound`` may be given as a
+    zero-argument function, which runs on its first read (analytic step
+    sizes, ``save_instance`` and ``instance_digest`` read it); the result
+    is then kept.
     """
+
+    grad_bound = _Constant()
 
     def __init__(self, fn, grad_bound=None):
         self.fn = fn
-        self.grad_bound = None if grad_bound is None else float(grad_bound)
+        _set_constant(self, "grad_bound",
+                      grad_bound if grad_bound is None or callable(grad_bound)
+                      else float(grad_bound))
 
 
 class AffineConstraint:
@@ -727,18 +768,29 @@ class PrimalDualPoint:
 
     @classmethod
     def at(cls, prob, x=None, y=None, z=None):
-        x = primal_start(prob, x)
-        y = np.zeros(prob.affine.rows) if y is None else np.array(y, dtype=float).ravel()
-        z = np.zeros(prob.m) if z is None else np.array(z, dtype=float).ravel()
-        if y.shape[0] != prob.affine.rows:
-            raise ValueError("y length does not match equality constraint count")
-        if z.shape[0] != prob.m:
-            raise ValueError("z length does not match inequality constraint count")
-        _check_finite("y0", y)
-        _check_finite("z0", z)
-        if np.any(z < 0):
-            raise ValueError("multipliers z must be nonnegative")
+        """The checked start (x, y, z) with its residual and constraint
+        values, each constraint oracle called once at x."""
+        x, y, z = checked_start(prob, x, y, z)
         return cls(x, y, z, prob.affine.residual(x), prob.constraint_values(x))
+
+
+def checked_start(prob, x, y, z):
+    """A start point as fresh flat float vectors (x, y, z), each None giving
+    zeros: x as ``primal_start`` makes it, y one entry per equality row and
+    z one nonnegative entry per inequality constraint, all finite. Calls no
+    oracle."""
+    x = primal_start(prob, x)
+    y = np.zeros(prob.affine.rows) if y is None else np.array(y, dtype=float).ravel()
+    z = np.zeros(prob.m) if z is None else np.array(z, dtype=float).ravel()
+    if y.shape[0] != prob.affine.rows:
+        raise ValueError("y length does not match equality constraint count")
+    if z.shape[0] != prob.m:
+        raise ValueError("z length does not match inequality constraint count")
+    _check_finite("y0", y)
+    _check_finite("z0", z)
+    if np.any(z < 0):
+        raise ValueError("multipliers z must be nonnegative")
+    return x, y, z
 
 
 # ---------------------------------------------------------------------------

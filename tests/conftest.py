@@ -49,6 +49,22 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def norm_count(monkeypatch):
+    """The shapes of the matrices whose operator norm is computed from here
+    on: ``operator_norm_sq`` makes one ``eigvalsh`` call per non-empty
+    matrix and none for an empty one."""
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return shapes
+
+
 def fejer_quantities(prob, ref, cfg, solve_fn, **kwargs):
     """Per-iteration weighted distances (eta_k/2)||x_{k+1}-x*||^2 + dual terms
     against a verified KKT point, recorded along one solve."""

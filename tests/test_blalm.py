@@ -12,7 +12,8 @@ from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
 from linalm.lalm import SolverConfig, SolverError
 from linalm.model import (AffineConstraint, InequalityConstraint, L1Norm,
                           LinearFunction, PrimalDualPoint, ProblemInstance,
-                          QuadraticFunction, ZeroProx, even_blocks)
+                          QuadraticFunction, ZeroProx, even_blocks,
+                          operator_norm_sq)
 
 
 def make_state(prob, seed=0, **cfg_kwargs):
@@ -30,6 +31,34 @@ def with_equalities(kind, seed):
     affine = AffineConstraint(A, A @ rng.uniform(-0.5, 0.5, size=prob.dim))
     return ProblemInstance(prob.g, prob.h, prob.dim, affine, prob.constraints,
                            even_blocks(prob.dim, 4))
+
+
+def test_block_norms_are_computed_in_analytic_mode_only(norm_count):
+    # only analytic step bounds read a block's squared equality-column norm
+    prob = with_equalities("qcqp", 0)
+    # the constraints' norms, computed now so that they are not counted
+    assert all(con.grad_bound > 0 for con in prob.constraints)
+    want = np.array([operator_norm_sq(prob.affine.A[:, sl]) for sl in prob.blocks])
+    norm_count.clear()
+    cfg = SolverConfig(beta=0.1, max_epochs=3)
+    blalm.solve(prob, cfg)
+    assert norm_count == []
+    blalm.solve(prob, replace(cfg, step_mode="analytic"))
+    assert norm_count == [(3, 3)] * len(prob.blocks)
+
+    def etas(state):
+        for _ in range(12):
+            i = state.pick_block()
+            _, blk = state.backtrack_block(i, *state.block_gradient(i))
+            state.apply_block(i, blk)
+        return state.eta.tobytes()
+
+    for mode in ("analytic", "backtracking"):
+        built = make_state(prob, beta=0.1, step_mode=mode)
+        assert (built.block_norm_sq is None) == (mode == "backtracking")
+        eager = make_state(prob, beta=0.1, step_mode=mode)
+        eager.block_norm_sq = want
+        assert etas(built) == etas(eager)
 
 
 def state_bytes(state):

@@ -1,16 +1,22 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from linalm import blalm, lalm, pdyn
 from linalm.instances import (BpdnSpec, QcqpSpec, brute_force_reference,
                               gen_bpdn, gen_qcqp, instance_digest,
                               instance_from_dict, instance_to_dict,
                               load_instance, minimax_reformulate,
                               random_minimax_1d, save_instance, tiny_reference,
                               TINY_KINDS)
-from linalm.model import (OracleFunction, PrimalDualPoint, ProblemInstance,
-                          QuadraticFunction, ZeroProx, kkt_residual)
+from linalm.lalm import SolverConfig
+from linalm.model import (InequalityConstraint, LeastSquaresFunction,
+                          OracleFunction, PrimalDualPoint, ProblemInstance,
+                          QuadraticFunction, ZeroProx, kkt_residual,
+                          operator_norm_sq)
 
 from conftest import assert_grad_matches
 
@@ -319,6 +325,124 @@ def test_instance_digest_stability_and_sensitivity():
     c = gen_qcqp(QcqpSpec(m=2, p=4, seed=2))
     assert instance_digest(a) == instance_digest(b)
     assert instance_digest(a) != instance_digest(c)
+
+
+# ---------------------------------------------------------------------------
+# constants computed on first use
+
+
+def constants(prob):
+    """Every constant the instance holds, read in a fixed order."""
+    return ([prob.g.lipschitz]
+            + [c for con in prob.constraints for c in (con.fn.lipschitz, con.grad_bound)])
+
+
+def eager_qcqp(prob, spec):
+    """The generated QCQP with each constant computed by its formula now:
+    ||Q_j|| = sqrt(operator_norm_sq(Q_j)) and ||Q_j|| R + ||c_j||."""
+    radius = float(np.linalg.norm(
+        np.maximum(abs(spec.box_low), abs(spec.box_high)) * np.ones(spec.p)))
+
+    def quad(fn):
+        norm = float(np.sqrt(operator_norm_sq(fn.Q)))
+        return (QuadraticFunction(fn.Q, fn.c, fn.d, lipschitz=norm),
+                norm * radius + float(np.linalg.norm(fn.c)))
+
+    cons = [InequalityConstraint(*quad(con.fn)) for con in prob.constraints]
+    return ProblemInstance(quad(prob.g)[0], prob.h, prob.dim,
+                           constraints=cons, meta=prob.meta)
+
+
+def eager_bpdn(prob):
+    """The generated BPDN instance with 2||A||^2 computed now."""
+    fn = prob.constraints[0].fn
+    eager = LeastSquaresFunction(fn.A, fn.b, fn.offset,
+                                 lipschitz=2.0 * operator_norm_sq(fn.A))
+    return ProblemInstance(prob.g, prob.h, prob.dim,
+                           constraints=[InequalityConstraint(eager)], meta=prob.meta)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(0, 3), p=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       low=st.floats(-20.0, -0.1), high=st.floats(0.1, 20.0))
+def test_qcqp_constants_equal_their_eager_formulas(m, p, seed, low, high):
+    spec = QcqpSpec(m=m, p=p, box_low=low, box_high=high, seed=seed)
+    prob = gen_qcqp(spec)
+    eager = eager_qcqp(prob, spec)
+    got, want = constants(prob), constants(eager)
+    assert all(type(c) is float for c in got)
+    assert [c.hex() for c in got] == [c.hex() for c in want]
+    assert instance_digest(gen_qcqp(spec)) == instance_digest(eager)
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.integers(1, 6), cols=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_bpdn_constants_equal_their_eager_formulas(rows, cols, seed, data):
+    sparsity = data.draw(st.integers(0, cols))
+    spec = BpdnSpec(rows=rows, cols=cols, sparsity=sparsity, seed=seed)
+    prob = gen_bpdn(spec)
+    eager = eager_bpdn(prob)
+    assert prob.constraints[0].grad_bound is None
+    assert [float(c).hex() for c in constants(prob)[:2]] == \
+        [float(c).hex() for c in constants(eager)[:2]]
+    assert instance_digest(gen_bpdn(spec)) == instance_digest(eager)
+
+
+def test_generators_compute_only_the_objective_norm(norm_count):
+    gen_qcqp(QcqpSpec(m=3, p=5, seed=0))
+    assert norm_count == [(5, 5)]
+    norm_count.clear()
+    gen_bpdn(BpdnSpec(rows=4, cols=6, sparsity=2, seed=0))
+    assert norm_count == []
+
+
+def test_backtracking_solves_compute_no_norm(norm_count):
+    qcqp = gen_qcqp(QcqpSpec(m=3, p=8, seed=1))
+    bpdn = gen_bpdn(BpdnSpec(rows=5, cols=8, sparsity=2, seed=1))
+    norm_count.clear()
+    cfg = SolverConfig(beta=0.1, max_epochs=5)
+    for prob in (qcqp, bpdn):
+        lalm.solve(prob, cfg)
+        blalm.solve(prob.with_blocks(4), cfg)
+    pdyn.solve(qcqp, SolverConfig(max_epochs=5))
+    assert norm_count == []
+
+
+def test_analytic_solves_compute_each_constraint_norm_once(norm_count):
+    prob = gen_qcqp(QcqpSpec(m=3, p=8, seed=2))
+    norm_count.clear()
+    cfg = SolverConfig(beta=0.1, step_mode="analytic", max_epochs=5)
+    lalm.solve(prob, cfg)
+    assert norm_count == [(8, 8)] * 3
+    blalm.solve(prob.with_blocks(4), cfg)
+    lalm.solve(prob, cfg)
+    assert len(norm_count) == 3
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_qcqp(QcqpSpec(m=2, p=5, seed=3)),
+    lambda: gen_bpdn(BpdnSpec(rows=4, cols=6, sparsity=2, seed=3)),
+], ids=["qcqp", "bpdn"])
+def test_instance_pickles_before_and_after_its_constants_are_read(make):
+    prob = make()
+    copy = pickle.loads(pickle.dumps(prob))
+    want = constants(prob)
+    assert constants(copy) == want
+    again = pickle.loads(pickle.dumps(prob))
+    assert constants(again) == want
+    assert instance_digest(again) == instance_digest(prob)
+
+
+def test_saved_instance_holds_numbers_for_deferred_constants(tmp_path):
+    prob = gen_qcqp(QcqpSpec(m=2, p=4, seed=4))
+    path = save_instance(prob, tmp_path / "qcqp.json")
+    data = json.loads(path.read_text())
+    saved = [data["g"]["lipschitz"]] + [
+        c for con in data["constraints"] for c in (con["fn"]["lipschitz"],
+                                                   con["grad_bound"])]
+    assert all(type(c) is float for c in saved)
+    assert saved == constants(prob) == constants(load_instance(path))
 
 
 def test_unknown_kind_rejected():

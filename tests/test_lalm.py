@@ -284,6 +284,25 @@ def test_ergodic_single_iterate_and_empty():
     np.testing.assert_allclose(acc.average(), [1.0, -1.0])
 
 
+@settings(max_examples=50, deadline=None)
+@given(weights=st.lists(st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+                        min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_ergodic_running_sums_are_the_weighted_sums(weights, seed):
+    # unit weights take no products (1.0 * v == v), so the sums are the
+    # same bits as sum_k w_k x_k and sum_k w_k image_k for any weights
+    rng = np.random.default_rng(seed)
+    acc = ErgodicAccumulator(5)
+    x_sum, image_sum = np.zeros(5), np.zeros((3, 5))
+    for weight in weights:
+        x, image = rng.normal(size=5), rng.normal(size=(3, 5))
+        acc.add(x, weight, image)
+        x_sum = x_sum + weight * x
+        image_sum = image_sum + weight * image
+    assert acc.scaled(1.0).tobytes() == x_sum.tobytes()
+    assert acc._image.tobytes() == image_sum.tobytes()
+
+
 @pytest.mark.parametrize("make", [
     lambda: gen_qcqp(QcqpSpec(m=3, p=7, seed=5)),
     lambda: gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=1)),
@@ -522,3 +541,28 @@ def test_non_finite_start_is_refused_naming_it(solver, kind, start):
         prob = prob.with_blocks(prob.dim)
     with pytest.raises(ValueError, match=f"start point {name} must be finite"):
         solver.solve(prob, SolverConfig(max_epochs=5), **start)
+
+
+@pytest.mark.parametrize("solver, n_blocks", [(lalm, 1), (blalm, 4)],
+                         ids=["lalm", "blalm"])
+def test_start_calls_no_constraint_oracle(monkeypatch, solver, n_blocks):
+    # the start point takes f(x0) from the smooth stack's tracker; on a
+    # quadratic stack no constraint's own oracle runs at all
+    prob = gen_qcqp(QcqpSpec(m=3, p=8, seed=0)).with_blocks(n_blocks)
+    fns = {id(con.fn) for con in prob.constraints}
+    calls = []
+
+    def counted(name):
+        oracle = getattr(QuadraticFunction, name)
+
+        def call(self, *args):
+            if id(self) in fns:
+                calls.append(name)
+            return oracle(self, *args)
+        return call
+
+    for name in ("__call__", "grad"):
+        monkeypatch.setattr(QuadraticFunction, name, counted(name))
+    res = solver.solve(prob, SolverConfig(beta=0.1, max_epochs=3),
+                       x0=np.full(prob.dim, 0.5), z0=np.ones(prob.m))
+    assert res.epochs == 3 and calls == []
