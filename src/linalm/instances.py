@@ -162,16 +162,16 @@ def gen_qcqp(spec):
     Qs = np.empty((spec.m + 1, p, p))
     slabs = iter(Qs)
 
-    def quad(d, defer):
+    def quad(d):
         Q = _gaussian_psd(rng, p, next(slabs))
-        norm = partial(_quadratic_lipschitz, Q)
         return QuadraticFunction(Q, rng.standard_normal(p), d,
-                                 lipschitz=norm if defer else norm())
+                                 lipschitz=partial(_quadratic_lipschitz, Q))
 
-    g = quad(0.0, False)
+    g = quad(0.0)
+    g.lipschitz  # read now: every backtracking solve seeds eta with it
     constraints = []
     for _ in range(spec.m):
-        fn = quad(spec.d_value, True)
+        fn = quad(spec.d_value)
         constraints.append(InequalityConstraint(
             fn, grad_bound=partial(_quadratic_grad_bound, fn, box_radius)))
     h = BoxIndicator(np.full(p, spec.box_low), np.full(p, spec.box_high))

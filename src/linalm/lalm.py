@@ -133,13 +133,10 @@ class ErgodicAccumulator:
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
-        if weight != 1.0:  # 1.0 * v == v: unit weights need no products
-            x = weight * x
-            image = weight * image
-        self._sum += x
+        self._sum += weight * x
         if self.count == 0:
             self._image = np.zeros(np.shape(image))
-        self._image += image
+        self._image += weight * image
         self.weight += weight
         self.count += 1
 

@@ -289,8 +289,8 @@ def test_ergodic_single_iterate_and_empty():
                         min_size=1, max_size=8),
        seed=st.integers(0, 2**32 - 1))
 def test_ergodic_running_sums_are_the_weighted_sums(weights, seed):
-    # unit weights take no products (1.0 * v == v), so the sums are the
-    # same bits as sum_k w_k x_k and sum_k w_k image_k for any weights
+    # the running sums are the same bits as sum_k w_k x_k and
+    # sum_k w_k image_k, for unit weights and any others
     rng = np.random.default_rng(seed)
     acc = ErgodicAccumulator(5)
     x_sum, image_sum = np.zeros(5), np.zeros((3, 5))
