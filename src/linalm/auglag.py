@@ -7,6 +7,13 @@ u = f_j(x) with its multiplier v = z_j through the piecewise scalar penalty
                     -v^2 / (2 beta)      otherwise,
 
 which is continuously differentiable in u with derivative [beta u + v]_+.
+On both branches it equals w v + (beta/2) w^2 at the clipped value
+w = max(u, -v/beta), and this module values it in that form only: summed
+over the constraints it is w'z + (beta/2) w'w, the same shape as the
+equality term y'r + (beta/2) r'r. The clipped values are also the ascent
+direction of the z step, so the solvers pass an accepted candidate's w on
+to it.
+
 This module evaluates the smooth part of the augmented Lagrangian (the
 full one adds h(x)), its gradient and the curvature bounds for analytic
 step sizes from arrays a solver holds: the stack values (g, f), the stacked
@@ -26,22 +33,23 @@ def _check_beta(beta):
 
 
 def penalty_floor(v, beta):
-    """-v^2 / (2 beta): the penalty where beta*u + v < 0, which does not
-    depend on u, so a caller holding v fixed computes it once."""
-    return -v * v / (2.0 * beta)
+    """-v / beta: the floor under the clipped values, below which the penalty
+    does not depend on u, so a caller holding v fixed computes it once.
+    Dividing by -beta gives the bits of -v / beta with one array operation."""
+    return v / -beta
 
 
 def penalty_terms(u, v, beta, floor=None):
     """The penalty's elementwise arithmetic, in the one place it lives.
 
-    Returns (s, penalty) for same-shaped arrays u and v: s = beta*u + v,
-    whose positive part is the derivative in u, and, when ``floor`` =
-    penalty_floor(v, beta) is given, penalty(u, v), else None.
+    Returns (coef, w) for same-shaped arrays u and v: the weights
+    coef = [beta u + v]_+, the derivative in u, unless v is None, and, when
+    ``floor`` = penalty_floor(v, beta) is given, the clipped values
+    w = max(u, -v/beta), else None. A candidate, valued with its iteration's
+    floor, asks for w alone.
     """
-    s = beta * u + v
-    if floor is None:
-        return s, None
-    return s, np.where(s >= 0, u * v + 0.5 * beta * u * u, floor)
+    coef = None if v is None else np.maximum(beta * u + v, 0.0)
+    return coef, None if floor is None else np.maximum(floor, u)
 
 
 def scalar_penalty(u, v, beta):
@@ -53,29 +61,30 @@ def scalar_penalty(u, v, beta):
     _check_beta(beta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    _, out = penalty_terms(u, v, beta, penalty_floor(v, beta))
+    _, w = penalty_terms(u, None, beta, penalty_floor(v, beta))
+    out = w * v + 0.5 * beta * (w * w)
     return float(out) if out.ndim == 0 else out
 
 
 def scalar_penalty_deriv(u, v, beta):
     """Derivative of scalar_penalty in its first argument: [beta*u + v]_+."""
     _check_beta(beta)
-    s, _ = penalty_terms(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
-                         beta)
-    out = np.maximum(s, 0.0)
+    out, _ = penalty_terms(np.asarray(u, dtype=float), np.asarray(v, dtype=float),
+                           beta)
     return float(out) if out.ndim == 0 else out
 
 
-def smooth_value(gval, y, r, penalties, beta):
+def smooth_value(gval, y, r, z, w, beta):
     """Smooth part of the augmented Lagrangian (everything except h):
-    g(x) + y'r + (beta/2)||r||^2 + sum(penalties), summed in this order;
-    r = Ax - b is None without equality rows and the penalties (from
-    ``penalty_terms``) None without inequality constraints."""
-    val = gval
+    g(x) + y'r + (beta/2)||r||^2 + z'w + (beta/2)||w||^2, summed in this
+    order, as a float. r = Ax - b is None without equality rows, and the
+    clipped values w = max(f(x), -z/beta) (from ``penalty_terms``) None
+    without inequality constraints."""
+    val = float(gval)
     if r is not None:
-        val += float(y @ r) + 0.5 * beta * float(r @ r)
-    if penalties is not None:
-        val += float(penalties.sum())
+        val += float(y.dot(r)) + 0.5 * beta * float(r.dot(r))
+    if w is not None:
+        val += float(z.dot(w)) + 0.5 * beta * float(w.dot(w))
     return val
 
 
@@ -84,28 +93,29 @@ def iteration_terms(vals, y, r, z, beta, backtracking):
     ``vals`` = (g(x), f(x)) and r (None without equality rows).
 
     Returns (coef, floor, base): the weights coef = [beta f + z]_+ and, when
-    ``backtracking``, the floor -z^2/(2 beta) for ``candidate_value`` and the
+    ``backtracking``, the floor -z/beta for ``candidate_value`` and the
     smooth value at x, else None for both. coef and floor are None without
     inequality constraints.
     """
-    coef = floor = penalties = None
+    coef = floor = w = None
     if len(z):
         floor = penalty_floor(z, beta) if backtracking else None
-        s, penalties = penalty_terms(vals[1:], z, beta, floor)
-        coef = np.maximum(s, 0.0)
-    base = smooth_value(vals[0], y, r, penalties, beta) if backtracking else None
+        coef, w = penalty_terms(vals[1:], z, beta, floor)
+    base = smooth_value(vals[0], y, r, z, w, beta) if backtracking else None
     return coef, floor, base
 
 
 def candidate_value(vals, y, r, z, beta, floor):
-    """Smooth value at a candidate's stack values and residual, with its
-    iteration's ``floor``, which inequality constraints require."""
-    penalties = None
+    """(smooth value, clipped values w) at a candidate's stack values and
+    residual, with its iteration's ``floor``, which inequality constraints
+    require; w is None without them. w is the z step's ascent direction
+    should the candidate be accepted."""
+    w = None
     if len(z):
         if floor is None:
             raise ValueError("a candidate needs its iteration's penalty floor")
-        penalties = penalty_terms(vals[1:], z, beta, floor)[1]
-    return smooth_value(vals[0], y, r, penalties, beta)
+        w = penalty_terms(vals[1:], None, beta, floor)[1]
+    return smooth_value(vals[0], y, r, z, w, beta), w
 
 
 def smooth_grad(grads, A, y, r, coef, beta):
@@ -129,20 +139,22 @@ smooth_grad_block = smooth_grad
 def penalty_lipschitz(coef, beta, prob):
     """Lipschitz bound for the penalty gradient at weights coef = [beta f + z]_+.
 
-    sum_j (beta B_j^2 + L_j coef_j), where B_j bounds ||grad f_j|| and L_j
-    is the Lipschitz constant of grad f_j. Requires both constants on every
-    constraint.
+    sum_j (beta B_j^2 + L_j coef_j), summed in constraint order, where B_j
+    bounds ||grad f_j|| and L_j is the Lipschitz constant of grad f_j.
+    Requires both constants on every constraint.
     """
     if prob.m == 0:
         return 0.0
+    constants = prob.penalty_constants()
+    if constants is None:
+        raise ValueError(
+            "constraint lacks gradient bound or Lipschitz constant; "
+            "run the solver in backtracking mode")
+    lipschitz, bound_sq = constants
     total = 0.0
-    for cj, con in zip(coef, prob.constraints):
-        if con.grad_bound is None or con.fn.lipschitz is None:
-            raise ValueError(
-                "constraint lacks gradient bound or Lipschitz constant; "
-                "run the solver in backtracking mode")
-        total += beta * con.grad_bound ** 2 + con.fn.lipschitz * cj
-    return float(total)
+    for term in (beta * bound_sq + lipschitz * coef).tolist():
+        total += term
+    return total
 
 
 def smooth_lipschitz(coef, beta, prob, norm_sq):

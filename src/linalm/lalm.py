@@ -10,6 +10,7 @@ never decreases across iterations. All three solvers share ``prox_step``.
 
 from __future__ import annotations
 
+import math
 import numbers
 import typing
 from dataclasses import dataclass
@@ -29,6 +30,9 @@ _DESCENT_RTOL = 1e-12
 _MAX_TRIALS = 201
 # Each backtracking increase multiplies eta by this factor.
 _BACKTRACK_FACTOR = 1.5
+# True when every entry of a boolean array is: the ufunc reduction that
+# ndarray.all wraps, called directly.
+_all = np.logical_and.reduce
 
 
 def check_types(values, hints):
@@ -133,10 +137,15 @@ class ErgodicAccumulator:
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
-        self._sum += weight * x
         if self.count == 0:
             self._image = np.zeros(np.shape(image))
-        self._image += weight * image
+        # A unit weight adds x and its image themselves: the bits of 1.0 * x
+        # without the temporary. A scalar image, a FunctionStack's 0.0, adds
+        # nothing.
+        unit = weight == 1.0
+        self._sum += x if unit else weight * x
+        if self._image.ndim:
+            self._image += image if unit else weight * image
         self.weight += weight
         self.count += 1
 
@@ -192,6 +201,13 @@ def multiplier_step_z(z, fvals_new, rho_z, beta):
     return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
 
 
+def multiplier_step_clipped(z, clipped, rho_z):
+    """multiplier_step_z from the clipped values max(-z/beta, f(x_new)) that
+    valuing the accepted candidate x_new formed (``auglag.candidate_value``):
+    the same bits, without forming them again."""
+    return np.maximum(z + rho_z * clipped, 0.0)
+
+
 def analytic_eta(eta_prev, coef, beta, delta, prob, norm_sq):
     """Monotone analytic step bound max(eta_prev, L_F + delta), with L_F the
     smooth-part bound at weights coef = [beta f + z]_+ over equality columns
@@ -210,27 +226,28 @@ def descent_holds(value_new, value_base, inner, eta, step_sq):
 def prox_step(x, grad, eta, prox, trial, base):
     """Every solver's primal step: the candidate prox(x - grad/eta, 1/eta).
 
-    ``trial(candidate)`` moves the caller's trial state there (a rebased
-    tracker) and returns a function giving the smooth value at it. ``base``
-    is the smooth value at x, or None in analytic mode, which takes the
-    first candidate and asks for no value. Backtracking grows eta by
-    _BACKTRACK_FACTOR until the descent test holds, or raises SolverError
-    after _MAX_TRIALS - 1 increases, or at once on a non-finite grad. Returns
-    (eta, candidate, its value or None in analytic mode, increases made).
+    ``trial(candidate, dx)``, with dx = candidate - x, moves the caller's
+    trial state there (a rebased tracker) and returns a function giving the
+    smooth value at it as a float. ``base`` is the smooth value at x, or
+    None in analytic mode, which takes the first candidate and asks for no
+    value. Backtracking grows eta by _BACKTRACK_FACTOR until the descent
+    test holds, or raises SolverError after _MAX_TRIALS - 1 increases, or at
+    once on a non-finite grad. Returns (eta, candidate, its value or None in
+    analytic mode, increases made).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if not np.isfinite(grad).all():
+    if not _all(np.isfinite(grad)):
         raise SolverError("non-finite gradient of the smooth part")
     for k in range(_MAX_TRIALS):
         x_new = prox(x - grad / eta, 1.0 / eta)
-        value = trial(x_new)
+        dx = x_new - x
+        value = trial(x_new, dx)
         if base is None:
             return eta, x_new, None, k
         val = value()
-        dx = x_new - x
-        if np.isfinite(val) and descent_holds(val, base, float(grad @ dx),
-                                              eta, float(dx @ dx)):
+        if math.isfinite(val) and descent_holds(val, base, float(grad.dot(dx)),
+                                                eta, float(dx.dot(dx))):
             return eta, x_new, val, k
         eta *= _BACKTRACK_FACTOR
     raise SolverError(f"backtracking failed after {_MAX_TRIALS - 1} step-size "
@@ -242,19 +259,29 @@ def backtrack_primal(w, grad, eta_start, beta, prob, tracker, floor, base):
     ``tracker`` (the smooth stack's, based at w.x) at its candidate, so it
     ends at x_new. ``floor`` and ``base`` come from the iteration's
     ``auglag.iteration_terms`` at w; a candidate is valued from the tracker,
-    its residual and w's multipliers. Returns (eta, x_new, r_new, fvals_new,
-    smooth_new, trials), smooth_new None in analytic mode."""
-    r = w.r
+    its residual (w.r itself without equality rows) and w's multipliers.
+    Returns (eta, x_new, r_new, clipped, smooth_new, trials): clipped is
+    the accepted candidate's max(f(x_new), -z/beta) and smooth_new its
+    value, both None in analytic mode, and clipped also without
+    constraints."""
+    r, clipped = w.r, None
+    rows = not prob.affine.is_empty
 
-    def trial(x_new):
+    def trial(x_new, dx):
         nonlocal r
         tracker.rebase(x_new)
-        r = prob.affine.residual(x_new)
-        return lambda: auglag.candidate_value(
-            tracker.value, w.y, None if prob.affine.is_empty else r, w.z, beta, floor)
+        if rows:
+            r = prob.affine.residual(x_new)
+
+        def value():
+            nonlocal clipped
+            val, clipped = auglag.candidate_value(
+                tracker.value, w.y, r if rows else None, w.z, beta, floor)
+            return val
+        return value
 
     eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial, base)
-    return eta, x_new, r, tracker.value[1:], val, trials
+    return eta, x_new, r, clipped, val, trials
 
 
 def run_epochs(prob, config, advance, snapshot):
@@ -271,7 +298,7 @@ def run_epochs(prob, config, advance, snapshot):
     try:
         for epoch in range(1, config.max_epochs + 1):
             x, values = advance(epoch)
-            if not (np.isfinite(x).all() and np.isfinite(values).all()):
+            if not (_all(np.isfinite(x)) and _all(np.isfinite(values))):
                 raise SolverError(
                     f"non-finite iterate or oracle value at epoch {epoch}")
             if epoch in schedule:
@@ -329,10 +356,12 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
         grad = auglag.smooth_grad(grads, A, w.y, w.r, coef, beta)
         if analytic:
             eta = analytic_eta(eta, coef, beta, delta, prob, prob.affine.op_norm_sq())
-        eta, x_new, r_new, fvals_new, _, _ = backtrack_primal(
+        eta, x_new, r_new, clipped, _, _ = backtrack_primal(
             w, grad, eta, beta, prob, tracker, floor, base)
-        y_new = multiplier_step_y(w.y, r_new, rho_y)
-        z_new = multiplier_step_z(w.z, fvals_new, rho_z, beta)
+        fvals_new = tracker.value[1:]
+        y_new = w.y if A is None else multiplier_step_y(w.y, r_new, rho_y)
+        z_new = (multiplier_step_z(w.z, fvals_new, rho_z, beta) if clipped is None
+                 else multiplier_step_clipped(w.z, clipped, rho_z))
         w = PrimalDualPoint(x_new, y_new, z_new, r_new, fvals_new)
         # the tracker is based at x_new: its image and gradients are x_new's
         acc.add(x_new, 1.0 / eta, stack.image(tracker))

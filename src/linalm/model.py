@@ -718,10 +718,24 @@ class ProblemInstance:
         self.blocks = blocks
         self.f0_star = None if f0_star is None else float(f0_star)
         self.meta = dict(meta or {})
+        self._penalty_constants = None
 
     @property
     def m(self):
         return len(self.constraints)
+
+    def penalty_constants(self):
+        """(L, B2): arrays of each constraint's gradient Lipschitz constant
+        L_j and squared gradient bound B_j^2, for analytic step bounds; None
+        when a constraint lacks either. Computed on the first call, which
+        reads constants computed on first use, and kept."""
+        if self._penalty_constants is None:
+            pairs = [(con.fn.lipschitz, con.grad_bound) for con in self.constraints]
+            if any(lip is None or bound is None for lip, bound in pairs):
+                return None
+            self._penalty_constants = (np.array([lip for lip, _ in pairs]),
+                                       np.array([bound ** 2 for _, bound in pairs]))
+        return self._penalty_constants
 
     def f0(self, x):
         """Composite objective g(x) + h(x); +inf outside dom(h)."""
@@ -800,7 +814,7 @@ def checked_start(prob, x, y, z):
 def prox_l1(v, tau):
     """Soft thresholding: componentwise sign(v) * max(|v| - tau, 0)."""
     v = np.asarray(v, dtype=float)
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise ValueError("prox_l1 requires finite input")
     if tau <= 0:
         raise ValueError("threshold must be positive")

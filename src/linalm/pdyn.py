@@ -71,7 +71,7 @@ def step(state, prob, config):
     grad, z = direction(state)
     base = None if config.step_mode == "analytic" else _phi(tracker, z)
 
-    def trial(x_new):
+    def trial(x_new, dx):
         tracker.rebase(x_new)
         return lambda: _phi(tracker, z)
 

@@ -92,13 +92,16 @@ def fejer_quantities(prob, ref, cfg, solve_fn, **kwargs):
 def smooth_value_at(w, beta, prob, gval=None):
     """The smooth part of the augmented Lagrangian at a PrimalDualPoint w:
     g(x) from its oracle (or ``gval``, a tracker's value of it), the residual
-    and constraint values w caches, and the penalties from scalar_penalty."""
+    and constraint values w caches, and the clipped values penalty_terms
+    forms from them."""
     from linalm import auglag
 
-    return auglag.smooth_value(
-        prob.g(w.x) if gval is None else gval, w.y,
-        None if prob.affine.is_empty else w.r,
-        auglag.scalar_penalty(w.fvals, w.z, beta) if prob.m else None, beta)
+    clipped = (auglag.penalty_terms(w.fvals, w.z, beta,
+                                    auglag.penalty_floor(w.z, beta))[1]
+               if prob.m else None)
+    return auglag.smooth_value(prob.g(w.x) if gval is None else gval, w.y,
+                               None if prob.affine.is_empty else w.r, w.z,
+                               clipped, beta)
 
 
 def smooth_grad_at(w, beta, prob):

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,7 +9,7 @@ from linalm.auglag import (penalty_lipschitz, scalar_penalty,
                            scalar_penalty_deriv, smooth_grad_block,
                            smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
-from linalm.lalm import prox_step
+from linalm.lalm import multiplier_step_clipped, multiplier_step_z, prox_step
 from linalm.model import (BoxIndicator, InequalityConstraint, LinearFunction,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           ZeroProx, smooth_stack)
@@ -66,7 +68,7 @@ def test_scalar_penalty_is_c1_across_the_switching_surface(u, beta):
     cap_branch = -v * v / (2 * beta)
     assert abs(quad_branch - cap_branch) <= noise
     p0 = scalar_penalty(u, v, beta)
-    assert p0 in (quad_branch, cap_branch)
+    assert abs(p0 - cap_branch) <= noise
     d0 = scalar_penalty_deriv(u, v, beta)
     assert d0 == 0.0
     step = 1e-5 * max(1.0, abs(u))
@@ -81,39 +83,62 @@ def test_scalar_penalty_is_c1_across_the_switching_surface(u, beta):
         assert abs(scalar_penalty_deriv(u + h, v, beta) - d0) <= beta * abs(h) + slack
 
 
-def _old_penalty(u, v, beta):
-    """The penalty as scalar_penalty computed it before penalty_terms."""
-    return np.where(beta * u + v >= 0, u * v + 0.5 * beta * u * u,
-                    -v * v / (2.0 * beta))
+def _exact_penalty(u, z, beta):
+    """The piecewise definition in exact rational arithmetic."""
+    u, z, beta = Fraction(u), Fraction(z), Fraction(beta)
+    if beta * u + z >= 0:
+        return u * z + beta * u * u / 2
+    return -z * z / (2 * beta)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), k=st.integers(1, 12), beta=st.floats(1e-3, 1e3))
-def test_penalty_terms_equal_the_old_formulas_bitwise(data, k, beta):
-    # each entry of v is random, 0 (z = 0) or -beta*u (on the switching
-    # surface beta*u + v = 0 exactly)
-    u = np.array(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k, max_size=k)))
-    kinds = data.draw(st.lists(st.sampled_from(["random", "zero", "surface"]),
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), k=st.integers(1, 8), beta=st.floats(1e-3, 1e3),
+       rho=st.floats(1e-3, 1.0))
+def test_clipped_penalty_is_the_piecewise_penalty_to_roundoff(data, k, beta, rho):
+    # each entry is a random (u, z), on the switching surface z = -beta*u,
+    # or nearly active, |u| <= 1e-12
+    kinds = data.draw(st.lists(st.sampled_from(["random", "surface", "active"]),
                                min_size=k, max_size=k))
-    v = np.array([data.draw(st.floats(-1e6, 1e6)) if kind == "random" else
-                  0.0 if kind == "zero" else -beta * uj
-                  for kind, uj in zip(kinds, u)])
-    want = _old_penalty(u, v, beta)
-    want_deriv = np.maximum(beta * u + v, 0.0)
-    s, got = auglag.penalty_terms(u, v, beta, auglag.penalty_floor(v, beta))
-    assert got.tobytes() == want.tobytes()
-    assert np.maximum(s, 0.0).tobytes() == want_deriv.tobytes()
-    assert scalar_penalty(u, v, beta).tobytes() == want.tobytes()
-    assert scalar_penalty_deriv(u, v, beta).tobytes() == want_deriv.tobytes()
-    # one floor serves every u at the same v
-    _, shifted = auglag.penalty_terms(u + 1.0, v, beta, auglag.penalty_floor(v, beta))
-    assert shifted.tobytes() == _old_penalty(u + 1.0, v, beta).tobytes()
-    # smooth_value adds the penalties after g(x) and the affine terms
+    u, z = np.zeros(k), np.zeros(k)
+    for j, kind in enumerate(kinds):
+        if kind == "active":
+            u[j] = data.draw(st.floats(-1e-12, 1e-12))
+        else:
+            u[j] = data.draw(st.floats(-1e6, 1e6))
+        z[j] = -beta * u[j] if kind == "surface" and u[j] <= 0 else \
+            data.draw(st.floats(0.0, 1e6))
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    floor = auglag.penalty_floor(z, beta)
+    terms = scalar_penalty(u, z, beta)
+    for j in range(k):
+        exact = _exact_penalty(u[j], z[j], beta)
+        scale = max(abs(Fraction(u[j]) * Fraction(z[j])),
+                    Fraction(beta) * Fraction(u[j]) ** 2 / 2,
+                    Fraction(z[j]) ** 2 / (2 * Fraction(beta)))
+        # within 2 eps of the largest term; the smallest normal number
+        # covers results that underflow
+        bound = 2 * eps * scale + Fraction(tiny)
+        assert abs(Fraction(terms[j]) - exact) <= bound
+        # a candidate's value adds the same form as two dot products
+        one, _ = auglag.candidate_value(np.array([0.0, u[j]]), None, None,
+                                        z[j:j + 1], beta, floor[j:j + 1])
+        assert abs(Fraction(one) - exact) <= bound
+    # the weights are [beta u + z]_+ as ever
+    assert scalar_penalty_deriv(u, z, beta).tobytes() == \
+        np.maximum(beta * u + z, 0.0).tobytes()
+    # the z step from a candidate's clipped values is multiplier_step_z
+    value, clipped = auglag.candidate_value(np.concatenate([[0.0], u]), None, None,
+                                            z, beta, floor)
+    rho_z = rho * beta
+    assert multiplier_step_clipped(z, clipped, rho_z).tobytes() == \
+        multiplier_step_z(z, u, rho_z, beta).tobytes()
+    # the summed penalty follows g(x) and the affine terms
     y, r, gval = np.array([0.5, -2.0]), np.array([1e-3, 3.0]), 1.25
-    old = gval
-    old += float(y @ r) + 0.5 * beta * float(r @ r)
-    old += float(want.sum())
-    assert smooth_value(gval, y, r, scalar_penalty(u, v, beta), beta) == old
+    want = gval
+    want += float(y @ r) + 0.5 * beta * float(r @ r)
+    want += float(z @ clipped) + 0.5 * beta * float(clipped @ clipped)
+    assert smooth_value(gval, y, r, z, clipped, beta) == want
+    assert value == float(z @ clipped) + 0.5 * beta * float(clipped @ clipped)
 
 
 def test_scalar_penalty_deriv_values():
@@ -390,7 +415,8 @@ def test_descent_inequality_holds_at_smooth_lipschitz(rng):
         eta = smooth_lipschitz(scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
                                prob.affine.op_norm_sq())
         grad = smooth_grad_at(w, beta, prob)
-        _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None, None)
+        _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox,
+                                   lambda x, dx: None, None)
         cand = PrimalDualPoint.at(prob, x_new, w.y, w.z)
         lhs = smooth_value_at(cand, beta, prob)
         dx = x_new - w.x

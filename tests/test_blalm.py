@@ -401,9 +401,8 @@ def test_analytic_block_bound_always_accepted(rng):
                            z0=rng.uniform(0, 1, size=3), seed=0)
 
         def value(vals, r):
-            return auglag.smooth_value(
-                vals[0], state.y, r, auglag.scalar_penalty(vals[1:], state.z, beta),
-                beta)
+            return auglag.candidate_value(vals, state.y, r, state.z, beta,
+                                          auglag.penalty_floor(state.z, beta))[0]
 
         for i in range(4):
             grad, _, _ = state.block_gradient(i)

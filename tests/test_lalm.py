@@ -34,7 +34,7 @@ def quadratic_prob(curvature=3.0):
 
 def candidate(w, grad, eta, prob):
     """The prox-gradient candidate that prox_step takes first."""
-    _, x_new, _, trials = prox_step(w.x, grad, eta, prob.h.prox, lambda x: None,
+    _, x_new, _, trials = prox_step(w.x, grad, eta, prob.h.prox, lambda x, dx: None,
                                     None)
     assert trials == 0
     return x_new
