@@ -96,7 +96,7 @@ def smooth_value_at(w, beta, prob, gval=None):
     forms from them."""
     from linalm import auglag
 
-    clipped = (auglag.penalty_terms(w.fvals, w.z, beta,
+    clipped = (auglag.penalty_terms(w.fvals, None, beta,
                                     auglag.penalty_floor(w.z, beta))[1]
                if prob.m else None)
     return auglag.smooth_value(prob.g(w.x) if gval is None else gval, w.y,
