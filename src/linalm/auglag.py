@@ -11,8 +11,7 @@ On both branches it equals w v + (beta/2) w^2 at the clipped value
 w = max(u, -v/beta), and this module values it in that form only: summed
 over the constraints it is w'z + (beta/2) w'w, the same shape as the
 equality term y'r + (beta/2) r'r. The clipped values are also the ascent
-direction of the z step, so the solvers pass an accepted candidate's w on
-to it.
+term of the z step, max(z + rho_z w, 0) at the new x.
 
 This module evaluates the smooth part of the augmented Lagrangian (the
 full one adds h(x)), its gradient and the curvature bounds for analytic
@@ -106,16 +105,14 @@ def iteration_terms(vals, y, r, z, beta, backtracking):
 
 
 def candidate_value(vals, y, r, z, beta, floor):
-    """(smooth value, clipped values w) at a candidate's stack values and
-    residual, with its iteration's ``floor``, which inequality constraints
-    require; w is None without them. w is the z step's ascent direction
-    should the candidate be accepted."""
+    """Smooth value at a candidate's stack values and residual, with its
+    iteration's ``floor``, which inequality constraints require."""
     w = None
     if len(z):
         if floor is None:
             raise ValueError("a candidate needs its iteration's penalty floor")
         w = penalty_terms(vals[1:], None, beta, floor)[1]
-    return smooth_value(vals[0], y, r, z, w, beta), w
+    return smooth_value(vals[0], y, r, z, w, beta)
 
 
 def smooth_grad(grads, A, y, r, coef, beta):

@@ -15,8 +15,8 @@ import numpy as np
 from . import auglag
 # descent_holds is not used here: perfbench/tracing.py wraps this module's copy
 from .lalm import (ErgodicAccumulator, SolveResult, analytic_eta,  # noqa: F401
-                   descent_holds, multiplier_step_clipped, multiplier_step_y,
-                   multiplier_step_z, prox_step, run_epochs)
+                   descent_holds, multiplier_step_y, multiplier_step_z, prox_step,
+                   run_epochs)
 from .model import (PrimalDualPoint, checked_start, operator_norm_sq,
                     smooth_stack)
 from .trace import MetricsRecorder
@@ -48,8 +48,7 @@ class BlockState:
         # Each block's columns of A, as views; each None without equality rows.
         self.A_blocks = [None if prob.affine.is_empty else prob.affine.A[:, sl]
                          for sl in self.blocks]
-        # The last candidate tried, as [block value, dx, A_i dx or None,
-        # clipped values once valued or None].
+        # The last candidate tried, as (block value, dx, A_i dx or None).
         self._trial = None
 
         self.analytic = config.step_mode == "analytic"
@@ -122,14 +121,10 @@ class BlockState:
 
         def trial(blk_new, dx):
             dr = None if A_i is None else A_i @ dx
-            memo = self._trial = [blk_new, dx, dr, None]
-
-            def value():
-                val, memo[3] = auglag.candidate_value(
-                    tracker.value + tracker.delta_value(sl, dx), self.y,
-                    None if dr is None else self.r + dr, self.z, beta, floor)
-                return val
-            return value
+            self._trial = (blk_new, dx, dr)
+            return lambda: auglag.candidate_value(
+                tracker.value + tracker.delta_value(sl, dx), self.y,
+                None if dr is None else self.r + dr, self.z, beta, floor)
 
         eta, blk_new, _, self.last_trials = prox_step(
             x_blk, grad_blk, float(self.eta[i]), self.h_blocks[i].prox, trial, base)
@@ -141,15 +136,11 @@ class BlockState:
 
         The candidate ``backtrack_block`` returned brings its dx, its A_i dx
         and the tracker's products along; any other block value is
-        computed afresh. Ends the iteration. Returns the clipped values
-        max(f, -z/beta) at the new x that valuing the candidate formed, the
-        z step's direction, or None when no candidate was valued (analytic
-        mode, no constraints, or another block value).
+        computed afresh. Ends the iteration.
         """
         sl = self.blocks[i]
-        clipped = None
         if self._trial is not None and self._trial[0] is blk_new:
-            _, dx, dr, clipped = self._trial
+            _, dx, dr = self._trial
         else:
             dx = blk_new - self.x[sl]
             A_i = self.A_blocks[i]
@@ -159,7 +150,6 @@ class BlockState:
         self.tracker.commit(sl, dx)
         self.x[sl] = blk_new
         self._trial = None
-        return clipped
 
     def refresh(self):
         """Recompute residual, constraint values, and the tracker from scratch."""
@@ -190,12 +180,10 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
         for k in range((epoch - 1) * n, epoch * n):
             i = state.pick_block()
             _, blk_new = state.backtrack_block(i, *state.block_gradient(i))
-            clipped = state.apply_block(i, blk_new)
+            state.apply_block(i, blk_new)
             if has_rows:
                 state.y = multiplier_step_y(state.y, state.r, rho_y)
-            state.z = (multiplier_step_z(state.z, state.fvals, rho_z, beta)
-                       if clipped is None
-                       else multiplier_step_clipped(state.z, clipped, rho_z))
+            state.z = multiplier_step_z(state.z, state.fvals, rho_z, beta)
             acc.add(state.x, 1.0, state.stack.image(state.tracker))
             if callback is not None:
                 callback(k + 1, state)

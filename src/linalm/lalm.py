@@ -137,15 +137,10 @@ class ErgodicAccumulator:
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
+        self._sum += weight * x
         if self.count == 0:
             self._image = np.zeros(np.shape(image))
-        # A unit weight adds x and its image themselves: the bits of 1.0 * x
-        # without the temporary. A scalar image, a FunctionStack's 0.0, adds
-        # nothing.
-        unit = weight == 1.0
-        self._sum += x if unit else weight * x
-        if self._image.ndim:
-            self._image += image if unit else weight * image
+        self._image += weight * image
         self.weight += weight
         self.count += 1
 
@@ -201,13 +196,6 @@ def multiplier_step_z(z, fvals_new, rho_z, beta):
     return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
 
 
-def multiplier_step_clipped(z, clipped, rho_z):
-    """multiplier_step_z from the clipped values max(-z/beta, f(x_new)) that
-    valuing the accepted candidate x_new formed (``auglag.candidate_value``):
-    the same bits, without forming them again."""
-    return np.maximum(z + rho_z * clipped, 0.0)
-
-
 def analytic_eta(eta_prev, coef, beta, delta, prob, norm_sq):
     """Monotone analytic step bound max(eta_prev, L_F + delta), with L_F the
     smooth-part bound at weights coef = [beta f + z]_+ over equality columns
@@ -260,11 +248,9 @@ def backtrack_primal(w, grad, eta_start, beta, prob, tracker, floor, base):
     ends at x_new. ``floor`` and ``base`` come from the iteration's
     ``auglag.iteration_terms`` at w; a candidate is valued from the tracker,
     its residual (w.r itself without equality rows) and w's multipliers.
-    Returns (eta, x_new, r_new, clipped, smooth_new, trials): clipped is
-    the accepted candidate's max(f(x_new), -z/beta) and smooth_new its
-    value, both None in analytic mode, and clipped also without
-    constraints."""
-    r, clipped = w.r, None
+    Returns (eta, x_new, r_new, fvals_new, smooth_new, trials), smooth_new
+    None in analytic mode."""
+    r = w.r
     rows = not prob.affine.is_empty
 
     def trial(x_new, dx):
@@ -272,16 +258,11 @@ def backtrack_primal(w, grad, eta_start, beta, prob, tracker, floor, base):
         tracker.rebase(x_new)
         if rows:
             r = prob.affine.residual(x_new)
-
-        def value():
-            nonlocal clipped
-            val, clipped = auglag.candidate_value(
-                tracker.value, w.y, r if rows else None, w.z, beta, floor)
-            return val
-        return value
+        return lambda: auglag.candidate_value(
+            tracker.value, w.y, r if rows else None, w.z, beta, floor)
 
     eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial, base)
-    return eta, x_new, r, clipped, val, trials
+    return eta, x_new, r, tracker.value[1:], val, trials
 
 
 def run_epochs(prob, config, advance, snapshot):
@@ -356,12 +337,10 @@ def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
         grad = auglag.smooth_grad(grads, A, w.y, w.r, coef, beta)
         if analytic:
             eta = analytic_eta(eta, coef, beta, delta, prob, prob.affine.op_norm_sq())
-        eta, x_new, r_new, clipped, _, _ = backtrack_primal(
+        eta, x_new, r_new, fvals_new, _, _ = backtrack_primal(
             w, grad, eta, beta, prob, tracker, floor, base)
-        fvals_new = tracker.value[1:]
         y_new = w.y if A is None else multiplier_step_y(w.y, r_new, rho_y)
-        z_new = (multiplier_step_z(w.z, fvals_new, rho_z, beta) if clipped is None
-                 else multiplier_step_clipped(w.z, clipped, rho_z))
+        z_new = multiplier_step_z(w.z, fvals_new, rho_z, beta)
         w = PrimalDualPoint(x_new, y_new, z_new, r_new, fvals_new)
         # the tracker is based at x_new: its image and gradients are x_new's
         acc.add(x_new, 1.0 / eta, stack.image(tracker))

@@ -9,7 +9,7 @@ from linalm.auglag import (penalty_lipschitz, scalar_penalty,
                            scalar_penalty_deriv, smooth_grad_block,
                            smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
-from linalm.lalm import multiplier_step_clipped, multiplier_step_z, prox_step
+from linalm.lalm import multiplier_step_z, prox_step
 from linalm.model import (BoxIndicator, InequalityConstraint, LinearFunction,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           ZeroProx, smooth_stack)
@@ -91,7 +91,7 @@ def _exact_penalty(u, z, beta):
     return -z * z / (2 * beta)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data(), k=st.integers(1, 8), beta=st.floats(1e-3, 1e3),
        rho=st.floats(1e-3, 1.0))
 def test_clipped_penalty_is_the_piecewise_penalty_to_roundoff(data, k, beta, rho):
@@ -115,22 +115,25 @@ def test_clipped_penalty_is_the_piecewise_penalty_to_roundoff(data, k, beta, rho
         scale = max(abs(Fraction(u[j]) * Fraction(z[j])),
                     Fraction(beta) * Fraction(u[j]) ** 2 / 2,
                     Fraction(z[j]) ** 2 / (2 * Fraction(beta)))
-        # within 2 eps of the largest term; the smallest normal number
-        # covers results that underflow
-        bound = 2 * eps * scale + Fraction(tiny)
+        # within 3 eps of the largest term: the form's four roundings
+        # (w z, w w, its beta/2 multiple and the sum) allow 2.5 eps to first
+        # order; the smallest normal number covers results that underflow
+        bound = 3 * eps * scale + Fraction(tiny)
         assert abs(Fraction(terms[j]) - exact) <= bound
         # a candidate's value adds the same form as two dot products
-        one, _ = auglag.candidate_value(np.array([0.0, u[j]]), None, None,
-                                        z[j:j + 1], beta, floor[j:j + 1])
+        one = auglag.candidate_value(np.array([0.0, u[j]]), None, None,
+                                     z[j:j + 1], beta, floor[j:j + 1])
         assert abs(Fraction(one) - exact) <= bound
     # the weights are [beta u + z]_+ as ever
     assert scalar_penalty_deriv(u, z, beta).tobytes() == \
         np.maximum(beta * u + z, 0.0).tobytes()
-    # the z step from a candidate's clipped values is multiplier_step_z
-    value, clipped = auglag.candidate_value(np.concatenate([[0.0], u]), None, None,
-                                            z, beta, floor)
+    # the clipped values are the z step's ascent term: multiplier_step_z is
+    # max(z + rho_z w, 0) bit for bit
+    value = auglag.candidate_value(np.concatenate([[0.0], u]), None, None,
+                                   z, beta, floor)
+    _, clipped = auglag.penalty_terms(u, None, beta, floor)
     rho_z = rho * beta
-    assert multiplier_step_clipped(z, clipped, rho_z).tobytes() == \
+    assert np.maximum(z + rho_z * clipped, 0.0).tobytes() == \
         multiplier_step_z(z, u, rho_z, beta).tobytes()
     # the summed penalty follows g(x) and the affine terms
     y, r, gval = np.array([0.5, -2.0]), np.array([1e-3, 3.0]), 1.25

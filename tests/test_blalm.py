@@ -402,7 +402,7 @@ def test_analytic_block_bound_always_accepted(rng):
 
         def value(vals, r):
             return auglag.candidate_value(vals, state.y, r, state.z, beta,
-                                          auglag.penalty_floor(state.z, beta))[0]
+                                          auglag.penalty_floor(state.z, beta))
 
         for i in range(4):
             grad, _, _ = state.block_gradient(i)

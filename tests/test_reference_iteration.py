@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_iteration as ref
 from linalm import blalm, lalm, pdyn
-from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
+from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
+                              random_minimax_1d)
 from linalm.lalm import SolverConfig
 from linalm.model import AffineConstraint, ProblemInstance, even_blocks
 
@@ -114,3 +115,14 @@ def test_backtracking_iterations_follow_the_reference(kind, rows, seed):
     check_blalm(prob, SolverConfig(beta=0.5, max_epochs=100), x0, y0, z0, seed)
     if kind == "qcqp" and not rows:
         check_pdyn(prob, SolverConfig(max_epochs=300), x0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_minimax_iterations_follow_the_reference(seed):
+    # epigraph constraints are no quadratics: their trackers re-evaluate
+    # the oracles and value a block candidate as f(x) + (f(x_new) - f(x))
+    _, prob = random_minimax_1d(m=3, seed=seed)
+    prob = prob.with_blocks(2)
+    x0, y0, z0 = start(prob, seed)
+    check_lalm(prob, SolverConfig(beta=0.5, max_epochs=200), x0, y0, z0)
+    check_blalm(prob, SolverConfig(beta=0.5, max_epochs=100), x0, y0, z0, seed)
