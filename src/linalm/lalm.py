@@ -5,7 +5,9 @@ in the primal variable, then ascends the equality multipliers along the new
 residual and the inequality multipliers along the floored constraint
 values. The primal step size 1/eta comes either from analytic curvature
 bounds or from backtracking on the smooth-part descent inequality; eta
-never decreases across iterations. All three solvers share ``prox_step``.
+never decreases across iterations. The iteration is ``BlockState``'s,
+run here on one full-width block; blalm runs it on a partition. All three
+solvers share ``prox_step`` and ``run_epochs``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import auglag
-from .model import PrimalDualPoint, checked_start, smooth_stack
+from .model import (PrimalDualPoint, checked_start, operator_norm_sq,
+                    smooth_stack)
 from .trace import MetricsRecorder, SolverError, record_epochs, should_stop
 
 # Relative slack admitted when testing the descent inequality, so that a
@@ -242,27 +245,169 @@ def prox_step(x, grad, eta, prox, trial, base):
                       "increases; oracle values may be non-finite")
 
 
-def backtrack_primal(w, grad, eta_start, beta, prob, tracker, floor, base):
-    """lalm's primal update: ``prox_step`` from w, each trial rebasing
-    ``tracker`` (the smooth stack's, based at w.x) at its candidate, so it
-    ends at x_new. ``floor`` and ``base`` come from the iteration's
-    ``auglag.iteration_terms`` at w; a candidate is valued from the tracker,
-    its residual (w.r itself without equality rows) and w's multipliers.
-    Returns (eta, x_new, r_new, fvals_new, smooth_new, trials), smooth_new
-    None in analytic mode."""
-    r = w.r
-    rows = not prob.affine.is_empty
+class BlockState:
+    """Mutable per-solve state: iterates, caches, the tracker, and the sampler.
 
-    def trial(x_new, dx):
-        nonlocal r
-        tracker.rebase(x_new)
-        if rows:
-            r = prob.affine.residual(x_new)
-        return lambda: auglag.candidate_value(
-            tracker.value, w.y, r if rows else None, w.z, beta, floor)
+    ``blocks`` defaults to ``prob.blocks``; lalm passes the one full-width
+    block slice(0, dim), which uses h itself, so h needs no block split.
+    """
 
-    eta, x_new, val, trials = prox_step(w.x, grad, eta_start, prob.h.prox, trial, base)
-    return eta, x_new, r, tracker.value[1:], val, trials
+    def __init__(self, prob, config, x0=None, y0=None, z0=None, seed=0,
+                 blocks=None):
+        self.blocks = prob.blocks if blocks is None else tuple(blocks)
+        if self.blocks is None:
+            raise ValueError("block solver requires a block partition; "
+                             "use ProblemInstance.with_blocks(n)")
+        self.prob = prob
+        self.config = config
+        n = len(self.blocks)
+        self.full_width = n == 1   # the blocks partition [0, dim)
+        self.h_blocks = ([prob.h] if self.full_width
+                         else [prob.h.block(sl) for sl in self.blocks])
+        if any(hb is None for hb in self.h_blocks):
+            raise ValueError("h is not separable across the block partition")
+
+        self.x, self.y, self.z = checked_start(prob, x0, y0, z0)
+        self.r = prob.affine.residual(self.x)
+        # One tracker of the smooth stack serves g and every constraint.
+        self.stack = smooth_stack(prob)
+        self.tracker = self.stack.tracker(self.x)
+        # Each block's columns of A, as views; each None without equality rows.
+        self.A_blocks = [None if prob.affine.is_empty else prob.affine.A[:, sl]
+                         for sl in self.blocks]
+        # The last narrow candidate tried, as (block value, dx, A_i dx or None).
+        self._trial = None
+
+        self.analytic = config.step_mode == "analytic"
+        seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
+        self.eta = np.full(n, seed_eta)
+        # Each block's squared equality-column norm, which only analytic
+        # step bounds read (a full-width block: the instance's cached
+        # ||A||^2); None when backtracking.
+        self.block_norm_sq = np.array(
+            [prob.affine.op_norm_sq()] if self.full_width else
+            [operator_norm_sq(prob.affine.A[:, sl]) for sl in self.blocks]
+        ) if self.analytic else None
+        self.rng = np.random.default_rng(seed)
+        # Block draws left from the current batch, last one first.
+        self._draws = []
+        self.last_trials = 0
+
+    @property
+    def fvals(self):
+        """Constraint values at x, as the tracker holds them."""
+        return self.tracker.value[1:]
+
+    def pick_block(self):
+        """Uniform draw of a block index; deterministic under a fixed seed.
+
+        Draws come n at a time, n the number of blocks: one
+        ``integers(n, size=n)`` call gives the same stream as n scalar
+        ``integers(n)`` calls.
+        """
+        if not self._draws:
+            n = len(self.blocks)
+            self._draws = self.rng.integers(n, size=n).tolist()[::-1]
+        return self._draws.pop()
+
+    def point(self):
+        """Detached snapshot of the current primal-dual point."""
+        return PrimalDualPoint(self.x.copy(), self.y.copy(), self.z.copy(),
+                               self.r.copy(), self.fvals.copy())
+
+    def block_gradient(self, i):
+        """Block i of the smooth-part gradient, assembled from the tracker.
+
+        Begins an iteration with one ``auglag.iteration_terms`` pass over
+        (f, z): its weights give the gradient and, in analytic mode, block
+        i's step bound, set here (monotone across iterations). Returns
+        (grad, floor, base), the pass's floor and base value going on to
+        ``backtrack_block``. z and y stay fixed until ``apply_block`` or
+        ``refresh`` ends the iteration.
+        """
+        beta, A_i = self.config.beta, self.A_blocks[i]
+        coef, floor, base = auglag.iteration_terms(
+            self.tracker.value, self.y, None if A_i is None else self.r, self.z,
+            beta, not self.analytic)
+        if self.analytic:
+            self.eta[i] = analytic_eta(self.eta[i], coef, beta, self.config.delta,
+                                       self.prob, self.block_norm_sq[i])
+        return (auglag.smooth_grad_block(self.tracker.block_grad(self.blocks[i]),
+                                         A_i, self.y, self.r, coef, beta),
+                floor, base)
+
+    def backtrack_block(self, i, grad_blk, floor, base):
+        """Block i's primal update: ``prox_step`` on that block from
+        ``block_gradient``'s (grad, floor, base). A full-width trial refreshes
+        the state at its candidate (one rebase) and values it there; a
+        narrower one moves nothing and is valued from the tracker's value
+        deltas. ``apply_block`` of the candidate returned reuses either.
+
+        Returns (eta_i, new_block_value); the accepted eta persists for
+        block i across iterations, and ``last_trials`` counts its increases.
+        """
+        sl = self.blocks[i]
+        A_i, tracker, beta = self.A_blocks[i], self.tracker, self.config.beta
+
+        if self.full_width:
+            def trial(x_new, dx):
+                self.x = x_new
+                self.refresh()
+                return lambda: auglag.candidate_value(
+                    tracker.value, self.y, None if A_i is None else self.r,
+                    self.z, beta, floor)
+        else:
+            def trial(blk_new, dx):
+                dr = None if A_i is None else A_i @ dx
+                self._trial = (blk_new, dx, dr)
+                return lambda: auglag.candidate_value(
+                    tracker.value + tracker.delta_value(sl, dx), self.y,
+                    None if dr is None else self.r + dr, self.z, beta, floor)
+
+        eta, blk_new, _, self.last_trials = prox_step(
+            self.x[sl], grad_blk, float(self.eta[i]), self.h_blocks[i].prox,
+            trial, base)
+        self.eta[i] = eta
+        return eta, blk_new
+
+    def apply_block(self, i, blk_new):
+        """Commit a block change: x, residual, and constraint values.
+
+        The state is already at a full-width candidate ``backtrack_block``
+        returned; a narrower one brings its dx, its A_i dx and the tracker's
+        products. Any other block value is computed afresh. Ends the
+        iteration.
+        """
+        sl = self.blocks[i]
+        if self.full_width:
+            if blk_new is not self.x:
+                self.x[sl] = blk_new
+                self.refresh()
+            return
+        if self._trial is not None and self._trial[0] is blk_new:
+            _, dx, dr = self._trial
+        else:
+            dx = blk_new - self.x[sl]
+            A_i = self.A_blocks[i]
+            dr = None if A_i is None else A_i @ dx
+        if dr is not None:
+            self.r += dr
+        self.tracker.commit(sl, dx)
+        self.x[sl] = blk_new
+        self._trial = None
+
+    def refresh(self):
+        """Recompute the residual (empty without equality rows), constraint
+        values, and the tracker from scratch."""
+        if self.A_blocks[0] is not None:
+            self.r = self.prob.affine.residual(self.x)
+        self.tracker.rebase(self.x)
+        self._trial = None
+
+
+# perfbench/tracing.py wraps this name (span "lalm.backtrack"); lalm's step
+# is BlockState.backtrack_block on its one full-width block.
+backtrack_primal = BlockState.backtrack_block
 
 
 def run_epochs(prob, config, advance, snapshot):
@@ -294,66 +439,44 @@ def run_epochs(prob, config, advance, snapshot):
 
 
 def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
-    """Run the full-vector solver.
+    """Run the full-vector solver: ``BlockState`` on the one block
+    slice(0, dim), whatever partition ``prob`` carries, with no sampling and
+    no periodic refresh. One epoch is one iteration; rho_y and rho_z default
+    to beta. x0, y0, z0 default to zeros (z0 must be nonnegative).
+    ``callback(iteration, state)`` runs after every iteration with the live
+    ``BlockState``, as blalm's does: copy what you keep. ``clock`` is the
+    wall-clock source for trace timestamps (a testing hook).
 
-    Parameters
-    ----------
-    prob : ProblemInstance
-    config : SolverConfig
-        One epoch equals one iteration here.
-    x0, y0, z0 : arrays, optional
-        Starting point (defaults to zeros; z0 must be nonnegative).
-    callback : callable, optional
-        Invoked as callback(iteration, w) after every iteration.
-    clock : callable, optional
-        Wall-clock source for trace timestamps (testing hook).
-
-    Returns
-    -------
-    SolveResult with the final triple, the 1/eta-weighted ergodic average,
-    and the trace, whose records carry the method label "lalm".
+    Returns a SolveResult with the final triple, the 1/eta-weighted ergodic
+    average, and the trace, whose records carry the method label "lalm".
     """
-    x, y, z = checked_start(prob, x0, y0, z0)
+    state = BlockState(prob, config, x0, y0, z0, blocks=(slice(0, prob.dim),))
     rho_y, rho_z = config.resolve_rho(n_blocks=1)
-    beta, delta = config.beta, config.delta
-    analytic = config.step_mode == "analytic"
-    eta = 0.0 if analytic else config.eta_seed(prob)
-    # One tracker of the smooth stack, based at the current iterate, gives
-    # the values and gradients of g and every constraint.
-    stack = smooth_stack(prob)
-    tracker = stack.tracker(x)
-    w = PrimalDualPoint(x, y, z, prob.affine.residual(x), tracker.value[1:])
-    A = None if prob.affine.is_empty else prob.affine.A
-    # The gradients at the current iterate serve both the recorder and the
-    # next step.
-    grads = tracker.grad()
+    beta, has_rows = config.beta, not prob.affine.is_empty
+    stack, tracker = state.stack, state.tracker
     acc = ErgodicAccumulator(prob.dim)
     recorder = MetricsRecorder(prob, "lalm", stack, clock=clock)
 
     def advance(epoch):
-        nonlocal w, eta, grads
-        coef, floor, base = auglag.iteration_terms(
-            tracker.value, w.y, None if A is None else w.r, w.z, beta, not analytic)
-        grad = auglag.smooth_grad(grads, A, w.y, w.r, coef, beta)
-        if analytic:
-            eta = analytic_eta(eta, coef, beta, delta, prob, prob.affine.op_norm_sq())
-        eta, x_new, r_new, fvals_new, _, _ = backtrack_primal(
-            w, grad, eta, beta, prob, tracker, floor, base)
-        y_new = w.y if A is None else multiplier_step_y(w.y, r_new, rho_y)
-        z_new = multiplier_step_z(w.z, fvals_new, rho_z, beta)
-        w = PrimalDualPoint(x_new, y_new, z_new, r_new, fvals_new)
-        # the tracker is based at x_new: its image and gradients are x_new's
-        acc.add(x_new, 1.0 / eta, stack.image(tracker))
-        grads = tracker.grad()
+        eta, x_new = state.backtrack_block(0, *state.block_gradient(0))
+        state.apply_block(0, x_new)
+        if has_rows:
+            state.y = multiplier_step_y(state.y, state.r, rho_y)
+        state.z = multiplier_step_z(state.z, state.fvals, rho_z, beta)
+        # the tracker was rebased at x: its image is x's
+        acc.add(state.x, 1.0 / eta, stack.image(tracker))
         if callback is not None:
-            callback(epoch, w)
-        return x_new, tracker.value
+            callback(epoch, state)
+        return state.x, tracker.value
 
     def snapshot(epoch):
-        return recorder.snapshot(epoch, w, eta_max=eta if epoch else None,
-                                 ergodic=acc.point(stack) if epoch else None,
-                                 value_grad=(tracker.value, grads))
+        # recorded from the tracker's values and gradients, exact at x
+        return recorder.snapshot(
+            epoch, state, eta_max=float(state.eta[0]) if epoch else None,
+            ergodic=acc.point(stack) if epoch else None,
+            value_grad=(tracker.value, tracker.grad()))
 
     records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
-    return SolveResult(w=w, ergodic_x=acc.average(), trace=records,
-                       epochs=epochs, stopped_early=stopped, eta=eta)
+    return SolveResult(w=state.point(), ergodic_x=acc.average(), trace=records,
+                       epochs=epochs, stopped_early=stopped,
+                       eta=float(state.eta[0]))

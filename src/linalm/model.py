@@ -449,7 +449,7 @@ class LeastSquaresTracker(_TrialMemo):
 
     def delta_value(self, sl, dx):
         du = self.fn.A[:, sl] @ dx
-        delta = float(2.0 * self.u @ du + du @ du)
+        delta = float(2.0 * (self.u @ du) + du @ du)
         self._remember(sl, dx, du, delta)
         return delta
 

@@ -87,7 +87,9 @@ def solve(prob, config, x0=None, callback=None, clock=None):
     (which is then required). Metrics share the schema of the other solvers,
     with inequality multipliers reported as [lambda_j + f_j(x)]_+ and the
     method label "pdyn". Setting rho_y, rho_z or a nonzero delta, which it
-    does not use, is an error.
+    does not use, is an error. ``callback(iteration, state)`` runs after
+    every iteration with the live ``PdynState``, whose tracker moves on:
+    copy what you keep.
     """
     _check_applicable(prob)
     for name in ("rho_y", "rho_z", "delta"):

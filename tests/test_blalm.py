@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import nan_away_from_origin, smooth_value_at
-from linalm import auglag, blalm, lalm
+from linalm import auglag, blalm, lalm, model
 from linalm.blalm import BlockState
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
-                              tiny_reference)
+                              random_minimax_1d, tiny_reference)
 from linalm.lalm import SolverConfig, SolverError
 from linalm.model import (AffineConstraint, InequalityConstraint, L1Norm,
                           LinearFunction, PrimalDualPoint, ProblemInstance,
                           QuadraticFunction, ZeroProx, even_blocks,
                           operator_norm_sq)
+from linalm.trace import MetricsRecorder
 
 
 def make_state(prob, seed=0, **cfg_kwargs):
@@ -45,6 +46,11 @@ def test_block_norms_are_computed_in_analytic_mode_only(norm_count):
     assert norm_count == []
     blalm.solve(prob, replace(cfg, step_mode="analytic"))
     assert norm_count == [(3, 3)] * len(prob.blocks)
+    # lalm's one full-width block reads the instance's ||A||^2, computed once
+    norm_count.clear()
+    for _ in range(2):
+        lalm.solve(prob, replace(cfg, step_mode="analytic"))
+    assert norm_count == [(3, 3)]
 
     def etas(state):
         for _ in range(12):
@@ -86,10 +92,14 @@ def test_rejects_nonseparable_h():
         def block(self, sl):
             return None
 
-    prob = ProblemInstance(QuadraticFunction(np.eye(4), np.zeros(4)),
+    prob = ProblemInstance(QuadraticFunction(np.eye(4), np.ones(4)),
                            Coupled(), dim=4, blocks=even_blocks(4, 2))
     with pytest.raises(ValueError, match="separable"):
         blalm.solve(prob, SolverConfig(max_epochs=1))
+    # lalm's one block is the full width: it steps with h's own prox and
+    # ignores the partition the instance carries
+    res = lalm.solve(prob, SolverConfig(max_epochs=20))
+    np.testing.assert_allclose(res.w.x, -1.0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +182,22 @@ def test_constraint_increments_match_full_evaluation(rng):
 
 
 def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
-    # a stacked tracker commits with the value deltas of the accepted trial;
-    # a block value from anywhere else must be evaluated afresh
-    prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4)
-    state = make_state(prob)
-    for _ in range(20):
-        i = int(rng.integers(4))
-        sl = prob.blocks[i]
-        _, accepted = state.backtrack_block(i, *state.block_gradient(i))
-        own = rng.random() < 0.5
-        state.apply_block(i, accepted if own else
-                          state.x[sl] + rng.normal(size=sl.stop - sl.start))
-        np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
-                                   rtol=1e-12, atol=1e-10)
+    # a stacked tracker commits with the value deltas of the accepted trial
+    # (with one block: the state its trial refreshed at the candidate); a
+    # block value from anywhere else must be evaluated afresh
+    for n in (4, 1):
+        prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(n)
+        state = make_state(prob)
+        for _ in range(20):
+            i = int(rng.integers(n))
+            sl = prob.blocks[i]
+            _, accepted = state.backtrack_block(i, *state.block_gradient(i))
+            own = rng.random() < 0.5
+            state.apply_block(i, accepted if own else
+                              state.x[sl] + rng.normal(size=sl.stop - sl.start))
+            np.testing.assert_allclose(state.fvals,
+                                       prob.constraint_values(state.x),
+                                       rtol=1e-12, atol=1e-10)
 
 
 def pass_instance(kind):
@@ -267,7 +280,8 @@ def test_iteration_pass_equals_reference_formulas_with_equality_rows(
     # callback, with the tracker's values there
     passes.clear()
     points = [PrimalDualPoint.at(prob, x0, y0, z0)]
-    lalm.solve(prob, cfg, x0, y0, z0, callback=lambda k, w: points.append(w))
+    lalm.solve(prob, cfg, x0, y0, z0,
+               callback=lambda k, state: points.append(state.point()))
     assert len(passes) == 12
     for w, ((vals, y, r, z, _, _), (coef, _, base)) in zip(points, passes):
         assert (y.tobytes(), z.tobytes()) == (w.y.tobytes(), w.z.tobytes())
@@ -458,6 +472,77 @@ def test_single_block_matches_full_solver_backtracking():
                 callback=lambda k, s: xs_block.append(s.x.copy()))
     gap = max(np.max(np.abs(a - b)) for a, b in zip(xs_full, xs_block))
     assert gap <= 1e-12
+
+
+# Instances on which lalm runs as blalm with one block; the generated BPDN
+# and minimax instances lack the constants analytic steps need.
+_ONE_BLOCK = {
+    "qcqp-rows": lambda: with_equalities("qcqp", 1),
+    "qcqp": lambda: gen_qcqp(QcqpSpec(m=3, p=12, seed=1)),
+    "bpdn-rows": lambda: with_equalities("bpdn", 1),
+    "bpdn": lambda: gen_bpdn(BpdnSpec(rows=6, cols=12, sparsity=2, seed=1)),
+    "minimax": lambda: random_minimax_1d(seed=1)[1],
+}
+_ONE_BLOCK_RUNS = [(name, mode) for name in _ONE_BLOCK
+                   for mode in ("analytic", "backtracking")
+                   if mode == "backtracking" or name.startswith("qcqp")]
+
+
+@pytest.mark.parametrize("name, mode", _ONE_BLOCK_RUNS)
+def test_lalm_is_blalm_with_one_block_bit_for_bit(name, mode):
+    # the same BlockState iteration on the block slice(0, dim): every
+    # iterate's x, y, z and eta agree to the bit, across blalm's refreshes
+    prob = _ONE_BLOCK[name]()
+    cfg = SolverConfig(beta=0.5, step_mode=mode, max_epochs=40, record_every=5)
+    x0 = np.full(prob.dim, 0.3)
+
+    def iterates(solve, instance, **kwargs):
+        seen = []
+        solve(instance, cfg, x0=x0, callback=lambda k, s: seen.append(
+            tuple(a.tobytes() for a in (s.x, s.y, s.z, s.eta))), **kwargs)
+        return seen
+
+    full = iterates(lalm.solve, prob)
+    assert len(full) == 40
+    assert full == iterates(blalm.solve, prob.with_blocks(1), seed=7)
+
+
+@pytest.mark.parametrize("name, mode", _ONE_BLOCK_RUNS)
+def test_lalm_rebases_once_per_candidate_and_never_commits(monkeypatch, name,
+                                                           mode):
+    # a full-width trial is one rebase, which its commit reuses: after the
+    # start, every candidate (one prox call) is followed by exactly one
+    # tracker rebase, and no value delta or commit is ever asked for
+    prob = _ONE_BLOCK[name]()
+    events, depth = [], [0]
+
+    def counted(fn, name=None):
+        """fn, noting its calls as ``name`` unless made inside another
+        counted call: a stack's own trackers count as the stack, and the
+        recorder's prox calls not at all."""
+        def call(*args, **kwargs):
+            if not depth[0] and name:
+                events.append(name)
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return call
+
+    for cls in (model.QuadraticTracker, model.StackTracker, model.FullTracker,
+                model.LeastSquaresTracker, model.LinearTracker, model.ZeroTracker):
+        for attr in ("rebase", "delta_value", "commit"):
+            monkeypatch.setattr(cls, attr, counted(vars(cls)[attr], attr))
+    monkeypatch.setattr(type(prob.h), "prox", counted(type(prob.h).prox, "prox"))
+    monkeypatch.setattr(MetricsRecorder, "snapshot",
+                        counted(MetricsRecorder.snapshot))
+    res = lalm.solve(prob, SolverConfig(beta=0.5, step_mode=mode, max_epochs=30))
+    assert res.epochs == 30
+    first = events.index("prox")
+    candidates = events.count("prox")
+    assert candidates >= 30 and set(events[:first]) == {"rebase"}
+    assert events[first:] == ["prox", "rebase"] * candidates
 
 
 def test_converges_on_tiny_qcqp_any_block_count():

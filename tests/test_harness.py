@@ -126,7 +126,7 @@ def test_lalm_records_from_its_tracker_what_direct_evaluation_gives(name):
     cfg = SolverConfig(beta=1.0, rho_y=1.0, rho_z=1.0, max_epochs=60,
                        record_every=1)
     res = lalm.solve(prob, cfg, clock=fake_clock,
-                     callback=lambda k, w: points.__setitem__(k, w))
+                     callback=lambda k, state: points.__setitem__(k, state.point()))
     assert len(res.trace) == 61
     total, weight = np.zeros(prob.dim), 0.0
     for rec in res.trace:

@@ -8,8 +8,8 @@ from linalm import auglag, blalm, lalm, pdyn
 from linalm.blalm import BlockState
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
 from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
-                         analytic_eta, backtrack_primal, multiplier_step_y,
-                         multiplier_step_z, prox_step)
+                         analytic_eta, multiplier_step_y, multiplier_step_z,
+                         prox_step)
 from linalm.model import (BoxIndicator, InequalityConstraint, L1Norm,
                           LinearFunction, PrimalDualPoint, ProblemInstance,
                           QuadraticFunction, ZeroProx, even_blocks, smooth_stack)
@@ -17,13 +17,20 @@ from linalm.pdyn import PdynState
 
 
 def backtrack_at(w, grad, eta, cfg, prob):
-    """backtrack_primal from w with a fresh tracker at w.x and the floor and
-    base value of lalm's iteration pass there."""
-    tracker = smooth_stack(prob).tracker(w.x)
+    """lalm's primal update from w: ``backtrack_block`` on a one-block
+    ``BlockState`` at w, with the floor and base value of lalm's iteration
+    pass there. Returns (eta, x_new, r_new, fvals_new, smooth value at
+    x_new or None in analytic mode, increases made)."""
+    state = BlockState(prob, cfg, w.x, w.y, w.z, blocks=(slice(0, prob.dim),))
+    r = None if prob.affine.is_empty else w.r
     _, floor, base = auglag.iteration_terms(
-        tracker.value, w.y, None if prob.affine.is_empty else w.r, w.z, cfg.beta,
-        cfg.step_mode == "backtracking")
-    return backtrack_primal(w, grad, eta, cfg.beta, prob, tracker, floor, base)
+        state.tracker.value, w.y, r, w.z, cfg.beta, cfg.step_mode == "backtracking")
+    state.eta[0] = eta
+    eta, x_new = state.backtrack_block(0, grad, floor, base)
+    state.apply_block(0, x_new)
+    val = None if base is None else auglag.candidate_value(
+        state.tracker.value, w.y, None if r is None else state.r, w.z, cfg.beta, floor)
+    return eta, x_new, state.r, state.fvals, val, state.last_trials
 
 
 def quadratic_prob(curvature=3.0):
