@@ -20,7 +20,7 @@ import numpy as np
 from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     L1Norm, LeastSquaresFunction, LinearFunction,
                     ProblemInstance, QuadraticFunction, SmoothFunction,
-                    ZeroFunction, ZeroProx, operator_norm_sq)
+                    ZeroFunction, ZeroProx, _set_constant, operator_norm_sq)
 
 
 def _check_at_least(spec, **floors):
@@ -187,12 +187,15 @@ def gen_qcqp(spec):
 
 
 class MinimaxConstraint(SmoothFunction):
-    """Epigraph constraint fn(x) - t <= 0 on the extended variable (x, t)."""
+    """Epigraph constraint fn(x) - t <= 0 on the extended variable (x, t).
+
+    Its Lipschitz constant is the inner function's, read on first use.
+    """
 
     def __init__(self, inner, inner_dim):
         self.inner = inner
         self.inner_dim = int(inner_dim)
-        self.lipschitz = inner.lipschitz
+        _set_constant(self, "lipschitz", partial(getattr, inner, "lipschitz"))
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
@@ -205,6 +208,16 @@ class MinimaxConstraint(SmoothFunction):
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
         return self.inner.values(pts[:, :self.inner_dim]) - pts[:, self.inner_dim]
+
+    def as_quadratic(self, dim):
+        """The inner function's form with a zero row and column for t and
+        t's linear coefficient -1; None when the inner function has none."""
+        inner = self.inner.as_quadratic(self.inner_dim)
+        if inner is None:
+            return None
+        Q = np.zeros((dim, dim))
+        Q[:self.inner_dim, :self.inner_dim] = inner.Q
+        return QuadraticFunction(Q, np.append(inner.c, -1.0), inner.d)
 
 
 def minimax_reformulate(fns, lower, upper):

@@ -62,8 +62,9 @@ class SmoothFunction:
     take it as a zero-argument function, which runs on the first read of
     ``lipschitz`` (analytic step sizes read it, as do the default
     backtracking seed for g, ``save_instance`` and ``instance_digest``);
-    the result is then kept. ``tracker`` returns per-solve mutable state
-    supporting cheap block updates; the default re-evaluates from scratch.
+    the result is then kept. ``as_quadratic(dim)`` gives the function as a
+    QuadraticFunction on R^dim, so that ``smooth_stack`` can stack it into
+    one operator; the default, for functions with no such form, is None.
     """
 
     lipschitz = _Constant()
@@ -78,8 +79,8 @@ class SmoothFunction:
         """Evaluate on an (n, dim) array of points, one value per row."""
         return np.array([self(p) for p in np.asarray(pts, dtype=float)])
 
-    def tracker(self, x):
-        return FullTracker(self, x)
+    def as_quadratic(self, dim):
+        return None
 
 
 class OracleFunction(SmoothFunction):
@@ -111,8 +112,8 @@ class ZeroFunction(SmoothFunction):
     def values(self, pts):
         return np.zeros(len(pts))
 
-    def tracker(self, x):
-        return ZeroTracker(len(x))
+    def as_quadratic(self, dim):
+        return QuadraticFunction(np.zeros((dim, dim)), np.zeros(dim))
 
 
 class QuadraticFunction(SmoothFunction):
@@ -134,6 +135,9 @@ class QuadraticFunction(SmoothFunction):
     def values(self, pts):
         pts = np.asarray(pts, dtype=float)
         return 0.5 * np.einsum("ni,ij,nj->n", pts, self.Q, pts) + pts @ self.c + self.d
+
+    def as_quadratic(self, dim):
+        return self
 
     def tracker(self, x):
         return QuadraticTracker(self, x)
@@ -207,8 +211,7 @@ class FunctionStack:
     """k smooth functions of any kinds as one vector-valued oracle.
 
     Values (k,) and gradients (k, dim) at a point come from each function's
-    own oracles; ``tracker`` gathers the functions' own trackers behind the
-    QuadraticTracker interface.
+    own oracles; ``tracker`` is a FullTracker over the whole stack.
     """
 
     def __init__(self, fns):
@@ -217,11 +220,14 @@ class FunctionStack:
     def __call__(self, x):
         return np.array([fn(x) for fn in self.fns])
 
+    def grad(self, x):
+        return np.array([fn.grad(x) for fn in self.fns])
+
     def value_grad(self, x):
-        return self(x), np.array([fn.grad(x) for fn in self.fns])
+        return self(x), self.grad(x)
 
     def tracker(self, x):
-        return StackTracker([fn.tracker(x) for fn in self.fns])
+        return FullTracker(self, x)
 
     def image(self, tracker):
         """Nothing: values at a point come from the functions' own oracles."""
@@ -235,15 +241,17 @@ class FunctionStack:
 def smooth_stack(prob):
     """g followed by every constraint function as one vector-valued oracle.
 
-    A QuadraticStack, one (k, p, p) operator, when every function is a
-    QuadraticFunction; otherwise a FunctionStack over the functions' own
-    oracles. Solvers and the recorder use the stack's ``tracker``,
-    ``value_grad``, values, ``image`` and ``values_from_image`` alike
-    whichever it is.
+    A QuadraticStack, one (k, p, p) operator of the functions'
+    ``as_quadratic`` forms, when every function has one; otherwise a
+    FunctionStack over the functions' own oracles. The forms are made anew
+    on every call, and none is kept on the instance. Solvers and the
+    recorder use the stack's ``tracker``, ``value_grad``, values, ``image``
+    and ``values_from_image`` alike whichever it is.
     """
     fns = [prob.g] + [con.fn for con in prob.constraints]
-    if all(type(fn) is QuadraticFunction for fn in fns):
-        return QuadraticStack.of(fns)
+    forms = [fn.as_quadratic(prob.dim) for fn in fns]
+    if all(form is not None for form in forms):
+        return QuadraticStack.of(forms)
     return FunctionStack(fns)
 
 
@@ -268,8 +276,11 @@ class LeastSquaresFunction(SmoothFunction):
         res = np.asarray(pts, dtype=float) @ self.A.T - self.b
         return np.einsum("ni,ni->n", res, res) - self.offset
 
-    def tracker(self, x):
-        return LeastSquaresTracker(self, x)
+    def as_quadratic(self, dim):
+        """0.5 x'(2A'A)x - 2b'Ax + b'b - offset: a p x p Gram matrix, so each
+        product costs p^2 where one with A costs rows * p."""
+        A, b = self.A, self.b
+        return QuadraticFunction(2.0 * (A.T @ A), -2.0 * (A.T @ b), b @ b - self.offset)
 
 
 class LinearFunction(SmoothFunction):
@@ -290,17 +301,17 @@ class LinearFunction(SmoothFunction):
     def values(self, pts):
         return np.asarray(pts, dtype=float) @ self.a + self.shift
 
-    def tracker(self, x):
-        return LinearTracker(self, x)
+    def as_quadratic(self, dim):
+        return QuadraticFunction(np.zeros((dim, dim)), self.a, self.shift)
 
 
 # ---------------------------------------------------------------------------
 # incremental trackers
 #
-# A tracker is per-solve mutable state for one smooth function. It holds the
-# current value and answers block gradients and value changes for a
-# candidate change of one coordinate block, in time proportional to the
-# block width where the function structure allows it.
+# A tracker is per-solve mutable state for a smooth stack (see
+# ``smooth_stack``). It holds the current values and answers block gradients
+# and value changes for a candidate change of one coordinate block, in time
+# proportional to the block width where the stack is quadratic.
 #
 # ``delta_value(sl, dx)`` remembers the products it computed, and
 # ``commit(sl, dx)`` with the same ``sl`` and ``dx`` objects reuses them, so
@@ -329,7 +340,9 @@ class _TrialMemo:
 
 
 class FullTracker(_TrialMemo):
-    """Fallback tracker: every query re-evaluates the wrapped function."""
+    """Tracker of a FunctionStack: every query re-evaluates the stack, whose
+    values are (k,) and gradients (k, dim), so block gradients are (k, width).
+    """
 
     def __init__(self, fn, x):
         self.fn = fn
@@ -339,7 +352,7 @@ class FullTracker(_TrialMemo):
         return self.fn.grad(self.x)
 
     def block_grad(self, sl):
-        return self.fn.grad(self.x)[sl]
+        return self.fn.grad(self.x)[..., sl]
 
     def delta_value(self, sl, dx):
         trial = self.x.copy()
@@ -399,36 +412,7 @@ class QuadraticTracker(_TrialMemo):
         self.qx += dx @ self.fn.Q[..., sl, :]
 
 
-class StackTracker:
-    """A FunctionStack's per-function trackers behind the QuadraticTracker
-    interface: ``value`` (k,), gradients (k, dim) or (k, width), value
-    deltas (k,). Each function's tracker remembers its own trial products.
-    """
-
-    def __init__(self, trackers):
-        self.trackers = trackers
-        self.value = np.array([t.value for t in trackers])
-
-    def rebase(self, x):
-        for t in self.trackers:
-            t.rebase(x)
-        self.value = np.array([t.value for t in self.trackers])
-
-    def grad(self):
-        return np.array([t.grad() for t in self.trackers])
-
-    def block_grad(self, sl):
-        return np.array([t.block_grad(sl) for t in self.trackers])
-
-    def delta_value(self, sl, dx):
-        return np.array([t.delta_value(sl, dx) for t in self.trackers])
-
-    def commit(self, sl, dx):
-        for t in self.trackers:
-            t.commit(sl, dx)
-        self.value = np.array([t.value for t in self.trackers])
-
-
+# Unreached (least squares stacks as a quadratic); perfbench/tracing.py wraps it.
 class LeastSquaresTracker(_TrialMemo):
     """Maintains the residual u = Ax - b for ||Ax - b||^2 - offset."""
 
@@ -459,6 +443,7 @@ class LeastSquaresTracker(_TrialMemo):
         self.u += du
 
 
+# Unreached (a linear function stacks as a quadratic); perfbench/tracing.py wraps it.
 class LinearTracker(_TrialMemo):
     """Tracker for a'x + shift; gradient is constant."""
 
@@ -484,30 +469,6 @@ class LinearTracker(_TrialMemo):
     def commit(self, sl, dx):
         delta, = self._products(sl, dx)
         self.value += delta
-
-
-class ZeroTracker:
-    """Tracker for g identically zero: every query is free of arithmetic."""
-
-    value = 0.0
-
-    def __init__(self, dim):
-        self._zeros = np.zeros(dim)
-
-    def rebase(self, x):
-        pass
-
-    def grad(self):
-        return np.zeros(len(self._zeros))
-
-    def block_grad(self, sl):
-        return self._zeros[sl]
-
-    def delta_value(self, sl, dx):
-        return 0.0
-
-    def commit(self, sl, dx):
-        pass
 
 
 # ---------------------------------------------------------------------------

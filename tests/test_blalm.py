@@ -518,8 +518,7 @@ def test_lalm_rebases_once_per_candidate_and_never_commits(monkeypatch, name,
 
     def counted(fn, name=None):
         """fn, noting its calls as ``name`` unless made inside another
-        counted call: a stack's own trackers count as the stack, and the
-        recorder's prox calls not at all."""
+        counted call, so the recorder's prox calls do not count."""
         def call(*args, **kwargs):
             if not depth[0] and name:
                 events.append(name)
@@ -530,8 +529,7 @@ def test_lalm_rebases_once_per_candidate_and_never_commits(monkeypatch, name,
                 depth[0] -= 1
         return call
 
-    for cls in (model.QuadraticTracker, model.StackTracker, model.FullTracker,
-                model.LeastSquaresTracker, model.LinearTracker, model.ZeroTracker):
+    for cls in (model.QuadraticTracker, model.FullTracker):
         for attr in ("rebase", "delta_value", "commit"):
             monkeypatch.setattr(cls, attr, counted(vars(cls)[attr], attr))
     monkeypatch.setattr(type(prob.h), "prox", counted(type(prob.h).prox, "prox"))

@@ -1,5 +1,6 @@
 import json
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -417,6 +418,25 @@ def test_analytic_solves_compute_each_constraint_norm_once(norm_count):
     assert norm_count == [(8, 8)] * 3
     blalm.solve(prob.with_blocks(4), cfg)
     lalm.solve(prob, cfg)
+    assert len(norm_count) == 3
+
+
+def test_minimax_reformulation_defers_each_lipschitz_constant(norm_count, rng):
+    # an epigraph constraint's constant is its inner function's, computed
+    # on the first read of that constraint's and only of that one
+    fns = []
+    for _ in range(3):
+        M = rng.normal(size=(4, 4))
+        Q = M.T @ M
+        fns.append(QuadraticFunction(Q, rng.normal(size=4), -1.0,
+                                     lipschitz=partial(operator_norm_sq, Q)))
+    prob = minimax_reformulate(fns, [-1.0] * 4, [1.0] * 4)
+    assert norm_count == []
+    for i, con in enumerate(prob.constraints):
+        assert con.fn.lipschitz == fns[i].lipschitz
+        assert norm_count == [(4, 4)] * (i + 1)
+    assert [con.fn.lipschitz for con in prob.constraints] == \
+        [fn.lipschitz for fn in fns]
     assert len(norm_count) == 3
 
 
