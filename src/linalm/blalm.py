@@ -29,9 +29,8 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
     beta/n_blocks. ``callback(iteration, state)`` runs after every block
     iteration with the live ``BlockState``; copy what you keep. With one
     block the iterates are lalm's, bit for bit. The returned ergodic_x is
-    the uniform average of the iterates; ergodic_x_scaled divides the same
-    running sum by 1 + k/n instead. Trace records carry the method label
-    "blalm".
+    the uniform average of the iterates. Trace records carry the method
+    label "blalm".
     """
     state = BlockState(prob, config, x0, y0, z0, seed)
     n = len(state.blocks)
@@ -64,12 +63,10 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
         # kkt_stat by up to 8e-10 relative on QCQP instances.
         return recorder.snapshot(
             epoch, state, eta_max=float(state.eta.max()),
-            ergodic=acc.point(state.stack),
-            ergodic_scaled=acc.point(state.stack, 1.0 + (acc.count - 1) / n))
+            ergodic=acc.point(state.stack))
 
     records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
     state.refresh()
     return SolveResult(
         w=state.point(), ergodic_x=acc.average(), trace=records,
-        epochs=epochs, stopped_early=stopped, eta=float(state.eta.max()),
-        ergodic_x_scaled=acc.scaled(1.0 + (acc.count - 1) / n))
+        epochs=epochs, stopped_early=stopped, eta=float(state.eta.max()))

@@ -19,8 +19,8 @@ from .lalm import SolverConfig
 
 _SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig)
                      if f.name != "max_epochs")
-_RUN_KEYS = ("problem", "method", "seed", "blocks", "epochs", "out",
-             "reference", "problem_opts")
+_RUN_KEYS = tuple(f.name for f in dataclasses.fields(ExperimentConfig)
+                  if f.name != "solver") + ("epochs",)
 
 
 def build_parser():
@@ -66,12 +66,8 @@ def config_from_options(opts):
         raise ValueError("--problem and --method are required (flag or config file)")
     solver = SolverConfig(max_epochs=opts.get("epochs", 100_000),
                           **{k: opts[k] for k in _SOLVER_KEYS if k in opts})
-    return ExperimentConfig(
-        method=opts["method"], problem=opts["problem"], solver=solver,
-        seed=opts.get("seed", 0),
-        blocks=opts.get("blocks"), out=opts.get("out"),
-        reference=opts.get("reference", "auto"),
-        problem_opts=opts.get("problem_opts", {}))
+    return ExperimentConfig(solver=solver, **{
+        k: opts[k] for k in _RUN_KEYS if k in opts and k != "epochs"})
 
 
 def main(argv=None):

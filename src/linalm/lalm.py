@@ -135,34 +135,27 @@ class ErgodicAccumulator:
     def __init__(self, dim):
         self._sum = np.zeros(dim)
         self.weight = 0.0
-        self.count = 0
 
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
         self._sum += weight * x
-        if self.count == 0:
+        if self.weight == 0:
             self._image = np.zeros(np.shape(image))
         self._image += weight * image
         self.weight += weight
-        self.count += 1
 
     def average(self):
         """Weighted average sum / total weight."""
-        return self.scaled(self.weight)
-
-    def scaled(self, normalizer):
-        """Running sum divided by an explicit normalizer."""
-        if self.count == 0:
+        if self.weight == 0:
             raise ValueError("no iterates accumulated")
-        return self._sum / normalizer
+        return self._sum / self.weight
 
-    def point(self, stack, normalizer=None):
-        """(x, stack values at x) for x = sum / normalizer, by default the
-        weighted average; the values come from the summed images."""
-        total = self.weight if normalizer is None else normalizer
-        x = self.scaled(total)
-        return x, stack.values_from_image(x, self._image / total)
+    def point(self, stack):
+        """(x, stack values at x) for the weighted average x; the values come
+        from the summed images."""
+        x = self.average()
+        return x, stack.values_from_image(x, self._image / self.weight)
 
 
 @dataclass
@@ -175,9 +168,6 @@ class SolveResult:
     epochs: int
     stopped_early: bool
     eta: float
-    # Block solver only: running sum divided by 1 + k/n instead of by the
-    # iterate count (the two normalizations differ by a factor approaching n).
-    ergodic_x_scaled: Optional[np.ndarray] = None
 
 
 def multiplier_step_y(y, r_new, rho_y):

@@ -28,9 +28,7 @@ class TraceRecord:
     """One row of per-epoch metrics.
 
     The first ten fields form the CSV schema. ``kkt_comp`` (complementarity)
-    is kept for stopping decisions, and the ``*_scaled`` fields carry the
-    block solver's alternative ergodic normalization; none of these three is
-    emitted to CSV.
+    is kept for stopping decisions and is not emitted to CSV.
     """
 
     method: str
@@ -44,8 +42,6 @@ class TraceRecord:
     eta_max: float | None
     time_ms: float
     kkt_comp: float = 0.0
-    erg_obj_gap_scaled: float | None = None
-    erg_feas_scaled: float | None = None
 
 
 class MetricsRecorder:
@@ -76,14 +72,13 @@ class MetricsRecorder:
         gap = None if self.f0_star is None else abs(obj - self.f0_star)
         return gap, feas
 
-    def snapshot(self, epoch, w, eta_max=None, ergodic=None, ergodic_scaled=None,
-                 value_grad=None):
+    def snapshot(self, epoch, w, eta_max=None, ergodic=None, value_grad=None):
         """One TraceRecord at iterate ``w``.
 
         ``value_grad`` is the stack's (values, gradients) at ``w.x``;
-        ``ergodic`` and ``ergodic_scaled`` are (x, stack values at x) pairs
-        of the two ergodic normalizations, each optional. A non-finite
-        gradient raises SolverError before anything is recorded from it.
+        ``ergodic`` is the optional (x, stack values at x) pair of the
+        ergodic point. A non-finite gradient raises SolverError before
+        anything is recorded from it.
         """
         vals, grads = self.stack.value_grad(w.x) if value_grad is None else value_grad
         if not np.isfinite(grads).all():
@@ -92,18 +87,15 @@ class MetricsRecorder:
         obj = float(vals[0]) + self.prob.h.value(w.x)
         kkt = kkt_residual(w, self.prob, grads=grads)
         obj_gap = None if self.f0_star is None else abs(obj - self.f0_star)
-        erg_gap = erg_feas = erg_gap_s = erg_feas_s = None
+        erg_gap = erg_feas = None
         if ergodic is not None:
             erg_gap, erg_feas = self._gap_feas(ergodic)
-        if ergodic_scaled is not None:
-            erg_gap_s, erg_feas_s = self._gap_feas(ergodic_scaled)
         return TraceRecord(
             method=self.method, epoch=int(epoch), obj=float(obj),
             obj_gap=obj_gap, feas=kkt.feasibility, kkt_stat=kkt.stationarity,
             erg_obj_gap=erg_gap, erg_feas=erg_feas, eta_max=eta_max,
             time_ms=(self.clock() - self.t0) * 1000.0,
-            kkt_comp=kkt.complementarity,
-            erg_obj_gap_scaled=erg_gap_s, erg_feas_scaled=erg_feas_s)
+            kkt_comp=kkt.complementarity)
 
 
 def should_stop(record, tol, have_reference):

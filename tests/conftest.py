@@ -44,6 +44,22 @@ def nan_grad_away_from_origin():
                           lipschitz=1.0)
 
 
+def qcqp_with_oracle_constraint(m=3, p=7, seed=5):
+    """gen_qcqp's box-QCQP with one more constraint, sum softplus(x) <= 0.8 p,
+    given as an OracleFunction. That function has no quadratic form, so the
+    instance's smooth stack is a FunctionStack."""
+    from linalm.instances import QcqpSpec, gen_qcqp
+    from linalm.model import InequalityConstraint, OracleFunction, ProblemInstance
+
+    prob = gen_qcqp(QcqpSpec(m=m, p=p, seed=seed))
+    softplus = OracleFunction(
+        lambda x: float(np.sum(np.logaddexp(0.0, x))) - 0.8 * x.size,
+        lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)), lipschitz=0.25)
+    con = InequalityConstraint(softplus, grad_bound=np.sqrt(p))
+    return ProblemInstance(prob.g, prob.h, prob.dim,
+                           constraints=prob.constraints + (con,), meta=prob.meta)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import qcqp_with_oracle_constraint
 from linalm import blalm, lalm
 from linalm.harness import (ExperimentConfig, build_problem, fit_loglog_slope,
                             long_run_reference, rate_fit, run)
@@ -60,7 +61,7 @@ def test_stacked_recorder_matches_per_function_reference(rng, make):
                                                               np.ones(prob.dim))
     recorder = MetricsRecorder(prob, "m", stack, clock=fake_clock)
     for _ in range(5):
-        x, e1, e2 = (rng.uniform(lo, hi) for _ in range(3))
+        x, e = (rng.uniform(lo, hi) for _ in range(2))
         z = rng.uniform(0.0, 2.0, size=prob.m) * (rng.random(prob.m) < 0.7)
         w = PrimalDualPoint.at(prob, x, rng.normal(size=prob.affine.rows), z)
         np.testing.assert_allclose(stack(x)[1:], prob.constraint_values(x),
@@ -70,21 +71,21 @@ def test_stacked_recorder_matches_per_function_reference(rng, make):
                                    kkt, rtol=1e-12, atol=1e-12)
         want = {"obj": prob.f0(x), "obj_gap": abs(prob.f0(x) - prob.f0_star),
                 "feas": kkt.feasibility, "kkt_stat": kkt.stationarity,
-                "kkt_comp": kkt.complementarity}
-        for suffix, e in (("", e1), ("_scaled", e2)):
-            want["erg_obj_gap" + suffix] = abs(prob.f0(e) - prob.f0_star)
-            want["erg_feas" + suffix] = feasibility_residual(e, prob)
-        got = recorder.snapshot(4, w, ergodic=(e1, stack(e1)),
-                                ergodic_scaled=(e2, stack(e2)))
+                "kkt_comp": kkt.complementarity,
+                "erg_obj_gap": abs(prob.f0(e) - prob.f0_star),
+                "erg_feas": feasibility_residual(e, prob)}
+        got = recorder.snapshot(4, w, ergodic=(e, stack(e)))
         for field, value in want.items():
             assert getattr(got, field) == pytest.approx(
                 value, rel=1e-12, abs=1e-12), field
 
 
 # Instances for the recorded-column checks: stacked quadratics, a
-# least-squares constraint, and the three hand references.
+# least-squares constraint, an oracle constraint (a FunctionStack), and the
+# three hand references.
 _RECORDED = {
     "qcqp": lambda: gen_qcqp(QcqpSpec(m=4, p=9, seed=2)),
+    "oracle-qcqp": qcqp_with_oracle_constraint,
     "bpdn-6x10": lambda: gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=1)),
     "equality-qp": lambda: tiny_reference("equality-qp")[0],
     "scalar-qcqp": lambda: tiny_reference("scalar-qcqp")[0],
@@ -140,10 +141,11 @@ def test_lalm_records_from_its_tracker_what_direct_evaluation_gives(name):
                                  rec.erg_feas, rec.epoch)
 
 
-@pytest.mark.parametrize("name", ["qcqp", "bpdn-6x10", "scalar-qcqp"])
+@pytest.mark.parametrize("name", ["qcqp", "oracle-qcqp", "bpdn-6x10",
+                                  "scalar-qcqp"])
 def test_blalm_ergodic_columns_match_direct_evaluation(name):
-    # the KKT columns at each epoch's last iterate, and both normalizations
-    # of the running sum: by the iterate count and by 1 + (count - 1)/n
+    # the KKT columns at each epoch's last iterate, and the ergodic columns
+    # at the uniform average of the iterates
     prob = _RECORDED[name]().with_f0_star(0.0)
     n = min(3, prob.dim)
     iterates, points = [], {0: PrimalDualPoint.at(prob, np.zeros(prob.dim))}
@@ -165,9 +167,6 @@ def test_blalm_ergodic_columns_match_direct_evaluation(name):
         total = np.sum(iterates[:count], axis=0)
         _assert_ergodic_recorded(prob, total / count, rec.erg_obj_gap,
                                  rec.erg_feas, rec.epoch)
-        _assert_ergodic_recorded(prob, total / (1.0 + (count - 1) / n),
-                                 rec.erg_obj_gap_scaled, rec.erg_feas_scaled,
-                                 rec.epoch)
 
 
 def test_record_epochs_interval_and_default():

@@ -3,16 +3,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (nan_away_from_origin, nan_grad_away_from_origin,
-                      smooth_grad_at, smooth_value_at)
+                      qcqp_with_oracle_constraint, smooth_grad_at,
+                      smooth_value_at)
 from linalm import auglag, blalm, lalm, pdyn
 from linalm.blalm import BlockState
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
 from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
                          analytic_eta, multiplier_step_y, multiplier_step_z,
                          prox_step)
-from linalm.model import (BoxIndicator, InequalityConstraint, L1Norm,
-                          LinearFunction, PrimalDualPoint, ProblemInstance,
-                          QuadraticFunction, ZeroProx, even_blocks, smooth_stack)
+from linalm.model import (BoxIndicator, FunctionStack, InequalityConstraint,
+                          L1Norm, LinearFunction, PrimalDualPoint,
+                          ProblemInstance, QuadraticFunction, QuadraticStack,
+                          ZeroProx, even_blocks, smooth_stack)
 from linalm.pdyn import PdynState
 
 
@@ -280,7 +282,6 @@ def test_ergodic_constant_weights_give_mean():
     for v in (1.0, 2.0, 6.0):
         acc.add(np.array([v]))
     assert acc.average() == pytest.approx([3.0])
-    assert acc.scaled(2.0) == pytest.approx([4.5])
 
 
 def test_ergodic_single_iterate_and_empty():
@@ -306,20 +307,22 @@ def test_ergodic_running_sums_are_the_weighted_sums(weights, seed):
         acc.add(x, weight, image)
         x_sum = x_sum + weight * x
         image_sum = image_sum + weight * image
-    assert acc.scaled(1.0).tobytes() == x_sum.tobytes()
+    assert acc._sum.tobytes() == x_sum.tobytes()
     assert acc._image.tobytes() == image_sum.tobytes()
 
 
-@pytest.mark.parametrize("make", [
-    lambda: gen_qcqp(QcqpSpec(m=3, p=7, seed=5)),
-    lambda: gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=1)),
+@pytest.mark.parametrize("make, kind", [
+    (lambda: gen_qcqp(QcqpSpec(m=3, p=7, seed=5)), QuadraticStack),
+    (qcqp_with_oracle_constraint, FunctionStack),
 ], ids=["quadratic-stack", "function-stack"])
-def test_ergodic_point_values_match_the_stack_at_the_point(rng, make):
-    # the stack's values at sum/normalizer come from the summed images; the
+def test_ergodic_point_values_match_the_stack_at_the_point(rng, make, kind):
+    # the stack's values at the weighted average come from the summed
+    # images (none for a FunctionStack, which evaluates at the point); the
     # sum equals sum_k weight_k * image_k bitwise and never aliases the
     # tracker's image, which a commit moves in place
     prob = make()
     stack = smooth_stack(prob)
+    assert type(stack) is kind
     acc = ErgodicAccumulator(prob.dim)
     x = rng.normal(size=prob.dim)
     tracker = stack.tracker(x)
@@ -331,16 +334,14 @@ def test_ergodic_point_values_match_the_stack_at_the_point(rng, make):
         weight = rng.uniform(0.05, 3.0)
         acc.add(x, weight, stack.image(tracker))
         image_sum = image_sum + weight * np.copy(stack.image(tracker))
-        for normalizer in (None, rng.uniform(0.5, 4.0)):
-            x_bar, vals = acc.point(stack, normalizer)
-            want = acc.average() if normalizer is None else acc.scaled(normalizer)
-            assert x_bar.tobytes() == want.tobytes()
-            total = acc.weight if normalizer is None else normalizer
-            summed = stack.values_from_image(want, image_sum / total)
-            assert np.asarray(vals).tobytes() == np.asarray(summed).tobytes()
-            direct = stack(want)
-            assert np.all(np.abs(vals - direct)
-                          <= 1e-10 * np.maximum(1.0, np.abs(direct)))
+        x_bar, vals = acc.point(stack)
+        want = acc.average()
+        assert x_bar.tobytes() == want.tobytes()
+        summed = stack.values_from_image(want, image_sum / acc.weight)
+        assert np.asarray(vals).tobytes() == np.asarray(summed).tobytes()
+        direct = stack(want)
+        assert np.all(np.abs(vals - direct)
+                      <= 1e-10 * np.maximum(1.0, np.abs(direct)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,97 @@
+"""lalm's optimum against scipy's trust-constr solver.
+
+scipy's objective, constraints, Jacobians and Hessians are built here from
+the instance's arrays (Q, c and d of each quadratic; A, b and offset of the
+least-squares constraint), not from linalm's oracles, so the comparison
+checks lalm's answer against an optimizer that shares none of its code.
+
+trust-constr runs with ``gtol=0``: its gradient test reads the barrier
+subproblem, and it is met while the barrier parameter is still about 1e-8,
+which leaves the point that far inside the active constraints. With
+``gtol=0`` it stops only once the trust radius is below ``xtol`` and the
+barrier parameter below ``barrier_tol`` (status 2).
+
+Tolerances, measured with lalm stopped at KKT residual 1e-10:
+- box-QCQPs with m in 1..3 and p in 2..8, 210 random draws: |df| at most
+  6.8e-10 and ||dx||_inf at most 1.5e-8 (the largest ones on draws whose
+  objective is nearly flat along some direction). Bounds: 1e-8 and 2e-7.
+- BPDN 6x12 through x = u - v with u, v >= 0, seeds 0-3: |df| at most
+  9.9e-11 and ||dx||_inf at most 7.8e-11. Bounds: 1e-9 and 1e-9.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import Bounds, NonlinearConstraint, minimize
+
+from linalm import lalm
+from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
+from linalm.lalm import SolverConfig
+
+
+def lalm_optimum(prob, x0=None):
+    # the slowest of the measured QCQP draws stopped after 13884 epochs
+    res = lalm.solve(prob, SolverConfig(tol=1e-10, max_epochs=30_000,
+                                        record_every=1), x0=x0)
+    assert res.stopped_early
+    return res.w.x
+
+
+def trust_constr(fun, jac, hess, x0, constraint, bounds):
+    res = minimize(fun, x0, jac=jac, hess=hess, method="trust-constr",
+                   constraints=[constraint], bounds=bounds,
+                   options={"gtol": 0.0, "xtol": 1e-12, "barrier_tol": 1e-12,
+                            "maxiter": 3000})
+    assert res.status == 2, res.message
+    return res
+
+
+@settings(max_examples=12, deadline=None)
+@given(m=st.integers(1, 3), p=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_lalm_matches_trust_constr_on_box_qcqps(m, p, seed):
+    prob = gen_qcqp(QcqpSpec(m=m, p=p, seed=seed))
+    Q0, c0, d0 = prob.g.Q, prob.g.c, prob.g.d
+    fns = [con.fn for con in prob.constraints]
+    Qs = np.array([fn.Q for fn in fns])
+    cs = np.array([fn.c for fn in fns])
+    ds = np.array([fn.d for fn in fns])
+    constraint = NonlinearConstraint(
+        lambda x: 0.5 * np.einsum("i,kij,j->k", x, Qs, x) + cs @ x + ds,
+        -np.inf, 0.0, jac=lambda x: Qs @ x + cs,
+        hess=lambda x, v: np.einsum("k,kij->ij", v, Qs))
+    ref = trust_constr(lambda x: 0.5 * x @ Q0 @ x + c0 @ x + d0,
+                       lambda x: Q0 @ x + c0, lambda x: Q0, np.zeros(p),
+                       constraint, Bounds(prob.h.lower, prob.h.upper))
+    x = lalm_optimum(prob)
+    assert abs(prob.f0(x) - ref.fun) <= 1e-8 * max(1.0, abs(ref.fun))
+    assert np.abs(x - ref.x).max() <= 2e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_lalm_matches_trust_constr_on_bpdn(seed):
+    # min ||x||_1 s.t. ||Ax - b||^2 <= offset, as the smooth program
+    # min sum(u + v) s.t. ||A(u - v) - b||^2 <= offset, u, v >= 0
+    prob = gen_bpdn(BpdnSpec(rows=6, cols=12, sparsity=2, seed=seed))
+    fn = prob.constraints[0].fn
+    A, b, offset, p = fn.A, fn.b, fn.offset, prob.dim
+    gram = A.T @ A
+    hess_uv = 2.0 * np.block([[gram, -gram], [-gram, gram]])
+
+    def residual(w):
+        return A @ (w[:p] - w[p:]) - b
+
+    def con_jac(w):
+        g = 2.0 * A.T @ residual(w)
+        return np.concatenate([g, -g])[None, :]
+
+    constraint = NonlinearConstraint(
+        lambda w: np.array([residual(w) @ residual(w) - offset]), -np.inf, 0.0,
+        jac=con_jac, hess=lambda w, v: v[0] * hess_uv)
+    x0 = np.asarray(prob.meta["x0"])
+    ref = trust_constr(np.sum, lambda w: np.ones(2 * p),
+                       lambda w: np.zeros((2 * p, 2 * p)),
+                       np.concatenate([np.maximum(x0, 0.0), np.maximum(-x0, 0.0)]),
+                       constraint, Bounds(np.zeros(2 * p), np.inf))
+    x = lalm_optimum(prob, x0)
+    assert abs(prob.f0(x) - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    assert np.abs(x - (ref.x[:p] - ref.x[p:])).max() <= 1e-9
