@@ -5,9 +5,10 @@ in the primal variable, then ascends the equality multipliers along the new
 residual and the inequality multipliers along the floored constraint
 values. The primal step size 1/eta comes either from analytic curvature
 bounds or from backtracking on the smooth-part descent inequality; eta
-never decreases across iterations. The iteration is ``BlockState``'s,
-run here on one full-width block; blalm runs it on a partition. All three
-solvers share ``prox_step`` and ``run_epochs``.
+never decreases across iterations. The iteration is ``BlockState``'s, and
+one driver runs it for both linearized solvers: here on one full-width
+block, in blalm on a partition. The block width decides the rest (see
+``_drive``). All three solvers share ``prox_step`` and ``run_epochs``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ _BACKTRACK_FACTOR = 1.5
 # True when every entry of a boolean array is: the ufunc reduction that
 # ndarray.all wraps, called directly.
 _all = np.logical_and.reduce
+# A narrow-block solve recomputes its incremental state from scratch this
+# often, in epochs, to bound floating-point drift.
+_REFRESH_EPOCHS = 10
 
 
 def check_types(values, hints):
@@ -184,7 +188,7 @@ def multiplier_step_z(z, fvals_new, rho_z, beta):
     about 4% of the steps that take the -z_j / beta branch), so the result
     is floored at zero.
     """
-    if len(z) == 0:
+    if not z.size:
         return z
     return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
 
@@ -279,8 +283,6 @@ class BlockState:
             [operator_norm_sq(prob.affine.A[:, sl]) for sl in self.blocks]
         ) if self.analytic else None
         self.rng = np.random.default_rng(seed)
-        # Block draws left from the current batch, last one first.
-        self._draws = []
         self.last_trials = 0
 
     @property
@@ -288,17 +290,16 @@ class BlockState:
         """Constraint values at x, as the tracker holds them."""
         return self.tracker.value[1:]
 
-    def pick_block(self):
-        """Uniform draw of a block index; deterministic under a fixed seed.
-
-        Draws come n at a time, n the number of blocks: one
-        ``integers(n, size=n)`` call gives the same stream as n scalar
-        ``integers(n)`` calls.
+    def draw_epoch(self):
+        """The block indices of one epoch: n uniform draws, n the number of
+        blocks, deterministic under a fixed seed. One ``integers(n, size=n)``
+        call gives the same stream as n scalar ``integers(n)`` calls. The one
+        full-width block is drawn without the rng.
         """
-        if not self._draws:
-            n = len(self.blocks)
-            self._draws = self.rng.integers(n, size=n).tolist()[::-1]
-        return self._draws.pop()
+        if self.full_width:
+            return (0,)
+        n = len(self.blocks)
+        return self.rng.integers(n, size=n).tolist()
 
     def point(self):
         """Detached snapshot of the current primal-dual point."""
@@ -428,45 +429,67 @@ def run_epochs(prob, config, advance, snapshot):
     return records, config.max_epochs, False
 
 
+def _drive(state, method, weight_by_eta, callback, clock):
+    """lalm's and blalm's solve on a ready ``BlockState``.
+
+    An epoch is ``draw_epoch``'s iterations, each a block step followed by
+    both multiplier steps; rho_y and rho_z default to beta over the number
+    of blocks. The ergodic average weighs each iterate by 1/eta when
+    ``weight_by_eta``, else uniformly. ``callback(iteration, state)`` runs
+    after every iteration. The reported eta is the largest block's.
+
+    A full-width block's trials rebase the state, so it records the
+    tracker's exact values and never refreshes. A narrower one's tracker
+    drifts by roundoff under block commits (reading it moved kkt_stat by up
+    to 8e-10 relative on QCQP instances), so it records one exact stack
+    evaluation, and refreshes every _REFRESH_EPOCHS epochs and at the end.
+    """
+    prob, config, stack, tracker = state.prob, state.config, state.stack, state.tracker
+    full_width, n = state.full_width, len(state.blocks)
+    rho_y, rho_z = config.resolve_rho(n)
+    beta, has_rows = config.beta, not prob.affine.is_empty
+    acc = ErgodicAccumulator(prob.dim)
+    recorder = MetricsRecorder(prob, method, stack, clock=clock)
+
+    def advance(epoch):
+        for k, i in enumerate(state.draw_epoch(), (epoch - 1) * n + 1):
+            eta, blk_new = state.backtrack_block(i, *state.block_gradient(i))
+            state.apply_block(i, blk_new)
+            if has_rows:
+                state.y = multiplier_step_y(state.y, state.r, rho_y)
+            state.z = multiplier_step_z(state.z, tracker.value[1:], rho_z, beta)
+            acc.add(state.x, 1.0 / eta if weight_by_eta else 1.0,
+                    stack.image(tracker))
+            if callback is not None:
+                callback(k, state)
+        if not full_width and epoch % _REFRESH_EPOCHS == 0:
+            state.refresh()
+        return state.x, tracker.value
+
+    def snapshot(epoch):
+        return recorder.snapshot(
+            epoch, state, eta_max=float(state.eta.max()) if epoch else None,
+            ergodic=acc.point(stack) if epoch else None,
+            value_grad=(tracker.value, tracker.grad()) if full_width else None)
+
+    records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
+    if not full_width:
+        state.refresh()
+    return SolveResult(w=state.point(), ergodic_x=acc.average(), trace=records,
+                       epochs=epochs, stopped_early=stopped,
+                       eta=float(state.eta.max()))
+
+
 def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
-    """Run the full-vector solver: ``BlockState`` on the one block
-    slice(0, dim), whatever partition ``prob`` carries, with no sampling and
-    no periodic refresh. One epoch is one iteration; rho_y and rho_z default
-    to beta. x0, y0, z0 default to zeros (z0 must be nonnegative).
-    ``callback(iteration, state)`` runs after every iteration with the live
-    ``BlockState``, as blalm's does: copy what you keep. ``clock`` is the
-    wall-clock source for trace timestamps (a testing hook).
+    """Run the full-vector solver: ``_drive`` on the one block
+    slice(0, dim), whatever partition ``prob`` carries, so one epoch is one
+    iteration and rho_y and rho_z default to beta. x0, y0, z0 default to
+    zeros (z0 must be nonnegative). ``callback(iteration, state)`` runs
+    after every iteration with the live ``BlockState``: copy what you keep.
+    ``clock`` is the wall-clock source for trace timestamps (a testing hook).
 
     Returns a SolveResult with the final triple, the 1/eta-weighted ergodic
     average, and the trace, whose records carry the method label "lalm".
     """
     state = BlockState(prob, config, x0, y0, z0, blocks=(slice(0, prob.dim),))
-    rho_y, rho_z = config.resolve_rho(n_blocks=1)
-    beta, has_rows = config.beta, not prob.affine.is_empty
-    stack, tracker = state.stack, state.tracker
-    acc = ErgodicAccumulator(prob.dim)
-    recorder = MetricsRecorder(prob, "lalm", stack, clock=clock)
-
-    def advance(epoch):
-        eta, x_new = state.backtrack_block(0, *state.block_gradient(0))
-        state.apply_block(0, x_new)
-        if has_rows:
-            state.y = multiplier_step_y(state.y, state.r, rho_y)
-        state.z = multiplier_step_z(state.z, state.fvals, rho_z, beta)
-        # the tracker was rebased at x: its image is x's
-        acc.add(state.x, 1.0 / eta, stack.image(tracker))
-        if callback is not None:
-            callback(epoch, state)
-        return state.x, tracker.value
-
-    def snapshot(epoch):
-        # recorded from the tracker's values and gradients, exact at x
-        return recorder.snapshot(
-            epoch, state, eta_max=float(state.eta[0]) if epoch else None,
-            ergodic=acc.point(stack) if epoch else None,
-            value_grad=(tracker.value, tracker.grad()))
-
-    records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
-    return SolveResult(w=state.point(), ergodic_x=acc.average(), trace=records,
-                       epochs=epochs, stopped_early=stopped,
-                       eta=float(state.eta[0]))
+    return _drive(state, "lalm", True, callback, clock)

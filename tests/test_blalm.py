@@ -22,6 +22,11 @@ def make_state(prob, seed=0, **cfg_kwargs):
     return BlockState(prob, cfg, seed=seed)
 
 
+def draws(state, epochs):
+    """The block indices of ``epochs`` epochs of ``state``'s sampler."""
+    return [i for _ in range(epochs) for i in state.draw_epoch()]
+
+
 def with_equalities(kind, seed):
     """A generated 12-variable QCQP or BPDN instance with three random
     equality rows added to its inequality constraints, in four blocks."""
@@ -53,8 +58,7 @@ def test_block_norms_are_computed_in_analytic_mode_only(norm_count):
     assert norm_count == [(3, 3)]
 
     def etas(state):
-        for _ in range(12):
-            i = state.pick_block()
+        for i in draws(state, 3):
             _, blk = state.backtrack_block(i, *state.block_gradient(i))
             state.apply_block(i, blk)
         return state.eta.tobytes()
@@ -106,25 +110,37 @@ def test_rejects_nonseparable_h():
 # sampler
 
 
-def test_pick_block_single():
+def test_draw_epoch_single_block_leaves_the_rng_alone():
     prob = gen_qcqp(QcqpSpec(m=2, p=6, seed=0)).with_blocks(1)
     state = make_state(prob)
-    assert all(state.pick_block() == 0 for _ in range(10))
+    before = state.rng.bit_generator.state
+    assert all(state.draw_epoch() == (0,) for _ in range(10))
+    assert state.rng.bit_generator.state == before
 
 
-def test_pick_block_deterministic_replay():
+def test_draw_epoch_deterministic_replay():
     prob = gen_qcqp(QcqpSpec(m=2, p=10, seed=0)).with_blocks(5)
     a = make_state(prob, seed=42)
     b = make_state(prob, seed=42)
-    assert [a.pick_block() for _ in range(100)] == \
-           [b.pick_block() for _ in range(100)]
+    assert draws(a, 20) == draws(b, 20)
 
 
-def test_pick_block_uniform_frequencies():
+def test_draw_epoch_keeps_the_scalar_draw_stream():
+    # an epoch is n draws: the sequence n scalar integers(n) calls give, and
+    # the one a draw-at-a-time sampler gave on seed 42 with 5 blocks
+    prob = gen_qcqp(QcqpSpec(m=2, p=10, seed=0)).with_blocks(5)
+    rng = np.random.default_rng(42)
+    got = draws(make_state(prob, seed=42), 4)
+    assert len(make_state(prob).draw_epoch()) == 5
+    assert got == [int(rng.integers(5)) for _ in range(20)]
+    assert got == [0, 3, 3, 2, 2, 4, 0, 3, 1, 0, 2, 4, 3, 3, 3, 3, 2, 0, 4, 2]
+
+
+def test_draw_epoch_uniform_frequencies():
     prob = gen_qcqp(QcqpSpec(m=2, p=20, seed=0)).with_blocks(10)
     state = make_state(prob, seed=7)
-    draws = np.array([state.pick_block() for _ in range(100_000)])
-    freq = np.bincount(draws, minlength=10) / draws.size
+    picks = np.array(draws(state, 10_000))
+    freq = np.bincount(picks, minlength=10) / picks.size
     assert np.all(freq >= 0.09) and np.all(freq <= 0.11)
 
 
@@ -250,8 +266,7 @@ def test_iteration_pass_equals_reference_formulas_with_equality_rows(
                         smooth_value_at(w, beta, prob, gval))
 
     state = BlockState(prob, cfg, x0=x0, y0=y0, z0=z0)
-    for _ in range(12):
-        i = state.pick_block()
+    for i in draws(state, 3):
         sl = prob.blocks[i]
         eta_before = state.eta[i]
         grad, floor, base = state.block_gradient(i)
@@ -491,20 +506,28 @@ _ONE_BLOCK_RUNS = [(name, mode) for name in _ONE_BLOCK
 @pytest.mark.parametrize("name, mode", _ONE_BLOCK_RUNS)
 def test_lalm_is_blalm_with_one_block_bit_for_bit(name, mode):
     # the same BlockState iteration on the block slice(0, dim): every
-    # iterate's x, y, z and eta agree to the bit, across blalm's refreshes
+    # iterate's x, y, z and eta agree to the bit, across blalm's refreshes,
+    # and so do the final point and the trace, which both record from the
+    # full-width tracker; only the ergodic weights (1/eta against 1) differ
     prob = _ONE_BLOCK[name]()
     cfg = SolverConfig(beta=0.5, step_mode=mode, max_epochs=40, record_every=5)
     x0 = np.full(prob.dim, 0.3)
+    skip = {"method", "time_ms", "erg_obj_gap", "erg_feas"}
 
-    def iterates(solve, instance, **kwargs):
+    def run(solve, instance, **kwargs):
         seen = []
-        solve(instance, cfg, x0=x0, callback=lambda k, s: seen.append(
-            tuple(a.tobytes() for a in (s.x, s.y, s.z, s.eta))), **kwargs)
-        return seen
+        res = solve(instance, cfg, x0=x0, callback=lambda k, s: seen.append(
+            (k,) + tuple(a.tobytes() for a in (s.x, s.y, s.z, s.eta))), **kwargs)
+        w = res.w
+        return dict(
+            iterates=seen, eta=res.eta, epochs=res.epochs,
+            w=[a.tobytes() for a in (w.x, w.y, w.z, w.r, w.fvals)],
+            trace=[{f: v for f, v in vars(rec).items() if f not in skip}
+                   for rec in res.trace])
 
-    full = iterates(lalm.solve, prob)
-    assert len(full) == 40
-    assert full == iterates(blalm.solve, prob.with_blocks(1), seed=7)
+    full = run(lalm.solve, prob)
+    assert len(full["iterates"]) == 40 and len(full["trace"]) == 9
+    assert full == run(blalm.solve, prob.with_blocks(1), seed=7)
 
 
 @pytest.mark.parametrize("name, mode", _ONE_BLOCK_RUNS)

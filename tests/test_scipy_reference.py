@@ -21,7 +21,7 @@ Tolerances, measured with lalm stopped at KKT residual 1e-10:
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 from scipy.optimize import Bounds, NonlinearConstraint, minimize
 
 from linalm import lalm
@@ -46,7 +46,10 @@ def trust_constr(fun, jac, hess, x0, constraint, bounds):
     return res
 
 
-@settings(max_examples=12, deadline=None)
+# no shrinking: each shrink step reruns a solve that, on a broken lalm, goes
+# to the 30000-epoch cap, so a failure took minutes to report
+@settings(max_examples=12, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(m=st.integers(1, 3), p=st.integers(2, 8), seed=st.integers(0, 2**16))
 def test_lalm_matches_trust_constr_on_box_qcqps(m, p, seed):
     prob = gen_qcqp(QcqpSpec(m=m, p=p, seed=seed))

@@ -42,7 +42,8 @@ def test_traced_solves_run_and_restore_the_library(monkeypatch):
                 with tracer.solve_span(label, keep=False):
                     assert np.all(np.isfinite(run().w.x))
     for label in ("lalm", "blalm"):
-        # read from backtrack_primal's 6-tuple and BlockState.last_trials
+        # read from BlockState.last_trials by the backtrack_block wrapper,
+        # which both solvers' steps go through
         assert tracer.counter("backtrack_calls", label) > 0
         # computed bytes read tracker.fn.Q / tracker.fn.A
         assert tracer.counter("matvec_bytes", label) > 0
