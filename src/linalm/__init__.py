@@ -16,7 +16,7 @@ from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     OracleFunction, PrimalDualPoint, ProblemInstance,
                     QuadraticFunction, SmoothFunction, ZeroFunction, ZeroProx,
                     even_blocks, kkt_residual, lagrangian_gap, operator_norm_sq,
-                    project_box, prox_l1)
+                    prox_l1)
 
 __version__ = "0.1.0"
 
@@ -30,6 +30,6 @@ __all__ = [
     "brute_force_reference", "even_blocks", "gen_bpdn", "gen_qcqp",
     "harness", "instances", "kkt_residual", "lagrangian_gap", "lalm",
     "load_instance", "minimax_reformulate", "operator_norm_sq", "pdyn",
-    "project_box", "prox_l1", "rate_fit", "run", "save_instance",
+    "prox_l1", "rate_fit", "run", "save_instance",
     "tiny_reference", "trace",
 ]

@@ -142,7 +142,7 @@ def penalty_lipschitz(coef, beta, prob):
     """
     if prob.m == 0:
         return 0.0
-    constants = prob.penalty_constants()
+    constants = prob.penalty_constants
     if constants is None:
         raise ValueError(
             "constraint lacks gradient bound or Lipschitz constant; "

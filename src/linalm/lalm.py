@@ -242,13 +242,13 @@ def prox_step(x, grad, eta, prox, trial, base):
 class BlockState:
     """Mutable per-solve state: iterates, caches, the tracker, and the sampler.
 
-    ``blocks`` defaults to ``prob.blocks``; lalm passes the one full-width
-    block slice(0, dim), which uses h itself, so h needs no block split.
+    The blocks are ``prob.blocks``; lalm's one full-width block uses h
+    itself, so h needs no block split. ``PrimalDualPoint.of`` detaches x, y,
+    z, r and fvals.
     """
 
-    def __init__(self, prob, config, x0=None, y0=None, z0=None, seed=0,
-                 blocks=None):
-        self.blocks = prob.blocks if blocks is None else tuple(blocks)
+    def __init__(self, prob, config, x0=None, y0=None, z0=None, seed=0):
+        self.blocks = prob.blocks
         if self.blocks is None:
             raise ValueError("block solver requires a block partition; "
                              "use ProblemInstance.with_blocks(n)")
@@ -279,7 +279,7 @@ class BlockState:
         # step bounds read (a full-width block: the instance's cached
         # ||A||^2); None when backtracking.
         self.block_norm_sq = np.array(
-            [prob.affine.op_norm_sq()] if self.full_width else
+            [prob.affine.norm_sq] if self.full_width else
             [operator_norm_sq(prob.affine.A[:, sl]) for sl in self.blocks]
         ) if self.analytic else None
         self.rng = np.random.default_rng(seed)
@@ -300,11 +300,6 @@ class BlockState:
             return (0,)
         n = len(self.blocks)
         return self.rng.integers(n, size=n).tolist()
-
-    def point(self):
-        """Detached snapshot of the current primal-dual point."""
-        return PrimalDualPoint(self.x.copy(), self.y.copy(), self.z.copy(),
-                               self.r.copy(), self.fvals.copy())
 
     def block_gradient(self, i):
         """Block i of the smooth-part gradient, assembled from the tracker.
@@ -475,21 +470,22 @@ def _drive(state, method, weight_by_eta, callback, clock):
     records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
     if not full_width:
         state.refresh()
-    return SolveResult(w=state.point(), ergodic_x=acc.average(), trace=records,
-                       epochs=epochs, stopped_early=stopped,
+    return SolveResult(w=PrimalDualPoint.of(state), ergodic_x=acc.average(),
+                       trace=records, epochs=epochs, stopped_early=stopped,
                        eta=float(state.eta.max()))
 
 
 def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
-    """Run the full-vector solver: ``_drive`` on the one block
-    slice(0, dim), whatever partition ``prob`` carries, so one epoch is one
-    iteration and rho_y and rho_z default to beta. x0, y0, z0 default to
-    zeros (z0 must be nonnegative). ``callback(iteration, state)`` runs
-    after every iteration with the live ``BlockState``: copy what you keep.
+    """Run the full-vector solver: ``_drive`` on ``prob.with_blocks(1)``,
+    whatever partition ``prob`` carries, so one epoch is one iteration and
+    rho_y and rho_z default to beta. x0, y0, z0 default to zeros (z0 must
+    be nonnegative). ``callback(iteration, state)`` runs after every
+    iteration with the live ``BlockState``: copy what you keep
+    (``PrimalDualPoint.of(state)`` copies the point).
     ``clock`` is the wall-clock source for trace timestamps (a testing hook).
 
     Returns a SolveResult with the final triple, the 1/eta-weighted ergodic
     average, and the trace, whose records carry the method label "lalm".
     """
-    state = BlockState(prob, config, x0, y0, z0, blocks=(slice(0, prob.dim),))
+    state = BlockState(prob.with_blocks(1), config, x0, y0, z0)
     return _drive(state, "lalm", True, callback, clock)

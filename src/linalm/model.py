@@ -7,14 +7,16 @@ Defines the building blocks of a composite convex program
 
 where ``g`` and every ``f_j`` are convex with Lipschitz gradients and ``h``
 is a proper closed convex function accessed through its proximal mapping.
-Also provides the optimality metrics (KKT and feasibility residuals, the
-Lagrangian gap) used for stopping and reporting.
+Also provides the optimality metrics: the KKT and feasibility residuals,
+which solvers record and stop on, and the Lagrangian gap, which no solver
+reads (a check for a candidate KKT point).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -24,7 +26,7 @@ import numpy as np
 
 
 class _Constant:
-    """A problem constant read as a plain attribute: a number, or None when
+    """A problem constant read as a plain attribute: a value, or None when
     unknown, or, when ``_set_constant`` was given a zero-argument function,
     that function's result, computed on the first read. The value then sits
     in the instance's dict, which this non-data descriptor does not shadow,
@@ -597,14 +599,17 @@ class InequalityConstraint:
 
 
 class AffineConstraint:
-    """Equality constraints A x = b, their residual and a cached ||A||^2."""
+    """Equality constraints A x = b and their residual. ``norm_sq`` is
+    ||A||^2 (the largest eigenvalue of A'A), computed on its first read."""
+
+    norm_sq = _Constant()
 
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError("A and b row counts differ")
-        self._op_norm_sq = None
+        _set_constant(self, "norm_sq", partial(operator_norm_sq, self.A))
 
     @classmethod
     def empty(cls, dim):
@@ -620,12 +625,6 @@ class AffineConstraint:
 
     def residual(self, x):
         return self.A @ x - self.b
-
-    def op_norm_sq(self):
-        """Cached ||A||^2 (largest eigenvalue of A'A)."""
-        if self._op_norm_sq is None:
-            self._op_norm_sq = operator_norm_sq(self.A)
-        return self._op_norm_sq
 
 
 def even_blocks(dim, n):
@@ -664,7 +663,13 @@ class ProblemInstance:
         Known optimal value, used for gap reporting.
     meta : dict, optional
         Generator metadata (spec, seed, ground truth, ...).
+
+    ``penalty_constants`` is (L, B2), the arrays of each constraint's L_j =
+    ``fn.lipschitz`` and B_j^2 = ``grad_bound``^2 for analytic step bounds,
+    or None when a constraint lacks either; computed on its first read.
     """
+
+    penalty_constants = _Constant()
 
     def __init__(self, g, h, dim, affine=None, constraints=(), blocks=None,
                  f0_star=None, meta=None):
@@ -679,24 +684,12 @@ class ProblemInstance:
         self.blocks = blocks
         self.f0_star = None if f0_star is None else float(f0_star)
         self.meta = dict(meta or {})
-        self._penalty_constants = None
+        _set_constant(self, "penalty_constants",
+                      partial(_penalty_constants, self.constraints))
 
     @property
     def m(self):
         return len(self.constraints)
-
-    def penalty_constants(self):
-        """(L, B2): arrays of each constraint's gradient Lipschitz constant
-        L_j and squared gradient bound B_j^2, for analytic step bounds; None
-        when a constraint lacks either. Computed on the first call, which
-        reads constants computed on first use, and kept."""
-        if self._penalty_constants is None:
-            pairs = [(con.fn.lipschitz, con.grad_bound) for con in self.constraints]
-            if any(lip is None or bound is None for lip, bound in pairs):
-                return None
-            self._penalty_constants = (np.array([lip for lip, _ in pairs]),
-                                       np.array([bound ** 2 for _, bound in pairs]))
-        return self._penalty_constants
 
     def f0(self, x):
         """Composite objective g(x) + h(x); +inf outside dom(h)."""
@@ -716,14 +709,12 @@ class ProblemInstance:
                                self.constraints, self.blocks, f0_star, self.meta)
 
 
-def primal_start(prob, x0=None):
-    """Every solver's start point: x0 as a fresh flat float vector of length
-    prob.dim, zeros when None; a non-finite entry is refused."""
-    x = np.zeros(prob.dim) if x0 is None else np.array(x0, dtype=float).ravel()
-    if x.shape[0] != prob.dim:
-        raise ValueError(f"x has dim {x.shape[0]}, expected {prob.dim}")
-    _check_finite("x0", x)
-    return x
+def _penalty_constants(constraints):
+    pairs = [(con.fn.lipschitz, con.grad_bound) for con in constraints]
+    if any(lip is None or bound is None for lip, bound in pairs):
+        return None
+    return (np.array([lip for lip, _ in pairs]),
+            np.array([bound ** 2 for _, bound in pairs]))
 
 
 def _check_finite(name, v):
@@ -748,13 +739,23 @@ class PrimalDualPoint:
         x, y, z = checked_start(prob, x, y, z)
         return cls(x, y, z, prob.affine.residual(x), prob.constraint_values(x))
 
+    @classmethod
+    def of(cls, state):
+        """A detached copy of the point of a solver's live state, a
+        ``BlockState`` or a ``PdynState``."""
+        return cls(state.x.copy(), state.y.copy(), state.z.copy(),
+                   state.r.copy(), state.fvals.copy())
+
 
 def checked_start(prob, x, y, z):
-    """A start point as fresh flat float vectors (x, y, z), each None giving
-    zeros: x as ``primal_start`` makes it, y one entry per equality row and
-    z one nonnegative entry per inequality constraint, all finite. Calls no
-    oracle."""
-    x = primal_start(prob, x)
+    """Every solver's start point, as fresh flat float vectors (x, y, z),
+    each None giving zeros: x of length prob.dim, y one entry per equality
+    row and z one nonnegative entry per inequality constraint, all finite.
+    Calls no oracle."""
+    x = np.zeros(prob.dim) if x is None else np.array(x, dtype=float).ravel()
+    if x.shape[0] != prob.dim:
+        raise ValueError(f"x has dim {x.shape[0]}, expected {prob.dim}")
+    _check_finite("x0", x)
     y = np.zeros(prob.affine.rows) if y is None else np.array(y, dtype=float).ravel()
     z = np.zeros(prob.m) if z is None else np.array(z, dtype=float).ravel()
     if y.shape[0] != prob.affine.rows:
@@ -780,15 +781,6 @@ def prox_l1(v, tau):
     if tau <= 0:
         raise ValueError("threshold must be positive")
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
-
-
-def project_box(v, lower, upper):
-    """Componentwise clamp of v into [lower, upper]."""
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    if np.any(lower > upper):
-        raise ValueError("box requires lower <= upper componentwise")
-    return np.clip(np.asarray(v, dtype=float), lower, upper)
 
 
 KktResidual = namedtuple("KktResidual", "stationarity feasibility complementarity")

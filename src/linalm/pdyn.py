@@ -16,25 +16,43 @@ import numpy as np
 
 # descent_holds is not used here: perfbench/tracing.py wraps this module's copy
 from .lalm import SolveResult, descent_holds, prox_step, run_epochs  # noqa: F401
-from .model import PrimalDualPoint, primal_start, smooth_stack
+from .model import PrimalDualPoint, checked_start, smooth_stack
 from .trace import MetricsRecorder
 
 
 @dataclass
 class PdynState:
-    """Primal iterate, virtual queues, the current step parameter, and the
-    smooth stack's tracker, which ``step`` moves on to the state it returns."""
+    """Mutable per-solve state, read like ``BlockState``: x, the queues lam,
+    the step parameter eta and the smooth stack's tracker at x, which
+    ``step`` moves in place; fvals, z = [lam + f]_+, and y and r, which
+    without equality rows are empty (one shared array)."""
 
     x: np.ndarray
     lam: np.ndarray
     eta: float
     tracker: object
+    y = r = np.zeros(0)
 
     @classmethod
-    def start(cls, prob, x0, eta, stack=None):
-        x0 = primal_start(prob, x0)
-        tracker = (smooth_stack(prob) if stack is None else stack).tracker(x0)
+    def start(cls, prob, x0, eta):
+        x0 = checked_start(prob, x0, None, None)[0]
+        tracker = smooth_stack(prob).tracker(x0)
         return cls(x0, np.maximum(0.0, -tracker.value[1:]), eta, tracker)
+
+    @property
+    def stack(self):
+        """The smooth stack the tracker follows, built by ``start``."""
+        return self.tracker.fn
+
+    @property
+    def fvals(self):
+        """Constraint values at x, as the tracker holds them."""
+        return self.tracker.value[1:]
+
+    @property
+    def z(self):
+        """The reported inequality multipliers [lambda + f(x)]_+."""
+        return np.maximum(self.lam + self.fvals, 0.0)
 
 
 def _check_applicable(prob):
@@ -50,7 +68,7 @@ def direction(state):
     """Multiplier-weighted gradient grad f0 + sum_j (lambda_j + f_j) grad f_j
     at the tracker's point; returns it with z = lambda + f."""
     grads = state.tracker.grad()
-    z = state.lam + state.tracker.value[1:]
+    z = state.lam + state.fvals
     return grads[0] + z @ grads[1:], z
 
 
@@ -60,14 +78,15 @@ def _phi(tracker, z):
 
 
 def step(state, prob, config):
-    """One primal projection step plus the queue update; returns a new state.
+    """One primal projection step plus the queue update, in place: x, lam
+    and eta move, and the tracker with x.
 
     The step is ``prox_step`` on phi(., z), which is evaluated at x only
     when backtracking; each trial rebases the tracker at its candidate, so
-    the one taken leaves it at the new iterate.
+    the one taken leaves it at the new x.
     """
     tracker = state.tracker
-    fvals = tracker.value[1:]  # pre-step values: a rebase assigns a new array
+    fvals = state.fvals  # pre-step values: a rebase assigns a new array
     grad, z = direction(state)
     base = None if config.step_mode == "analytic" else _phi(tracker, z)
 
@@ -75,9 +94,9 @@ def step(state, prob, config):
         tracker.rebase(x_new)
         return lambda: _phi(tracker, z)
 
-    eta, x_new, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox, trial, base)
-    lam_new = np.maximum(-fvals, state.lam + fvals)
-    return PdynState(x_new, lam_new, eta, tracker)
+    state.eta, state.x, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox,
+                                         trial, base)
+    state.lam = np.maximum(-fvals, state.lam + fvals)
 
 
 def solve(prob, config, x0=None, callback=None, clock=None):
@@ -88,8 +107,8 @@ def solve(prob, config, x0=None, callback=None, clock=None):
     with inequality multipliers reported as [lambda_j + f_j(x)]_+ and the
     method label "pdyn". Setting rho_y, rho_z or a nonzero delta, which it
     does not use, is an error. ``callback(iteration, state)`` runs after
-    every iteration with the live ``PdynState``, whose tracker moves on:
-    copy what you keep.
+    every iteration with the live ``PdynState``: copy what you keep
+    (``PrimalDualPoint.of(state)`` copies the point).
     """
     _check_applicable(prob)
     for name in ("rho_y", "rho_z", "delta"):
@@ -97,28 +116,20 @@ def solve(prob, config, x0=None, callback=None, clock=None):
             raise ValueError(f"pdyn does not use {name}; leave it unset")
     if config.step_mode == "analytic" and config.eta0 is None:
         raise ValueError("fixed-step mode requires eta0")
-    stack = smooth_stack(prob)
-    state = PdynState.start(prob, x0, config.eta_seed(prob), stack)
-    recorder = MetricsRecorder(prob, "pdyn", stack, clock=clock)
-
-    def point():
-        fvals = state.tracker.value[1:]
-        return PrimalDualPoint(state.x.copy(), np.zeros(0),
-                               np.maximum(state.lam + fvals, 0.0),
-                               np.zeros(0), fvals.copy())
+    state = PdynState.start(prob, x0, config.eta_seed(prob))
+    tracker = state.tracker
+    recorder = MetricsRecorder(prob, "pdyn", state.stack, clock=clock)
 
     def advance(epoch):
-        nonlocal state
-        state = step(state, prob, config)
+        step(state, prob, config)
         if callback is not None:
             callback(epoch, state)
-        return state.x, state.tracker.value
+        return state.x, tracker.value
 
     def snapshot(epoch):
-        tracker = state.tracker
-        return recorder.snapshot(epoch, point(), eta_max=state.eta if epoch else None,
+        return recorder.snapshot(epoch, state, eta_max=state.eta if epoch else None,
                                  value_grad=(tracker.value, tracker.grad()))
 
     records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
-    return SolveResult(w=point(), ergodic_x=None, trace=records, epochs=epochs,
-                       stopped_early=stopped, eta=state.eta)
+    return SolveResult(w=PrimalDualPoint.of(state), ergodic_x=None, trace=records,
+                       epochs=epochs, stopped_early=stopped, eta=state.eta)

@@ -65,15 +65,14 @@ class MetricsRecorder:
         self.clock = time.perf_counter if clock is None else clock
         self.t0 = self.clock()
 
-    def _gap_feas(self, point):
-        x, vals = point
-        feas = feasibility_residual(x, self.prob, fvals=vals[1:])
+    def _objective(self, x, vals):
+        """g(x) + h(x) from the stack's values at x, and its gap to f0_star."""
         obj = float(vals[0]) + self.prob.h.value(x)
-        gap = None if self.f0_star is None else abs(obj - self.f0_star)
-        return gap, feas
+        return obj, None if self.f0_star is None else abs(obj - self.f0_star)
 
     def snapshot(self, epoch, w, eta_max=None, ergodic=None, value_grad=None):
-        """One TraceRecord at iterate ``w``.
+        """One TraceRecord at ``w``: a solver's live state or any point with
+        x, y, z, r and fvals.
 
         ``value_grad`` is the stack's (values, gradients) at ``w.x``;
         ``ergodic`` is the optional (x, stack values at x) pair of the
@@ -84,12 +83,13 @@ class MetricsRecorder:
         if not np.isfinite(grads).all():
             raise SolverError(
                 f"non-finite gradient of the smooth part at epoch {epoch}")
-        obj = float(vals[0]) + self.prob.h.value(w.x)
+        obj, obj_gap = self._objective(w.x, vals)
         kkt = kkt_residual(w, self.prob, grads=grads)
-        obj_gap = None if self.f0_star is None else abs(obj - self.f0_star)
         erg_gap = erg_feas = None
         if ergodic is not None:
-            erg_gap, erg_feas = self._gap_feas(ergodic)
+            x, erg_vals = ergodic
+            _, erg_gap = self._objective(x, erg_vals)
+            erg_feas = feasibility_residual(x, self.prob, fvals=erg_vals[1:])
         return TraceRecord(
             method=self.method, epoch=int(epoch), obj=float(obj),
             obj_gap=obj_gap, feas=kkt.feasibility, kkt_stat=kkt.stationarity,

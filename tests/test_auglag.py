@@ -398,14 +398,14 @@ def test_smooth_lipschitz_composition():
     plain = ProblemInstance(QuadraticFunction([[3.0]], [0.0], lipschitz=3.0),
                             ZeroProx(), dim=1)
     assert smooth_lipschitz(np.zeros(0), 1.0, plain,
-                            plain.affine.op_norm_sq()) == 3.0
+                            plain.affine.norm_sq) == 3.0
     # identity A adds beta * 1
     from linalm.model import AffineConstraint
     with_eq = ProblemInstance(
         QuadraticFunction(np.eye(2), np.zeros(2), lipschitz=1.0), ZeroProx(),
         dim=2, affine=AffineConstraint(np.eye(2), np.zeros(2)))
     assert smooth_lipschitz(np.zeros(0), 1.0, with_eq,
-                            with_eq.affine.op_norm_sq()) == pytest.approx(2.0, rel=1e-6)
+                            with_eq.affine.norm_sq) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_descent_inequality_holds_at_smooth_lipschitz(rng):
@@ -416,7 +416,7 @@ def test_descent_inequality_holds_at_smooth_lipschitz(rng):
     for _ in range(50):
         w = random_state(prob, rng, z_scale=2.0)
         eta = smooth_lipschitz(scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
-                               prob.affine.op_norm_sq())
+                               prob.affine.norm_sq)
         grad = smooth_grad_at(w, beta, prob)
         _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox,
                                    lambda x, dx: None, None)

@@ -270,7 +270,7 @@ def test_iteration_pass_equals_reference_formulas_with_equality_rows(
         sl = prob.blocks[i]
         eta_before = state.eta[i]
         grad, floor, base = state.block_gradient(i)
-        w = state.point()
+        w = PrimalDualPoint.of(state)
         (vals, *_), (coef, _, pass_base) = passes[-1]
         assert pass_base == base and vals.tobytes() == state.tracker.value.tobytes()
         check_pass(w, vals[0], coef, base)
@@ -295,8 +295,8 @@ def test_iteration_pass_equals_reference_formulas_with_equality_rows(
     # callback, with the tracker's values there
     passes.clear()
     points = [PrimalDualPoint.at(prob, x0, y0, z0)]
-    lalm.solve(prob, cfg, x0, y0, z0,
-               callback=lambda k, state: points.append(state.point()))
+    lalm.solve(prob, cfg, x0, y0, z0, callback=lambda k, state: points.append(
+        PrimalDualPoint.of(state)))
     assert len(passes) == 12
     for w, ((vals, y, r, z, _, _), (coef, _, base)) in zip(points, passes):
         assert (y.tobytes(), z.tobytes()) == (w.y.tobytes(), w.z.tobytes())

@@ -127,7 +127,8 @@ def test_lalm_records_from_its_tracker_what_direct_evaluation_gives(name):
     cfg = SolverConfig(beta=1.0, rho_y=1.0, rho_z=1.0, max_epochs=60,
                        record_every=1)
     res = lalm.solve(prob, cfg, clock=fake_clock,
-                     callback=lambda k, state: points.__setitem__(k, state.point()))
+                     callback=lambda k, state: points.__setitem__(
+                         k, PrimalDualPoint.of(state)))
     assert len(res.trace) == 61
     total, weight = np.zeros(prob.dim), 0.0
     for rec in res.trace:
@@ -153,7 +154,7 @@ def test_blalm_ergodic_columns_match_direct_evaluation(name):
     def watch(k, state):
         iterates.append(state.x.copy())
         if k % n == 0:
-            points[k // n] = state.point()
+            points[k // n] = PrimalDualPoint.of(state)
 
     cfg = SolverConfig(beta=1.0, max_epochs=40, record_every=1)
     res = blalm.solve(prob.with_blocks(n), cfg, seed=4, clock=fake_clock,

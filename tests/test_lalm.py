@@ -23,7 +23,7 @@ def backtrack_at(w, grad, eta, cfg, prob):
     ``BlockState`` at w, with the floor and base value of lalm's iteration
     pass there. Returns (eta, x_new, r_new, fvals_new, smooth value at
     x_new or None in analytic mode, increases made)."""
-    state = BlockState(prob, cfg, w.x, w.y, w.z, blocks=(slice(0, prob.dim),))
+    state = BlockState(prob.with_blocks(1), cfg, w.x, w.y, w.z)
     r = None if prob.affine.is_empty else w.r
     _, floor, base = auglag.iteration_terms(
         state.tracker.value, w.y, r, w.z, cfg.beta, cfg.step_mode == "backtracking")
@@ -84,7 +84,7 @@ def test_analytic_mode_refuses_nonpositive_eta0(solver):
 def test_analytic_eta_hand_cases():
     prob, _ = tiny_reference("equality-qp")
     # L_F = L_g + beta ||A||^2 = 1 + 2; delta = 1 -> eta = 4 from eta_prev 0
-    norm_sq = prob.affine.op_norm_sq()
+    norm_sq = prob.affine.norm_sq
     val = analytic_eta(0.0, np.zeros(0), 1.0, 1.0, prob, norm_sq)
     assert val == pytest.approx(4.0, rel=1e-6)
     # the max keeps monotonicity when the bound drops
@@ -97,7 +97,7 @@ def test_analytic_eta_hand_cases():
 def test_analytic_eta_requires_constants():
     prob = gen_bpdn(BpdnSpec(rows=4, cols=6, sparsity=2, seed=0))
     with pytest.raises(ValueError, match="backtracking"):
-        analytic_eta(0.0, np.zeros(1), 1.0, 0.0, prob, prob.affine.op_norm_sq())
+        analytic_eta(0.0, np.zeros(1), 1.0, 0.0, prob, prob.affine.norm_sq)
 
 
 def test_backtracking_quadratic_acceptance_count():
@@ -150,8 +150,9 @@ def _block_step(prob, cfg):
 
 
 def _pdyn_step(prob, cfg):
-    new = pdyn.step(PdynState.start(prob, [1.0], eta=1.0), prob, cfg)
-    return new.eta, None
+    state = PdynState.start(prob, [1.0], eta=1.0)
+    pdyn.step(state, prob, cfg)
+    return state.eta, None
 
 
 @pytest.mark.parametrize("run", [_lalm_step, _block_step, _pdyn_step],
@@ -474,6 +475,33 @@ def test_nonfinite_gradient_abort_carries_trace_from_epoch_0(solver):
                 solver.solve(prob, SolverConfig(max_epochs=10, record_every=every))
             assert info.value.records[0].epoch == 0
             assert all(np.isfinite(rec.kkt_stat) for rec in info.value.records)
+
+
+@pytest.mark.parametrize("solver", [lalm, blalm, pdyn],
+                         ids=["lalm", "blalm", "pdyn"])
+def test_primal_dual_point_of_detaches_every_solvers_callback_state(solver):
+    # each solver's live state is read the same way: PrimalDualPoint.of
+    # copies x, y, z, r and fvals, and later steps leave the copy alone
+    prob = gen_qcqp(QcqpSpec(m=3, p=8, seed=0)).with_blocks(4)
+    names = ("x", "y", "z", "r", "fvals")
+    points, seen = [], []
+
+    def watch(k, state):
+        points.append(PrimalDualPoint.of(state))
+        seen.append([np.array(getattr(state, name)) for name in names])
+
+    res = solver.solve(prob, SolverConfig(beta=1.0, max_epochs=5), callback=watch)
+    assert len(points) == 5 * (4 if solver is blalm else 1)
+    assert len({w.x.tobytes() for w in points}) == len(points)
+    for w, want in zip(points, seen):
+        assert [getattr(w, name).tobytes() for name in names] == \
+            [a.tobytes() for a in want]
+        assert w.y.shape == w.r.shape == (0,) and np.all(w.z >= 0)
+        np.testing.assert_allclose(w.fvals, prob.constraint_values(w.x),
+                                   rtol=1e-10, atol=1e-10)
+    if solver is not blalm:   # blalm refreshes its state at the end
+        assert [getattr(res.w, name).tobytes() for name in names] == \
+            [getattr(points[-1], name).tobytes() for name in names]
 
 
 @pytest.mark.parametrize("solver", [lalm, blalm, pdyn],

@@ -8,7 +8,7 @@ from linalm.model import (AffineConstraint, BoxIndicator, FullTracker,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           QuadraticStack, QuadraticTracker, ZeroFunction,
                           ZeroProx, even_blocks, kkt_residual, lagrangian_gap,
-                          operator_norm_sq, project_box, prox_l1, smooth_stack)
+                          operator_norm_sq, prox_l1, smooth_stack)
 from linalm.instances import (BpdnSpec, MinimaxConstraint, gen_bpdn, gen_qcqp,
                               QcqpSpec, minimax_reformulate, random_minimax_1d,
                               tiny_reference)
@@ -17,7 +17,7 @@ from conftest import assert_grad_matches
 
 
 # ---------------------------------------------------------------------------
-# prox_l1 / project_box
+# prox_l1 / box projection
 
 
 def test_prox_l1_values():
@@ -50,23 +50,27 @@ def test_prox_l1_subgradient_inclusion(rng):
 
 
 def test_project_box_values():
-    assert project_box([12.0], [-10.0], [10.0]) == pytest.approx([10.0])
-    assert project_box([0.5], [-10.0], [10.0]) == pytest.approx([0.5])
+    # the library's one box projection is the box indicator's prox
+    box = BoxIndicator([-10.0], [10.0])
+    assert box.prox([12.0], 1.0) == pytest.approx([10.0])
+    assert box.prox([0.5], 1.0) == pytest.approx([0.5])
     np.testing.assert_allclose(
-        project_box([-11.0, 3.0], [-10.0, -10.0], [10.0, 10.0]), [-10.0, 3.0])
+        BoxIndicator([-10.0, -10.0], [10.0, 10.0]).prox([-11.0, 3.0], 1.0),
+        [-10.0, 3.0])
 
 
 def test_project_box_rejects_crossed_bounds():
-    with pytest.raises(ValueError):
-        project_box([0.0], [1.0], [-1.0])
+    # refused when the box is built
+    with pytest.raises(ValueError, match="lower <= upper"):
+        BoxIndicator([1.0], [-1.0])
 
 
 def test_project_box_idempotent_and_nonexpansive(rng):
-    lo, hi = -rng.uniform(1, 5, size=6), rng.uniform(1, 5, size=6)
+    box = BoxIndicator(-rng.uniform(1, 5, size=6), rng.uniform(1, 5, size=6))
     for _ in range(20):
         u, v = rng.normal(size=6) * 10, rng.normal(size=6) * 10
-        pu, pv = project_box(u, lo, hi), project_box(v, lo, hi)
-        np.testing.assert_array_equal(project_box(pu, lo, hi), pu)
+        pu, pv = box.prox(u, 1.0), box.prox(v, 1.0)
+        np.testing.assert_array_equal(box.prox(pu, 1.0), pu)
         assert np.linalg.norm(pu - pv) <= np.linalg.norm(u - v) + 1e-12
 
 
@@ -85,7 +89,7 @@ def test_prox_large_weight_projects_onto_domain(rng):
     # indicator prox at any weight equals projection onto the domain box
     h = BoxIndicator(-2 * np.ones(4), 3 * np.ones(4))
     v = rng.normal(size=4) * 10
-    np.testing.assert_allclose(h.prox(v, 1e12), project_box(v, *h.domain))
+    np.testing.assert_allclose(h.prox(v, 1e12), np.clip(v, *h.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +179,7 @@ def test_empty_affine_terms_vanish():
     x = np.ones(4)
     assert A.residual(x).shape == (0,)
     np.testing.assert_array_equal(A.A.T @ np.zeros(0), np.zeros(4))
-    assert A.op_norm_sq() == 0.0
+    assert A.norm_sq == 0.0
     assert operator_norm_sq(A.A[:, slice(0, 4)]) == 0.0
 
 

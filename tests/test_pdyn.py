@@ -6,8 +6,9 @@ from linalm import pdyn
 from linalm.instances import QcqpSpec, gen_qcqp, tiny_reference
 from linalm.lalm import SolverConfig, SolverError
 from linalm.model import (AffineConstraint, BoxIndicator, InequalityConstraint,
-                          L1Norm, LinearFunction, ProblemInstance,
-                          QuadraticFunction, ZeroProx)
+                          L1Norm, LinearFunction, PrimalDualPoint,
+                          ProblemInstance, QuadraticFunction, ZeroProx,
+                          smooth_stack)
 from linalm.pdyn import PdynState, direction, step
 
 
@@ -58,8 +59,8 @@ def test_queue_initialization_and_first_update():
                     [InequalityConstraint(fn)])
     state = PdynState.start(prob, np.zeros(1), eta=10.0)
     assert state.lam == pytest.approx([1.0])
-    new = step(state, prob, SolverConfig(beta=1.0))
-    assert new.lam == pytest.approx([1.0])
+    step(state, prob, SolverConfig(beta=1.0))
+    assert state.lam == pytest.approx([1.0])
 
 
 def test_queue_update_law_branches(rng):
@@ -69,13 +70,13 @@ def test_queue_update_law_branches(rng):
     state = PdynState.start(prob, rng.uniform(-1, 1, size=5), eta=50.0)
     for _ in range(30):
         fvals = prob.constraint_values(state.x)
-        new = step(state, prob, cfg)
-        for lam_new, lam_old, f in zip(new.lam, state.lam, fvals):
+        old = state.lam.copy()
+        step(state, prob, cfg)
+        for lam_new, lam_old, f in zip(state.lam, old, fvals):
             assert lam_new >= -f - 1e-12
             assert lam_new >= lam_old + f - 1e-12
             assert (abs(lam_new + f) <= 1e-12
                     or abs(lam_new - lam_old - f) <= 1e-12)
-        state = new
 
 
 def test_fixed_point_at_interior_stationary_point():
@@ -87,8 +88,8 @@ def test_fixed_point_at_interior_stationary_point():
     prob = box_prob(g, [InequalityConstraint(fn)])
     state = PdynState.start(prob, np.array([1.0]), eta=4.0)
     assert state.lam + prob.constraint_values(state.x) == pytest.approx([0.0])
-    new = step(state, prob, SolverConfig(beta=1.0))
-    np.testing.assert_allclose(new.x, [1.0])
+    step(state, prob, SolverConfig(beta=1.0))
+    np.testing.assert_allclose(state.x, [1.0])
 
 
 def test_direction_matches_multiplier_weighted_gradient(rng):
@@ -103,6 +104,50 @@ def test_direction_matches_multiplier_weighted_gradient(rng):
     np.testing.assert_allclose(z, state.lam + fvals)
 
 
+@pytest.mark.parametrize("mode, eta0", [("backtracking", None), ("analytic", 60.0)])
+def test_step_moves_the_state_it_is_given_with_its_tracker(rng, mode, eta0):
+    # step works in place: after it, the tracker is at the state's new x, so
+    # the next direction is the multiplier-weighted gradient there
+    prob = gen_qcqp(QcqpSpec(m=3, p=6, seed=4))
+    stack = smooth_stack(prob)
+    cfg = SolverConfig(beta=1.0, step_mode=mode, eta0=eta0)
+    state = PdynState.start(prob, rng.uniform(-2, 2, size=6), eta=eta0 or 10.0)
+    for _ in range(5):
+        x_before = state.x.copy()
+        returned = step(state, prob, cfg)
+        np.testing.assert_allclose(state.tracker.value, stack(state.x),
+                                   rtol=1e-12, atol=1e-12)
+        assert returned is None and not np.array_equal(state.x, x_before)
+        grad, z = direction(state)
+        expect = prob.g.grad(state.x)
+        for zj, con in zip(z, prob.constraints):
+            expect = expect + zj * con.fn.grad(state.x)
+        np.testing.assert_allclose(grad, expect, atol=1e-12)
+        np.testing.assert_allclose(z, state.lam + prob.constraint_values(state.x),
+                                   atol=1e-12)
+
+
+def test_solve_builds_one_point_and_one_state(monkeypatch):
+    # the recorder reads the live state, which every step moves in place:
+    # the result's w is the solve's one PrimalDualPoint
+    built = {PrimalDualPoint: 0, PdynState: 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def counted(self, *args):
+            built[cls] += 1
+            init(self, *args)
+        return counted
+
+    for cls in built:
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    res = pdyn.solve(gen_qcqp(QcqpSpec(m=2, p=6, seed=0)),
+                     SolverConfig(beta=1.0, max_epochs=20, record_every=1))
+    assert len(res.trace) == 21
+    assert built == {PrimalDualPoint: 1, PdynState: 1}
+
+
 # ---------------------------------------------------------------------------
 # backtracking
 
@@ -113,10 +158,11 @@ def test_backtracking_quadratic_acceptance_threshold():
     prob = box_prob(g)
     cfg = SolverConfig(beta=1.0, eta0=1.0)
     state = PdynState.start(prob, np.array([5.0]), eta=1.0)
-    new = step(state, prob, cfg)
-    assert new.eta == pytest.approx(1.5 ** 3)
+    step(state, prob, cfg)
+    assert state.eta == pytest.approx(1.5 ** 3)
     state = PdynState.start(prob, np.array([5.0]), eta=4.0)
-    assert step(state, prob, cfg).eta == 4.0
+    step(state, prob, cfg)
+    assert state.eta == 4.0
 
 
 def test_exhausted_backtracking_abort_carries_trace_from_epoch_0():
@@ -171,8 +217,7 @@ def test_reduces_to_projected_gradient_when_feasible_inactive():
     # with the actual queue values
     state = PdynState.start(prob, np.array([2.0]), eta=8.0)
     for want in xs:
-        state = step(state, prob, SolverConfig(beta=1.0, step_mode="analytic",
-                                               eta0=8.0))
+        step(state, prob, SolverConfig(beta=1.0, step_mode="analytic", eta0=8.0))
         assert state.x[0] == pytest.approx(want, abs=1e-14)
 
 

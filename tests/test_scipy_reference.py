@@ -16,7 +16,10 @@ Tolerances, measured with lalm stopped at KKT residual 1e-10:
   6.8e-10 and ||dx||_inf at most 1.5e-8 (the largest ones on draws whose
   objective is nearly flat along some direction). Bounds: 1e-8 and 2e-7.
 - BPDN 6x12 through x = u - v with u, v >= 0, seeds 0-3: |df| at most
-  9.9e-11 and ||dx||_inf at most 7.8e-11. Bounds: 1e-9 and 1e-9.
+  9.9e-11 and ||dx||_inf at most 7.8e-11. Bounds: 1e-9 and 1e-9. The
+  constraint's multiplier z against trust-constr's ``v[0]`` (same sign
+  convention), seeds 0-5: at most 1.5e-9 apart, on z between 0.87 and 2.8.
+  Bound: 1e-8.
 """
 
 import numpy as np
@@ -30,11 +33,12 @@ from linalm.lalm import SolverConfig
 
 
 def lalm_optimum(prob, x0=None):
+    """lalm's final primal-dual point, stopped at KKT residual 1e-10."""
     # the slowest of the measured QCQP draws stopped after 13884 epochs
     res = lalm.solve(prob, SolverConfig(tol=1e-10, max_epochs=30_000,
                                         record_every=1), x0=x0)
     assert res.stopped_early
-    return res.w.x
+    return res.w
 
 
 def trust_constr(fun, jac, hess, x0, constraint, bounds):
@@ -65,7 +69,7 @@ def test_lalm_matches_trust_constr_on_box_qcqps(m, p, seed):
     ref = trust_constr(lambda x: 0.5 * x @ Q0 @ x + c0 @ x + d0,
                        lambda x: Q0 @ x + c0, lambda x: Q0, np.zeros(p),
                        constraint, Bounds(prob.h.lower, prob.h.upper))
-    x = lalm_optimum(prob)
+    x = lalm_optimum(prob).x
     assert abs(prob.f0(x) - ref.fun) <= 1e-8 * max(1.0, abs(ref.fun))
     assert np.abs(x - ref.x).max() <= 2e-7
 
@@ -95,6 +99,9 @@ def test_lalm_matches_trust_constr_on_bpdn(seed):
                        lambda w: np.zeros((2 * p, 2 * p)),
                        np.concatenate([np.maximum(x0, 0.0), np.maximum(-x0, 0.0)]),
                        constraint, Bounds(np.zeros(2 * p), np.inf))
-    x = lalm_optimum(prob, x0)
-    assert abs(prob.f0(x) - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
-    assert np.abs(x - (ref.x[:p] - ref.x[p:])).max() <= 1e-9
+    w = lalm_optimum(prob, x0)
+    assert abs(prob.f0(w.x) - ref.fun) <= 1e-9 * max(1.0, abs(ref.fun))
+    assert np.abs(w.x - (ref.x[:p] - ref.x[p:])).max() <= 1e-9
+    # the multiplier of ||A(u - v) - b||^2 <= offset, which the splitting
+    # leaves unchanged
+    assert np.abs(w.z - ref.v[0]).max() <= 1e-8
