@@ -315,11 +315,12 @@ class LinearFunction(SmoothFunction):
 # and value changes for a candidate change of one coordinate block, in time
 # proportional to the block width where the stack is quadratic.
 #
-# ``delta_value(sl, dx)`` remembers the products it computed, and
-# ``commit(sl, dx)`` with the same ``sl`` and ``dx`` objects reuses them, so
-# committing the last candidate valued costs no second product. A commit of
-# any other block change, or after a rebase or another commit, computes its
-# own; ``dx`` must not be changed in between.
+# ``delta_value(sl, dx)`` remembers the products it computed (for a
+# quadratic, the block's row product dx @ Q[sl, :]), and ``commit(sl, dx)``
+# with the same ``sl`` and ``dx`` objects reuses them, so committing the
+# last candidate valued costs no second product. A commit of any other
+# block change, or after a rebase or another commit, computes its own;
+# ``dx`` must not be changed in between.
 
 
 class _TrialMemo:
@@ -379,6 +380,13 @@ class QuadraticTracker(_TrialMemo):
     once: a stack's Q, c and d carry a leading function axis, so the same
     code answers for all k functions with one batched product per query
     (``value`` of shape (k,), block gradients of shape (k, width)).
+
+    A block change takes one product with Q. ``delta_value`` forms the
+    block's row product u = dx @ Q[sl, :] (Q is symmetric, so the contiguous
+    rows stand in for the strided columns) and values the trial from the
+    block gradient as (grad_blk + u[sl] / 2) @ dx; the commit of that trial
+    adds u to q. ``block_grad`` keeps its result, which callers must not
+    change, until the next commit or rebase.
     """
 
     def __init__(self, fn, x):
@@ -386,7 +394,7 @@ class QuadraticTracker(_TrialMemo):
         self.rebase(x)
 
     def rebase(self, x):
-        self._trial = None
+        self._trial = self._grad = None
         x = np.asarray(x, dtype=float)
         self.qx = _matvec(self.fn.Q, x)
         self.value = self.fn.values_from_image(x, self.qx)
@@ -395,23 +403,23 @@ class QuadraticTracker(_TrialMemo):
         return self.qx + self.fn.c
 
     def block_grad(self, sl):
-        return self.qx[..., sl] + self.fn.c[..., sl]
+        kept = self._grad
+        if kept is None or kept[0] is not sl:
+            kept = self._grad = (sl, self.qx[..., sl] + self.fn.c[..., sl])
+        return kept[1]
 
     def delta_value(self, sl, dx):
-        delta = (self.qx[..., sl] @ dx + 0.5 * ((self.fn.Q[..., sl, sl] @ dx) @ dx)
-                 + self.fn.c[..., sl] @ dx)
-        self._remember(sl, dx, delta)
+        u = dx @ self.fn.Q[..., sl, :]
+        delta = (self.block_grad(sl) + 0.5 * u[..., sl]) @ dx
+        self._remember(sl, dx, u, delta)
         return delta
 
     def commit(self, sl, dx):
-        """Apply x[sl] += dx.
-
-        Q is symmetric, so the contiguous row block Q[sl, :] stands in for
-        the strided column block Q[:, sl].
-        """
-        delta, = self._products(sl, dx)
+        """Apply x[sl] += dx."""
+        u, delta = self._products(sl, dx)
+        self._grad = None
         self.value = self.value + delta
-        self.qx += dx @ self.fn.Q[..., sl, :]
+        self.qx += u
 
 
 # Unreached (least squares stacks as a quadratic); perfbench/tracing.py wraps it.
@@ -533,7 +541,9 @@ class L1Norm(ProxFunction):
         return self.scale * float(np.sum(np.abs(x)))
 
     def prox(self, v, weight):
-        return prox_l1(v, weight * self.scale)
+        # No finiteness check, as in the other proxes: prox_step refuses a
+        # non-finite gradient and run_epochs a non-finite iterate.
+        return _soft_threshold(np.asarray(v, dtype=float), weight * self.scale)
 
     def block(self, sl):
         return self
@@ -561,8 +571,9 @@ class BoxIndicator(ProxFunction):
         return np.inf
 
     def prox(self, v, weight):
-        # the bounds were checked once, at construction
-        return np.clip(np.asarray(v, dtype=float), self.lower, self.upper)
+        # the bounds were checked once, at construction; the two ufuncs give
+        # np.clip's bits without its Python wrapper
+        return np.minimum(np.maximum(v, self.lower), self.upper)
 
     def block(self, sl):
         return BoxIndicator(self.lower[sl], self.upper[sl])
@@ -780,6 +791,11 @@ def prox_l1(v, tau):
         raise ValueError("prox_l1 requires finite input")
     if tau <= 0:
         raise ValueError("threshold must be positive")
+    return _soft_threshold(v, tau)
+
+
+def _soft_threshold(v, tau):
+    """``prox_l1`` of a float array v and a positive tau, unchecked."""
     return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
 
 

@@ -1,0 +1,98 @@
+"""``tools/bench.py``: the verdict rule, the alternating pair order and the
+refusal of an incorrect run, driven against stub ``perfbench/run.py``
+scripts that print fixed lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_spec = importlib.util.spec_from_file_location("bench_tool", ROOT / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+# Prints the next of its tree's values.json entries as one result line,
+# after one env line, and logs "<tree> <workload>" to $STUB_LOG.
+_STUB = """\
+import json, os, sys
+from pathlib import Path
+tree = Path(__file__).resolve().parents[1]
+workload = sys.argv[sys.argv.index("--workload") + 1]
+with open(os.environ["STUB_LOG"], "a") as fh:
+    fh.write(f"{tree.name} {workload}\\n")
+calls = tree / "calls"
+k = len(calls.read_text()) if calls.exists() else 0
+calls.write_text("x" * (k + 1))
+value, correct = json.loads((tree / "values.json").read_text())[k]
+print("env stub " + tree.name)
+print(json.dumps({"correct": correct, "attempted": 3, "failed": 0,
+                  "metrics": {"blalm.ms_per_epoch": {"value": value, "unit": "ms"}}}))
+"""
+
+
+def stub_tree(tmp_path, name, values):
+    tree = tmp_path / name
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "perfbench" / "run.py").write_text(_STUB)
+    (tree / "values.json").write_text(json.dumps(values))
+    return tree
+
+
+@pytest.mark.parametrize("parent, change, better, bound, verdict", [
+    # 10 of 10 pairs won, medians 2 apart with a parent IQR of 0.5
+    ([10, 10.5, 10, 10.5] * 2 + [10, 10.5], [8, 8.5] * 5, "lower", 0.25, "gain"),
+    # 8 of 10 won: no gain, and within the bound
+    ([10.0] * 10, [9.0] * 8 + [11.0] * 2, "lower", 0.25, "unchanged"),
+    # every pair won, but by less than the parent's IQR (4)
+    ([8, 12] * 5, [7.5, 11.5] * 5, "lower", 0.5, "unchanged"),
+    # 50% worse against a 25% bound
+    ([10.0] * 10, [15.0] * 10, "lower", 0.25, "regressed"),
+    # parent IQR/median 0.4 > bound 0.25: the change cannot be called unchanged
+    ([6, 10, 14] * 3 + [10], [10.5] * 10, "lower", 0.25, "unresolved"),
+    # ... unless every change run beats every parent run; the medians are
+    # still closer than the parent's IQR, so that is no gain
+    ([6, 10, 14] * 3 + [10], [5.9] * 10, "lower", 0.25, "unchanged"),
+    # a higher-is-better metric, and one with no bound
+    ([1.0] * 10, [1.5] * 10, "higher", 0.1, "gain"),
+    ([1.0] * 10, [0.5] * 10, "higher", 0.1, "regressed"),
+    ([1.0] * 10, [1.0] * 10, "lower", None, "unresolved"),
+])
+def test_compare_gives_the_documented_verdict(parent, change, better, bound, verdict):
+    assert bench.compare(parent, change, better, bound)["verdict"] == verdict
+
+
+def test_compare_counts_wins_per_pair_and_ties_for_neither():
+    out = bench.compare([10, 10, 10, 10], [9, 10, 11, 9], "lower", 0.25)
+    assert out["wins"] == 2 and out["pairs"] == 4
+    assert out["ratio"] == pytest.approx(9.5 / 10)
+    assert out["parent_quartiles"] == [10, 10, 10]
+
+
+def test_ab_pairs_alternate_their_order_and_summarize(tmp_path, monkeypatch):
+    log = tmp_path / "log"
+    monkeypatch.setenv("STUB_LOG", str(log))
+    parent = stub_tree(tmp_path, "parent", [[1.0, True]] * 4)
+    change = stub_tree(tmp_path, "change", [[0.8, True]] * 4)
+    runs, env = bench.run_pairs(change, parent, ["w"], seed=0, seconds=1.0, pairs=2)
+    assert log.read_text().split("\n")[:-1] == [
+        "parent w", "change w", "change w", "parent w"]
+    assert env == {"parent": ["env stub parent"], "change": ["env stub change"]}
+    spec = {"end_to_end": [{"name": "blalm.ms_per_epoch", "better": "lower",
+                            "bound": 0.25}]}
+    summary = bench.summarize(runs, spec)["w"]
+    metric = summary["metrics"]["blalm.ms_per_epoch"]
+    assert metric["verdict"] == "gain" and metric["wins"] == 2
+    assert metric["ratio"] == pytest.approx(0.8) and metric["unit"] == "ms"
+    assert summary["failed"] == {"parent": [0, 6], "change": [0, 6]}
+    assert any("gain" in line for line in bench.report({"w": summary}))
+
+
+def test_ab_refuses_a_run_that_is_not_correct(tmp_path, monkeypatch):
+    monkeypatch.setenv("STUB_LOG", str(tmp_path / "log"))
+    parent = stub_tree(tmp_path, "parent", [[1.0, True]])
+    change = stub_tree(tmp_path, "change", [[0.8, False]])
+    with pytest.raises(RuntimeError, match="not correct"):
+        bench.run_pairs(change, parent, ["w"], seed=0, seconds=1.0, pairs=1)

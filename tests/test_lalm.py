@@ -12,7 +12,7 @@ from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
                          analytic_eta, multiplier_step_y, multiplier_step_z,
                          prox_step)
 from linalm.model import (BoxIndicator, FunctionStack, InequalityConstraint,
-                          L1Norm, LinearFunction, PrimalDualPoint,
+                          L1Norm, LinearFunction, OracleFunction, PrimalDualPoint,
                           ProblemInstance, QuadraticFunction, QuadraticStack,
                           ZeroProx, even_blocks, smooth_stack)
 from linalm.pdyn import PdynState
@@ -475,6 +475,27 @@ def test_nonfinite_gradient_abort_carries_trace_from_epoch_0(solver):
                 solver.solve(prob, SolverConfig(max_epochs=10, record_every=every))
             assert info.value.records[0].epoch == 0
             assert all(np.isfinite(rec.kkt_stat) for rec in info.value.records)
+
+
+@pytest.mark.parametrize("solver", [lalm, blalm], ids=["lalm", "blalm"])
+def test_constraint_gradient_turning_nonfinite_on_l1_instance_aborts(solver):
+    # L1Norm.prox does not check its input for finiteness: the shared step
+    # and the recorder refuse a non-finite gradient before it gets there.
+    # The inactive oracle constraint's gradient turns NaN once a coordinate
+    # of x passes 2.9, partway along the path from 0 towards (2.95, 2.95).
+    con = OracleFunction(lambda x: float(np.sum(x)) - 100.0,
+                         lambda x: np.full_like(x, 1.0 if x.max() < 2.9 else np.nan))
+    prob = ProblemInstance(QuadraticFunction(2.0 * np.eye(2), [-6.0, -6.0]),
+                           L1Norm(0.1), dim=2, constraints=[InequalityConstraint(con)],
+                           blocks=even_blocks(2, 2))
+    for every in (1, 5):
+        with pytest.raises(SolverError, match="gradient") as info:
+            solver.solve(prob, SolverConfig(eta0=20.0, max_epochs=200,
+                                            record_every=every))
+        records = info.value.records
+        assert records[0].epoch == 0
+        assert len(records) > 1
+        assert all(np.isfinite(rec.kkt_stat) for rec in records)
 
 
 @pytest.mark.parametrize("solver", [lalm, blalm, pdyn],

@@ -257,14 +257,29 @@ def assert_close(got, want, scale, rel):
        dim=st.integers(1, 12), n_blocks=st.integers(1, 4),
        steps=st.integers(1, 30))
 def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
+    # The tracker keeps a block gradient until the next commit or rebase, and
+    # values a trial from it: ask for it before some trials, and commit an
+    # unvalued change of another block or rebase in between, so that a kept
+    # value outliving its point fails the checks.
     rng = np.random.default_rng(seed)
     fns = random_quadratics(rng, k, dim)
     blocks = even_blocks(dim, min(n_blocks, dim))
     x = rng.normal(size=dim)
     tracker = QuadraticStack.of(fns).tracker(x.copy())
-    for _ in range(steps):
-        sl = blocks[rng.integers(len(blocks))]
+    for step in range(steps):
+        i = rng.integers(len(blocks))
+        sl = blocks[i]
         dx = rng.normal(size=sl.stop - sl.start)
+        if rng.random() < 0.5:
+            tracker.block_grad(sl)
+            if rng.random() < 0.5:
+                other = blocks[(i + 1) % len(blocks)]
+                odx = rng.normal(size=other.stop - other.start)
+                tracker.commit(other, odx)
+                x[other] += odx
+        if step == steps // 2:
+            x = x + rng.normal(size=dim)
+            tracker.rebase(x.copy())
         delta = tracker.delta_value(sl, dx)
         trial = x.copy()
         trial[sl] += dx
@@ -279,6 +294,29 @@ def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
             want = np.stack([fn.grad(x)[blk] for fn in fns])
             assert_close(tracker.block_grad(blk), want,
                          1.0 + np.abs(want).max(axis=1, keepdims=True), 1e-10)
+
+
+def test_commit_of_the_valued_trial_reads_no_q(rng):
+    # the trial's row product is kept for its commit, which takes no product
+    fns = random_quadratics(rng, 3, 6)
+    stack = QuadraticStack.of(fns)
+    x = rng.normal(size=6)
+    tracker = stack.tracker(x.copy())
+    sl, dx = slice(2, 4), rng.normal(size=2)
+    tracker.block_grad(sl)
+    tracker.delta_value(sl, dx)
+
+    class Unreadable:
+        def __getitem__(self, key):
+            pytest.fail("commit read Q")
+
+    Q, stack.Q = stack.Q, Unreadable()
+    tracker.commit(sl, dx)
+    stack.Q = Q
+    x[sl] += dx
+    vals, grads = stack.value_grad(x)
+    assert_close(tracker.value, vals, value_scale(fns, x), 1e-12)
+    np.testing.assert_allclose(tracker.grad(), grads, rtol=1e-12, atol=1e-12)
 
 
 def test_stack_of_generated_qcqp_is_a_view():

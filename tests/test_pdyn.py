@@ -204,21 +204,22 @@ def test_eta_monotone_along_run():
 
 
 def test_reduces_to_projected_gradient_when_feasible_inactive():
-    # strictly feasible trajectory with zero queues follows projected
-    # gradient descent on the objective
-    g = QuadraticFunction([[2.0]], [-2.0], lipschitz=2.0)
-    fn = QuadraticFunction([[2.0]], [0.0], -10_000.0)
-    prob = box_prob(g, [InequalityConstraint(fn)])
-    cfg = SolverConfig(beta=1.0, step_mode="analytic", eta0=8.0, max_epochs=20,
-                       record_every=20)
-    xs = []
-    pdyn.solve(prob, cfg, x0=[2.0], callback=lambda k, s: xs.append(s.x[0]))
-    # queues start at |f(x0)| ~ 1e4... instead verify against the exact map
-    # with the actual queue values
-    state = PdynState.start(prob, np.array([2.0]), eta=8.0)
-    for want in xs:
-        step(state, prob, SolverConfig(beta=1.0, step_mode="analytic", eta0=8.0))
-        assert state.x[0] == pytest.approx(want, abs=1e-14)
+    # From a strictly feasible start the queues are lam = -f(x0), so
+    # z = [lam + f]_+ = 0 and the first step is projected gradient descent
+    # on the objective alone: x0 - g'(x0)/eta = (1.75, 1.75), of which the
+    # box keeps the second coordinate and moves the first up to 1.8.
+    g = QuadraticFunction(2.0 * np.eye(2), [-2.0, -2.0], lipschitz=2.0)
+    fn = QuadraticFunction(2.0 * np.eye(2), [0.0, 0.0], -10_000.0)
+    lo, hi = np.array([1.8, -10.0]), np.full(2, 10.0)
+    prob = ProblemInstance(g, BoxIndicator(lo, hi), dim=2,
+                           constraints=[InequalityConstraint(fn)])
+    x0 = np.array([2.0, 2.0])
+    state = PdynState.start(prob, x0, eta=8.0)
+    assert state.z.tolist() == [0.0]
+    step(state, prob, SolverConfig(beta=1.0, step_mode="analytic", eta0=8.0))
+    want = np.clip(x0 - g.grad(x0) / 8.0, lo, hi)
+    assert want.tolist() == [1.8, 1.75]
+    assert state.x.tolist() == want.tolist()
 
 
 def test_solve_tiny_qcqp_reaches_feasibility():
