@@ -143,12 +143,10 @@ class ErgodicAccumulator:
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError("accumulation weight must be positive")
+        self._sum += weight * x
         if self.weight == 0:
             self._image = np.zeros(np.shape(image))
-        if weight != 1.0:   # 1.0 * v is v, bit for bit: skip both products
-            x, image = weight * x, weight * image
-        self._sum += x
-        self._image += image
+        self._image += weight * image
         self.weight += weight
 
     def average(self):
@@ -181,22 +179,18 @@ def multiplier_step_y(y, r_new, rho_y):
     return y + rho_y * r_new
 
 
-def multiplier_step_z(z, fvals_new, rho_z, beta, floor=None):
+def multiplier_step_z(z, fvals_new, rho_z, beta):
     """Floored inequality multiplier ascent.
 
     Componentwise z_j + rho_z * max(-z_j / beta, f_j(x_new)), which is
     nonnegative whenever rho_z <= beta. In floating point z - rho_z * (z /
     beta) can round to a tiny negative number (with rho_z = beta = 0.1, in
     about 4% of the steps that take the -z_j / beta branch), so the result
-    is floored at zero. ``floor`` is -z / beta when the caller holds it
-    (``auglag.iteration_terms`` computes it in backtracking mode), else it
-    is computed here; both give the same bits.
+    is floored at zero.
     """
     if not z.size:
         return z
-    if floor is None:
-        floor = auglag.penalty_floor(z, beta)
-    return np.maximum(z + rho_z * np.maximum(floor, fvals_new), 0.0)
+    return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
 
 
 def analytic_eta(eta_prev, coef, beta, delta, prob, norm_sq):
@@ -454,13 +448,11 @@ def _drive(state, method, weight_by_eta, callback, clock):
 
     def advance(epoch):
         for k, i in enumerate(state.draw_epoch(), (epoch - 1) * n + 1):
-            grad, floor, base = state.block_gradient(i)
-            eta, blk_new = state.backtrack_block(i, grad, floor, base)
+            eta, blk_new = state.backtrack_block(i, *state.block_gradient(i))
             state.apply_block(i, blk_new)
             if has_rows:
                 state.y = multiplier_step_y(state.y, state.r, rho_y)
-            state.z = multiplier_step_z(state.z, tracker.value[1:], rho_z, beta,
-                                        floor)
+            state.z = multiplier_step_z(state.z, tracker.value[1:], rho_z, beta)
             acc.add(state.x, 1.0 / eta if weight_by_eta else 1.0,
                     stack.image(tracker))
             if callback is not None:
