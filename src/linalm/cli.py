@@ -2,9 +2,11 @@
 
     linalm solve --problem bpdn --method lalm --epochs 1000 --out run.csv
 
-Flags override values from an optional JSON config file (flat keys named
-like the flags). Exit status is nonzero when instance construction or the
-solver fails.
+Flags override values from an optional JSON config file: one flat object
+whose keys are the field names of ``SolverConfig`` and ``ExperimentConfig``
+(``rho_y``, ``step_mode``, ``record_every``, ``problem_opts``, ...) plus
+``epochs``, the flag's name for ``max_epochs``. Exit status is nonzero when
+instance construction or the solver fails.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ def build_parser():
     p.add_argument("--epochs", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--eta0", type=float)
-    p.add_argument("--config", help="JSON file with flag-named keys")
+    p.add_argument("--config", help="JSON file keyed by SolverConfig and "
+                   "ExperimentConfig field names (rho_y, step_mode, ...) and epochs")
     p.add_argument("--out", help="trace CSV path")
     return parser
 

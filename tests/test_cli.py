@@ -78,9 +78,10 @@ def test_config_file_with_flag_override(tmp_path):
 
 
 def test_unknown_config_keys_rejected():
-    with pytest.raises(ValueError, match="unknown configuration"):
-        config_from_options({"problem": "bpdn", "method": "lalm",
-                             "typo_key": 1})
+    # keys are field names: a flag's spelling is refused too
+    for extra in ({"typo_key": 1}, {"rho-y": 1.0}):
+        with pytest.raises(ValueError, match="unknown configuration"):
+            config_from_options({"problem": "bpdn", "method": "lalm", **extra})
 
 
 def test_config_file_not_an_object_fails_cleanly(tmp_path, capsys):

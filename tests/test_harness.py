@@ -12,10 +12,12 @@ from linalm.harness import (ExperimentConfig, build_problem, fit_loglog_slope,
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               tiny_reference)
 from linalm.lalm import SolverConfig
-from linalm.model import (PrimalDualPoint, feasibility_residual, kkt_residual,
-                          smooth_stack)
+from linalm.model import (InequalityConstraint, PrimalDualPoint, ProblemInstance,
+                          QuadraticFunction, ZeroProx, feasibility_residual,
+                          kkt_residual, smooth_stack)
 from linalm.trace import (CSV_COLUMNS, MetricsRecorder, TraceRecord,
-                          read_trace_csv, record_epochs, write_trace_csv)
+                          read_trace_csv, record_epochs, should_stop,
+                          write_trace_csv)
 
 
 def fake_clock():
@@ -168,6 +170,19 @@ def test_blalm_ergodic_columns_match_direct_evaluation(name):
         total = np.sum(iterates[:count], axis=0)
         _assert_ergodic_recorded(prob, total / count, rec.erg_obj_gap,
                                  rec.erg_feas, rec.epoch)
+
+
+@pytest.mark.parametrize("z, stops", [(0.5, False), (0.0, True)])
+def test_complementarity_alone_keeps_the_solver_running(z, stops):
+    # min x^2/2 s.t. x^2 - 9 <= 0 at x = 0: stationary and feasible, so only
+    # the complementarity term z |f(x)| = 9 z tells z = 0.5 from the KKT z = 0
+    prob = ProblemInstance(QuadraticFunction([[1.0]], [0.0]), ZeroProx(), 1,
+                           constraints=[InequalityConstraint(
+                               QuadraticFunction([[2.0]], [0.0], -9.0))])
+    w = PrimalDualPoint.at(prob, [0.0], None, [z])
+    assert tuple(kkt_residual(w, prob)) == (0.0, 0.0, 9.0 * z)
+    rec = MetricsRecorder(prob, "m", smooth_stack(prob), clock=fake_clock).snapshot(1, w)
+    assert should_stop(rec, 1.0, have_reference=False) is stops
 
 
 def test_record_epochs_interval_and_default():
