@@ -6,10 +6,9 @@ harness."""
 
 from . import auglag, blalm, harness, instances, lalm, pdyn, trace
 from .harness import ExperimentConfig, rate_fit, run
-from .instances import (BpdnSpec, QcqpSpec, ReferenceSolution,
-                        brute_force_reference, gen_bpdn, gen_qcqp,
-                        load_instance, minimax_reformulate, save_instance,
-                        tiny_reference)
+from .instances import (BpdnSpec, QcqpSpec, ReferenceSolution, gen_bpdn,
+                        gen_qcqp, load_instance, minimax_reformulate,
+                        save_instance, tiny_reference)
 from .lalm import ErgodicAccumulator, SolveResult, SolverConfig, SolverError
 from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     L1Norm, LeastSquaresFunction, LinearFunction,
@@ -27,8 +26,8 @@ __all__ = [
     "PrimalDualPoint", "ProblemInstance", "QcqpSpec", "QuadraticFunction",
     "ReferenceSolution", "SmoothFunction", "SolveResult", "SolverConfig",
     "SolverError", "ZeroFunction", "ZeroProx", "auglag", "blalm",
-    "brute_force_reference", "even_blocks", "gen_bpdn", "gen_qcqp",
-    "harness", "instances", "kkt_residual", "lagrangian_gap", "lalm",
+    "even_blocks", "gen_bpdn", "gen_qcqp", "harness", "instances",
+    "kkt_residual", "lagrangian_gap", "lalm",
     "load_instance", "minimax_reformulate", "operator_norm_sq", "pdyn",
     "prox_l1", "rate_fit", "run", "save_instance",
     "tiny_reference", "trace",

@@ -41,8 +41,8 @@ class ExperimentConfig:
     ``problem`` is one of 'bpdn', 'qcqp', 'minimax', 'tiny:<kind>', or a
     path to a serialized instance JSON file. ``problem_opts`` carries
     instance-size overrides, the keys ``_PROBLEM_OPTS`` names for the problem.
-    ``reference`` is 'auto' (hand value for tiny instances, brute force up
-    to dimension 3, otherwise a cached long solver run) or 'none'. The
+    ``reference`` is 'auto' (the hand value for tiny instances, a cached
+    ``long_run_reference`` for every other one) or 'none'. The
     epoch budget is ``solver.max_epochs``. Every field's type is checked
     here, at construction.
     """
@@ -103,14 +103,14 @@ def cache_dir():
 
 
 def resolve_reference(prob, config, clock=None):
-    """Reference optimal value per the config policy; None when disabled."""
+    """Reference solution per the config policy: None for 'none', the hand
+    triple for a tiny instance, and otherwise ``long_run_reference``, cached
+    under ``cache_dir()``, whatever the instance's dimension."""
     if config.reference == "none":
         return None
     if prob.meta.get("kind") == "tiny" and prob.f0_star is not None:
         _, ref = instances.tiny_reference(prob.meta["tiny"])
         return ref
-    if prob.dim <= 3:
-        return instances.brute_force_reference(prob)
     return long_run_reference(prob, budget=max(1_000_000, 10 * config.solver.max_epochs),
                               cache=cache_dir(), clock=clock)
 

@@ -2,9 +2,10 @@
 
 Provides the two experiment families (basis pursuit denoising and box-
 constrained QCQP), the minimax-to-constrained reformulation, tiny
-hand-verifiable reference instances with exact KKT triples, a brute-force
-grid reference for very small problems, and JSON (de)serialization of the
-quadratic-family instances for reproducibility.
+hand-verifiable reference instances with exact KKT triples, and JSON
+(de)serialization of the quadratic-family instances for reproducibility.
+Every other reference solution is a long solver run
+(``harness.long_run_reference``).
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class QcqpSpec:
     """
 
     m: int = 10
-    p: int = 2000
+    p: int = 200
     box_low: float = -10.0
     box_high: float = 10.0
     d_value: float = -1.0
@@ -315,152 +316,6 @@ def tiny_reference(kind):
     else:
         raise ValueError(f"unknown tiny instance kind: {kind!r}")
     return prob.with_f0_star(ref.f0), ref
-
-
-# ---------------------------------------------------------------------------
-# brute-force reference for dim <= 3
-
-# The search: points per axis of the first grid (later rounds use 11),
-# refinement rounds, and the half-width searched along a coordinate that h
-# leaves unbounded. Multiplier recovery counts a constraint above
-# -_ACTIVE_TOL as active and an l1 coordinate within _L1_ZERO_TOL of 0 as 0.
-_GRID_POINTS, _REFINE_ROUNDS, _SEARCH_BOUND = 101, 80, 10.0
-_ACTIVE_TOL, _L1_ZERO_TOL = 1e-6, 1e-9
-
-
-def _domain_box(prob):
-    inf = np.full(prob.dim, np.inf)
-    lo, hi = (-inf, inf) if prob.h.domain is None else prob.h.domain
-    return (np.where(np.isfinite(lo), lo, -_SEARCH_BOUND),
-            np.where(np.isfinite(hi), hi, _SEARCH_BOUND))
-
-
-def _grid(center, half, lower, upper, pts):
-    axes = [np.linspace(max(c - h, lo), min(c + h, hi), pts)
-            for c, h, lo, hi in zip(center, half, lower, upper)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def _feasible_objective(pts, prob, manifold=None):
-    """Objective over the grid with +inf at infeasible points."""
-    xs = pts if manifold is None else manifold[0] + pts @ manifold[1].T
-    vals = prob.g.values(xs) + prob.h.values(xs)
-    for con in prob.constraints:
-        vals = np.where(con.fn.values(xs) <= 0.0, vals, np.inf)
-    return xs, vals
-
-
-def _recover_multipliers(prob, x):
-    """Least-squares fit of the stationarity condition at a solved point.
-
-    Solves min || grad g + A'y + sum_j z_j grad f_j + s || over y free,
-    z >= 0 on active constraints (inactive ones are fixed at zero), and s
-    ranging over the subdifferential of h at x. Fixed subdifferential
-    components are folded into the target so every fitted variable keeps a
-    strict bound interval.
-    """
-    from scipy.optimize import lsq_linear
-
-    target = -prob.g.grad(x)
-    cols, lo, hi = [], [], []
-    for row in prob.affine.A:  # y columns, free sign
-        cols.append(row)
-        lo.append(-np.inf)
-        hi.append(np.inf)
-    fvals = prob.constraint_values(x)
-    active = [j for j in range(prob.m) if fvals[j] > -_ACTIVE_TOL]
-    for j in active:
-        cols.append(prob.constraints[j].fn.grad(x))
-        lo.append(0.0)
-        hi.append(np.inf)
-
-    unit = np.eye(prob.dim)
-    if isinstance(prob.h, L1Norm):
-        for i in range(prob.dim):
-            if abs(x[i]) > _L1_ZERO_TOL:
-                target = target - prob.h.scale * np.sign(x[i]) * unit[i]
-            else:
-                cols.append(unit[i])
-                lo.append(-prob.h.scale)
-                hi.append(prob.h.scale)
-    elif isinstance(prob.h, BoxIndicator):
-        lo_b, hi_b = prob.h.domain
-        for i in range(prob.dim):
-            if x[i] <= lo_b[i] + 1e-9:
-                cols.append(unit[i])
-                lo.append(-np.inf)
-                hi.append(0.0)
-            elif x[i] >= hi_b[i] - 1e-9:
-                cols.append(unit[i])
-                lo.append(0.0)
-                hi.append(np.inf)
-
-    y = np.zeros(prob.affine.rows)
-    z = np.zeros(prob.m)
-    if not cols:
-        return y, z
-    M = np.stack(cols, axis=1)
-    sol = lsq_linear(M, target, bounds=(np.array(lo), np.array(hi)))
-    k = prob.affine.rows
-    y = sol.x[:k]
-    for pos, j in enumerate(active):
-        z[j] = sol.x[k + pos]
-    return y, z
-
-
-def brute_force_reference(prob):
-    """Grid minimization with local refinement; dimensions up to 3 only.
-
-    Minimizes over the domain box (with [-10, 10] along each coordinate h
-    leaves unbounded) intersected with the feasible set, shrinking the grid
-    around the incumbent until machine precision, then recovers multipliers
-    from a least-squares stationarity fit.
-    """
-    if prob.dim > 3:
-        raise ValueError("brute force handles dim <= 3 only; use a long solver "
-                         "run for larger instances")
-    lower, upper = _domain_box(prob)
-
-    manifold = None
-    lo_p, hi_p = lower, upper
-    if not prob.affine.is_empty:
-        # minimize over x = base + N xi, the affine solution manifold
-        A, b = prob.affine.A, prob.affine.b
-        base = np.linalg.lstsq(A, b, rcond=None)[0]
-        _, s, vt = np.linalg.svd(A)
-        rank = int(np.sum(s > 1e-12 * s.max(initial=0.0)))
-        basis = vt[rank:].T
-        if basis.shape[1] == 0:  # fully determined by the equalities
-            y, z = _recover_multipliers(prob, base)
-            return ReferenceSolution(base, y, z, float(prob.f0(base)),
-                                     "brute-force")
-        manifold = (base, basis)
-        width = float(np.max(upper - lower))
-        lo_p = np.full(basis.shape[1], -width)
-        hi_p = np.full(basis.shape[1], width)
-
-    center = 0.5 * (lo_p + hi_p)
-    half = 0.5 * (hi_p - lo_p)
-    best_val, best_pt = np.inf, None
-    for round_idx in range(_REFINE_ROUNDS + 1):
-        pts = _grid(center, half, lo_p, hi_p,
-                    _GRID_POINTS if round_idx == 0 else 11)
-        xs, vals = _feasible_objective(pts, prob, manifold)
-        idx = int(np.argmin(vals))
-        if vals[idx] < best_val:
-            best_val = float(vals[idx])
-            best_pt = pts[idx]
-        if best_pt is None:
-            raise ValueError("no feasible grid point found; enlarge the grid")
-        center = best_pt
-        half = half * 0.55
-    if not np.isfinite(best_val):
-        raise ValueError("no feasible grid point found; enlarge the grid")
-
-    x = best_pt if manifold is None else manifold[0] + manifold[1] @ best_pt
-    y, z = _recover_multipliers(prob, x)
-    return ReferenceSolution(x, y, z, float(prob.f0(x)), "brute-force")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import feasibility_residual, kkt_residual
+from .model import PrimalDualPoint, feasibility_residual, kkt_residual
 
 # Single schema across all methods; unavailable columns stay empty.
 CSV_COLUMNS = ("method", "epoch", "obj", "obj_gap", "feas", "kkt_stat",
@@ -54,7 +54,9 @@ class MetricsRecorder:
     iterate (``value_grad``, which a solver's tracker has after each step)
     and the stack's values at each ergodic point (``ergodic``, as
     ``ErgodicAccumulator.point`` gives them from its running sums). Only
-    ``value_grad`` is evaluated here when it is not passed in.
+    ``value_grad`` is evaluated here when it is not passed in, and then the
+    record reads that one evaluation throughout: the constraint values come
+    from it and the equality residual is recomputed at x.
     """
 
     def __init__(self, prob, method, stack, clock=None):
@@ -74,12 +76,18 @@ class MetricsRecorder:
         """One TraceRecord at ``w``: a solver's live state or any point with
         x, y, z, r and fvals.
 
-        ``value_grad`` is the stack's (values, gradients) at ``w.x``;
-        ``ergodic`` is the optional (x, stack values at x) pair of the
-        ergodic point. A non-finite gradient raises SolverError before
-        anything is recorded from it.
+        ``value_grad`` is the stack's (values, gradients) at ``w.x``, in
+        step with ``w.r`` and ``w.fvals``; when it is None the record takes
+        all three from x instead. ``ergodic`` is the optional (x, stack
+        values at x) pair of the ergodic point. A non-finite gradient raises
+        SolverError before anything is recorded from it.
         """
-        vals, grads = self.stack.value_grad(w.x) if value_grad is None else value_grad
+        if value_grad is None:
+            vals, grads = self.stack.value_grad(w.x)
+            r = w.r if self.prob.affine.is_empty else self.prob.affine.residual(w.x)
+            w = PrimalDualPoint(w.x, w.y, w.z, r, vals[1:])
+        else:
+            vals, grads = value_grad
         if not np.isfinite(grads).all():
             raise SolverError(
                 f"non-finite gradient of the smooth part at epoch {epoch}")

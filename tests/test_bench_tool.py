@@ -1,9 +1,11 @@
 """``tools/bench.py``: the verdict rule, the alternating pair order and the
 refusal of an incorrect run, driven against stub ``perfbench/run.py``
-scripts that print fixed lines."""
+scripts that print fixed lines, and the parent tree unpacked from a
+throwaway git repository."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -96,3 +98,24 @@ def test_ab_refuses_a_run_that_is_not_correct(tmp_path, monkeypatch):
     change = stub_tree(tmp_path, "change", [[0.8, False]])
     with pytest.raises(RuntimeError, match="not correct"):
         bench.run_pairs(change, parent, ["w"], seed=0, seconds=1.0, pairs=1)
+
+
+def test_ab_parent_tree_is_unpacked_from_git_archive(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               *args], cwd=repo, check=True, capture_output=True,
+                              text=True).stdout
+
+    repo = tmp_path / "repo"
+    (repo / "perfbench").mkdir(parents=True)
+    git("init", "-q")
+    (repo / "perfbench" / "run.py").write_text("print('parent')\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "perfbench" / "run.py").write_text("print('change')\n")
+    worktrees = git("worktree", "list")
+    dest = tmp_path / "parent"
+    bench.export_tree(repo, "HEAD", dest)
+    assert (dest / "perfbench" / "run.py").read_text() == "print('parent')\n"
+    assert not (dest / ".git").exists()
+    assert git("worktree", "list") == worktrees

@@ -611,6 +611,30 @@ def test_seed_determinism_identical_traces():
     np.testing.assert_array_equal(res1.w.x, res2.w.x)
 
 
+@pytest.mark.parametrize("kind", ["qcqp", "bpdn"])
+def test_narrow_records_read_one_exact_evaluation(kind):
+    # between refreshes a narrow tracker's values and residual drift by
+    # roundoff; a record's feasibility and complementarity come from the
+    # record's own evaluation at x, not from the drifted state
+    prob = with_equalities(kind, 0)
+    n = len(prob.blocks)
+    cfg = SolverConfig(beta=1.0, max_epochs=25, record_every=1)
+    points = {}
+    res = blalm.solve(prob, cfg, seed=0, callback=lambda k, s: points.update(
+        {k // n: PrimalDualPoint.of(s)} if k % n == 0 else {}))
+    stack = model.smooth_stack(prob)
+    off_refresh = [rec for rec in res.trace if rec.epoch % 10]
+    assert len(off_refresh) == 23
+    for rec in off_refresh:
+        w = points[rec.epoch]
+        vals, grads = stack.value_grad(w.x)
+        exact = model.kkt_residual(
+            replace(w, r=prob.affine.residual(w.x), fvals=vals[1:]), prob,
+            grads=grads)
+        assert (rec.feas, rec.kkt_comp) == (exact.feasibility,
+                                            exact.complementarity)
+
+
 def test_z_nonnegative_along_block_run():
     prob = gen_qcqp(QcqpSpec(m=4, p=10, seed=8)).with_blocks(5)
     cfg = SolverConfig(beta=0.5, max_epochs=400, record_every=100)

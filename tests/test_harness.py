@@ -7,10 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import qcqp_with_oracle_constraint
 from linalm import blalm, lalm
-from linalm.harness import (ExperimentConfig, build_problem, fit_loglog_slope,
-                            long_run_reference, rate_fit, run)
-from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
-                              tiny_reference)
+from linalm.harness import (CACHE_ENV_VAR, ExperimentConfig, build_problem,
+                            fit_loglog_slope, long_run_reference, rate_fit,
+                            run)
+from linalm.instances import (BpdnSpec, QcqpSpec, ReferenceSolution,
+                              TINY_KINDS, gen_bpdn, gen_qcqp, tiny_reference)
 from linalm.lalm import SolverConfig
 from linalm.model import (InequalityConstraint, PrimalDualPoint, ProblemInstance,
                           QuadraticFunction, ZeroProx, feasibility_residual,
@@ -348,14 +349,34 @@ def test_run_feasibility_nonnegative(tmp_path):
     assert all(rec.feas >= 0 for rec in read_trace_csv(res.path))
 
 
-def test_run_minimax_uses_brute_force_reference(tmp_path):
+def test_run_minimax_uses_long_run_reference(tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
     cfg = ExperimentConfig(method="lalm", problem="minimax",
                            solver=SolverConfig(beta=1.0, record_every=100,
                                                max_epochs=2000),
                            out=str(tmp_path / "m.csv"))
     res = run(cfg, clock=fake_clock)
-    assert res.reference.provenance == "brute-force"
+    assert res.reference.provenance == "long-run"
     assert res.result.trace[-1].obj_gap <= 1e-3
+
+
+@pytest.mark.parametrize("problem, opts, seed", [
+    # small draws a refined grid search got wrong: it stopped 3.4e-3 above
+    # this QCQP's optimum, and found no feasible point of this BPDN
+    ("qcqp", {"m": 2, "p": 3}, 5),
+    ("bpdn", {"rows": 2, "cols": 3, "sparsity": 1}, 6),
+])
+def test_run_on_small_instances_stops_at_the_long_run_optimum(
+        tmp_path, monkeypatch, problem, opts, seed):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    cfg = ExperimentConfig(method="lalm", problem=problem, problem_opts=opts,
+                           seed=seed,
+                           solver=SolverConfig(tol=1e-6, max_epochs=100_000),
+                           out=str(tmp_path / "s.csv"))
+    res = run(cfg, clock=fake_clock)
+    assert res.reference.provenance == "long-run"
+    assert res.reference.residual <= 1e-10
+    assert res.result.stopped_early
 
 
 def test_build_problem_variants(tmp_path):
@@ -395,13 +416,20 @@ def test_long_run_requires_budget():
         long_run_reference(prob, budget=1000)
 
 
-def test_long_run_matches_hand_references(tmp_path):
-    for kind in ("scalar-qcqp", "scalar-bpdn"):
-        prob, ref = tiny_reference(kind)
+def test_long_run_matches_hand_references():
+    # the tiny instances, and 0.5 (2 x^2) - 3x, unconstrained, with its
+    # vertex at -c/Q = 1.5
+    vertex = ProblemInstance(QuadraticFunction([[2.0]], [-3.0], lipschitz=2.0),
+                             ZeroProx(), dim=1)
+    cases = [tiny_reference(kind) for kind in TINY_KINDS] + [
+        (vertex, ReferenceSolution(np.array([1.5]), np.zeros(0), np.zeros(0),
+                                   -2.25, "hand"))]
+    for prob, ref in cases:
         got = long_run_reference(prob.with_f0_star(None), budget=1_000_000,
                                  cache=None, clock=fake_clock)
         assert got.f0 == pytest.approx(ref.f0, abs=1e-8)
         assert np.linalg.norm(got.x - ref.x) <= 1e-7
+        np.testing.assert_allclose(got.y, ref.y, atol=1e-7)
         assert got.provenance == "long-run"
 
 
@@ -483,7 +511,7 @@ def test_long_run_bpdn_self_consistency():
 
 
 def test_cache_dir_env_override(monkeypatch, tmp_path):
-    from linalm.harness import cache_dir, CACHE_ENV_VAR
+    from linalm.harness import cache_dir
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "c"))
     assert cache_dir() == tmp_path / "c"
     monkeypatch.delenv(CACHE_ENV_VAR)

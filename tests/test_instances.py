@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linalm import blalm, lalm, pdyn
-from linalm.instances import (BpdnSpec, QcqpSpec, brute_force_reference,
-                              gen_bpdn, gen_qcqp, instance_digest,
-                              instance_from_dict, instance_to_dict,
-                              load_instance, minimax_reformulate,
-                              random_minimax_1d, save_instance, tiny_reference,
-                              TINY_KINDS)
+from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
+                              instance_digest, instance_from_dict,
+                              instance_to_dict, load_instance,
+                              minimax_reformulate, random_minimax_1d,
+                              save_instance, tiny_reference, TINY_KINDS)
 from linalm.lalm import SolverConfig
 from linalm.model import (InequalityConstraint, LeastSquaresFunction,
                           OracleFunction, PrimalDualPoint, ProblemInstance,
@@ -214,49 +213,6 @@ def test_tiny_reference_hand_values():
 def test_tiny_reference_unknown_kind():
     with pytest.raises(ValueError):
         tiny_reference("mystery")
-
-
-# ---------------------------------------------------------------------------
-# brute-force references
-
-
-def test_brute_force_scalar_qcqp_matches_hand():
-    prob, ref = tiny_reference("scalar-qcqp")
-    got = brute_force_reference(prob)
-    assert got.x[0] == pytest.approx(-1.0, abs=1e-4)
-    assert got.f0 == pytest.approx(-1.5, abs=1e-4)
-    assert got.z[0] == pytest.approx(0.5, abs=1e-3)
-    w = PrimalDualPoint.at(prob, got.x, got.y, got.z)
-    assert max(kkt_residual(w, prob)) <= 1e-8
-
-
-def test_brute_force_scalar_bpdn_matches_hand():
-    prob, _ = tiny_reference("scalar-bpdn")
-    got = brute_force_reference(prob)
-    assert got.f0 == pytest.approx(1.0, abs=1e-4)
-    w = PrimalDualPoint.at(prob, got.x, got.y, got.z)
-    assert max(kkt_residual(w, prob)) <= 1e-8
-
-
-def test_brute_force_unconstrained_quadratic_vertex():
-    # vertex at -c/Q = 1.5
-    prob = ProblemInstance(QuadraticFunction([[2.0]], [-3.0], lipschitz=2.0),
-                           ZeroProx(), dim=1)
-    got = brute_force_reference(prob)
-    assert got.x[0] == pytest.approx(1.5, abs=1e-6)
-
-
-def test_brute_force_equality_qp_recovers_multiplier():
-    prob, ref = tiny_reference("equality-qp")
-    got = brute_force_reference(prob)
-    np.testing.assert_allclose(got.x, ref.x, atol=1e-6)
-    assert got.y[0] == pytest.approx(-0.5, abs=1e-6)
-
-
-def test_brute_force_rejects_high_dimension():
-    prob = gen_qcqp(QcqpSpec(m=1, p=4, seed=0))
-    with pytest.raises(ValueError, match="dim"):
-        brute_force_reference(prob)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@
         [--workload NAME ...] [--out FILE]
 
 ``ab`` runs the unchanged ``perfbench/run.py`` of this working tree (the
-change) and of a temporary ``git worktree`` of REV (the parent), each run in
-a fresh process at ``--trace 0``. Every pair runs each workload on both
-sides, the parent first in even pairs and the change first in odd ones. A
-run that exits nonzero or does not print ``"correct": true`` stops the tool
-with an error and nothing is written.
+change) and of REV's committed files (the parent), which ``git archive``
+unpacks into a temporary directory, so nothing is registered in ``.git``.
+Each run is a fresh process at ``--trace 0``. Every pair runs each workload
+on both sides, the parent first in even pairs and the change first in odd
+ones. A run that exits nonzero or does not print ``"correct": true`` stops
+the tool with an error and nothing is written.
 
 Per workload and metric it prints the change/parent median ratio, both
 sides' quartiles, the pairs the change won (ties count for neither side)
@@ -32,10 +33,12 @@ the standard library only and never imports linalm.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -179,20 +182,28 @@ def _git(*args):
                           text=True).stdout.strip()
 
 
+def export_tree(repo, rev, dest):
+    """Unpack the files committed at ``rev`` in ``repo`` into ``dest``,
+    from ``git archive``: a plain directory, registered nowhere in ``.git``."""
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=repo,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter")
+                                else {}))
+
+
 def ab(args):
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
     parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(tree), parent)
-        try:
-            runs, env = run_pairs(
-                ROOT, tree, workloads, args.seed, args.seconds, args.pairs,
-                progress=lambda k, w, side, r: print(
-                    f"pair {k}: {w} {side} done", file=sys.stderr, flush=True))
-        finally:
-            _git("worktree", "remove", "--force", str(tree))
+        export_tree(ROOT, parent, tree)
+        runs, env = run_pairs(
+            ROOT, tree, workloads, args.seed, args.seconds, args.pairs,
+            progress=lambda k, w, side, r: print(
+                f"pair {k}: {w} {side} done", file=sys.stderr, flush=True))
     summary = summarize(runs, spec)
     for line in report(summary):
         print(line)
