@@ -72,7 +72,7 @@ class RunResult:
 
 
 def build_problem(config):
-    """Construct the ProblemInstance named by the config."""
+    """Construct the ProblemInstance named by the config; ``run`` partitions it."""
     name, opts, seed = config.problem, config.problem_opts, config.seed
     accepted = _PROBLEM_OPTS.get(name, {})
     unknown = sorted(set(opts) - set(accepted))
@@ -93,8 +93,6 @@ def build_problem(config):
     else:
         raise ValueError(f"unknown problem {name!r}; choose from {PROBLEMS}, "
                          "'tiny:<kind>', or an instance JSON path")
-    if config.blocks is not None:
-        prob = prob.with_blocks(config.blocks)
     return prob
 
 
@@ -172,6 +170,7 @@ def long_run_reference(prob, budget, eta0=None, cache=None, clock=None):
 def run(config, clock=None):
     """Build the instance, resolve its reference, run the method, write CSV.
 
+    blalm's ``config.blocks`` partition is made after the reference is resolved.
     Returns a RunResult carrying the CSV path, the SolveResult, and the
     resolved reference (if any). ``clock`` overrides the wall-clock source
     for the trace, making repeated runs byte-identical.
@@ -184,6 +183,8 @@ def run(config, clock=None):
     if config.method == "lalm":
         result = lalm.solve(prob, config.solver, x0=x0, clock=clock)
     elif config.method == "blalm":
+        if config.blocks is not None:
+            prob = prob.with_blocks(config.blocks)
         result = blalm.solve(prob, config.solver, x0=x0, seed=config.seed,
                              clock=clock)
     else:

@@ -206,10 +206,6 @@ class MinimaxConstraint(SmoothFunction):
         v = np.asarray(v, dtype=float)
         return np.concatenate([self.inner.grad(v[:self.inner_dim]), [-1.0]])
 
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        return self.inner.values(pts[:, :self.inner_dim]) - pts[:, self.inner_dim]
-
     def as_quadratic(self, dim):
         """The inner function's form with a zero row and column for t and
         t's linear coefficient -1; None when the inner function has none."""

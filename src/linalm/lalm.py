@@ -102,7 +102,7 @@ class SolverConfig:
             if rho is not None and not 0 < rho <= self.beta:
                 raise ValueError(f"{name}={rho} must lie in (0, beta]")
         if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+            raise ValueError(f"delta={self.delta} must be nonnegative")
         if self.step_mode not in ("analytic", "backtracking"):
             raise ValueError("step_mode must be 'analytic' or 'backtracking'")
         if self.eta0 is not None and self.eta0 <= 0:
@@ -142,7 +142,7 @@ class ErgodicAccumulator:
 
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
-            raise ValueError("accumulation weight must be positive")
+            raise ValueError(f"accumulation weight {weight} must be positive")
         self._sum += weight * x
         if self.weight == 0:
             self._image = np.zeros(np.shape(image))
@@ -264,8 +264,7 @@ class BlockState:
         self.x, self.y, self.z = checked_start(prob, x0, y0, z0)
         self.r = prob.affine.residual(self.x)
         # One tracker of the smooth stack serves g and every constraint.
-        self.stack = smooth_stack(prob)
-        self.tracker = self.stack.tracker(self.x)
+        self.tracker = smooth_stack(prob).tracker(self.x)
         # Each block's columns of A, as views; each None without equality rows.
         self.A_blocks = [None if prob.affine.is_empty else prob.affine.A[:, sl]
                          for sl in self.blocks]
@@ -434,17 +433,19 @@ def _drive(state, method, weight_by_eta, callback, clock):
     after every iteration. The reported eta is the largest block's.
 
     A full-width block's trials rebase the state, so it records the
-    tracker's exact values and never refreshes. A narrower one's tracker
-    drifts by roundoff under block commits (reading it moved kkt_stat by up
-    to 8e-10 relative on QCQP instances), so it records one exact stack
-    evaluation, and refreshes every _REFRESH_EPOCHS epochs and at the end.
+    tracker's exact values and its one block's ``block_grad``, which the
+    next ``block_gradient`` reads again, and never refreshes. A narrower
+    one's tracker drifts by roundoff under block commits (reading it moved
+    kkt_stat by up to 8e-10 relative on QCQP instances), so it records one
+    exact stack evaluation, and refreshes every _REFRESH_EPOCHS epochs and
+    at the end.
     """
-    prob, config, stack, tracker = state.prob, state.config, state.stack, state.tracker
+    prob, config, tracker = state.prob, state.config, state.tracker
     full_width, n = state.full_width, len(state.blocks)
     rho_y, rho_z = config.resolve_rho(n)
     beta, has_rows = config.beta, not prob.affine.is_empty
     acc = ErgodicAccumulator(prob.dim)
-    recorder = MetricsRecorder(prob, method, stack, clock=clock)
+    recorder = MetricsRecorder(prob, method, tracker.fn, clock=clock)
 
     def advance(epoch):
         for k, i in enumerate(state.draw_epoch(), (epoch - 1) * n + 1):
@@ -454,7 +455,7 @@ def _drive(state, method, weight_by_eta, callback, clock):
                 state.y = multiplier_step_y(state.y, state.r, rho_y)
             state.z = multiplier_step_z(state.z, tracker.value[1:], rho_z, beta)
             acc.add(state.x, 1.0 / eta if weight_by_eta else 1.0,
-                    stack.image(tracker))
+                    tracker.fn.image(tracker))
             if callback is not None:
                 callback(k, state)
         if not full_width and epoch % _REFRESH_EPOCHS == 0:
@@ -464,8 +465,9 @@ def _drive(state, method, weight_by_eta, callback, clock):
     def snapshot(epoch):
         return recorder.snapshot(
             epoch, state, eta_max=float(state.eta.max()) if epoch else None,
-            ergodic=acc.point(stack) if epoch else None,
-            value_grad=(tracker.value, tracker.grad()) if full_width else None)
+            ergodic=acc.point(tracker.fn) if epoch else None,
+            value_grad=((tracker.value, tracker.block_grad(state.blocks[0]))
+                        if full_width else None))
 
     records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
     if not full_width:

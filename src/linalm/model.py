@@ -77,10 +77,6 @@ class SmoothFunction:
     def grad(self, x):
         raise NotImplementedError
 
-    def values(self, pts):
-        """Evaluate on an (n, dim) array of points, one value per row."""
-        return np.array([self(p) for p in np.asarray(pts, dtype=float)])
-
     def as_quadratic(self, dim):
         return None
 
@@ -110,9 +106,6 @@ class ZeroFunction(SmoothFunction):
 
     def grad(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    def values(self, pts):
-        return np.zeros(len(pts))
 
     def as_quadratic(self, dim):
         return QuadraticFunction(np.zeros((dim, dim)), np.zeros(dim))
@@ -246,9 +239,8 @@ def smooth_stack(prob):
     A QuadraticStack, one (k, p, p) operator of the functions'
     ``as_quadratic`` forms, when every function has one; otherwise a
     FunctionStack over the functions' own oracles. The forms are made anew
-    on every call, and none is kept on the instance. Solvers and the
-    recorder use the stack's ``tracker``, ``value_grad``, values, ``image``
-    and ``values_from_image`` alike whichever it is.
+    on every call, and none is kept on the instance. A solve builds it once,
+    for its ``tracker``, and then reaches it only as the tracker's ``fn``.
     """
     fns = [prob.g] + [con.fn for con in prob.constraints]
     forms = [fn.as_quadratic(prob.dim) for fn in fns]
@@ -274,10 +266,6 @@ class LeastSquaresFunction(SmoothFunction):
     def grad(self, x):
         return 2.0 * (self.A.T @ (self.A @ np.asarray(x, dtype=float) - self.b))
 
-    def values(self, pts):
-        res = np.asarray(pts, dtype=float) @ self.A.T - self.b
-        return np.einsum("ni,ni->n", res, res) - self.offset
-
     def as_quadratic(self, dim):
         """0.5 x'(2A'A)x - 2b'Ax + b'b - offset: a p x p Gram matrix, so each
         product costs p^2 where one with A costs rows * p."""
@@ -299,9 +287,6 @@ class LinearFunction(SmoothFunction):
 
     def grad(self, x):
         return self.a.copy()
-
-    def values(self, pts):
-        return np.asarray(pts, dtype=float) @ self.a + self.shift
 
     def as_quadratic(self, dim):
         return QuadraticFunction(np.zeros((dim, dim)), self.a, self.shift)
@@ -351,9 +336,6 @@ class FullTracker(_TrialMemo):
         self.fn = fn
         self.rebase(x)
 
-    def grad(self):
-        return self.fn.grad(self.x)
-
     def block_grad(self, sl):
         return self.fn.grad(self.x)[..., sl]
 
@@ -386,7 +368,8 @@ class QuadraticTracker(_TrialMemo):
     rows stand in for the strided columns) and values the trial from the
     block gradient as (grad_blk + u[sl] / 2) @ dx; the commit of that trial
     adds u to q. ``block_grad`` keeps its result, which callers must not
-    change, until the next commit or rebase.
+    change, until the next commit or rebase: two reads through one slice
+    object, such as a whole-width one for qx + c, pay for one sum.
     """
 
     def __init__(self, fn, x):
@@ -398,9 +381,6 @@ class QuadraticTracker(_TrialMemo):
         x = np.asarray(x, dtype=float)
         self.qx = _matvec(self.fn.Q, x)
         self.value = self.fn.values_from_image(x, self.qx)
-
-    def grad(self):
-        return self.qx + self.fn.c
 
     def block_grad(self, sl):
         kept = self._grad
@@ -435,9 +415,6 @@ class LeastSquaresTracker(_TrialMemo):
         self.u = self.fn.A @ np.asarray(x, dtype=float) - self.fn.b
         self.value = float(self.u @ self.u - self.fn.offset)
 
-    def grad(self):
-        return 2.0 * (self.fn.A.T @ self.u)
-
     def block_grad(self, sl):
         return 2.0 * (self.fn.A[:, sl].T @ self.u)
 
@@ -464,9 +441,6 @@ class LinearTracker(_TrialMemo):
     def rebase(self, x):
         self._trial = None
         self.value = self.fn(x)
-
-    def grad(self):
-        return self.fn.a.copy()
 
     def block_grad(self, sl):
         return self.fn.a[sl]
@@ -507,9 +481,6 @@ class ProxFunction:
     def block(self, sl):
         return None
 
-    def values(self, pts):
-        return np.array([self.value(p) for p in np.asarray(pts, dtype=float)])
-
 
 class ZeroProx(ProxFunction):
     """h identically zero; prox is the identity."""
@@ -525,16 +496,13 @@ class ZeroProx(ProxFunction):
     def block(self, sl):
         return self
 
-    def values(self, pts):
-        return np.zeros(len(pts))
-
 
 class L1Norm(ProxFunction):
     """h(x) = scale * ||x||_1; prox is soft thresholding."""
 
     def __init__(self, scale=1.0):
         if scale <= 0:
-            raise ValueError("scale must be positive")
+            raise ValueError(f"scale must be positive, not {scale!r}")
         self.scale = float(scale)
 
     def value(self, x):
@@ -547,9 +515,6 @@ class L1Norm(ProxFunction):
 
     def block(self, sl):
         return self
-
-    def values(self, pts):
-        return self.scale * np.sum(np.abs(np.asarray(pts, dtype=float)), axis=1)
 
 
 class BoxIndicator(ProxFunction):
@@ -577,11 +542,6 @@ class BoxIndicator(ProxFunction):
 
     def block(self, sl):
         return BoxIndicator(self.lower[sl], self.upper[sl])
-
-    def values(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        ok = np.all(pts >= self.lower, axis=1) & np.all(pts <= self.upper, axis=1)
-        return np.where(ok, 0.0, np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +579,7 @@ class AffineConstraint:
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         if self.A.shape[0] != self.b.shape[0]:
-            raise ValueError("A and b row counts differ")
+            raise ValueError(f"A has {self.A.shape[0]} rows, b {self.b.shape[0]}")
         _set_constant(self, "norm_sq", partial(operator_norm_sq, self.A))
 
     @classmethod
@@ -653,7 +613,7 @@ def _check_blocks(blocks, dim):
             raise ValueError("blocks must be contiguous, disjoint, and ordered")
         pos = sl.stop
     if pos != dim:
-        raise ValueError("blocks must cover all coordinates")
+        raise ValueError(f"blocks must cover [0, {dim}), not [0, {pos})")
 
 
 class ProblemInstance:
@@ -769,12 +729,10 @@ def checked_start(prob, x, y, z):
     _check_finite("x0", x)
     y = np.zeros(prob.affine.rows) if y is None else np.array(y, dtype=float).ravel()
     z = np.zeros(prob.m) if z is None else np.array(z, dtype=float).ravel()
-    if y.shape[0] != prob.affine.rows:
-        raise ValueError("y length does not match equality constraint count")
-    if z.shape[0] != prob.m:
-        raise ValueError("z length does not match inequality constraint count")
-    _check_finite("y0", y)
-    _check_finite("z0", z)
+    for name, v, n in (("y", y, prob.affine.rows), ("z", z, prob.m)):
+        if v.shape[0] != n:
+            raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
+        _check_finite(name + "0", v)
     if np.any(z < 0):
         raise ValueError("multipliers z must be nonnegative")
     return x, y, z

@@ -20,12 +20,17 @@ from .model import PrimalDualPoint, checked_start, smooth_stack
 from .trace import MetricsRecorder
 
 
+# The record and the next step's direction read the whole stacked gradient
+# through this one slice object, so they share the tracker's one sum.
+_WHOLE = slice(None)
+
+
 @dataclass
 class PdynState:
     """Mutable per-solve state, read like ``BlockState``: x, the queues lam,
-    the step parameter eta and the smooth stack's tracker at x, which
-    ``step`` moves in place; fvals, z = [lam + f]_+, and y and r, which
-    without equality rows are empty (one shared array)."""
+    the step parameter eta and the tracker at x of the smooth stack (its
+    ``fn``), which ``step`` moves in place; fvals, z = [lam + f]_+, and y
+    and r, which without equality rows are empty (one shared array)."""
 
     x: np.ndarray
     lam: np.ndarray
@@ -38,11 +43,6 @@ class PdynState:
         x0 = checked_start(prob, x0, None, None)[0]
         tracker = smooth_stack(prob).tracker(x0)
         return cls(x0, np.maximum(0.0, -tracker.value[1:]), eta, tracker)
-
-    @property
-    def stack(self):
-        """The smooth stack the tracker follows, built by ``start``."""
-        return self.tracker.fn
 
     @property
     def fvals(self):
@@ -67,7 +67,7 @@ def _check_applicable(prob):
 def direction(state):
     """Multiplier-weighted gradient grad f0 + sum_j (lambda_j + f_j) grad f_j
     at the tracker's point; returns it with z = lambda + f."""
-    grads = state.tracker.grad()
+    grads = state.tracker.block_grad(_WHOLE)
     z = state.lam + state.fvals
     return grads[0] + z @ grads[1:], z
 
@@ -118,7 +118,7 @@ def solve(prob, config, x0=None, callback=None, clock=None):
         raise ValueError("fixed-step mode requires eta0")
     state = PdynState.start(prob, x0, config.eta_seed(prob))
     tracker = state.tracker
-    recorder = MetricsRecorder(prob, "pdyn", state.stack, clock=clock)
+    recorder = MetricsRecorder(prob, "pdyn", tracker.fn, clock=clock)
 
     def advance(epoch):
         step(state, prob, config)
@@ -128,7 +128,7 @@ def solve(prob, config, x0=None, callback=None, clock=None):
 
     def snapshot(epoch):
         return recorder.snapshot(epoch, state, eta_max=state.eta if epoch else None,
-                                 value_grad=(tracker.value, tracker.grad()))
+                                 value_grad=(tracker.value, tracker.block_grad(_WHOLE)))
 
     records, epochs, stopped = run_epochs(prob, config, advance, snapshot)
     return SolveResult(w=PrimalDualPoint.of(state), ergodic_x=None, trace=records,

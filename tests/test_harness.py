@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,14 @@ def test_csv_refuses_a_method_label_with_a_line_break(tmp_path, method):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_csv_read_refuses_a_foreign_header(tmp_path):
+    path = tmp_path / "other.csv"
+    path.write_text("epoch,loss\n1,0.5\n")
+    with pytest.raises(ValueError,
+                       match=re.escape("unexpected CSV header: ['epoch', 'loss']")):
+        read_trace_csv(path)
+
+
 def test_csv_row_count_invariant(tmp_path):
     cfg = tiny_config(max_epochs=95, out=str(tmp_path / "r.csv"))
     cfg.solver.record_every = 10
@@ -391,6 +400,41 @@ def test_build_problem_variants(tmp_path):
     assert build_problem(cfg).dim == 6
     with pytest.raises(ValueError, match="unknown problem"):
         build_problem(ExperimentConfig(method="lalm", problem="sudoku"))
+
+
+def test_minimax_box_option_is_a_pair_of_floats():
+    # a JSON config gives the box as a list, checked item by item
+    cfg = ExperimentConfig(method="lalm", problem="minimax",
+                           problem_opts={"box": [-2.0, 2.0]})
+    lower, upper = build_problem(cfg).h.domain
+    assert (lower[0], upper[0]) == (-2.0, 2.0)
+    cfg = ExperimentConfig(method="lalm", problem="minimax",
+                           problem_opts={"box": [1.0]})
+    with pytest.raises(ValueError,
+                       match=re.escape("box must be tuple[float, float], not [1.0]")):
+        build_problem(cfg)
+
+
+def test_lalm_and_blalm_runs_of_one_instance_share_one_reference(
+        tmp_path, monkeypatch):
+    # the reference is keyed on the instance before blalm's partition, so
+    # the blalm run reads the entry the lalm run wrote and rewrites nothing
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    opts = {"rows": 10, "cols": 20, "sparsity": 2}
+
+    def config(method, blocks=None):
+        return ExperimentConfig(method=method, problem="bpdn", problem_opts=opts,
+                                blocks=blocks, solver=SolverConfig(max_epochs=50),
+                                out=str(tmp_path / f"{method}.csv"))
+
+    first = run(config("lalm"), clock=fake_clock).reference
+    (entry,) = tmp_path.glob("*.json")
+    stamp = entry.stat()
+    second = run(config("blalm", blocks=2), clock=fake_clock).reference
+    assert list(tmp_path.glob("*.json")) == [entry]
+    assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (stamp.st_ino,
+                                                               stamp.st_mtime_ns)
+    assert second.f0 == first.f0
 
 
 def test_every_exported_name_resolves():

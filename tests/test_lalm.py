@@ -69,6 +69,11 @@ def test_config_validation():
             SolverConfig(**bad)
 
 
+def test_config_refuses_a_negative_delta():
+    with pytest.raises(ValueError, match="delta=-1 must be nonnegative"):
+        SolverConfig(delta=-1)
+
+
 @pytest.mark.parametrize("solver", [lalm, blalm])
 def test_analytic_mode_refuses_nonpositive_eta0(solver):
     prob = gen_qcqp(QcqpSpec(m=2, p=4, seed=0)).with_blocks(2)
@@ -98,6 +103,14 @@ def test_analytic_eta_requires_constants():
     prob = gen_bpdn(BpdnSpec(rows=4, cols=6, sparsity=2, seed=0))
     with pytest.raises(ValueError, match="backtracking"):
         analytic_eta(0.0, np.zeros(1), 1.0, 0.0, prob, prob.affine.norm_sq)
+
+
+def test_analytic_mode_needs_the_objective_lipschitz_constant():
+    g = OracleFunction(lambda x: float(x @ x), lambda x: 2.0 * x)
+    prob = ProblemInstance(g, ZeroProx(), dim=3)
+    with pytest.raises(ValueError,
+                       match="objective lacks a gradient Lipschitz constant"):
+        lalm.solve(prob, SolverConfig(step_mode="analytic", max_epochs=5))
 
 
 def test_backtracking_quadratic_acceptance_count():
@@ -291,6 +304,13 @@ def test_ergodic_single_iterate_and_empty():
         acc.average()
     acc.add(np.array([1.0, -1.0]), 0.25)
     np.testing.assert_allclose(acc.average(), [1.0, -1.0])
+
+
+def test_ergodic_refuses_a_nonpositive_weight():
+    acc = ErgodicAccumulator(2)
+    with pytest.raises(ValueError, match="accumulation weight 0 must be positive"):
+        acc.add(np.ones(2), weight=0)
+    assert acc.weight == 0.0
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -7,8 +9,8 @@ from linalm.model import (AffineConstraint, BoxIndicator, FullTracker,
                           LeastSquaresFunction, LinearFunction, OracleFunction,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           QuadraticStack, QuadraticTracker, ZeroFunction,
-                          ZeroProx, even_blocks, kkt_residual, lagrangian_gap,
-                          operator_norm_sq, prox_l1, smooth_stack)
+                          ZeroProx, checked_start, even_blocks, kkt_residual,
+                          lagrangian_gap, operator_norm_sq, prox_l1, smooth_stack)
 from linalm.instances import (BpdnSpec, MinimaxConstraint, gen_bpdn, gen_qcqp,
                               QcqpSpec, minimax_reformulate, random_minimax_1d,
                               tiny_reference)
@@ -65,6 +67,18 @@ def test_project_box_rejects_crossed_bounds():
         BoxIndicator([1.0], [-1.0])
 
 
+def test_box_indicator_is_infinite_outside_the_box():
+    box = BoxIndicator([-1.0, 0.0], [1.0, 2.0])
+    assert box.value([1.0, 0.0]) == 0.0
+    assert box.value([0.5, 2.5]) == np.inf
+    assert box.value([-1.5, 1.0]) == np.inf
+
+
+def test_l1_norm_refuses_a_nonpositive_scale():
+    with pytest.raises(ValueError, match="scale must be positive, not 0"):
+        L1Norm(0)
+
+
 def test_project_box_idempotent_and_nonexpansive(rng):
     box = BoxIndicator(-rng.uniform(1, 5, size=6), rng.uniform(1, 5, size=6))
     for _ in range(20):
@@ -109,14 +123,10 @@ def test_least_squares_gradients_match_fd(rng):
 
 
 def test_vectorized_values_agree(rng):
-    fns = [QuadraticFunction(np.eye(5), rng.normal(size=5), -1.0),
-           LeastSquaresFunction(rng.normal(size=(3, 5)), rng.normal(size=3), 2.0),
-           LinearFunction(rng.normal(size=5), 0.3),
-           ZeroFunction()]
+    # the one batch evaluator: grid searches over a quadratic's values
+    fn = QuadraticFunction(np.eye(5), rng.normal(size=5), -1.0)
     pts = rng.normal(size=(15, 5))
-    for fn in fns:
-        np.testing.assert_allclose(fn.values(pts), [fn(p) for p in pts],
-                                   atol=1e-12)
+    np.testing.assert_allclose(fn.values(pts), [fn(p) for p in pts], atol=1e-12)
 
 
 def test_trackers_match_full_evaluation(rng):
@@ -181,6 +191,11 @@ def test_empty_affine_terms_vanish():
     np.testing.assert_array_equal(A.A.T @ np.zeros(0), np.zeros(4))
     assert A.norm_sq == 0.0
     assert operator_norm_sq(A.A[:, slice(0, 4)]) == 0.0
+
+
+def test_affine_constraint_refuses_mismatched_row_counts():
+    with pytest.raises(ValueError, match="A has 2 rows, b 3"):
+        AffineConstraint(np.ones((2, 4)), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +331,7 @@ def test_commit_of_the_valued_trial_reads_no_q(rng):
     x[sl] += dx
     vals, grads = stack.value_grad(x)
     assert_close(tracker.value, vals, value_scale(fns, x), 1e-12)
-    np.testing.assert_allclose(tracker.grad(), grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tracker.block_grad(slice(None)), grads, rtol=1e-12, atol=1e-12)
 
 
 def test_stack_of_generated_qcqp_is_a_view():
@@ -445,7 +460,7 @@ def test_every_stack_tracker_matches_from_scratch(seed, g_kind, con_kinds, dim,
         np.testing.assert_allclose(grads, [fn.grad(x) for fn in fns],
                                    rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(tracker.value, vals, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(tracker.grad(), grads, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(tracker.block_grad(slice(None)), grads, rtol=1e-10, atol=1e-10)
         for blk in blocks:
             np.testing.assert_allclose(tracker.block_grad(blk), grads[:, blk],
                                        rtol=1e-10, atol=1e-10)
@@ -506,7 +521,7 @@ def test_full_tracker_over_a_function_stack_matches_evaluation(rng):
         tracker.commit(sl, dx)
         x = trial
         assert tracker.value.tobytes() == stack(x).tobytes()
-        assert tracker.grad().tobytes() == stack.grad(x).tobytes()
+        assert tracker.block_grad(slice(None)).tobytes() == stack.grad(x).tobytes()
         for blk in blocks:
             got = tracker.block_grad(blk)
             assert got.shape == (len(fns), blk.stop - blk.start)
@@ -614,6 +629,21 @@ def test_instance_rejects_bad_partition():
     with pytest.raises(ValueError):
         ProblemInstance(ZeroFunction(), ZeroProx(), dim=4,
                         blocks=(slice(0, 2), slice(3, 4)))
+
+
+def test_instance_rejects_a_partition_short_of_dim():
+    with pytest.raises(ValueError,
+                       match=re.escape("blocks must cover [0, 4), not [0, 3)")):
+        ProblemInstance(ZeroFunction(), ZeroProx(), dim=4,
+                        blocks=(slice(0, 2), slice(2, 3)))
+
+
+def test_start_multipliers_of_the_wrong_length_are_refused():
+    prob, _ = tiny_reference("equality-qp")   # one equality row, no inequality
+    with pytest.raises(ValueError, match="y has length 2, expected 1"):
+        checked_start(prob, None, [0.0, 0.0], None)
+    with pytest.raises(ValueError, match="z has length 1, expected 0"):
+        checked_start(prob, None, None, [0.0])
 
 
 def test_primal_dual_point_caches_and_validation():
