@@ -170,21 +170,22 @@ def long_run_reference(prob, budget, eta0=None, cache=None, clock=None):
 def run(config, clock=None):
     """Build the instance, resolve its reference, run the method, write CSV.
 
-    blalm's ``config.blocks`` partition is made after the reference is resolved.
+    The reference is keyed on the instance without blalm's ``config.blocks``
+    partition, which is made first, so that a bad block count costs no solve.
     Returns a RunResult carrying the CSV path, the SolveResult, and the
     resolved reference (if any). ``clock`` overrides the wall-clock source
     for the trace, making repeated runs byte-identical.
     """
     prob = build_problem(config)
+    split = (prob.with_blocks(config.blocks)
+             if config.method == "blalm" and config.blocks is not None else prob)
     reference = resolve_reference(prob, config, clock=clock)
-    prob = prob.with_f0_star(None if reference is None else reference.f0)
+    prob = split.with_f0_star(None if reference is None else reference.f0)
 
     x0 = prob.meta.get("x0")
     if config.method == "lalm":
         result = lalm.solve(prob, config.solver, x0=x0, clock=clock)
     elif config.method == "blalm":
-        if config.blocks is not None:
-            prob = prob.with_blocks(config.blocks)
         result = blalm.solve(prob, config.solver, x0=x0, seed=config.seed,
                              clock=clock)
     else:

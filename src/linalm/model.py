@@ -579,7 +579,7 @@ class AffineConstraint:
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         if self.A.shape[0] != self.b.shape[0]:
-            raise ValueError(f"A has {self.A.shape[0]} rows, b {self.b.shape[0]}")
+            raise ValueError(f"A has {self.A.shape[0]} rows but b has {len(self.b)}")
         _set_constant(self, "norm_sq", partial(operator_norm_sq, self.A))
 
     @classmethod

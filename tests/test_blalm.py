@@ -282,7 +282,8 @@ def test_iteration_pass_equals_reference_formulas_with_equality_rows(
                                         None if A is None else A[:, sl], w.y, w.r,
                                         coef, beta)
         assert grad.tobytes() == want.tobytes()
-        full = auglag.smooth_grad(state.tracker.block_grad(slice(None)), A, w.y, w.r, coef, beta)
+        full = auglag.smooth_grad(state.tracker.block_grad(slice(None)), A, w.y,
+                                  w.r, coef, beta)
         np.testing.assert_allclose(grad, full[sl], rtol=1e-12,
                                    atol=1e-12 * np.abs(full).max())
         _, blk = state.backtrack_block(i, grad, floor, base)

@@ -437,6 +437,17 @@ def test_lalm_and_blalm_runs_of_one_instance_share_one_reference(
     assert second.f0 == first.f0
 
 
+def test_run_refuses_a_bad_block_count_before_any_reference_solve(
+        tmp_path, monkeypatch):
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
+    cfg = ExperimentConfig(method="blalm", problem="bpdn", blocks=21,
+                           problem_opts={"rows": 10, "cols": 20, "sparsity": 2},
+                           out=str(tmp_path / "b.csv"))
+    with pytest.raises(ValueError, match="n=21, dim=20"):
+        run(cfg, clock=fake_clock)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_every_exported_name_resolves():
     import linalm
     assert [name for name in linalm.__all__ if not hasattr(linalm, name)] == []

@@ -9,8 +9,8 @@ from linalm.model import (AffineConstraint, BoxIndicator, FullTracker,
                           LeastSquaresFunction, LinearFunction, OracleFunction,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           QuadraticStack, QuadraticTracker, ZeroFunction,
-                          ZeroProx, checked_start, even_blocks, kkt_residual,
-                          lagrangian_gap, operator_norm_sq, prox_l1, smooth_stack)
+                          ZeroProx, even_blocks, kkt_residual, lagrangian_gap,
+                          operator_norm_sq, prox_l1, smooth_stack)
 from linalm.instances import (BpdnSpec, MinimaxConstraint, gen_bpdn, gen_qcqp,
                               QcqpSpec, minimax_reformulate, random_minimax_1d,
                               tiny_reference)
@@ -194,7 +194,7 @@ def test_empty_affine_terms_vanish():
 
 
 def test_affine_constraint_refuses_mismatched_row_counts():
-    with pytest.raises(ValueError, match="A has 2 rows, b 3"):
+    with pytest.raises(ValueError, match="A has 2 rows but b has 3"):
         AffineConstraint(np.ones((2, 4)), np.ones(3))
 
 
@@ -331,7 +331,8 @@ def test_commit_of_the_valued_trial_reads_no_q(rng):
     x[sl] += dx
     vals, grads = stack.value_grad(x)
     assert_close(tracker.value, vals, value_scale(fns, x), 1e-12)
-    np.testing.assert_allclose(tracker.block_grad(slice(None)), grads, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tracker.block_grad(slice(None)), grads,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_stack_of_generated_qcqp_is_a_view():
@@ -460,7 +461,8 @@ def test_every_stack_tracker_matches_from_scratch(seed, g_kind, con_kinds, dim,
         np.testing.assert_allclose(grads, [fn.grad(x) for fn in fns],
                                    rtol=1e-10, atol=1e-10)
         np.testing.assert_allclose(tracker.value, vals, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(tracker.block_grad(slice(None)), grads, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(tracker.block_grad(slice(None)), grads,
+                                   rtol=1e-10, atol=1e-10)
         for blk in blocks:
             np.testing.assert_allclose(tracker.block_grad(blk), grads[:, blk],
                                        rtol=1e-10, atol=1e-10)
@@ -629,21 +631,10 @@ def test_instance_rejects_bad_partition():
     with pytest.raises(ValueError):
         ProblemInstance(ZeroFunction(), ZeroProx(), dim=4,
                         blocks=(slice(0, 2), slice(3, 4)))
-
-
-def test_instance_rejects_a_partition_short_of_dim():
     with pytest.raises(ValueError,
                        match=re.escape("blocks must cover [0, 4), not [0, 3)")):
         ProblemInstance(ZeroFunction(), ZeroProx(), dim=4,
                         blocks=(slice(0, 2), slice(2, 3)))
-
-
-def test_start_multipliers_of_the_wrong_length_are_refused():
-    prob, _ = tiny_reference("equality-qp")   # one equality row, no inequality
-    with pytest.raises(ValueError, match="y has length 2, expected 1"):
-        checked_start(prob, None, [0.0, 0.0], None)
-    with pytest.raises(ValueError, match="z has length 1, expected 0"):
-        checked_start(prob, None, None, [0.0])
 
 
 def test_primal_dual_point_caches_and_validation():
@@ -652,6 +643,11 @@ def test_primal_dual_point_caches_and_validation():
     assert w.fvals == pytest.approx([-0.75])
     with pytest.raises(ValueError):
         PrimalDualPoint.at(prob, [0.5], z=[-1.0])
+    # scalar-qcqp has no equality row and one inequality constraint
+    with pytest.raises(ValueError, match="y has length 1, expected 0"):
+        PrimalDualPoint.at(prob, [0.5], y=[0.0])
+    with pytest.raises(ValueError, match="z has length 2, expected 1"):
+        PrimalDualPoint.at(prob, [0.5], z=[0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
