@@ -97,22 +97,23 @@ def iteration_terms(vals, y, r, z, beta, backtracking):
     inequality constraints.
     """
     coef = floor = w = None
-    if len(z):
-        floor = penalty_floor(z, beta) if backtracking else None
+    if z.size:
+        floor = z / -beta if backtracking else None   # penalty_floor, inline
         coef, w = penalty_terms(vals[1:], z, beta, floor)
     base = smooth_value(vals[0], y, r, z, w, beta) if backtracking else None
     return coef, floor, base
 
 
 def candidate_value(vals, y, r, z, beta, floor):
-    """Smooth value at a candidate's stack values and residual, with its
-    iteration's ``floor``, which inequality constraints require."""
+    """(smooth value, clipped values w = max(f, floor)) at a candidate's stack
+    values and residual, with its iteration's ``floor``, which inequality
+    constraints require; w, None without them, is the z step's ascent term."""
     w = None
-    if len(z):
+    if z.size:
         if floor is None:
             raise ValueError("a candidate needs its iteration's penalty floor")
         w = penalty_terms(vals[1:], None, beta, floor)[1]
-    return smooth_value(vals[0], y, r, z, w, beta)
+    return smooth_value(vals[0], y, r, z, w, beta), w
 
 
 def smooth_grad(grads, A, y, r, coef, beta):

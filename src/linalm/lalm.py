@@ -130,10 +130,9 @@ class ErgodicAccumulator:
     """Running weighted sum of primal iterates; never stores the history.
 
     ``add`` also sums, with the same weights and in place in an array of its
-    own, an ``image`` of each iterate (a smooth stack's ``image`` of the
-    solve's tracker: the stacked ``Q x`` for quadratics), so ``point`` gives
-    an ergodic point together with the stack's values there without
-    evaluating the stack at it.
+    own, an ``image`` of each iterate (its tracker's: the stacked ``Q x``
+    for quadratics), so ``point`` gives an ergodic point together with the
+    stack's values there without evaluating the stack at it.
     """
 
     def __init__(self, dim):
@@ -143,10 +142,12 @@ class ErgodicAccumulator:
     def add(self, x, weight=1.0, image=0.0):
         if weight <= 0:
             raise ValueError(f"accumulation weight {weight} must be positive")
-        self._sum += weight * x
         if self.weight == 0:
             self._image = np.zeros(np.shape(image))
-        self._image += weight * image
+        if weight != 1.0:   # 1.0 * v is v: blalm's unit weights multiply nothing
+            x, image = weight * x, weight * image
+        self._sum += x
+        self._image += image
         self.weight += weight
 
     def average(self):
@@ -179,18 +180,21 @@ def multiplier_step_y(y, r_new, rho_y):
     return y + rho_y * r_new
 
 
-def multiplier_step_z(z, fvals_new, rho_z, beta):
+def multiplier_step_z(z, fvals_new, rho_z, beta, clipped=None):
     """Floored inequality multiplier ascent.
 
     Componentwise z_j + rho_z * max(-z_j / beta, f_j(x_new)), which is
     nonnegative whenever rho_z <= beta. In floating point z - rho_z * (z /
     beta) can round to a tiny negative number (with rho_z = beta = 0.1, in
     about 4% of the steps that take the -z_j / beta branch), so the result
-    is floored at zero.
+    is floored at zero. ``clipped`` is max(-z / beta, fvals_new) when the
+    caller has it: ``apply_block``'s, from the candidate's valuation.
     """
-    if not z.size:
-        return z
-    return np.maximum(z + rho_z * np.maximum(-z / beta, fvals_new), 0.0)
+    if clipped is None:
+        if not z.size:
+            return z
+        clipped = np.maximum(-z / beta, fvals_new)
+    return np.maximum(z + rho_z * clipped, 0.0)
 
 
 def analytic_eta(eta_prev, coef, beta, delta, prob, norm_sq):
@@ -202,38 +206,41 @@ def analytic_eta(eta_prev, coef, beta, delta, prob, norm_sq):
 
 def descent_holds(value_new, value_base, inner, eta, step_sq):
     """Smooth-part descent test value_new <= base + inner + (eta/2)||dx||^2,
-    with a tiny relative slack for roundoff."""
+    with a tiny nonnegative relative slack for roundoff, formed only when
+    the test fails without it."""
     bound = value_base + inner + 0.5 * eta * step_sq
-    slack = _DESCENT_RTOL * max(1.0, abs(value_base), abs(bound))
-    return value_new <= bound + slack
+    return value_new <= bound or value_new <= bound + _DESCENT_RTOL * max(
+        1.0, abs(value_base), abs(bound))
 
 
 def prox_step(x, grad, eta, prox, trial, base):
     """Every solver's primal step: the candidate prox(x - grad/eta, 1/eta).
 
     ``trial(candidate, dx)``, with dx = candidate - x, moves the caller's
-    trial state there (a rebased tracker) and returns a function giving the
-    smooth value at it as a float. ``base`` is the smooth value at x, or
-    None in analytic mode, which takes the first candidate and asks for no
-    value. Backtracking grows eta by _BACKTRACK_FACTOR until the descent
-    test holds, or raises SolverError after _MAX_TRIALS - 1 increases, or at
-    once on a non-finite grad. Returns (eta, candidate, its value or None in
-    analytic mode, increases made).
+    trial state there (a rebased tracker) and returns the smooth value at it
+    as a float. ``base`` is the smooth value at x, or None in analytic mode,
+    which takes the first candidate, whose trial values nothing. Backtracking
+    grows eta by _BACKTRACK_FACTOR until the descent test holds, or raises
+    SolverError after _MAX_TRIALS - 1 increases, or after the first rejected
+    trial on a non-finite grad (analytic mode: before any trial); such a grad
+    makes each candidate's value or grad.dx NaN or infinite, so the test
+    rejects it. Returns (eta, candidate, its value or None, increases made).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
-    if not _all(np.isfinite(grad)):
+    if base is None and not _all(np.isfinite(grad)):
         raise SolverError("non-finite gradient of the smooth part")
     for k in range(_MAX_TRIALS):
         x_new = prox(x - grad / eta, 1.0 / eta)
         dx = x_new - x
-        value = trial(x_new, dx)
+        val = trial(x_new, dx)
         if base is None:
             return eta, x_new, None, k
-        val = value()
         if math.isfinite(val) and descent_holds(val, base, float(grad.dot(dx)),
                                                 eta, float(dx.dot(dx))):
             return eta, x_new, val, k
+        if not _all(np.isfinite(grad)):
+            raise SolverError("non-finite gradient of the smooth part")
         eta *= _BACKTRACK_FACTOR
     raise SolverError(f"backtracking failed after {_MAX_TRIALS - 1} step-size "
                       "increases; oracle values may be non-finite")
@@ -268,7 +275,8 @@ class BlockState:
         # Each block's columns of A, as views; each None without equality rows.
         self.A_blocks = [None if prob.affine.is_empty else prob.affine.A[:, sl]
                          for sl in self.blocks]
-        # The last narrow candidate tried, as (block value, dx, A_i dx or None).
+        # The last candidate tried: (block value, dx, A_i dx, stack values,
+        # clipped values), each None where the trial formed none.
         self._trial = None
 
         self.analytic = config.step_mode == "analytic"
@@ -338,16 +346,23 @@ class BlockState:
             def trial(x_new, dx):
                 self.x = x_new
                 self.refresh()
-                return lambda: auglag.candidate_value(
+                value, w = (None, None) if base is None else auglag.candidate_value(
                     tracker.value, self.y, None if A_i is None else self.r,
                     self.z, beta, floor)
+                self._trial = (x_new, None, None, None, w)
+                return value
         else:
             def trial(blk_new, dx):
                 dr = None if A_i is None else A_i @ dx
-                self._trial = (blk_new, dx, dr)
-                return lambda: auglag.candidate_value(
-                    tracker.value + tracker.delta_value(sl, dx), self.y,
-                    None if dr is None else self.r + dr, self.z, beta, floor)
+                if base is None:
+                    self._trial = (blk_new, dx, dr, None, None)
+                    return None
+                vals = tracker.value + tracker.delta_value(sl, dx)
+                value, w = auglag.candidate_value(
+                    vals, self.y, None if dr is None else self.r + dr, self.z,
+                    beta, floor)
+                self._trial = (blk_new, dx, dr, vals, w)
+                return value
 
         eta, blk_new, _, self.last_trials = prox_step(
             self.x[sl], grad_blk, float(self.eta[i]), self.h_blocks[i].prox,
@@ -359,27 +374,30 @@ class BlockState:
         """Commit a block change: x, residual, and constraint values.
 
         The state is already at a full-width candidate ``backtrack_block``
-        returned; a narrower one brings its dx, its A_i dx and the tracker's
-        products. Any other block value is computed afresh. Ends the
-        iteration.
+        returned; a narrower one brings its dx, its A_i dx and the stack
+        values it was valued at, which the tracker takes. Any other block
+        value is computed afresh. Ends the iteration, returning the clipped
+        values w of the candidate's valuation for the z step, else None.
         """
-        sl = self.blocks[i]
-        if self.full_width:
-            if blk_new is not self.x:
-                self.x[sl] = blk_new
-                self.refresh()
-            return
-        if self._trial is not None and self._trial[0] is blk_new:
-            _, dx, dr = self._trial
+        sl, trial, self._trial = self.blocks[i], self._trial, None
+        if trial is not None and trial[0] is blk_new:
+            _, dx, dr, vals, w = trial
+            if self.full_width:
+                return w
+        elif self.full_width:
+            self.x[sl] = blk_new
+            self.refresh()
+            return None
         else:
             dx = blk_new - self.x[sl]
             A_i = self.A_blocks[i]
             dr = None if A_i is None else A_i @ dx
+            vals = w = None
         if dr is not None:
             self.r += dr
-        self.tracker.commit(sl, dx)
+        self.tracker.commit(sl, dx, vals)
         self.x[sl] = blk_new
-        self._trial = None
+        return w
 
     def refresh(self):
         """Recompute the residual (empty without equality rows), constraint
@@ -450,12 +468,11 @@ def _drive(state, method, weight_by_eta, callback, clock):
     def advance(epoch):
         for k, i in enumerate(state.draw_epoch(), (epoch - 1) * n + 1):
             eta, blk_new = state.backtrack_block(i, *state.block_gradient(i))
-            state.apply_block(i, blk_new)
+            w = state.apply_block(i, blk_new)
             if has_rows:
                 state.y = multiplier_step_y(state.y, state.r, rho_y)
-            state.z = multiplier_step_z(state.z, tracker.value[1:], rho_z, beta)
-            acc.add(state.x, 1.0 / eta if weight_by_eta else 1.0,
-                    tracker.fn.image(tracker))
+            state.z = multiplier_step_z(state.z, tracker.value[1:], rho_z, beta, w)
+            acc.add(state.x, 1.0 / eta if weight_by_eta else 1.0, tracker.image)
             if callback is not None:
                 callback(k, state)
         if not full_width and epoch % _REFRESH_EPOCHS == 0:

@@ -196,11 +196,6 @@ class QuadraticStack(QuadraticFunction):
         grads = self.grad(x)
         return 0.5 * ((grads + self.c) @ x) + self.d, grads
 
-    def image(self, tracker):
-        """The tracker's ``Q x``: linear in x, so a weighted sum of images
-        is the image of the same weighted sum of points."""
-        return tracker.qx
-
 
 class FunctionStack:
     """k smooth functions of any kinds as one vector-valued oracle.
@@ -223,10 +218,6 @@ class FunctionStack:
 
     def tracker(self, x):
         return FullTracker(self, x)
-
-    def image(self, tracker):
-        """Nothing: values at a point come from the functions' own oracles."""
-        return 0.0
 
     def values_from_image(self, x, image):
         """Values at x, evaluated there; ``image`` is unused."""
@@ -305,58 +296,68 @@ class LinearFunction(SmoothFunction):
 # with the same ``sl`` and ``dx`` objects reuses them, so committing the
 # last candidate valued costs no second product. A commit of any other
 # block change, or after a rebase or another commit, computes its own;
-# ``dx`` must not be changed in between.
+# ``dx`` must not be changed in between. ``commit(sl, dx, value)`` takes a
+# caller's ``value + delta_value(sl, dx)`` as its values, adding nothing.
+# ``block_grad(sl)`` keeps its result, which callers must not change, until
+# the next commit or rebase: reads through one slice object (lalm's and
+# pdyn's record and next step) pay for one sum or gradient oracle call.
 
 
 class _TrialMemo:
-    """The products of a tracker's last ``delta_value``, kept for ``commit``."""
+    """A tracker's memos until its next commit or rebase: its last
+    ``delta_value`` as (sl, dx, products...) and ``block_grad`` as (sl, grad)."""
 
-    _trial = None
-
-    def _remember(self, sl, dx, *products):
-        self._trial = (sl, dx) + products
+    _trial = _grad = None
 
     def _products(self, sl, dx):
         """The products of ``delta_value(sl, dx)``: the remembered ones when
-        they are for these very ``sl`` and ``dx``, else computed now."""
+        they are for these very ``sl`` and ``dx``, else computed now; forgets
+        both memos."""
         trial = self._trial
         if trial is None or trial[0] is not sl or trial[1] is not dx:
             self.delta_value(sl, dx)
             trial = self._trial
-        self._trial = None
+        self._trial = self._grad = None
         return trial[2:]
 
 
 class FullTracker(_TrialMemo):
     """Tracker of a FunctionStack: every query re-evaluates the stack, whose
     values are (k,) and gradients (k, dim), so block gradients are (k, width).
-    """
+    It has no ``image``: values come from the functions' own oracles."""
+
+    image = 0.0
 
     def __init__(self, fn, x):
         self.fn = fn
         self.rebase(x)
 
     def block_grad(self, sl):
-        return self.fn.grad(self.x)[..., sl]
+        kept = self._grad
+        if kept is None or kept[0] is not sl:
+            kept = self._grad = (sl, self.fn.grad(self.x)[..., sl])
+        return kept[1]
 
     def delta_value(self, sl, dx):
         trial = self.x.copy()
         trial[sl] += dx
         value = self.fn(trial)
-        self._remember(sl, dx, trial, value)
+        self._trial = (sl, dx, trial, value)
         return value - self.value
 
-    def commit(self, sl, dx):
-        self.x, self.value = self._products(sl, dx)
+    def commit(self, sl, dx, value=None):
+        self.x, fresh = self._products(sl, dx)
+        self.value = fresh if value is None else value
 
     def rebase(self, x):
-        self._trial = None
+        self._trial = self._grad = None
         self.x = np.array(x, dtype=float)
         self.value = self.fn(self.x)
 
 
 class QuadraticTracker(_TrialMemo):
-    """Maintains q = Qx so block gradients and value deltas are O(p * width).
+    """Maintains its ``image`` q = Qx (linear in x, so ergodic sums of images
+    are images) so block gradients and value deltas are O(p * width).
 
     Tracks one QuadraticFunction, or every function of a QuadraticStack at
     once: a stack's Q, c and d carry a leading function axis, so the same
@@ -367,9 +368,7 @@ class QuadraticTracker(_TrialMemo):
     block's row product u = dx @ Q[sl, :] (Q is symmetric, so the contiguous
     rows stand in for the strided columns) and values the trial from the
     block gradient as (grad_blk + u[sl] / 2) @ dx; the commit of that trial
-    adds u to q. ``block_grad`` keeps its result, which callers must not
-    change, until the next commit or rebase: two reads through one slice
-    object, such as a whole-width one for qx + c, pay for one sum.
+    adds u to q.
     """
 
     def __init__(self, fn, x):
@@ -379,80 +378,41 @@ class QuadraticTracker(_TrialMemo):
     def rebase(self, x):
         self._trial = self._grad = None
         x = np.asarray(x, dtype=float)
-        self.qx = _matvec(self.fn.Q, x)
-        self.value = self.fn.values_from_image(x, self.qx)
+        self.image = _matvec(self.fn.Q, x)
+        self.value = self.fn.values_from_image(x, self.image)
 
     def block_grad(self, sl):
         kept = self._grad
         if kept is None or kept[0] is not sl:
-            kept = self._grad = (sl, self.qx[..., sl] + self.fn.c[..., sl])
+            kept = self._grad = (sl, self.image[..., sl] + self.fn.c[..., sl])
         return kept[1]
 
     def delta_value(self, sl, dx):
         u = dx @ self.fn.Q[..., sl, :]
         delta = (self.block_grad(sl) + 0.5 * u[..., sl]) @ dx
-        self._remember(sl, dx, u, delta)
+        self._trial = (sl, dx, u, delta)
         return delta
 
-    def commit(self, sl, dx):
+    def commit(self, sl, dx, value=None):
         """Apply x[sl] += dx."""
         u, delta = self._products(sl, dx)
-        self._grad = None
-        self.value = self.value + delta
-        self.qx += u
+        self.value = self.value + delta if value is None else value
+        self.image += u
 
 
-# Unreached (least squares stacks as a quadratic); perfbench/tracing.py wraps it.
-class LeastSquaresTracker(_TrialMemo):
-    """Maintains the residual u = Ax - b for ||Ax - b||^2 - offset."""
-
-    def __init__(self, fn, x):
-        self.fn = fn
-        self.rebase(x)
-
-    def rebase(self, x):
-        self._trial = None
-        self.u = self.fn.A @ np.asarray(x, dtype=float) - self.fn.b
-        self.value = float(self.u @ self.u - self.fn.offset)
-
-    def block_grad(self, sl):
-        return 2.0 * (self.fn.A[:, sl].T @ self.u)
-
-    def delta_value(self, sl, dx):
-        du = self.fn.A[:, sl] @ dx
-        delta = float(2.0 * (self.u @ du) + du @ du)
-        self._remember(sl, dx, du, delta)
-        return delta
-
-    def commit(self, sl, dx):
-        du, delta = self._products(sl, dx)
-        self.value += delta
-        self.u += du
+def _unreached(tracker, *args):
+    raise NotImplementedError(f"no {type(tracker).__name__} is ever built")
 
 
-# Unreached (a linear function stacks as a quadratic); perfbench/tracing.py wraps it.
-class LinearTracker(_TrialMemo):
-    """Tracker for a'x + shift; gradient is constant."""
+# No tracker of these two kinds is built: least squares and linear functions
+# stack as quadratics. perfbench/tracing.py wraps their four methods by
+# name, so the names stay until its wrappers go (ROADMAP item 1).
+class LeastSquaresTracker:
+    commit = delta_value = block_grad = rebase = _unreached
 
-    def __init__(self, fn, x):
-        self.fn = fn
-        self.rebase(x)
 
-    def rebase(self, x):
-        self._trial = None
-        self.value = self.fn(x)
-
-    def block_grad(self, sl):
-        return self.fn.a[sl]
-
-    def delta_value(self, sl, dx):
-        delta = float(self.fn.a[sl] @ dx)
-        self._remember(sl, dx, delta)
-        return delta
-
-    def commit(self, sl, dx):
-        delta, = self._products(sl, dx)
-        self.value += delta
+class LinearTracker:
+    commit = delta_value = block_grad = rebase = _unreached
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +469,11 @@ class L1Norm(ProxFunction):
         return self.scale * float(np.sum(np.abs(x)))
 
     def prox(self, v, weight):
-        # No finiteness check, as in the other proxes: prox_step refuses a
-        # non-finite gradient and run_epochs a non-finite iterate.
-        return _soft_threshold(np.asarray(v, dtype=float), weight * self.scale)
+        """Soft thresholding sign(v) * max(|v| - weight * scale, 0), the one
+        place it is written. No finiteness check, as in the other proxes:
+        prox_step refuses a non-finite gradient and run_epochs a non-finite
+        iterate."""
+        return np.sign(v) * np.maximum(np.abs(v) - weight * self.scale, 0.0)
 
     def block(self, sl):
         return self
@@ -749,12 +711,7 @@ def prox_l1(v, tau):
         raise ValueError("prox_l1 requires finite input")
     if tau <= 0:
         raise ValueError("threshold must be positive")
-    return _soft_threshold(v, tau)
-
-
-def _soft_threshold(v, tau):
-    """``prox_l1`` of a float array v and a positive tau, unchecked."""
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    return L1Norm(tau).prox(v, 1.0)   # 1.0 * tau is tau
 
 
 KktResidual = namedtuple("KktResidual", "stationarity feasibility complementarity")

@@ -92,7 +92,7 @@ def step(state, prob, config):
 
     def trial(x_new, dx):
         tracker.rebase(x_new)
-        return lambda: _phi(tracker, z)
+        return None if base is None else _phi(tracker, z)
 
     state.eta, state.x, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox,
                                          trial, base)

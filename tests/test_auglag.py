@@ -121,20 +121,23 @@ def test_clipped_penalty_is_the_piecewise_penalty_to_roundoff(data, k, beta, rho
         bound = 3 * eps * scale + Fraction(tiny)
         assert abs(Fraction(terms[j]) - exact) <= bound
         # a candidate's value adds the same form as two dot products
-        one = auglag.candidate_value(np.array([0.0, u[j]]), None, None,
-                                     z[j:j + 1], beta, floor[j:j + 1])
+        one, _ = auglag.candidate_value(np.array([0.0, u[j]]), None, None,
+                                        z[j:j + 1], beta, floor[j:j + 1])
         assert abs(Fraction(one) - exact) <= bound
     # the weights are [beta u + z]_+ as ever
     assert scalar_penalty_deriv(u, z, beta).tobytes() == \
         np.maximum(beta * u + z, 0.0).tobytes()
     # the clipped values are the z step's ascent term: multiplier_step_z is
-    # max(z + rho_z w, 0) bit for bit
-    value = auglag.candidate_value(np.concatenate([[0.0], u]), None, None,
-                                   z, beta, floor)
+    # max(z + rho_z w, 0) bit for bit, and given the candidate's w it
+    # returns the same bits as from the values it clips
+    value, cand_clipped = auglag.candidate_value(np.concatenate([[0.0], u]), None,
+                                                 None, z, beta, floor)
     _, clipped = auglag.penalty_terms(u, None, beta, floor)
+    assert cand_clipped.tobytes() == clipped.tobytes()
     rho_z = rho * beta
     assert np.maximum(z + rho_z * clipped, 0.0).tobytes() == \
-        multiplier_step_z(z, u, rho_z, beta).tobytes()
+        multiplier_step_z(z, u, rho_z, beta).tobytes() == \
+        multiplier_step_z(z, None, rho_z, beta, cand_clipped).tobytes()
     # the summed penalty follows g(x) and the affine terms
     y, r, gval = np.array([0.5, -2.0]), np.array([1e-3, 3.0]), 1.25
     want = gval

@@ -119,3 +119,95 @@ def test_ab_parent_tree_is_unpacked_from_git_archive(tmp_path):
     assert (dest / "perfbench" / "run.py").read_text() == "print('parent')\n"
     assert not (dest / ".git").exists()
     assert git("worktree", "list") == worktrees
+
+
+# ---------------------------------------------------------------------------
+# same: the check set on two trees
+
+
+def stub_library(root, values):
+    """A package tree root/src/linalm whose ``core.values()`` returns
+    ``values``, imported by ``__init__`` relatively, as the library does."""
+    pkg = root / "src" / "linalm"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("from .core import values\n")
+    (pkg / "core.py").write_text(f"def values():\n    return {values!r}\n")
+    return pkg
+
+
+def stub_runs(lib):
+    return [("solver", lambda: dict(lib.values()))]
+
+
+def test_same_compares_two_imported_trees_field_by_field(tmp_path):
+    change = bench.load_library(
+        stub_library(tmp_path / "c", {"x": [1.0, 2.0], "epochs": 3, "flag": None}),
+        "stub_change")
+    parent = bench.load_library(
+        stub_library(tmp_path / "p", {"x": [1.0, 2.0 + 2e-12], "epochs": 3,
+                                      "flag": None}), "stub_parent")
+    assert change.values()["x"] == [1.0, 2.0]      # each tree its own files
+    table = bench.compare_libraries(change, parent, stub_runs)
+    assert table["solver"]["epochs"] == table["solver"]["flag"] == 0.0
+    assert table["solver"]["x"] == pytest.approx(1e-12, rel=1e-3)
+    lines = bench.same_report(table)
+    assert "solver           epochs               bitwise" in lines
+    assert any(line.split()[1:] == ["x", "1e-12"] for line in lines)
+
+
+@pytest.mark.parametrize("a, b, dev", [
+    (0.0, -0.0, 2.0 ** -1074),        # other bits, equal values: still differs
+    (float("nan"), float("nan"), 0.0),
+    (float("nan"), 1.0, float("inf")),
+    ([1.0, None], [1.0, 0.5], float("inf")),
+    ([1.0], [1.0, 2.0], float("inf")),
+    ("lalm", "blalm", float("inf")),
+    ([220, True], [200, True], 0.0909),
+    (True, False, float("inf")),
+])
+def test_deviation_of_non_numbers_and_signed_zeros(a, b, dev):
+    assert bench.deviation(a, b) == pytest.approx(dev, rel=1e-3)
+
+
+def test_same_exits_nonzero_on_a_difference_unless_allowed(tmp_path, capsys):
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                       cwd=repo, check=True, capture_output=True)
+
+    repo = tmp_path / "repo"
+    core = stub_library(repo, {"x": [1.0]}) / "core.py"
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+
+    def run(allow):
+        args = bench.argparse.Namespace(parent="HEAD", allow_arithmetic=allow)
+        return bench.same(args, repo=repo, runs_of=stub_runs)
+
+    assert run(False) == 0
+    assert "solver           x                    bitwise" in capsys.readouterr().out
+    core.write_text("def values():\n    return {'x': [1.5]}\n")
+    assert run(False) == 1 and run(True) == 0
+    assert "differs from the parent" in capsys.readouterr().out
+
+
+def test_check_set_settings_are_the_gated_workloads(monkeypatch):
+    # the check set copies perfbench/workloads.py's settings, read here
+    # without editing it: each workload's solvers with their configs,
+    # blocks and start points, and its instances' generator specs
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench import workloads
+    from linalm import SolverConfig, instances
+
+    for name, (_, (spec, opts), solvers) in bench.CHECK_WORKLOADS.items():
+        workload = workloads.get(name)
+        assert [(run.label, run.config, run.n_blocks, run.from_meta_x0)
+                for run in workload.solvers + workload.baselines] == \
+            [(label, SolverConfig(**config), blocks, x0)
+             for label, config, blocks, x0 in solvers]
+        seed = bench._instance_seeds(0, 1)[0]
+        assert seed == workload.instance_seeds(0, 5)[0]
+        gen = instances.gen_qcqp if spec == "QcqpSpec" else instances.gen_bpdn
+        want = gen(getattr(instances, spec)(**opts, seed=seed)).meta
+        assert workload.generate(seed).meta == want
+    assert bench._sampler_seed(0, 3) == workloads.sampler_seed(0, 3)

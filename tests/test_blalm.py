@@ -1,10 +1,13 @@
+import cProfile
+import pstats
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from conftest import nan_away_from_origin, smooth_value_at
+from conftest import (nan_away_from_origin, qcqp_with_oracle_constraint,
+                      smooth_value_at)
 from linalm import auglag, blalm, lalm, model
 from linalm.blalm import BlockState
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
@@ -76,7 +79,7 @@ def state_bytes(state):
     tracker = state.tracker
     arrays = [state.x, state.r, tracker.value]
     for t in getattr(tracker, "trackers", [tracker]):
-        arrays += [np.asarray(getattr(t, a)) for a in ("value", "qx", "u")
+        arrays += [np.asarray(getattr(t, a)) for a in ("value", "image", "u")
                    if hasattr(t, a)]
     return [a.tobytes() for a in arrays]
 
@@ -432,7 +435,7 @@ def test_analytic_block_bound_always_accepted(rng):
 
         def value(vals, r):
             return auglag.candidate_value(vals, state.y, r, state.z, beta,
-                                          auglag.penalty_floor(state.z, beta))
+                                          auglag.penalty_floor(state.z, beta))[0]
 
         for i in range(4):
             grad, _, _ = state.block_gradient(i)
@@ -694,3 +697,67 @@ def test_zero_partial_gradient_leaves_block_unchanged():
     np.testing.assert_array_equal(grad0, np.zeros(2))
     eta, blk = state.backtrack_block(0, grad0, floor, base)
     np.testing.assert_array_equal(blk, state.x[prob.blocks[0]])
+
+
+def z_step_instance(kind, rows, seed):
+    """A small generated QCQP, BPDN or QCQP with an oracle constraint (a
+    FunctionStack), with three random equality rows when ``rows``."""
+    prob = {"qcqp": lambda: gen_qcqp(QcqpSpec(m=3, p=12, seed=seed)),
+            "bpdn": lambda: gen_bpdn(BpdnSpec(rows=6, cols=12, sparsity=2, seed=seed)),
+            "oracle": lambda: qcqp_with_oracle_constraint(seed=seed)}[kind]()
+    affine = None
+    if rows:
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(3, prob.dim))
+        affine = AffineConstraint(A, A @ rng.uniform(-0.5, 0.5, size=prob.dim))
+    return ProblemInstance(prob.g, prob.h, prob.dim, affine, prob.constraints)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["qcqp", "bpdn", "oracle"]), rows=st.booleans(),
+       method=st.sampled_from(["lalm", "blalm-1", "blalm-k"]),
+       mode=st.sampled_from(["backtracking", "analytic"]),
+       seed=st.integers(0, 100))
+def test_z_step_is_the_four_argument_multiplier_step(kind, rows, method, mode, seed):
+    # when backtracking the solvers take the z step from the clipped values
+    # the accepted candidate was valued with, and in analytic mode clip the
+    # committed values; either way each step is multiplier_step_z(z_prev,
+    # f(x_new), rho_z, beta) of the committed values, bit for bit
+    assume(kind != "bpdn" or mode == "backtracking")   # BPDN has no B_j
+    prob = z_step_instance(kind, rows, seed)
+    n = {"lalm": 1, "blalm-1": 1, "blalm-k": 4}[method]
+    cfg = SolverConfig(beta=0.5, step_mode=mode, max_epochs=6, record_every=3)
+    rho_z = cfg.resolve_rho(n)[1]
+    # a start off the origin violates constraints, so w = f(x_new) is taken
+    rng = np.random.default_rng(seed)
+    x0, z0 = rng.uniform(-3.0, 3.0, size=prob.dim), rng.uniform(0.0, 2.0, size=prob.m)
+    steps = [z0]
+
+    def check(k, state):
+        want = lalm.multiplier_step_z(steps[-1], state.fvals, rho_z, cfg.beta)
+        assert state.z.tobytes() == want.tobytes()
+        steps.append(state.z.copy())
+
+    if method == "lalm":
+        lalm.solve(prob, cfg, x0=x0, z0=z0, callback=check)
+    else:
+        blalm.solve(prob.with_blocks(n), cfg, x0=x0, z0=z0, seed=seed, callback=check)
+    assert len(steps) == 6 * n + 1
+
+
+def test_a_narrow_block_iteration_makes_at_most_31_profiled_calls():
+    # ROADMAP item 19's guard on a narrow iteration's call overhead, which is
+    # most of what a bpdn-batch blalm epoch costs: the Python and C function
+    # calls cProfile counts per block iteration (30.4 when written). Two
+    # solves' difference leaves out the per-solve set-up and keeps 100
+    # epochs of 10 iterations with their 10 records and 10 refreshes
+    prob = gen_bpdn(BpdnSpec(rows=50, cols=100, sparsity=5, seed=1)).with_blocks(10)
+
+    def calls(epochs):
+        cfg = SolverConfig(beta=1.0, rho_z=0.1, max_epochs=epochs, record_every=10)
+        profile = cProfile.Profile()
+        profile.runcall(blalm.solve, prob, cfg, x0=prob.meta["x0"])
+        return pstats.Stats(profile).total_calls
+
+    calls(1)   # first-call costs stay out
+    assert (calls(200) - calls(100)) / 1000 <= 31

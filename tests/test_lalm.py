@@ -31,7 +31,8 @@ def backtrack_at(w, grad, eta, cfg, prob):
     eta, x_new = state.backtrack_block(0, grad, floor, base)
     state.apply_block(0, x_new)
     val = None if base is None else auglag.candidate_value(
-        state.tracker.value, w.y, None if r is None else state.r, w.z, cfg.beta, floor)
+        state.tracker.value, w.y, None if r is None else state.r, w.z, cfg.beta,
+        floor)[0]
     return eta, x_new, state.r, state.fvals, val, state.last_trials
 
 
@@ -340,8 +341,8 @@ def test_ergodic_point_values_match_the_stack_at_the_point(rng, make, kind):
         x = x + dx
         tracker.commit(slice(0, prob.dim), dx)
         weight = rng.uniform(0.05, 3.0)
-        acc.add(x, weight, stack.image(tracker))
-        image_sum = image_sum + weight * np.copy(stack.image(tracker))
+        acc.add(x, weight, tracker.image)
+        image_sum = image_sum + weight * np.copy(tracker.image)
         x_bar, vals = acc.point(stack)
         want = acc.average()
         assert x_bar.tobytes() == want.tobytes()
@@ -630,3 +631,79 @@ def test_start_calls_no_constraint_oracle(monkeypatch, solver, n_blocks):
     res = solver.solve(prob, SolverConfig(beta=0.1, max_epochs=3),
                        x0=np.full(prob.dim, 0.5), z0=np.ones(prob.m))
     assert res.epochs == 3 and calls == []
+
+
+@pytest.mark.parametrize("solver", [lalm, pdyn], ids=["lalm", "pdyn"])
+def test_record_and_next_step_share_one_gradient_oracle_call(solver):
+    # the tracker keeps its last block gradient until the next commit or
+    # rebase, and the record and the next step read it through one slice
+    # object: on an oracle stack, one gradient call per recorded epoch
+    calls = []
+
+    def grad(x):
+        calls.append(x.copy())
+        return 2.0 * x - 1.0
+
+    g = OracleFunction(lambda x: float(x @ x - np.sum(x)), grad, lipschitz=2.0)
+    prob = ProblemInstance(g, BoxIndicator(-np.ones(3), np.ones(3)), dim=3)
+    res = solver.solve(prob, SolverConfig(max_epochs=10, record_every=1))
+    assert res.epochs == 10 and len(res.trace) == 11
+    assert len(calls) == 11
+
+
+def _non_finite_grad_away_from_origin():
+    """g(x) = sum(x) + x'x, whose gradient is finite at the origin only and
+    elsewhere has +inf, -inf and NaN entries: the first step leaves the
+    origin, and every gradient after it is non-finite. Its value is NaN at
+    a non-finite point, where the sum would warn."""
+    bad = np.array([np.inf, -np.inf, np.nan])
+    return OracleFunction(
+        lambda x: float(np.sum(x) + x @ x) if np.all(np.isfinite(x)) else np.nan,
+        lambda x: bad.copy() if np.any(x) else np.ones(3), lipschitz=2.0)
+
+
+class NonFiniteInputCountingProx:
+    """Wraps a prox, counting in one shared list, its block copies' calls
+    included, the calls whose input is not finite: the candidates tried from
+    a non-finite gradient."""
+
+    def __init__(self, h, counts=None):
+        self.h = h
+        self.counts = [] if counts is None else counts
+        self.is_indicator = h.is_indicator
+
+    def prox(self, v, weight):
+        if not np.all(np.isfinite(v)):
+            self.counts.append(v)
+        return self.h.prox(v, weight)
+
+    def block(self, sl):
+        return type(self)(self.h.block(sl), self.counts)
+
+    def value(self, x):
+        return self.h.value(x)
+
+
+_PROXES = {"box": lambda: BoxIndicator(-np.ones(3), np.ones(3)),
+           "l1": lambda: L1Norm(0.1), "zero": lambda: ZeroProx()}
+
+
+@pytest.mark.parametrize("mode", ["backtracking", "analytic"])
+@pytest.mark.parametrize("solver, h", [
+    pytest.param(solver, h, id=f"{solver.__name__.rpartition('.')[2]}-{h}")
+    for solver in (lalm, blalm, pdyn) for h in _PROXES
+    if solver is not pdyn or h != "l1"])    # pdyn needs an indicator
+def test_non_finite_gradient_is_refused_after_one_trial(solver, h, mode):
+    # backtracking checks the gradient only after a rejected trial: the first
+    # candidate from a gradient with +inf, -inf or NaN entries has a NaN or
+    # infinite value or grad.dx, which the descent test rejects, and the
+    # check then refuses at once instead of after 200 increases. Analytic
+    # mode, which values no candidate, refuses before any trial
+    counting = NonFiniteInputCountingProx(_PROXES[h]())
+    prob = ProblemInstance(_non_finite_grad_away_from_origin(), counting, dim=3,
+                           blocks=even_blocks(3, 3))
+    cfg = SolverConfig(step_mode=mode, eta0=2.0, max_epochs=5, record_every=5)
+    with pytest.raises(SolverError, match="non-finite gradient") as info:
+        solver.solve(prob, cfg)
+    assert [rec.epoch for rec in info.value.records] == [0]
+    assert len(counting.counts) == (1 if mode == "backtracking" else 0)

@@ -487,7 +487,7 @@ def test_commit_reuses_only_the_trial_of_the_same_block_change(g_kind, con_kinds
     def arrays(tracker):
         parts = getattr(tracker, "trackers", [tracker])
         return [np.asarray(getattr(t, name)).tobytes() for t in parts
-                for name in ("value", "qx", "u", "x") if hasattr(t, name)]
+                for name in ("value", "image", "u", "x") if hasattr(t, name)]
 
     cases = ((x, lambda t: t.delta_value(a, other)),      # another dx
              (x, lambda t: t.delta_value(b, dx)),         # another block

@@ -1,7 +1,9 @@
-"""Parent/change A/B runs of the benchmark, from outside ``perfbench/``.
+"""Parent/change A/B runs of the benchmark, from outside ``perfbench/``,
+and the seed-0 check set on both trees.
 
     python3 tools/bench.py ab --parent REV --pairs 10 --seed 0 --seconds 50 \\
         [--workload NAME ...] [--out FILE]
+    python3 tools/bench.py same --parent REV [--allow-arithmetic]
 
 ``ab`` runs the unchanged ``perfbench/run.py`` of this working tree (the
 change) and of REV's committed files (the parent), which ``git archive``
@@ -26,13 +28,23 @@ and a verdict, with the direction and bound of each metric read from
   metric that has no bound and no gain;
 * unchanged: otherwise.
 
-``--out`` writes every run's value and the verdicts as JSON. The tool uses
+``--out`` writes every run's value and the verdicts as JSON. ``ab`` uses
 the standard library only and never imports linalm.
+
+``same`` unpacks REV's committed files the same way and imports both trees'
+``src/linalm`` into this process, under the names ``linalm_change`` and
+``linalm_parent`` (the package imports itself only relatively). It runs the
+check set (``check_set``) on each and prints, per solver and field, either
+"bitwise" or the largest relative deviation over the solver's runs. Every
+field of the solve is compared but the records' ``time_ms``. It exits 1 on
+any difference unless ``--allow-arithmetic`` is given, for a change that
+states its arithmetic changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import statistics
@@ -40,6 +52,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,8 +190,8 @@ def report(summary):
     return lines
 
 
-def _git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
+def _git(*args, repo=ROOT):
+    return subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True,
                           text=True).stdout.strip()
 
 
@@ -218,6 +231,176 @@ def ab(args):
     return 0
 
 
+# ---------------------------------------------------------------------------
+# the seed-0 check set on two trees
+
+
+def load_library(src, name):
+    """Import the package in directory ``src`` as the top-level module
+    ``name``; relative imports inside it resolve to its own files. Modules
+    an earlier import left under that name are dropped first."""
+    for key in [k for k in sys.modules if k == name or k.startswith(name + ".")]:
+        del sys.modules[key]
+    spec = importlib.util.spec_from_file_location(
+        name, Path(src) / "__init__.py", submodule_search_locations=[str(src)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _instance_seeds(seed, n):
+    """perfbench's instance seeds of a run seed (``Workload.instance_seeds``)."""
+    import numpy as np
+    return [int(c.generate_state(1)[0])
+            for c in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _sampler_seed(seed, k):
+    """perfbench's blalm sampler seed on instance k (``sampler_seed``)."""
+    import numpy as np
+    return int(np.random.SeedSequence([seed, k]).generate_state(1)[0])
+
+
+# The gated workloads' settings, as perfbench/workloads.py gives them
+# (tests/test_bench_tool.py compares the two): per workload, the instances
+# of the check set, the generator's spec and every solver as (label,
+# config, blocks or None, start from the instance's meta x0).
+CHECK_WORKLOADS = {
+    "qcqp-p200-dense": (2, ("QcqpSpec", {"m": 10, "p": 200}), (
+        ("lalm", {"beta": 0.1, "rho_y": 0.1, "rho_z": 0.1, "max_epochs": 2500,
+                  "record_every": 1, "tol": 1e-6}, None, False),
+        ("blalm", {"beta": 0.1, "rho_y": 0.1 / 20, "rho_z": 0.1 / 20,
+                   "max_epochs": 500, "record_every": 1, "tol": 1e-6}, 20, False),
+        ("pdyn", {"beta": 0.1, "max_epochs": 4000, "record_every": 1,
+                  "tol": 1e-4}, None, False))),
+    "bpdn-batch": (4, ("BpdnSpec", {"rows": 50, "cols": 100, "sparsity": 5}), (
+        ("lalm", {"beta": 1.0, "rho_y": 1.0, "rho_z": 1.0, "max_epochs": 20_000,
+                  "record_every": 10, "tol": 1e-6}, None, True),
+        ("blalm", {"beta": 1.0, "rho_z": 0.1, "max_epochs": 5000,
+                   "record_every": 10, "tol": 1e-6}, 10, True))),
+}
+
+
+def _fields(res):
+    """Every compared field of a SolveResult: the final point, the ergodic
+    point, eta, epochs, the stop flag and each record field but time_ms."""
+    out = {name: getattr(res.w, name) for name in ("x", "y", "z", "r", "fvals")}
+    out.update(ergodic_x=res.ergodic_x, eta=res.eta, epochs=res.epochs,
+               stopped_early=res.stopped_early)
+    for name in vars(res.trace[0]):
+        if name != "time_ms":
+            out[f"trace.{name}"] = [getattr(rec, name) for rec in res.trace]
+    return out
+
+
+def _solve(lib, solver, prob, config, **kwargs):
+    mod = getattr(lib, solver)
+    return _fields(mod.solve(prob, lib.SolverConfig(**config), **kwargs))
+
+
+def check_set(lib, seed=0):
+    """The check set on library ``lib``: (solver label, thunk returning the
+    run's fields) for 22 runs. The gated workloads' first
+    instances of ``seed`` (2 QCQPs with lalm, blalm and pdyn, 4 BPDNs with
+    lalm and blalm), and analytic steps, which no workload takes: lalm,
+    blalm on 4 blocks and fixed-step pdyn on two m=3, p=12 QCQPs, and lalm
+    and blalm on the equality-constrained tiny reference."""
+    runs = []
+    for count, (spec, opts), solvers in CHECK_WORKLOADS.values():
+        gen = lib.gen_qcqp if spec == "QcqpSpec" else lib.gen_bpdn
+        for k, s in enumerate(_instance_seeds(seed, count)):
+            prob = gen(getattr(lib, spec)(**opts, seed=s))
+            for label, config, blocks, from_x0 in solvers:
+                kwargs = {"x0": prob.meta["x0"]} if from_x0 else {}
+                if blocks is not None:
+                    kwargs["seed"] = _sampler_seed(seed, k)
+                runs.append((label, partial(
+                    _solve, lib, label,
+                    prob if blocks is None else prob.with_blocks(blocks),
+                    config, **kwargs)))
+    analytic = {"beta": 1.0, "step_mode": "analytic", "max_epochs": 300,
+                "record_every": 10}
+    for s in (0, 1):
+        prob = lib.gen_qcqp(lib.QcqpSpec(m=3, p=12, seed=s))
+        for label, p, config in (
+                ("lalm", prob, analytic), ("blalm", prob.with_blocks(4), analytic),
+                ("pdyn", prob, {**analytic, "beta": 0.1, "eta0": 50.0})):
+            runs.append((f"{label}-analytic", partial(_solve, lib, label, p, config)))
+    prob = lib.tiny_reference("equality-qp")[0]
+    for label, p in (("lalm", prob), ("blalm", prob.with_blocks(2))):
+        runs.append((f"{label}-analytic", partial(_solve, lib, label, p, analytic)))
+    return runs
+
+
+def _flat(value):
+    """A field as a flat list of Python scalars."""
+    if hasattr(value, "tolist"):
+        value = value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [v for item in value for v in _flat(item)]
+    return [value]
+
+
+def deviation(a, b):
+    """0.0 when two fields are the same bits, else the largest relative
+    deviation |a - b| / max(|a|, |b|) over their numbers, and at least the
+    smallest float (inf where the two differ in length, in type or in a
+    non-number)."""
+    a, b = _flat(a), _flat(b)
+    if len(a) != len(b):
+        return float("inf")
+    worst = 0.0
+    for u, v in zip(a, b):
+        if type(u) is not type(v):
+            return float("inf")
+        if type(u) in (int, float):
+            if float(u).hex() != float(v).hex():
+                scale = max(abs(u), abs(v))
+                rel = abs(u - v) / scale if scale else 0.0
+                worst = max(worst, rel if rel == rel else float("inf"),
+                            float.fromhex("0x1p-1074"))
+        elif u != v:
+            return float("inf")
+    return worst
+
+
+def compare_libraries(change, parent, runs_of):
+    """{solver: {field: largest deviation}} of ``runs_of(lib)``'s runs on
+    the two libraries, run by run in the same order."""
+    out = {}
+    for (solver, run_c), (_, run_p) in zip(runs_of(change), runs_of(parent)):
+        got, want = run_c(), run_p()
+        fields = out.setdefault(solver, {})
+        for name in want.keys() | got.keys():
+            dev = (deviation(got[name], want[name]) if name in got and name in want
+                   else float("inf"))
+            fields[name] = max(fields.get(name, 0.0), dev)
+    return out
+
+
+def same_report(table):
+    """The table as text lines, one per solver and field."""
+    return [f"{solver:16s} {name:20s} "
+            + ("bitwise" if dev == 0.0 else f"{dev:.3g}")
+            for solver, fields in table.items() for name, dev in sorted(fields.items())]
+
+
+def same(args, repo=ROOT, runs_of=check_set):
+    parent = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}", repo=repo)
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "parent"
+        export_tree(repo, parent, tree)
+        change_lib = load_library(Path(repo) / "src" / "linalm", "linalm_change")
+        parent_lib = load_library(tree / "src" / "linalm", "linalm_parent")
+        table = compare_libraries(change_lib, parent_lib, runs_of)
+    for line in same_report(table):
+        print(line)
+    differs = any(dev for fields in table.values() for dev in fields.values())
+    print("differs from the parent" if differs else "bitwise equal to the parent")
+    return 1 if differs and not args.allow_arithmetic else 0
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -229,7 +412,13 @@ def main(argv=None):
     p.add_argument("--workload", action="append",
                    help="a workload of BENCHMARK.json (repeatable; default all)")
     p.add_argument("--out", help="write the runs and verdicts here as JSON")
+    p = sub.add_parser("same", help="the seed-0 check set on this tree and a parent")
+    p.add_argument("--parent", required=True, help="git revision of the parent")
+    p.add_argument("--allow-arithmetic", action="store_true",
+                   help="exit 0 when a field differs")
     args = parser.parse_args(argv)
+    if args.command == "same":
+        return same(args)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     try:
