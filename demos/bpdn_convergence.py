@@ -20,7 +20,7 @@ prob = gen_bpdn(BpdnSpec(rows=30, cols=60, sparsity=4, noise=0.1, seed=0))
 x0 = prob.meta["x0"]  # least-squares point scaled onto the ball boundary
 
 # a long, tightly-converged run provides the reference optimal value
-ref = long_run_reference(prob, budget=1_000_000, cache=None)
+ref = long_run_reference(prob, cache=None)
 prob = prob.with_f0_star(ref.f0)
 print(f"reference value {ref.f0:.8f} (KKT residual {ref.residual:.1e})")
 

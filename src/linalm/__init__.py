@@ -14,8 +14,7 @@ from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     L1Norm, LeastSquaresFunction, LinearFunction,
                     OracleFunction, PrimalDualPoint, ProblemInstance,
                     QuadraticFunction, SmoothFunction, ZeroFunction, ZeroProx,
-                    even_blocks, kkt_residual, lagrangian_gap, operator_norm_sq,
-                    prox_l1)
+                    even_blocks, kkt_residual, lagrangian_gap, operator_norm_sq)
 
 __version__ = "0.1.0"
 
@@ -29,6 +28,6 @@ __all__ = [
     "even_blocks", "gen_bpdn", "gen_qcqp", "harness", "instances",
     "kkt_residual", "lagrangian_gap", "lalm",
     "load_instance", "minimax_reformulate", "operator_norm_sq", "pdyn",
-    "prox_l1", "rate_fit", "run", "save_instance",
+    "rate_fit", "run", "save_instance",
     "tiny_reference", "trace",
 ]

@@ -16,7 +16,7 @@ import dataclasses
 import json
 import sys
 
-from .harness import ExperimentConfig, run
+from .harness import METHODS, ExperimentConfig, run
 from .lalm import SolverConfig
 
 _SOLVER_KEYS = tuple(f.name for f in dataclasses.fields(SolverConfig)
@@ -30,7 +30,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("solve", help="run one method on one instance")
     p.add_argument("--problem", help="bpdn | qcqp | minimax | tiny:<kind> | FILE.json")
-    p.add_argument("--method", choices=("lalm", "blalm", "pdyn"))
+    p.add_argument("--method", choices=METHODS)
     p.add_argument("--seed", type=int)
     p.add_argument("--beta", type=float)
     p.add_argument("--rho-y", dest="rho_y", type=float)

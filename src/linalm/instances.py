@@ -390,22 +390,6 @@ def _instance_tree(prob):
     }
 
 
-def _with_lists(tree):
-    """``tree`` with every array replaced by its row-major nested lists."""
-    if isinstance(tree, np.ndarray):
-        return tree.tolist()
-    if isinstance(tree, dict):
-        return {k: _with_lists(v) for k, v in tree.items()}
-    if isinstance(tree, list):
-        return [_with_lists(v) for v in tree]
-    return tree
-
-
-def instance_to_dict(prob):
-    """JSON-ready dict with dense matrices as row-major nested lists."""
-    return _with_lists(_instance_tree(prob))
-
-
 def instance_from_dict(data):
     affine = None
     if data.get("affine"):
@@ -422,11 +406,11 @@ def instance_from_dict(data):
 
 
 def save_instance(prob, path):
-    """Write the instance as JSON; an instance that cannot be serialized
-    raises before the file is opened."""
-    data = instance_to_dict(prob)
+    """Write the instance as JSON, dense matrices as row-major nested lists;
+    an instance that cannot be serialized raises before the file is opened."""
+    text = json.dumps(_instance_tree(prob), default=np.ndarray.tolist)
     with open(path, "w") as fh:
-        json.dump(data, fh)
+        fh.write(text)
     return path
 
 

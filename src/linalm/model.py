@@ -21,6 +21,15 @@ from functools import partial
 import numpy as np
 
 
+class SolverError(RuntimeError):
+    """Solver aborted; carries the trace recorded up to the failure. Here for
+    ``FunctionStack.grad``, which raises it; ``trace`` and ``lalm`` import it."""
+
+    def __init__(self, message, records=None):
+        super().__init__(message)
+        self.records = records or []
+
+
 # ---------------------------------------------------------------------------
 # constants computed on first use
 
@@ -211,7 +220,11 @@ class FunctionStack:
         return np.array([fn(x) for fn in self.fns])
 
     def grad(self, x):
-        return np.array([fn.grad(x) for fn in self.fns])
+        """Gradients (k, dim); a non-finite one raises SolverError."""
+        grads = np.array([fn.grad(x) for fn in self.fns])
+        if not np.isfinite(grads).all():
+            raise SolverError("non-finite gradient of the smooth part")
+        return grads
 
     def value_grad(self, x):
         return self(x), self.grad(x)
@@ -701,17 +714,7 @@ def checked_start(prob, x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# elementary operations
-
-
-def prox_l1(v, tau):
-    """Soft thresholding: componentwise sign(v) * max(|v| - tau, 0)."""
-    v = np.asarray(v, dtype=float)
-    if not np.logical_and.reduce(np.isfinite(v), axis=None):
-        raise ValueError("prox_l1 requires finite input")
-    if tau <= 0:
-        raise ValueError("threshold must be positive")
-    return L1Norm(tau).prox(v, 1.0)   # 1.0 * tau is tau
+# optimality metrics
 
 
 KktResidual = namedtuple("KktResidual", "stationarity feasibility complementarity")

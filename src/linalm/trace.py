@@ -8,19 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PrimalDualPoint, feasibility_residual, kkt_residual
+from .model import PrimalDualPoint, SolverError, feasibility_residual, kkt_residual
 
 # Single schema across all methods; unavailable columns stay empty.
 CSV_COLUMNS = ("method", "epoch", "obj", "obj_gap", "feas", "kkt_stat",
                "erg_obj_gap", "erg_feas", "eta_max", "time_ms")
-
-
-class SolverError(RuntimeError):
-    """Solver aborted; carries the trace recorded up to the failure."""
-
-    def __init__(self, message, records=None):
-        super().__init__(message)
-        self.records = records or []
 
 
 @dataclass

@@ -43,7 +43,7 @@ def bpdn_experiment():
     beta=1, rho_z=beta (full) / beta/10 with 10 blocks (block), factor 1.5."""
     prob = gen_bpdn(BpdnSpec(rows=50, cols=100, sparsity=5, noise=0.1, seed=0))
     x0 = prob.meta["x0"]
-    ref = long_run_reference(prob, budget=1_000_000, cache=None)
+    ref = long_run_reference(prob, cache=None)
     prob = prob.with_f0_star(ref.f0)
     full = lalm.solve(prob, SolverConfig(
         beta=1.0, rho_y=1.0, rho_z=1.0,

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import linalm
 from linalm.cli import (_SOLVER_KEYS, _merged_options, build_parser,
                         config_from_options, main)
 from linalm.trace import CSV_COLUMNS, read_trace_csv
@@ -18,6 +23,20 @@ def test_solve_tiny_instance(tmp_path, capsys):
     rows = out.read_text().splitlines()
     assert rows[0] == ",".join(CSV_COLUMNS)
     assert read_trace_csv(out)[-1].obj_gap <= 1e-4
+
+
+def test_solve_runs_without_scipy(tmp_path):
+    # scipy is a test extra only: the console command runs in a fresh
+    # interpreter in which importing scipy fails
+    code = ("import sys; sys.modules['scipy'] = None; from linalm.cli import main; "
+            "sys.exit(main(['solve', '--problem', 'tiny:scalar-qcqp', "
+            "'--method', 'lalm', '--epochs', '50']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(linalm.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "wrote" in done.stdout
 
 
 def test_solve_blalm_with_blocks(tmp_path):

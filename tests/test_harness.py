@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import qcqp_with_oracle_constraint
 from linalm import blalm, lalm
 from linalm.harness import (CACHE_ENV_VAR, ExperimentConfig, build_problem,
-                            fit_loglog_slope, long_run_reference, rate_fit,
-                            run)
+                            long_run_reference, rate_fit, run)
 from linalm.instances import (BpdnSpec, QcqpSpec, ReferenceSolution,
                               TINY_KINDS, gen_bpdn, gen_qcqp, tiny_reference)
 from linalm.lalm import SolverConfig
@@ -278,6 +277,10 @@ def test_rate_fit_inverse_k_slope():
     vals = [5.0 / k for k in range(1, 2001)]
     slope = rate_fit(synthetic_trace(vals), "erg_obj_gap", (10, 2000))
     assert slope == pytest.approx(-1.0, abs=1e-6)
+    # an exact k^-1.5 law gives its exponent
+    vals = [2.0 / k ** 1.5 for k in range(1, 200)]
+    slope = rate_fit(synthetic_trace(vals), "erg_obj_gap", (5, 199))
+    assert slope == pytest.approx(-1.5, abs=1e-9)
 
 
 def test_rate_fit_constant_slope_zero():
@@ -307,12 +310,6 @@ def test_rate_fit_drops_nonpositive_and_requires_samples():
     assert slope == pytest.approx(-1.0, abs=1e-6)
     with pytest.raises(ValueError, match="10 positive"):
         rate_fit(synthetic_trace([0.0] * 50), "erg_obj_gap", (1, 50))
-
-
-def test_fit_loglog_slope_matches_polyfit(rng):
-    e = np.arange(5, 200)
-    v = 2.0 / e ** 1.5
-    assert fit_loglog_slope(e, v) == pytest.approx(-1.5, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +462,6 @@ def test_experiment_config_validation():
 # long-run references
 
 
-def test_long_run_requires_budget():
-    prob, _ = tiny_reference("scalar-qcqp")
-    with pytest.raises(ValueError, match="budget"):
-        long_run_reference(prob, budget=1000)
-
-
 def test_long_run_matches_hand_references():
     # the tiny instances, and 0.5 (2 x^2) - 3x, unconstrained, with its
     # vertex at -c/Q = 1.5
@@ -480,8 +471,8 @@ def test_long_run_matches_hand_references():
         (vertex, ReferenceSolution(np.array([1.5]), np.zeros(0), np.zeros(0),
                                    -2.25, "hand"))]
     for prob, ref in cases:
-        got = long_run_reference(prob.with_f0_star(None), budget=1_000_000,
-                                 cache=None, clock=fake_clock)
+        got = long_run_reference(prob.with_f0_star(None), cache=None,
+                                 clock=fake_clock)
         assert got.f0 == pytest.approx(ref.f0, abs=1e-8)
         assert np.linalg.norm(got.x - ref.x) <= 1e-7
         np.testing.assert_allclose(got.y, ref.y, atol=1e-7)
@@ -490,13 +481,11 @@ def test_long_run_matches_hand_references():
 
 def test_long_run_cache_hit_identical(tmp_path):
     prob, _ = tiny_reference("scalar-qcqp")
-    first = long_run_reference(prob, budget=1_000_000, cache=tmp_path,
-                               clock=fake_clock)
+    first = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
     stamp = files[0].stat().st_mtime_ns
-    second = long_run_reference(prob, budget=1_000_000, cache=tmp_path,
-                                clock=fake_clock)
+    second = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
     assert files[0].stat().st_mtime_ns == stamp  # no recompute
     np.testing.assert_array_equal(first.x, second.x)
     assert first.f0 == second.f0
@@ -504,15 +493,13 @@ def test_long_run_cache_hit_identical(tmp_path):
 
 def cache_entry(tmp_path):
     prob, _ = tiny_reference("scalar-qcqp")
-    ref = long_run_reference(prob, budget=1_000_000, cache=tmp_path,
-                             clock=fake_clock)
+    ref = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
     (path,) = tmp_path.glob("*.json")
     return prob, ref, path
 
 
 def assert_recomputed(prob, ref, path, tmp_path):
-    got = long_run_reference(prob, budget=1_000_000, cache=tmp_path,
-                             clock=fake_clock)
+    got = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
     np.testing.assert_array_equal(got.x, ref.x)
     assert got.residual == ref.residual <= 1e-10
     assert json.loads(path.read_text())["residual"] == ref.residual
@@ -550,19 +537,21 @@ def test_long_run_cache_write_failure_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "dump", fail)
     with pytest.raises(OSError, match="disk full"):
-        long_run_reference(prob, budget=1_000_000, cache=tmp_path,
-                           clock=fake_clock)
+        long_run_reference(prob, cache=tmp_path, clock=fake_clock)
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.slow
 def test_long_run_bpdn_self_consistency():
-    # two independent long runs with different step seeds agree on the value
+    # the reference and an independent lalm run from another initial step
+    # agree on the value
     prob = gen_bpdn(BpdnSpec(seed=0))
-    a = long_run_reference(prob, budget=2_000_000, cache=None, eta0=None)
-    b = long_run_reference(prob, budget=2_000_000, cache=None, eta0=2.0)
-    assert a.f0 == pytest.approx(b.f0, abs=1e-7)
-    assert a.residual <= 1e-10 and b.residual <= 1e-10
+    a = long_run_reference(prob, cache=None)
+    cfg = SolverConfig(beta=1.0, eta0=2.0, max_epochs=2_000_000, tol=1e-10,
+                       record_every=10)
+    res = lalm.solve(prob.with_f0_star(None), cfg, x0=prob.meta["x0"])
+    assert a.f0 == pytest.approx(float(prob.f0(res.w.x)), abs=1e-7)
+    assert a.residual <= 1e-10 and max(kkt_residual(res.w, prob)) <= 1e-10
 
 
 def test_cache_dir_env_override(monkeypatch, tmp_path):

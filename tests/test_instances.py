@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from linalm import blalm, lalm, pdyn
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               instance_digest, instance_from_dict,
-                              instance_to_dict, load_instance,
-                              minimax_reformulate, random_minimax_1d,
-                              save_instance, tiny_reference, TINY_KINDS)
+                              load_instance, minimax_reformulate,
+                              random_minimax_1d, save_instance,
+                              tiny_reference, TINY_KINDS)
 from linalm.lalm import SolverConfig
 from linalm.model import (InequalityConstraint, LeastSquaresFunction,
                           OracleFunction, PrimalDualPoint, ProblemInstance,
@@ -269,11 +269,11 @@ def test_load_malformed_instance_raises_value_error(tmp_path, data, named):
 
 def test_instance_json_matrices_row_major(tmp_path):
     prob = gen_bpdn(BpdnSpec(rows=3, cols=4, sparsity=1, seed=0))
-    data = instance_to_dict(prob)
+    path = save_instance(prob, tmp_path / "bpdn.json")
+    data = json.loads(path.read_text())
     A = prob.constraints[0].fn.A
     assert data["constraints"][0]["fn"]["A"][1][2] == A[1, 2]
-    text = json.dumps(data)
-    assert json.loads(text)["dim"] == 4
+    assert data["dim"] == 4
 
 
 def test_instance_digest_stability_and_sensitivity():

@@ -694,11 +694,10 @@ _PROXES = {"box": lambda: BoxIndicator(-np.ones(3), np.ones(3)),
     for solver in (lalm, blalm, pdyn) for h in _PROXES
     if solver is not pdyn or h != "l1"])    # pdyn needs an indicator
 def test_non_finite_gradient_is_refused_after_one_trial(solver, h, mode):
-    # backtracking checks the gradient only after a rejected trial: the first
-    # candidate from a gradient with +inf, -inf or NaN entries has a NaN or
-    # infinite value or grad.dx, which the descent test rejects, and the
-    # check then refuses at once instead of after 200 increases. Analytic
-    # mode, which values no candidate, refuses before any trial
+    # the oracle stack refuses a gradient with +inf, -inf or NaN entries
+    # where it gathers it, so in either mode no candidate is formed from it;
+    # prox_step's own checks, after the first rejected trial and before an
+    # analytic one, stay as the backstop for stacks of other kinds
     counting = NonFiniteInputCountingProx(_PROXES[h]())
     prob = ProblemInstance(_non_finite_grad_away_from_origin(), counting, dim=3,
                            blocks=even_blocks(3, 3))
@@ -706,4 +705,20 @@ def test_non_finite_gradient_is_refused_after_one_trial(solver, h, mode):
     with pytest.raises(SolverError, match="non-finite gradient") as info:
         solver.solve(prob, cfg)
     assert [rec.epoch for rec in info.value.records] == [0]
-    assert len(counting.counts) == (1 if mode == "backtracking" else 0)
+    assert len(counting.counts) == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solver", [lalm, blalm, pdyn], ids=["lalm", "blalm", "pdyn"])
+def test_infinite_gradient_at_a_box_bound_is_refused_without_a_warning(solver):
+    # the first step from the origin lands on x_0's lower bound, where the
+    # gradient's infinite x_0 entry leaves dx_0 = 0, so the descent test's
+    # grad.dx would compute inf * 0 and warn; the stack refuses the gradient
+    # before any trial reads it
+    g = OracleFunction(lambda x: float(10.0 * x[0] + x[1]),
+                       lambda x: np.array([np.inf, 1.0] if np.any(x) else [10.0, 0.0]))
+    prob = ProblemInstance(g, BoxIndicator(-np.ones(2), np.ones(2)), dim=2,
+                           blocks=even_blocks(2, 2))
+    with pytest.raises(SolverError, match="non-finite gradient") as info:
+        solver.solve(prob, SolverConfig(eta0=2.0, max_epochs=10, record_every=5))
+    assert [rec.epoch for rec in info.value.records] == [0]

@@ -10,7 +10,7 @@ from linalm.model import (AffineConstraint, BoxIndicator, FullTracker,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           QuadraticStack, QuadraticTracker, ZeroFunction,
                           ZeroProx, even_blocks, kkt_residual, lagrangian_gap,
-                          operator_norm_sq, prox_l1, smooth_stack)
+                          operator_norm_sq, smooth_stack)
 from linalm.instances import (BpdnSpec, MinimaxConstraint, gen_bpdn, gen_qcqp,
                               QcqpSpec, minimax_reformulate, random_minimax_1d,
                               tiny_reference)
@@ -19,20 +19,14 @@ from conftest import assert_grad_matches
 
 
 # ---------------------------------------------------------------------------
-# prox_l1 / box projection
+# soft thresholding / box projection
 
 
 def test_prox_l1_values():
-    assert prox_l1([3.0], 1.0) == pytest.approx([2.0])
-    assert prox_l1([-0.5], 1.0) == pytest.approx([0.0])
-    np.testing.assert_allclose(prox_l1([0.0, -4.0], 2.0), [0.0, -2.0])
-
-
-def test_prox_l1_rejects_bad_input():
-    with pytest.raises(ValueError):
-        prox_l1([np.nan], 1.0)
-    with pytest.raises(ValueError):
-        prox_l1([1.0], 0.0)
+    # the library's one soft thresholding is the l1 norm's prox
+    assert L1Norm(1.0).prox([3.0], 1.0) == pytest.approx([2.0])
+    assert L1Norm(1.0).prox([-0.5], 1.0) == pytest.approx([0.0])
+    np.testing.assert_allclose(L1Norm(2.0).prox([0.0, -4.0], 1.0), [0.0, -2.0])
 
 
 def test_prox_l1_subgradient_inclusion(rng):
@@ -40,7 +34,7 @@ def test_prox_l1_subgradient_inclusion(rng):
     for _ in range(20):
         v = rng.normal(size=8) * 3
         tau = rng.uniform(0.1, 2.0)
-        p = prox_l1(v, tau)
+        p = L1Norm(tau).prox(v, 1.0)
         s = (v - p) / tau
         for pi, si in zip(p, s):
             if pi > 0:
