@@ -102,7 +102,7 @@ def cache_dir():
     return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR))
 
 
-def resolve_reference(prob, config, clock=None):
+def resolve_reference(prob, config):
     """Reference solution per the config policy: None for 'none', the hand
     triple for a tiny instance, and otherwise ``long_run_reference``, cached
     under ``cache_dir()``, whatever the instance's dimension."""
@@ -111,10 +111,10 @@ def resolve_reference(prob, config, clock=None):
     if prob.meta.get("kind") == "tiny" and prob.f0_star is not None:
         _, ref = instances.tiny_reference(prob.meta["tiny"])
         return ref
-    return long_run_reference(prob, cache=cache_dir(), clock=clock)
+    return long_run_reference(prob, cache=cache_dir())
 
 
-def long_run_reference(prob, cache=None, clock=None):
+def long_run_reference(prob, cache=None):
     """High-accuracy reference from a long backtracking solver run.
 
     Runs the full-vector solver until every KKT residual component is at
@@ -140,8 +140,7 @@ def long_run_reference(prob, cache=None, clock=None):
     cfg = SolverConfig(beta=1.0, step_mode="backtracking",
                        max_epochs=_REFERENCE_EPOCHS, tol=_REFERENCE_KKT,
                        record_every=10)
-    res = lalm.solve(prob.with_f0_star(None), cfg, x0=prob.meta.get("x0"),
-                     clock=clock)
+    res = lalm.solve(prob.with_f0_star(None), cfg, x0=prob.meta.get("x0"))
     kkt = kkt_residual(res.w, prob)
     residual = max(kkt)
     if residual > _REFERENCE_KKT:
@@ -178,7 +177,7 @@ def run(config, clock=None):
     prob = build_problem(config)
     split = (prob.with_blocks(config.blocks)
              if config.method == "blalm" and config.blocks is not None else prob)
-    reference = resolve_reference(prob, config, clock=clock)
+    reference = resolve_reference(prob, config)
     prob = split.with_f0_star(None if reference is None else reference.f0)
 
     x0 = prob.meta.get("x0")

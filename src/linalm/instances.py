@@ -21,7 +21,7 @@ import numpy as np
 from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     L1Norm, LeastSquaresFunction, LinearFunction,
                     ProblemInstance, QuadraticFunction, SmoothFunction,
-                    ZeroFunction, ZeroProx, _set_constant, operator_norm_sq)
+                    ZeroFunction, ZeroProx, operator_norm_sq)
 
 
 def _check_at_least(spec, **floors):
@@ -196,7 +196,7 @@ class MinimaxConstraint(SmoothFunction):
     def __init__(self, inner, inner_dim):
         self.inner = inner
         self.inner_dim = int(inner_dim)
-        _set_constant(self, "lipschitz", partial(getattr, inner, "lipschitz"))
+        self._lipschitz = partial(getattr, inner, "lipschitz")
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)

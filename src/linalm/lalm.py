@@ -224,7 +224,7 @@ def prox_step(x, grad, eta, prox, trial, base):
     SolverError after _MAX_TRIALS - 1 increases, or after the first rejected
     trial on a non-finite grad (analytic mode: before any trial); such a grad
     makes each candidate's value or grad.dx NaN or infinite, so the test
-    rejects it. Returns (eta, candidate, its value or None, increases made).
+    rejects it. Returns (eta, candidate, increases made).
     """
     if eta <= 0:
         raise ValueError("eta must be positive")
@@ -235,10 +235,10 @@ def prox_step(x, grad, eta, prox, trial, base):
         dx = x_new - x
         val = trial(x_new, dx)
         if base is None:
-            return eta, x_new, None, k
+            return eta, x_new, k
         if math.isfinite(val) and descent_holds(val, base, float(grad.dot(dx)),
                                                 eta, float(dx.dot(dx))):
-            return eta, x_new, val, k
+            return eta, x_new, k
         if not _all(np.isfinite(grad)):
             raise SolverError("non-finite gradient of the smooth part")
         eta *= _BACKTRACK_FACTOR
@@ -275,9 +275,6 @@ class BlockState:
         # Each block's columns of A, as views; each None without equality rows.
         self.A_blocks = [None if prob.affine.is_empty else prob.affine.A[:, sl]
                          for sl in self.blocks]
-        # The last candidate tried: (block value, dx, A_i dx, stack values,
-        # clipped values), each None where the trial formed none.
-        self._trial = None
 
         self.analytic = config.step_mode == "analytic"
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
@@ -334,69 +331,65 @@ class BlockState:
         ``block_gradient``'s (grad, floor, base). A full-width trial refreshes
         the state at its candidate (one rebase) and values it there; a
         narrower one moves nothing and is valued from the tracker's value
-        deltas. ``apply_block`` of the candidate returned reuses either.
+        deltas.
 
-        Returns (eta_i, new_block_value); the accepted eta persists for
-        block i across iterations, and ``last_trials`` counts its increases.
+        Returns (eta_i, step), step the accepted candidate's trial as
+        ``apply_block`` takes it: (block value, dx, A_i dx, stack values,
+        clipped values w), each None where the trial formed none. The
+        accepted eta persists for block i across iterations, and
+        ``last_trials`` counts its increases.
         """
         sl = self.blocks[i]
         A_i, tracker, beta = self.A_blocks[i], self.tracker, self.config.beta
+        step = None
 
         if self.full_width:
             def trial(x_new, dx):
+                nonlocal step
                 self.x = x_new
                 self.refresh()
                 value, w = (None, None) if base is None else auglag.candidate_value(
                     tracker.value, self.y, None if A_i is None else self.r,
                     self.z, beta, floor)
-                self._trial = (x_new, None, None, None, w)
+                step = (x_new, None, None, None, w)
                 return value
         else:
             def trial(blk_new, dx):
+                nonlocal step
                 dr = None if A_i is None else A_i @ dx
                 if base is None:
-                    self._trial = (blk_new, dx, dr, None, None)
+                    step = (blk_new, dx, dr, None, None)
                     return None
                 vals = tracker.value + tracker.delta_value(sl, dx)
                 value, w = auglag.candidate_value(
                     vals, self.y, None if dr is None else self.r + dr, self.z,
                     beta, floor)
-                self._trial = (blk_new, dx, dr, vals, w)
+                step = (blk_new, dx, dr, vals, w)
                 return value
 
-        eta, blk_new, _, self.last_trials = prox_step(
+        eta, _, self.last_trials = prox_step(
             self.x[sl], grad_blk, float(self.eta[i]), self.h_blocks[i].prox,
             trial, base)
         self.eta[i] = eta
-        return eta, blk_new
+        return eta, step
 
-    def apply_block(self, i, blk_new):
-        """Commit a block change: x, residual, and constraint values.
+    def apply_block(self, i, step):
+        """Commit block i's ``step`` from ``backtrack_block``: x, residual,
+        and constraint values.
 
-        The state is already at a full-width candidate ``backtrack_block``
-        returned; a narrower one brings its dx, its A_i dx and the stack
-        values it was valued at, which the tracker takes. Any other block
-        value is computed afresh. Ends the iteration, returning the clipped
+        The state is already at a full-width candidate. A narrower one
+        brings its dx, its A_i dx and the stack values it was valued at,
+        which the tracker takes (without them, analytic mode's, the tracker
+        values the commit itself). Ends the iteration, returning the clipped
         values w of the candidate's valuation for the z step, else None.
         """
-        sl, trial, self._trial = self.blocks[i], self._trial, None
-        if trial is not None and trial[0] is blk_new:
-            _, dx, dr, vals, w = trial
-            if self.full_width:
-                return w
-        elif self.full_width:
+        blk_new, dx, dr, vals, w = step
+        if not self.full_width:
+            if dr is not None:
+                self.r += dr
+            sl = self.blocks[i]
+            self.tracker.commit(sl, dx, vals)
             self.x[sl] = blk_new
-            self.refresh()
-            return None
-        else:
-            dx = blk_new - self.x[sl]
-            A_i = self.A_blocks[i]
-            dr = None if A_i is None else A_i @ dx
-            vals = w = None
-        if dr is not None:
-            self.r += dr
-        self.tracker.commit(sl, dx, vals)
-        self.x[sl] = blk_new
         return w
 
     def refresh(self):
@@ -405,7 +398,6 @@ class BlockState:
         if self.A_blocks[0] is not None:
             self.r = self.prob.affine.residual(self.x)
         self.tracker.rebase(self.x)
-        self._trial = None
 
 
 # perfbench/tracing.py wraps this name (span "lalm.backtrack"); lalm's step
@@ -467,8 +459,8 @@ def _drive(state, method, weight_by_eta, callback, clock):
 
     def advance(epoch):
         for k, i in enumerate(state.draw_epoch(), (epoch - 1) * n + 1):
-            eta, blk_new = state.backtrack_block(i, *state.block_gradient(i))
-            w = state.apply_block(i, blk_new)
+            eta, step = state.backtrack_block(i, *state.block_gradient(i))
+            w = state.apply_block(i, step)
             if has_rows:
                 state.y = multiplier_step_y(state.y, state.r, rho_y)
             state.z = multiplier_step_z(state.z, tracker.value[1:], rho_z, beta, w)

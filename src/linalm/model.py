@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
@@ -30,34 +30,10 @@ class SolverError(RuntimeError):
         self.records = records or []
 
 
-# ---------------------------------------------------------------------------
-# constants computed on first use
-
-
-class _Constant:
-    """A problem constant read as a plain attribute: a value, or None when
-    unknown, or, when ``_set_constant`` was given a zero-argument function,
-    that function's result, computed on the first read. The value then sits
-    in the instance's dict, which this non-data descriptor does not shadow,
-    so every later read costs what any attribute read costs."""
-
-    def __set_name__(self, owner, name):
-        self.name, self.pending = name, "_" + name
-
-    def __get__(self, obj, owner):
-        if obj is None:
-            return self
-        state = vars(obj)
-        value = state[self.pending]() if self.pending in state else None
-        state.pop(self.pending, None)
-        state[self.name] = value
-        return value
-
-
-def _set_constant(obj, name, value):
-    """Give ``obj`` the constant ``name``: a number or None as it is, a
-    zero-argument function to run on the first read."""
-    vars(obj)["_" + name if callable(value) else name] = value
+def _resolved(value):
+    """A constant given as a number, None, or a zero-argument function to
+    run on its first read: that function's result, else the value itself."""
+    return value() if callable(value) else value
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +54,11 @@ class SmoothFunction:
     one operator; the default, for functions with no such form, is None.
     """
 
-    lipschitz = _Constant()
+    _lipschitz = None   # a number, None or a zero-argument function
+
+    @cached_property
+    def lipschitz(self):
+        return _resolved(self._lipschitz)
 
     def __call__(self, x):
         raise NotImplementedError
@@ -96,7 +76,7 @@ class OracleFunction(SmoothFunction):
     def __init__(self, value, grad, lipschitz=None):
         self._value = value
         self._grad = grad
-        _set_constant(self, "lipschitz", lipschitz)
+        self._lipschitz = lipschitz
 
     def __call__(self, x):
         return float(self._value(np.asarray(x, dtype=float)))
@@ -127,7 +107,7 @@ class QuadraticFunction(SmoothFunction):
         self.Q = np.asarray(Q, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.d = float(d)
-        _set_constant(self, "lipschitz", lipschitz)
+        self._lipschitz = lipschitz
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -261,7 +241,7 @@ class LeastSquaresFunction(SmoothFunction):
         self.b = np.asarray(b, dtype=float)
         self.offset = float(offset)
         # 2 ||A||^2 bounds the gradient's Lipschitz constant exactly
-        _set_constant(self, "lipschitz", lipschitz)
+        self._lipschitz = lipschitz
 
     def __call__(self, x):
         r = self.A @ np.asarray(x, dtype=float) - self.b
@@ -535,27 +515,29 @@ class InequalityConstraint:
     is then kept.
     """
 
-    grad_bound = _Constant()
-
     def __init__(self, fn, grad_bound=None):
         self.fn = fn
-        _set_constant(self, "grad_bound",
-                      grad_bound if grad_bound is None or callable(grad_bound)
-                      else float(grad_bound))
+        self._grad_bound = (grad_bound if grad_bound is None or callable(grad_bound)
+                            else float(grad_bound))
+
+    @cached_property
+    def grad_bound(self):
+        return _resolved(self._grad_bound)
 
 
 class AffineConstraint:
     """Equality constraints A x = b and their residual. ``norm_sq`` is
     ||A||^2 (the largest eigenvalue of A'A), computed on its first read."""
 
-    norm_sq = _Constant()
-
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError(f"A has {self.A.shape[0]} rows but b has {len(self.b)}")
-        _set_constant(self, "norm_sq", partial(operator_norm_sq, self.A))
+
+    @cached_property
+    def norm_sq(self):
+        return operator_norm_sq(self.A)
 
     @classmethod
     def empty(cls, dim):
@@ -609,13 +591,7 @@ class ProblemInstance:
         Known optimal value, used for gap reporting.
     meta : dict, optional
         Generator metadata (spec, seed, ground truth, ...).
-
-    ``penalty_constants`` is (L, B2), the arrays of each constraint's L_j =
-    ``fn.lipschitz`` and B_j^2 = ``grad_bound``^2 for analytic step bounds,
-    or None when a constraint lacks either; computed on its first read.
     """
-
-    penalty_constants = _Constant()
 
     def __init__(self, g, h, dim, affine=None, constraints=(), blocks=None,
                  f0_star=None, meta=None):
@@ -630,12 +606,21 @@ class ProblemInstance:
         self.blocks = blocks
         self.f0_star = None if f0_star is None else float(f0_star)
         self.meta = dict(meta or {})
-        _set_constant(self, "penalty_constants",
-                      partial(_penalty_constants, self.constraints))
 
     @property
     def m(self):
         return len(self.constraints)
+
+    @cached_property
+    def penalty_constants(self):
+        """(L, B2), the arrays of each constraint's L_j = ``fn.lipschitz`` and
+        B_j^2 = ``grad_bound``^2 for analytic step bounds, or None when a
+        constraint lacks either; computed on its first read."""
+        pairs = [(con.fn.lipschitz, con.grad_bound) for con in self.constraints]
+        if any(lip is None or bound is None for lip, bound in pairs):
+            return None
+        return (np.array([lip for lip, _ in pairs]),
+                np.array([bound ** 2 for _, bound in pairs]))
 
     def f0(self, x):
         """Composite objective g(x) + h(x); +inf outside dom(h)."""
@@ -653,14 +638,6 @@ class ProblemInstance:
     def with_f0_star(self, f0_star):
         return ProblemInstance(self.g, self.h, self.dim, self.affine,
                                self.constraints, self.blocks, f0_star, self.meta)
-
-
-def _penalty_constants(constraints):
-    pairs = [(con.fn.lipschitz, con.grad_bound) for con in constraints]
-    if any(lip is None or bound is None for lip, bound in pairs):
-        return None
-    return (np.array([lip for lip, _ in pairs]),
-            np.array([bound ** 2 for _, bound in pairs]))
 
 
 def _check_finite(name, v):

@@ -94,8 +94,8 @@ def step(state, prob, config):
         tracker.rebase(x_new)
         return None if base is None else _phi(tracker, z)
 
-    state.eta, state.x, _, _ = prox_step(state.x, grad, state.eta, prob.h.prox,
-                                         trial, base)
+    state.eta, state.x, _ = prox_step(state.x, grad, state.eta, prob.h.prox,
+                                      trial, base)
     state.lam = np.maximum(-fvals, state.lam + fvals)
 
 

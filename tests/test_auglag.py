@@ -421,8 +421,8 @@ def test_descent_inequality_holds_at_smooth_lipschitz(rng):
         eta = smooth_lipschitz(scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
                                prob.affine.norm_sq)
         grad = smooth_grad_at(w, beta, prob)
-        _, x_new, _, _ = prox_step(w.x, grad, eta, prob.h.prox,
-                                   lambda x, dx: None, None)
+        _, x_new, _ = prox_step(w.x, grad, eta, prob.h.prox,
+                                lambda x, dx: None, None)
         cand = PrimalDualPoint.at(prob, x_new, w.y, w.z)
         lhs = smooth_value_at(cand, beta, prob)
         dx = x_new - w.x

@@ -211,3 +211,22 @@ def test_check_set_settings_are_the_gated_workloads(monkeypatch):
         want = gen(getattr(instances, spec)(**opts, seed=seed)).meta
         assert workload.generate(seed).meta == want
     assert bench._sampler_seed(0, 3) == workloads.sampler_seed(0, 3)
+
+
+def test_check_set_oracle_instance_is_the_conftest_one():
+    # the check set's narrow oracle-stack runs solve the instance the tests
+    # build, whose smooth stack is a FunctionStack
+    import numpy as np
+    import linalm
+    from conftest import qcqp_with_oracle_constraint
+    from linalm.model import FunctionStack, smooth_stack
+
+    got = bench.with_oracle_constraint(
+        linalm, linalm.gen_qcqp(linalm.QcqpSpec(m=3, p=12, seed=1)))
+    want = qcqp_with_oracle_constraint(m=3, p=12, seed=1)
+    assert isinstance(smooth_stack(got), FunctionStack)
+    for x in (np.zeros(12), np.linspace(-1.0, 1.0, 12)):
+        assert got.constraint_values(x).tobytes() == want.constraint_values(x).tobytes()
+        assert got.f0(x) == want.f0(x)
+    assert [(c.fn.lipschitz, c.grad_bound) for c in got.constraints] == \
+        [(c.fn.lipschitz, c.grad_bound) for c in want.constraints]

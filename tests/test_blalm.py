@@ -16,7 +16,7 @@ from linalm.lalm import SolverConfig, SolverError
 from linalm.model import (AffineConstraint, InequalityConstraint, L1Norm,
                           LinearFunction, PrimalDualPoint, ProblemInstance,
                           QuadraticFunction, ZeroProx, even_blocks,
-                          operator_norm_sq)
+                          operator_norm_sq, smooth_stack)
 from linalm.trace import MetricsRecorder
 
 
@@ -28,6 +28,16 @@ def make_state(prob, seed=0, **cfg_kwargs):
 def draws(state, epochs):
     """The block indices of ``epochs`` epochs of ``state``'s sampler."""
     return [i for _ in range(epochs) for i in state.draw_epoch()]
+
+
+def move_block(state, i, dx):
+    """Move block i by dx through the real step: ``backtrack_block`` with
+    grad -eta_i dx and no floor or base, a trial that values nothing (the
+    kind analytic mode takes), then ``apply_block`` of that step. Under
+    ZeroProx the block moves by dx exactly when dx = 0 or eta_i is a power
+    of two, otherwise to roundoff; a box projects the moved block."""
+    _, step = state.backtrack_block(i, -state.eta[i] * dx, None, None)
+    state.apply_block(i, step)
 
 
 def with_equalities(kind, seed):
@@ -62,8 +72,8 @@ def test_block_norms_are_computed_in_analytic_mode_only(norm_count):
 
     def etas(state):
         for i in draws(state, 3):
-            _, blk = state.backtrack_block(i, *state.block_gradient(i))
-            state.apply_block(i, blk)
+            _, step = state.backtrack_block(i, *state.block_gradient(i))
+            state.apply_block(i, step)
         return state.eta.tobytes()
 
     for mode in ("analytic", "backtracking"):
@@ -72,16 +82,6 @@ def test_block_norms_are_computed_in_analytic_mode_only(norm_count):
         eager = make_state(prob, beta=0.1, step_mode=mode)
         eager.block_norm_sq = want
         assert etas(built) == etas(eager)
-
-
-def state_bytes(state):
-    """x, r and every array the tracker maintains, as bytes."""
-    tracker = state.tracker
-    arrays = [state.x, state.r, tracker.value]
-    for t in getattr(tracker, "trackers", [tracker]):
-        arrays += [np.asarray(getattr(t, a)) for a in ("value", "image", "u")
-                   if hasattr(t, a)]
-    return [a.tobytes() for a in arrays]
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +158,11 @@ def test_residual_increments_match_full_recompute(rng):
                            ZeroProx(), dim=30, affine=A,
                            blocks=even_blocks(30, 6))
     state = make_state(prob)
+    assert state.eta.tolist() == [1.0] * 6   # so each move is exactly dx
     for _ in range(10_000):
         i = int(rng.integers(6))
         sl = prob.blocks[i]
-        blk = state.x[sl] + rng.normal(size=sl.stop - sl.start) * 0.01
-        state.apply_block(i, blk)
+        move_block(state, i, rng.normal(size=sl.stop - sl.start) * 0.01)
     exact = A.residual(state.x)
     err = np.linalg.norm(state.r - exact) / max(np.linalg.norm(exact), 1.0)
     assert err <= 1e-9
@@ -171,8 +171,9 @@ def test_residual_increments_match_full_recompute(rng):
 def test_zero_delta_keeps_residual_and_values(rng):
     prob = gen_qcqp(QcqpSpec(m=3, p=10, seed=1)).with_blocks(5)
     state = make_state(prob)
-    r0, f0 = state.r.copy(), state.fvals.copy()
-    state.apply_block(2, state.x[prob.blocks[2]].copy())
+    r0, f0, x0 = state.r.copy(), state.fvals.copy(), state.x.copy()
+    move_block(state, 2, np.zeros(2))
+    np.testing.assert_array_equal(state.x, x0)
     np.testing.assert_array_equal(state.r, r0)
     np.testing.assert_allclose(state.fvals, f0, atol=1e-15)
 
@@ -184,7 +185,8 @@ def test_identity_affine_single_coordinate():
                            blocks=even_blocks(3, 3))
     state = make_state(prob)
     r0 = state.r.copy()
-    state.apply_block(1, state.x[slice(1, 2)] + 2.0)
+    move_block(state, 1, np.array([2.0]))
+    np.testing.assert_array_equal(state.x, [0.0, 2.0, 0.0])
     np.testing.assert_allclose(state.r - r0, [0.0, 2.0, 0.0])
 
 
@@ -194,26 +196,21 @@ def test_constraint_increments_match_full_evaluation(rng):
     for _ in range(200):
         i = int(rng.integers(4))
         sl = prob.blocks[i]
-        blk = state.x[sl] + rng.normal(size=sl.stop - sl.start) * 0.1
-        state.apply_block(i, blk)
+        move_block(state, i, rng.normal(size=sl.stop - sl.start) * 0.1)
         np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
                                    atol=1e-10)
 
 
 def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
     # a stacked tracker commits with the value deltas of the accepted trial
-    # (with one block: the state its trial refreshed at the candidate); a
-    # block value from anywhere else must be evaluated afresh
+    # (with one block: the state its trial refreshed at the candidate)
     for n in (4, 1):
         prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(n)
         state = make_state(prob)
         for _ in range(20):
             i = int(rng.integers(n))
-            sl = prob.blocks[i]
-            _, accepted = state.backtrack_block(i, *state.block_gradient(i))
-            own = rng.random() < 0.5
-            state.apply_block(i, accepted if own else
-                              state.x[sl] + rng.normal(size=sl.stop - sl.start))
+            _, step = state.backtrack_block(i, *state.block_gradient(i))
+            state.apply_block(i, step)
             np.testing.assert_allclose(state.fvals,
                                        prob.constraint_values(state.x),
                                        rtol=1e-12, atol=1e-10)
@@ -289,8 +286,8 @@ def test_iteration_pass_equals_reference_formulas_with_equality_rows(
                                   w.r, coef, beta)
         np.testing.assert_allclose(grad, full[sl], rtol=1e-12,
                                    atol=1e-12 * np.abs(full).max())
-        _, blk = state.backtrack_block(i, grad, floor, base)
-        state.apply_block(i, blk)
+        _, step = state.backtrack_block(i, grad, floor, base)
+        state.apply_block(i, step)
         state.y = lalm.multiplier_step_y(state.y, state.r, beta)
         state.z = lalm.multiplier_step_z(state.z, state.fvals, beta, beta)
     assert len(passes) == 12
@@ -319,31 +316,26 @@ def test_commit_reusing_trial_products_equals_commit_recomputing_them(seed, kind
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-1, 1, size=prob.dim)
     z0 = rng.uniform(0, 1, size=prob.m)
-    reuse, fresh, stale, control = (
-        BlockState(prob, SolverConfig(beta=0.5), x0=x0, z0=z0) for _ in range(4))
+    # the accepted step brings its dx, A_i dx and tracker products along;
+    # a control tracker and residual, handed an equal copy of each dx,
+    # compute their own, and reach the same bits
+    state = BlockState(prob, SolverConfig(beta=0.5), x0=x0, z0=z0)
+    control, r = smooth_stack(prob).tracker(x0), state.r.copy()
     for _ in range(steps):
         i = int(rng.integers(len(prob.blocks)))
         sl = prob.blocks[i]
-        # the accepted candidate brings its dx, A_i dx and tracker products
-        # along; an equal copy of it makes the commit compute its own
-        _, blk = reuse.backtrack_block(i, *reuse.block_gradient(i))
-        _, blk_fresh = fresh.backtrack_block(i, *fresh.block_gradient(i))
-        assert blk.tobytes() == blk_fresh.tobytes()
-        reuse.apply_block(i, blk)
-        fresh.apply_block(i, blk_fresh.copy())
-        assert state_bytes(reuse) == state_bytes(fresh)
-        # a block value other than the last candidate valued reuses nothing:
-        # it commits as on a state that valued no candidate at all
-        _, tried = stale.backtrack_block(i, *stale.block_gradient(i))
-        moved = tried + rng.normal(size=sl.stop - sl.start)
-        stale.apply_block(i, moved)
-        control.apply_block(i, moved.copy())
-        assert state_bytes(stale) == state_bytes(control)
-    for state in (reuse, stale):
-        np.testing.assert_allclose(state.r, prob.affine.residual(state.x),
-                                   rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
-                                   rtol=1e-10, atol=1e-10)
+        _, step = state.backtrack_block(i, *state.block_gradient(i))
+        dx = step[1].copy()
+        control.commit(sl, dx)
+        r += prob.affine.A[:, sl] @ dx
+        state.apply_block(i, step)
+        assert [state.tracker.value.tobytes(), state.tracker.image.tobytes(),
+                state.r.tobytes()] == [control.value.tobytes(),
+                                       control.image.tobytes(), r.tobytes()]
+    np.testing.assert_allclose(state.r, prob.affine.residual(state.x),
+                               rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
+                               rtol=1e-10, atol=1e-10)
 
 
 def test_affine_constraint_increment_is_linear(rng):
@@ -357,7 +349,8 @@ def test_affine_constraint_increment_is_linear(rng):
     sl = prob.blocks[1]
     old = state.fvals.copy()
     dx = np.array([0.5, -1.0])
-    state.apply_block(1, state.x[sl] + dx)
+    move_block(state, 1, dx)
+    np.testing.assert_array_equal(state.x[sl], dx)
     assert state.fvals[0] - old[0] == pytest.approx(fn.a[sl] @ dx, abs=1e-12)
 
 
@@ -695,8 +688,8 @@ def test_zero_partial_gradient_leaves_block_unchanged():
                        x0=np.array([0.0, 0.0, 1.0, -1.0]), seed=0)
     grad0, floor, base = state.block_gradient(0)
     np.testing.assert_array_equal(grad0, np.zeros(2))
-    eta, blk = state.backtrack_block(0, grad0, floor, base)
-    np.testing.assert_array_equal(blk, state.x[prob.blocks[0]])
+    eta, step = state.backtrack_block(0, grad0, floor, base)
+    np.testing.assert_array_equal(step[0], state.x[prob.blocks[0]])
 
 
 def z_step_instance(kind, rows, seed):

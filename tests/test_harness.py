@@ -471,8 +471,7 @@ def test_long_run_matches_hand_references():
         (vertex, ReferenceSolution(np.array([1.5]), np.zeros(0), np.zeros(0),
                                    -2.25, "hand"))]
     for prob, ref in cases:
-        got = long_run_reference(prob.with_f0_star(None), cache=None,
-                                 clock=fake_clock)
+        got = long_run_reference(prob.with_f0_star(None), cache=None)
         assert got.f0 == pytest.approx(ref.f0, abs=1e-8)
         assert np.linalg.norm(got.x - ref.x) <= 1e-7
         np.testing.assert_allclose(got.y, ref.y, atol=1e-7)
@@ -481,11 +480,11 @@ def test_long_run_matches_hand_references():
 
 def test_long_run_cache_hit_identical(tmp_path):
     prob, _ = tiny_reference("scalar-qcqp")
-    first = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
+    first = long_run_reference(prob, cache=tmp_path)
     files = list(tmp_path.glob("*.json"))
     assert len(files) == 1
     stamp = files[0].stat().st_mtime_ns
-    second = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
+    second = long_run_reference(prob, cache=tmp_path)
     assert files[0].stat().st_mtime_ns == stamp  # no recompute
     np.testing.assert_array_equal(first.x, second.x)
     assert first.f0 == second.f0
@@ -493,13 +492,13 @@ def test_long_run_cache_hit_identical(tmp_path):
 
 def cache_entry(tmp_path):
     prob, _ = tiny_reference("scalar-qcqp")
-    ref = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
+    ref = long_run_reference(prob, cache=tmp_path)
     (path,) = tmp_path.glob("*.json")
     return prob, ref, path
 
 
 def assert_recomputed(prob, ref, path, tmp_path):
-    got = long_run_reference(prob, cache=tmp_path, clock=fake_clock)
+    got = long_run_reference(prob, cache=tmp_path)
     np.testing.assert_array_equal(got.x, ref.x)
     assert got.residual == ref.residual <= 1e-10
     assert json.loads(path.read_text())["residual"] == ref.residual
@@ -537,7 +536,7 @@ def test_long_run_cache_write_failure_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "dump", fail)
     with pytest.raises(OSError, match="disk full"):
-        long_run_reference(prob, cache=tmp_path, clock=fake_clock)
+        long_run_reference(prob, cache=tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -28,8 +28,9 @@ def backtrack_at(w, grad, eta, cfg, prob):
     _, floor, base = auglag.iteration_terms(
         state.tracker.value, w.y, r, w.z, cfg.beta, cfg.step_mode == "backtracking")
     state.eta[0] = eta
-    eta, x_new = state.backtrack_block(0, grad, floor, base)
-    state.apply_block(0, x_new)
+    eta, step = state.backtrack_block(0, grad, floor, base)
+    state.apply_block(0, step)
+    x_new = step[0]
     val = None if base is None else auglag.candidate_value(
         state.tracker.value, w.y, None if r is None else state.r, w.z, cfg.beta,
         floor)[0]
@@ -44,8 +45,8 @@ def quadratic_prob(curvature=3.0):
 
 def candidate(w, grad, eta, prob):
     """The prox-gradient candidate that prox_step takes first."""
-    _, x_new, _, trials = prox_step(w.x, grad, eta, prob.h.prox, lambda x, dx: None,
-                                    None)
+    _, x_new, trials = prox_step(w.x, grad, eta, prob.h.prox, lambda x, dx: None,
+                                 None)
     assert trials == 0
     return x_new
 

@@ -24,7 +24,7 @@ Tolerances, measured with lalm stopped at KKT residual 1e-10:
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 from scipy.optimize import Bounds, NonlinearConstraint, minimize
 
 from linalm import lalm
@@ -33,9 +33,14 @@ from linalm.lalm import SolverConfig
 
 
 def lalm_optimum(prob, x0=None):
-    """lalm's final primal-dual point, stopped at KKT residual 1e-10."""
-    # the slowest of the measured QCQP draws stopped after 13884 epochs
-    res = lalm.solve(prob, SolverConfig(tol=1e-10, max_epochs=30_000,
+    """lalm's final primal-dual point, stopped at KKT residual 1e-10.
+
+    The budget is 100 000 epochs. The slowest box-QCQP draw found, m=1,
+    p=8, seed=3351 (pinned below), stops after 43 677: its KKT residual
+    falls about 4.3x every 3000 epochs (7.4e-8 at epoch 30 000), with
+    Q0's smallest eigenvalue 9.4e-4 and no box bound active.
+    """
+    res = lalm.solve(prob, SolverConfig(tol=1e-10, max_epochs=100_000,
                                         record_every=1), x0=x0)
     assert res.stopped_early
     return res.w
@@ -51,9 +56,10 @@ def trust_constr(fun, jac, hess, x0, constraint, bounds):
 
 
 # no shrinking: each shrink step reruns a solve that, on a broken lalm, goes
-# to the 30000-epoch cap, so a failure took minutes to report
+# to the 100000-epoch cap, so a failure took minutes to report
 @settings(max_examples=12, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@example(m=1, p=8, seed=3351)
 @given(m=st.integers(1, 3), p=st.integers(2, 8), seed=st.integers(0, 2**16))
 def test_lalm_matches_trust_constr_on_box_qcqps(m, p, seed):
     prob = gen_qcqp(QcqpSpec(m=m, p=p, seed=seed))

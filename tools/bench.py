@@ -299,13 +299,31 @@ def _solve(lib, solver, prob, config, **kwargs):
     return _fields(mod.solve(prob, lib.SolverConfig(**config), **kwargs))
 
 
+def with_oracle_constraint(lib, prob):
+    """``prob`` with one more constraint, sum softplus(x) <= 0.8 p, given as
+    an OracleFunction with gradient bound sqrt(p) (the instance of
+    tests/conftest.py's ``qcqp_with_oracle_constraint``), built from
+    ``lib``'s own classes. That function has no quadratic form, so the
+    instance's smooth stack is a FunctionStack."""
+    import numpy as np
+    softplus = lib.OracleFunction(
+        lambda x: float(np.sum(np.logaddexp(0.0, x))) - 0.8 * x.size,
+        lambda x: 0.5 * (1.0 + np.tanh(0.5 * x)), lipschitz=0.25)
+    con = lib.InequalityConstraint(softplus, grad_bound=np.sqrt(prob.dim))
+    return lib.ProblemInstance(prob.g, prob.h, prob.dim,
+                               constraints=prob.constraints + (con,),
+                               meta=prob.meta)
+
+
 def check_set(lib, seed=0):
     """The check set on library ``lib``: (solver label, thunk returning the
-    run's fields) for 22 runs. The gated workloads' first
+    run's fields) for 26 runs. The gated workloads' first
     instances of ``seed`` (2 QCQPs with lalm, blalm and pdyn, 4 BPDNs with
-    lalm and blalm), and analytic steps, which no workload takes: lalm,
+    lalm and blalm), and what no workload runs: analytic steps (lalm,
     blalm on 4 blocks and fixed-step pdyn on two m=3, p=12 QCQPs, and lalm
-    and blalm on the equality-constrained tiny reference."""
+    and blalm on the equality-constrained tiny reference), and blalm on 4
+    blocks of an oracle stack, with backtracking and analytic steps, on the
+    same two QCQPs with an oracle constraint added."""
     runs = []
     for count, (spec, opts), solvers in CHECK_WORKLOADS.values():
         gen = lib.gen_qcqp if spec == "QcqpSpec" else lib.gen_bpdn
@@ -330,6 +348,13 @@ def check_set(lib, seed=0):
     prob = lib.tiny_reference("equality-qp")[0]
     for label, p in (("lalm", prob), ("blalm", prob.with_blocks(2))):
         runs.append((f"{label}-analytic", partial(_solve, lib, label, p, analytic)))
+    for s in (0, 1):
+        prob = with_oracle_constraint(
+            lib, lib.gen_qcqp(lib.QcqpSpec(m=3, p=12, seed=s))).with_blocks(4)
+        for label, mode in (("blalm-oracle", "backtracking"),
+                            ("blalm-oracle-an", "analytic")):
+            runs.append((label, partial(_solve, lib, "blalm", prob,
+                                        {**analytic, "step_mode": mode})))
     return runs
 
 
