@@ -4,6 +4,7 @@ dispatch, rate fitting, and CSV trace emission."""
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -119,9 +120,9 @@ def long_run_reference(prob, cache=None):
 
     Runs the full-vector solver until every KKT residual component is at
     most 1e-10 (``_REFERENCE_KKT``) or 10^6 epochs (``_REFERENCE_EPOCHS``)
-    are spent, and caches the result on disk keyed by the
-    instance content hash. An unmet target gives a warning and the best
-    point found, with its residual recorded. A malformed cached entry, or
+    are spent, and caches the result on disk keyed by the instance content
+    hash. An unmet target gives a warning and the best point found, with its
+    residual recorded. A malformed cached entry, one without a finite f0, or
     one whose residual is above the target, is recomputed and replaced;
     entries are renamed into place from a temporary file, never partial.
     """
@@ -130,7 +131,7 @@ def long_run_reference(prob, cache=None):
         path = Path(cache) / f"{instances.instance_digest(prob)}.json"
         try:
             data = json.loads(path.read_text())
-            if data["residual"] <= _REFERENCE_KKT:
+            if data["residual"] <= _REFERENCE_KKT and math.isfinite(data["f0"]):
                 return instances.ReferenceSolution(
                     np.array(data["x"]), np.array(data["y"]), np.array(data["z"]),
                     data["f0"], data["provenance"], data["residual"])
@@ -169,14 +170,16 @@ def run(config, clock=None):
     """Build the instance, resolve its reference, run the method, write CSV.
 
     The reference is keyed on the instance without blalm's ``config.blocks``
-    partition, which is made first, so that a bad block count costs no solve.
-    Returns a RunResult carrying the CSV path, the SolveResult, and the
-    resolved reference (if any). ``clock`` overrides the wall-clock source
-    for the trace, making repeated runs byte-identical.
+    partition, which is made first: a bad block count, or blalm with no
+    partition, costs no solve. Returns a RunResult carrying the CSV path,
+    the SolveResult, and the resolved reference (if any). ``clock`` overrides
+    the wall-clock source for the trace, making repeated runs byte-identical.
     """
     prob = build_problem(config)
     split = (prob.with_blocks(config.blocks)
              if config.method == "blalm" and config.blocks is not None else prob)
+    if config.method == "blalm" and split.blocks is None:
+        raise ValueError("blalm needs a block partition: give --blocks n")
     reference = resolve_reference(prob, config)
     prob = split.with_f0_star(None if reference is None else reference.f0)
 

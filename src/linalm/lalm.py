@@ -330,13 +330,14 @@ class BlockState:
         """Block i's primal update: ``prox_step`` on that block from
         ``block_gradient``'s (grad, floor, base). A full-width trial refreshes
         the state at its candidate (one rebase) and values it there; a
-        narrower one moves nothing and is valued from the tracker's value
-        deltas.
+        narrower one moves nothing and, in both step modes, takes the stack's
+        values there from the tracker's ``delta_value`` (analytic mode's
+        values no candidate).
 
         Returns (eta_i, step), step the accepted candidate's trial as
-        ``apply_block`` takes it: (block value, dx, A_i dx, stack values,
-        clipped values w), each None where the trial formed none. The
-        accepted eta persists for block i across iterations, and
+        ``apply_block`` takes it: (block value, A_i dx, stack values, tracker
+        products, clipped values w), each None where the trial formed none.
+        The accepted eta persists for block i across iterations, and
         ``last_trials`` counts its increases.
         """
         sl = self.blocks[i]
@@ -357,14 +358,12 @@ class BlockState:
             def trial(blk_new, dx):
                 nonlocal step
                 dr = None if A_i is None else A_i @ dx
-                if base is None:
-                    step = (blk_new, dx, dr, None, None)
-                    return None
-                vals = tracker.value + tracker.delta_value(sl, dx)
-                value, w = auglag.candidate_value(
+                delta, products = tracker.delta_value(sl, dx)
+                vals = tracker.value + delta
+                value, w = (None, None) if base is None else auglag.candidate_value(
                     vals, self.y, None if dr is None else self.r + dr, self.z,
                     beta, floor)
-                step = (blk_new, dx, dr, vals, w)
+                step = (blk_new, dr, vals, products, w)
                 return value
 
         eta, _, self.last_trials = prox_step(
@@ -378,17 +377,17 @@ class BlockState:
         and constraint values.
 
         The state is already at a full-width candidate. A narrower one
-        brings its dx, its A_i dx and the stack values it was valued at,
-        which the tracker takes (without them, analytic mode's, the tracker
-        values the commit itself). Ends the iteration, returning the clipped
-        values w of the candidate's valuation for the z step, else None.
+        brings its A_i dx, and the stack values and products of its trial,
+        which the tracker's commit takes. Ends the iteration, returning the
+        clipped values w of the candidate's valuation for the z step, else
+        None.
         """
-        blk_new, dx, dr, vals, w = step
+        blk_new, dr, vals, products, w = step
         if not self.full_width:
             if dr is not None:
                 self.r += dr
             sl = self.blocks[i]
-            self.tracker.commit(sl, dx, vals)
+            self.tracker.commit(sl, vals, products)
             self.x[sl] = blk_new
         return w
 

@@ -284,40 +284,20 @@ class LinearFunction(SmoothFunction):
 # and value changes for a candidate change of one coordinate block, in time
 # proportional to the block width where the stack is quadratic.
 #
-# ``delta_value(sl, dx)`` remembers the products it computed (for a
-# quadratic, the block's row product dx @ Q[sl, :]), and ``commit(sl, dx)``
-# with the same ``sl`` and ``dx`` objects reuses them, so committing the
-# last candidate valued costs no second product. A commit of any other
-# block change, or after a rebase or another commit, computes its own;
-# ``dx`` must not be changed in between. ``commit(sl, dx, value)`` takes a
-# caller's ``value + delta_value(sl, dx)`` as its values, adding nothing.
+# ``delta_value(sl, dx)`` returns the values' change that x[sl] += dx makes
+# and the products that valued it (for a quadratic, the block's row product
+# dx @ Q[sl, :]); ``commit(sl, value, products)`` applies that change with
+# the caller's ``value + delta`` as its values, computing nothing itself.
 # ``block_grad(sl)`` keeps its result, which callers must not change, until
 # the next commit or rebase: reads through one slice object (lalm's and
 # pdyn's record and next step) pay for one sum or gradient oracle call.
 
 
-class _TrialMemo:
-    """A tracker's memos until its next commit or rebase: its last
-    ``delta_value`` as (sl, dx, products...) and ``block_grad`` as (sl, grad)."""
-
-    _trial = _grad = None
-
-    def _products(self, sl, dx):
-        """The products of ``delta_value(sl, dx)``: the remembered ones when
-        they are for these very ``sl`` and ``dx``, else computed now; forgets
-        both memos."""
-        trial = self._trial
-        if trial is None or trial[0] is not sl or trial[1] is not dx:
-            self.delta_value(sl, dx)
-            trial = self._trial
-        self._trial = self._grad = None
-        return trial[2:]
-
-
-class FullTracker(_TrialMemo):
+class FullTracker:
     """Tracker of a FunctionStack: every query re-evaluates the stack, whose
     values are (k,) and gradients (k, dim), so block gradients are (k, width).
-    It has no ``image``: values come from the functions' own oracles."""
+    It has no ``image``: values come from the functions' own oracles, and a
+    trial's product is its moved point."""
 
     image = 0.0
 
@@ -332,23 +312,22 @@ class FullTracker(_TrialMemo):
         return kept[1]
 
     def delta_value(self, sl, dx):
-        trial = self.x.copy()
-        trial[sl] += dx
-        value = self.fn(trial)
-        self._trial = (sl, dx, trial, value)
-        return value - self.value
+        moved = self.x.copy()
+        moved[sl] += dx
+        return self.fn(moved) - self.value, moved
 
-    def commit(self, sl, dx, value=None):
-        self.x, fresh = self._products(sl, dx)
-        self.value = fresh if value is None else value
+    def commit(self, sl, value, moved):
+        self._grad = None
+        self.x = moved
+        self.value = value
 
     def rebase(self, x):
-        self._trial = self._grad = None
+        self._grad = None
         self.x = np.array(x, dtype=float)
         self.value = self.fn(self.x)
 
 
-class QuadraticTracker(_TrialMemo):
+class QuadraticTracker:
     """Maintains its ``image`` q = Qx (linear in x, so ergodic sums of images
     are images) so block gradients and value deltas are O(p * width).
 
@@ -369,7 +348,7 @@ class QuadraticTracker(_TrialMemo):
         self.rebase(x)
 
     def rebase(self, x):
-        self._trial = self._grad = None
+        self._grad = None
         x = np.asarray(x, dtype=float)
         self.image = _matvec(self.fn.Q, x)
         self.value = self.fn.values_from_image(x, self.image)
@@ -382,14 +361,12 @@ class QuadraticTracker(_TrialMemo):
 
     def delta_value(self, sl, dx):
         u = dx @ self.fn.Q[..., sl, :]
-        delta = (self.block_grad(sl) + 0.5 * u[..., sl]) @ dx
-        self._trial = (sl, dx, u, delta)
-        return delta
+        return (self.block_grad(sl) + 0.5 * u[..., sl]) @ dx, u
 
-    def commit(self, sl, dx, value=None):
-        """Apply x[sl] += dx."""
-        u, delta = self._products(sl, dx)
-        self.value = self.value + delta if value is None else value
+    def commit(self, sl, value, u):
+        """Apply x[sl] += dx, valued by ``delta_value(sl, dx)`` as u."""
+        self._grad = None
+        self.value = value
         self.image += u
 
 
@@ -566,8 +543,9 @@ def even_blocks(dim, n):
 def _check_blocks(blocks, dim):
     pos = 0
     for sl in blocks:
-        if sl.start != pos or sl.stop <= sl.start or sl.step not in (None, 1):
-            raise ValueError("blocks must be contiguous, disjoint, and ordered")
+        if (not all(isinstance(b, (int, np.integer)) for b in (sl.start, sl.stop))
+                or sl.start != pos or sl.stop <= sl.start or sl.step not in (None, 1)):
+            raise ValueError("blocks must be contiguous, ordered integer slices")
         pos = sl.stop
     if pos != dim:
         raise ValueError(f"blocks must cover [0, {dim}), not [0, {pos})")

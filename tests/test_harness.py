@@ -11,7 +11,8 @@ from linalm import blalm, lalm
 from linalm.harness import (CACHE_ENV_VAR, ExperimentConfig, build_problem,
                             long_run_reference, rate_fit, run)
 from linalm.instances import (BpdnSpec, QcqpSpec, ReferenceSolution,
-                              TINY_KINDS, gen_bpdn, gen_qcqp, tiny_reference)
+                              TINY_KINDS, gen_bpdn, gen_qcqp, save_instance,
+                              tiny_reference)
 from linalm.lalm import SolverConfig
 from linalm.model import (InequalityConstraint, PrimalDualPoint, ProblemInstance,
                           QuadraticFunction, ZeroProx, feasibility_residual,
@@ -386,7 +387,6 @@ def test_run_on_small_instances_stops_at_the_long_run_optimum(
 
 
 def test_build_problem_variants(tmp_path):
-    from linalm.instances import save_instance
     assert build_problem(tiny_config(problem="tiny:equality-qp")).dim == 2
     cfg = ExperimentConfig(method="lalm", problem="bpdn",
                            problem_opts={"rows": 5, "cols": 8, "sparsity": 2})
@@ -436,13 +436,28 @@ def test_lalm_and_blalm_runs_of_one_instance_share_one_reference(
 
 def test_run_refuses_a_bad_block_count_before_any_reference_solve(
         tmp_path, monkeypatch):
+    # too many blocks, or blalm with none on an instance that carries no
+    # partition: refused before the reference solve writes its cache entry
     monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-    cfg = ExperimentConfig(method="blalm", problem="bpdn", blocks=21,
-                           problem_opts={"rows": 10, "cols": 20, "sparsity": 2},
+    for blocks, message in ((21, "n=21, dim=20"), (None, "--blocks")):
+        cfg = ExperimentConfig(method="blalm", problem="bpdn", blocks=blocks,
+                               problem_opts={"rows": 10, "cols": 20, "sparsity": 2},
+                               out=str(tmp_path / "b.csv"))
+        with pytest.raises(ValueError, match=message):
+            run(cfg, clock=fake_clock)
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_run_takes_blalm_blocks_from_an_instance_file(tmp_path, monkeypatch):
+    # with no block count, blalm runs on the partition its instance file carries
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    prob, _ = tiny_reference("equality-qp")
+    path = tmp_path / "inst.json"
+    save_instance(prob.with_blocks(2), path)
+    cfg = ExperimentConfig(method="blalm", problem=str(path), reference="none",
+                           solver=SolverConfig(max_epochs=20),
                            out=str(tmp_path / "b.csv"))
-    with pytest.raises(ValueError, match="n=21, dim=20"):
-        run(cfg, clock=fake_clock)
-    assert list(tmp_path.iterdir()) == []
+    assert run(cfg, clock=fake_clock).result.epochs == 20
 
 
 def test_every_exported_name_resolves():
@@ -524,6 +539,17 @@ def test_long_run_cache_recomputes_weak_entry(tmp_path, residual):
     prob, ref, path = cache_entry(tmp_path)
     data = json.loads(path.read_text())
     data.update(x=[9.0], f0=9.0, residual=residual)
+    path.write_text(json.dumps(data))
+    assert_recomputed(prob, ref, path, tmp_path)
+
+
+@pytest.mark.parametrize("f0", [None, float("nan"), "9.0"])
+def test_long_run_cache_recomputes_entry_with_a_bad_f0(tmp_path, f0):
+    # an entry whose f0 is not a finite number is not reused: a null one
+    # would drop the reference and a NaN one would write NaN gaps
+    prob, ref, path = cache_entry(tmp_path)
+    data = json.loads(path.read_text())
+    data.update(x=[9.0], f0=f0)
     path.write_text(json.dumps(data))
     assert_recomputed(prob, ref, path, tmp_path)
 

@@ -259,6 +259,8 @@ def test_save_unserializable_instance_leaves_no_file(tmp_path):
     ([1], "list"),
     ({"dim": 1, "g": {"kind": "zero"}, "h": {"kind": "zero"}, "constraints": [[1]]},
      "list indices"),
+    ({"dim": 2, "g": {"kind": "zero"}, "h": {"kind": "zero"},
+      "blocks": [[0.0, 1.0], [1.0, 2.0]]}, "integer slices"),
 ])
 def test_load_malformed_instance_raises_value_error(tmp_path, data, named):
     path = tmp_path / "bad.json"

@@ -340,7 +340,8 @@ def test_ergodic_point_values_match_the_stack_at_the_point(rng, make, kind):
     for _ in range(6):
         dx = rng.normal(size=prob.dim)
         x = x + dx
-        tracker.commit(slice(0, prob.dim), dx)
+        delta, products = tracker.delta_value(slice(0, prob.dim), dx)
+        tracker.commit(slice(0, prob.dim), tracker.value + delta, products)
         weight = rng.uniform(0.05, 3.0)
         acc.add(x, weight, tracker.image)
         image_sum = image_sum + weight * np.copy(tracker.image)

@@ -148,9 +148,9 @@ def test_trackers_match_full_evaluation(rng):
             trial = cur.copy()
             trial[sl] += dx
             want_delta = fn(trial) - fn(cur)
-            assert tracker.delta_value(sl, dx) == pytest.approx([want_delta],
-                                                                abs=1e-10)
-            tracker.commit(sl, dx)
+            delta, products = tracker.delta_value(sl, dx)
+            assert delta == pytest.approx([want_delta], abs=1e-10)
+            tracker.commit(sl, tracker.value + delta, products)
             cur = trial
             assert tracker.value == pytest.approx([fn(cur)], abs=1e-10)
             np.testing.assert_allclose(tracker.block_grad(sl), [fn.grad(cur)[sl]],
@@ -267,9 +267,9 @@ def assert_close(got, want, scale, rel):
        steps=st.integers(1, 30))
 def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
     # The tracker keeps a block gradient until the next commit or rebase, and
-    # values a trial from it: ask for it before some trials, and commit an
-    # unvalued change of another block or rebase in between, so that a kept
-    # value outliving its point fails the checks.
+    # values a trial from it: ask for it before some trials, and commit a
+    # change of another block or rebase in between, so that a kept value
+    # outliving its point fails the checks.
     rng = np.random.default_rng(seed)
     fns = random_quadratics(rng, k, dim)
     blocks = even_blocks(dim, min(n_blocks, dim))
@@ -280,23 +280,24 @@ def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
         sl = blocks[i]
         dx = rng.normal(size=sl.stop - sl.start)
         if rng.random() < 0.5:
-            tracker.block_grad(sl)
             if rng.random() < 0.5:
                 other = blocks[(i + 1) % len(blocks)]
                 odx = rng.normal(size=other.stop - other.start)
-                tracker.commit(other, odx)
+                odelta, oproducts = tracker.delta_value(other, odx)
+                tracker.block_grad(sl)
+                tracker.commit(other, tracker.value + odelta, oproducts)
                 x[other] += odx
+            else:
+                tracker.block_grad(sl)
         if step == steps // 2:
             x = x + rng.normal(size=dim)
             tracker.rebase(x.copy())
-        delta = tracker.delta_value(sl, dx)
+        delta, products = tracker.delta_value(sl, dx)
         trial = x.copy()
         trial[sl] += dx
         scale = value_scale(fns, trial)
         assert_close(delta, [fn(trial) - fn(x) for fn in fns], scale, 1e-10)
-        # commit the block change just valued, whose products it reuses,
-        # or an equal copy, for which it computes its own
-        tracker.commit(sl, dx if rng.random() < 0.5 else dx.copy())
+        tracker.commit(sl, tracker.value + delta, products)
         x = trial
         assert_close(tracker.value, [fn(x) for fn in fns], scale, 1e-10)
         for blk in blocks:
@@ -306,21 +307,21 @@ def test_stack_tracker_matches_from_scratch(seed, k, dim, n_blocks, steps):
 
 
 def test_commit_of_the_valued_trial_reads_no_q(rng):
-    # the trial's row product is kept for its commit, which takes no product
+    # the trial's row product goes to its commit, which takes no product
     fns = random_quadratics(rng, 3, 6)
     stack = QuadraticStack.of(fns)
     x = rng.normal(size=6)
     tracker = stack.tracker(x.copy())
     sl, dx = slice(2, 4), rng.normal(size=2)
     tracker.block_grad(sl)
-    tracker.delta_value(sl, dx)
+    delta, u = tracker.delta_value(sl, dx)
 
     class Unreadable:
         def __getitem__(self, key):
             pytest.fail("commit read Q")
 
     Q, stack.Q = stack.Q, Unreadable()
-    tracker.commit(sl, dx)
+    tracker.commit(sl, tracker.value + delta, u)
     stack.Q = Q
     x[sl] += dx
     vals, grads = stack.value_grad(x)
@@ -445,9 +446,9 @@ def test_every_stack_tracker_matches_from_scratch(seed, g_kind, con_kinds, dim,
     for _ in range(steps):
         sl = blocks[rng.integers(len(blocks))]
         dx = rng.normal(size=sl.stop - sl.start)
-        delta = tracker.delta_value(sl, dx)
+        delta, products = tracker.delta_value(sl, dx)
         before = stack(x)
-        tracker.commit(sl, dx if rng.random() < 0.5 else dx.copy())
+        tracker.commit(sl, tracker.value + delta, products)
         x[sl] += dx
         vals, grads = stack.value_grad(x)
         np.testing.assert_allclose(delta, vals - before, rtol=1e-10, atol=1e-10)
@@ -460,38 +461,6 @@ def test_every_stack_tracker_matches_from_scratch(seed, g_kind, con_kinds, dim,
         for blk in blocks:
             np.testing.assert_allclose(tracker.block_grad(blk), grads[:, blk],
                                        rtol=1e-10, atol=1e-10)
-
-
-@pytest.mark.parametrize("g_kind, con_kinds", [
-    ("quadratic", ["quadratic", "quadratic"]), ("zero", ["least-squares"]),
-    ("quadratic", ["linear", "oracle", "least-squares"]),
-])
-def test_commit_reuses_only_the_trial_of_the_same_block_change(g_kind, con_kinds):
-    # a tracker that valued other block changes, or valued this one before a
-    # rebase, commits exactly as one that valued nothing
-    rng = np.random.default_rng(7)
-    fns = [make_smooth(kind, rng, 6) for kind in [g_kind] + con_kinds]
-    prob = ProblemInstance(fns[0], ZeroProx(), 6,
-                           constraints=[InequalityConstraint(fn) for fn in fns[1:]])
-    stack = smooth_stack(prob)
-    a, b = slice(0, 3), slice(3, 6)
-    x = rng.normal(size=6)
-    dx, other = rng.normal(size=3), rng.normal(size=3)
-
-    def arrays(tracker):
-        parts = getattr(tracker, "trackers", [tracker])
-        return [np.asarray(getattr(t, name)).tobytes() for t in parts
-                for name in ("value", "image", "u", "x") if hasattr(t, name)]
-
-    cases = ((x, lambda t: t.delta_value(a, other)),      # another dx
-             (x, lambda t: t.delta_value(b, dx)),         # another block
-             (x + 1.0, lambda t: (t.delta_value(a, dx), t.rebase(x + 1.0))))
-    for base, misled in cases:
-        tracker, control = stack.tracker(x.copy()), stack.tracker(base.copy())
-        misled(tracker)
-        tracker.commit(a, dx)
-        control.commit(a, dx)
-        assert arrays(tracker) == arrays(control)
 
 
 def test_full_tracker_over_a_function_stack_matches_evaluation(rng):
@@ -511,10 +480,11 @@ def test_full_tracker_over_a_function_stack_matches_evaluation(rng):
         dx = rng.normal(size=sl.stop - sl.start)
         trial = x.copy()
         trial[sl] += dx
-        delta = tracker.delta_value(sl, dx)
+        delta, moved = tracker.delta_value(sl, dx)
         assert delta.shape == (len(fns),)
         assert delta.tobytes() == (stack(trial) - stack(x)).tobytes()
-        tracker.commit(sl, dx)
+        assert moved.tobytes() == trial.tobytes()
+        tracker.commit(sl, stack(trial), moved)
         x = trial
         assert tracker.value.tobytes() == stack(x).tobytes()
         assert tracker.block_grad(slice(None)).tobytes() == stack.grad(x).tobytes()
@@ -629,6 +599,10 @@ def test_instance_rejects_bad_partition():
                        match=re.escape("blocks must cover [0, 4), not [0, 3)")):
         ProblemInstance(ZeroFunction(), ZeroProx(), dim=4,
                         blocks=(slice(0, 2), slice(2, 3)))
+    # float bounds, as an instance file's [[0.0, 2.0], [2.0, 4.0]] loads
+    with pytest.raises(ValueError, match="integer slices"):
+        ProblemInstance(ZeroFunction(), ZeroProx(), dim=4,
+                        blocks=(slice(0.0, 2.0), slice(2.0, 4.0)))
 
 
 def test_primal_dual_point_caches_and_validation():
@@ -712,7 +686,8 @@ def test_oracle_function_wraps_callables(rng):
     assert_grad_matches(fn, fn.grad, rng.normal(size=(20, 5)))
     assert fn.as_quadratic(5) is None
     tracker = FunctionStack([fn]).tracker(np.zeros(5))
-    tracker.commit(slice(0, 2), np.array([0.5, -0.5]))
+    delta, moved = tracker.delta_value(slice(0, 2), np.array([0.5, -0.5]))
+    tracker.commit(slice(0, 2), tracker.value + delta, moved)
     assert tracker.value == pytest.approx([fn([0.5, -0.5, 0, 0, 0])])
 
 
