@@ -31,21 +31,14 @@ def _check_beta(beta):
         raise ValueError("penalty parameter beta must be positive")
 
 
-def penalty_floor(v, beta):
-    """-v / beta: the floor under the clipped values, below which the penalty
-    does not depend on u, so a caller holding v fixed computes it once.
-    Dividing by -beta gives the bits of -v / beta with one array operation."""
-    return v / -beta
-
-
 def penalty_terms(u, v, beta, floor=None):
     """The penalty's elementwise arithmetic, in the one place it lives.
 
     Returns (coef, w) for same-shaped arrays u and v: the weights
     coef = [beta u + v]_+, the derivative in u, unless v is None, and, when
-    ``floor`` = penalty_floor(v, beta) is given, the clipped values
-    w = max(u, -v/beta), else None. A candidate, valued with its iteration's
-    floor, asks for w alone.
+    ``floor`` = v / -beta (the bits of -v / beta, in one array operation) is
+    given, the clipped values w = max(u, -v/beta), else None. A candidate,
+    valued with its iteration's floor, asks for w alone.
     """
     coef = None if v is None else np.maximum(beta * u + v, 0.0)
     return coef, None if floor is None else np.maximum(floor, u)
@@ -60,7 +53,7 @@ def scalar_penalty(u, v, beta):
     _check_beta(beta)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    _, w = penalty_terms(u, None, beta, penalty_floor(v, beta))
+    _, w = penalty_terms(u, None, beta, v / -beta)
     out = w * v + 0.5 * beta * (w * w)
     return float(out) if out.ndim == 0 else out
 
@@ -98,7 +91,7 @@ def iteration_terms(vals, y, r, z, beta, backtracking):
     """
     coef = floor = w = None
     if z.size:
-        floor = z / -beta if backtracking else None   # penalty_floor, inline
+        floor = z / -beta if backtracking else None
         coef, w = penalty_terms(vals[1:], z, beta, floor)
     base = smooth_value(vals[0], y, r, z, w, beta) if backtracking else None
     return coef, floor, base

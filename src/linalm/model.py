@@ -575,6 +575,8 @@ class ProblemInstance:
                  f0_star=None, meta=None):
         self.g = g
         self.h = h
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, not {dim!r}")
         self.dim = int(dim)
         self.affine = AffineConstraint.empty(dim) if affine is None else affine
         self.constraints = tuple(constraints)

@@ -8,16 +8,17 @@ minutes; everything else runs in seconds.
 import numpy as np
 import pytest
 
+import reference_iteration as ref
 from linalm import blalm, lalm, pdyn
-from linalm.auglag import scalar_penalty, scalar_penalty_deriv, penalty_lipschitz
+from linalm.auglag import (scalar_penalty, scalar_penalty_deriv, penalty_lipschitz,
+                           smooth_grad)
 from linalm.harness import long_run_reference, rate_fit
 from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
                               random_minimax_1d, tiny_reference, TINY_KINDS)
 from linalm.lalm import SolverConfig, multiplier_step_z
-from linalm.model import PrimalDualPoint
+from linalm.model import PrimalDualPoint, smooth_stack
 
-from conftest import (central_diff_grad, fejer_quantities, smooth_grad_at,
-                      smooth_value_at)
+from conftest import central_diff_grad, fejer_quantities
 
 
 def check(num, description, ok):
@@ -85,7 +86,8 @@ def test_criterion_1_penalty_calculus(rng):
         exact &= abs(scalar_penalty(u, v, beta) - cap) <= 1e-12
         exact &= abs(scalar_penalty_deriv(u, v, beta)) <= 1e-12
 
-    # smooth-part gradient against central finite differences
+    # the library's smooth-part gradient against central finite differences
+    # of the reference's smooth value
     fd_ok = True
     for prob in (gen_bpdn(BpdnSpec(rows=10, cols=20, sparsity=3, seed=1)),
                  gen_qcqp(QcqpSpec(m=3, p=20, seed=1))):
@@ -97,13 +99,11 @@ def test_criterion_1_penalty_calculus(rng):
                 x = rng.normal(size=prob.dim)
             z = rng.uniform(0, 1, size=prob.m)
             w = PrimalDualPoint.at(prob, x, z=z)
-
-            def value_at(pt):
-                return smooth_value_at(PrimalDualPoint.at(prob, pt, w.y, w.z),
-                                       beta, prob)
-
-            num = central_diff_grad(value_at, w.x)
-            ana = smooth_grad_at(w, beta, prob)
+            num = central_diff_grad(
+                lambda pt: ref.smooth_value(prob, pt, w.y, w.z, beta), w.x)
+            ana = smooth_grad(smooth_stack(prob).value_grad(w.x)[1],
+                              None if prob.affine.is_empty else prob.affine.A,
+                              w.y, w.r, scalar_penalty_deriv(w.fvals, w.z, beta), beta)
             err = np.linalg.norm(num - ana) / (1.0 + np.linalg.norm(ana))
             fd_ok &= err <= 1e-5
     check(1, "penalty branch continuity exact; gradient matches finite "

@@ -4,17 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linalm import auglag
+import reference_iteration as ref
+from linalm import auglag, lalm
 from linalm.auglag import (penalty_lipschitz, scalar_penalty,
                            scalar_penalty_deriv, smooth_grad_block,
                            smooth_lipschitz, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
-from linalm.lalm import multiplier_step_z, prox_step
+from linalm.lalm import SolverConfig, multiplier_step_z
 from linalm.model import (BoxIndicator, InequalityConstraint, LinearFunction,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
                           ZeroProx, smooth_stack)
 
-from conftest import central_diff_grad, smooth_grad_at, smooth_value_at
+from conftest import central_diff_grad
 
 
 def random_state(prob, rng, z_scale=1.0):
@@ -108,7 +109,7 @@ def test_clipped_penalty_is_the_piecewise_penalty_to_roundoff(data, k, beta, rho
         z[j] = -beta * u[j] if kind == "surface" and u[j] <= 0 else \
             data.draw(st.floats(0.0, 1e6))
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    floor = auglag.penalty_floor(z, beta)
+    _, clipped = auglag.penalty_terms(u, None, beta, z / -beta)
     terms = scalar_penalty(u, z, beta)
     for j in range(k):
         exact = _exact_penalty(u[j], z[j], beta)
@@ -121,8 +122,7 @@ def test_clipped_penalty_is_the_piecewise_penalty_to_roundoff(data, k, beta, rho
         bound = 3 * eps * scale + Fraction(tiny)
         assert abs(Fraction(terms[j]) - exact) <= bound
         # a candidate's value adds the same form as two dot products
-        one, _ = auglag.candidate_value(np.array([0.0, u[j]]), None, None,
-                                        z[j:j + 1], beta, floor[j:j + 1])
+        one = smooth_value(0.0, None, None, z[j:j + 1], clipped[j:j + 1], beta)
         assert abs(Fraction(one) - exact) <= bound
     # the weights are [beta u + z]_+ as ever
     assert scalar_penalty_deriv(u, z, beta).tobytes() == \
@@ -130,21 +130,18 @@ def test_clipped_penalty_is_the_piecewise_penalty_to_roundoff(data, k, beta, rho
     # the clipped values are the z step's ascent term: multiplier_step_z is
     # max(z + rho_z w, 0) bit for bit, and given the candidate's w it
     # returns the same bits as from the values it clips
-    value, cand_clipped = auglag.candidate_value(np.concatenate([[0.0], u]), None,
-                                                 None, z, beta, floor)
-    _, clipped = auglag.penalty_terms(u, None, beta, floor)
-    assert cand_clipped.tobytes() == clipped.tobytes()
     rho_z = rho * beta
     assert np.maximum(z + rho_z * clipped, 0.0).tobytes() == \
         multiplier_step_z(z, u, rho_z, beta).tobytes() == \
-        multiplier_step_z(z, None, rho_z, beta, cand_clipped).tobytes()
+        multiplier_step_z(z, None, rho_z, beta, clipped).tobytes()
     # the summed penalty follows g(x) and the affine terms
     y, r, gval = np.array([0.5, -2.0]), np.array([1e-3, 3.0]), 1.25
     want = gval
     want += float(y @ r) + 0.5 * beta * float(r @ r)
     want += float(z @ clipped) + 0.5 * beta * float(clipped @ clipped)
     assert smooth_value(gval, y, r, z, clipped, beta) == want
-    assert value == float(z @ clipped) + 0.5 * beta * float(clipped @ clipped)
+    assert smooth_value(0.0, None, None, z, clipped, beta) == \
+        float(z @ clipped) + 0.5 * beta * float(clipped @ clipped)
 
 
 def test_scalar_penalty_deriv_values():
@@ -193,8 +190,12 @@ def penalty_sum(x, z, beta, prob):
 
 
 def auglag_value(w, beta, prob):
-    """The full augmented Lagrangian: the smooth part plus h(x)."""
-    return smooth_value_at(w, beta, prob) + prob.h.value(w.x)
+    """The full augmented Lagrangian: smooth_value at w, from the clipped
+    values of the constraint values w caches, plus h(x)."""
+    clipped = (auglag.penalty_terms(w.fvals, None, beta, w.z / -beta)[1]
+               if prob.m else None)
+    return smooth_value(prob.g(w.x), w.y, None if prob.affine.is_empty else w.r,
+                        w.z, clipped, beta) + prob.h.value(w.x)
 
 
 def test_constraint_penalty_cases(rng):
@@ -248,17 +249,29 @@ def test_auglag_value_feasible_equals_objective():
 # smooth gradient
 
 
+def block_grad(w, beta, prob, tracker, sl=slice(None)):
+    """smooth_grad over block sl (all of x by default), from a tracker based
+    at w.x and the weights scalar_penalty_deriv gives."""
+    A = None if prob.affine.is_empty else prob.affine.A[:, sl]
+    return smooth_grad_block(tracker.block_grad(sl), A, w.y, w.r,
+                             scalar_penalty_deriv(w.fvals, w.z, beta), beta)
+
+
+def full_grad(w, beta, prob):
+    return block_grad(w, beta, prob, smooth_stack(prob).tracker(w.x))
+
+
 def test_smooth_grad_hand_case():
     prob = scalar_prob()
     w = PrimalDualPoint.at(prob, [2.0], z=[1.0])
-    np.testing.assert_allclose(smooth_grad_at(w, 1.0, prob), [5.0])
+    np.testing.assert_allclose(full_grad(w, 1.0, prob), [5.0])
 
 
 def test_smooth_grad_inactive_penalty(rng):
     prob = gen_qcqp(QcqpSpec(m=2, p=5, seed=3))
     x = np.zeros(5)  # strictly feasible, z = 0: only grad g remains
     w = PrimalDualPoint.at(prob, x)
-    np.testing.assert_allclose(smooth_grad_at(w, 1.0, prob), prob.g.grad(x))
+    np.testing.assert_allclose(full_grad(w, 1.0, prob), prob.g.grad(x))
 
 
 @pytest.mark.parametrize("maker", [
@@ -271,28 +284,18 @@ def test_smooth_grad_matches_fd(maker, rng):
     for _ in range(20):
         w = random_state(prob, rng)
 
-        def value_at(x):
-            trial = PrimalDualPoint.at(prob, x, w.y, w.z)
-            return smooth_value_at(trial, beta, prob)
-
-        num = central_diff_grad(value_at, w.x)
-        ana = smooth_grad_at(w, beta, prob)
+        num = central_diff_grad(
+            lambda x: ref.smooth_value(prob, x, w.y, w.z, beta), w.x)
+        ana = full_grad(w, beta, prob)
         err = np.linalg.norm(num - ana) / (1.0 + np.linalg.norm(ana))
         assert err <= 1e-5
-
-
-def block_grad(w, beta, prob, tracker, sl):
-    """smooth_grad over block sl, from a tracker based at w.x."""
-    A = None if prob.affine.is_empty else prob.affine.A[:, sl]
-    return smooth_grad_block(tracker.block_grad(sl), A, w.y, w.r,
-                             scalar_penalty_deriv(w.fvals, w.z, beta), beta)
 
 
 def test_block_gradient_slices_match_full(rng):
     prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4)
     for _ in range(20):
         w = random_state(prob, rng)
-        full = smooth_grad_at(w, 1.0, prob)
+        full = ref.smooth_grad(prob, w.x, w.y, w.z, 1.0)
         # assembly from a freshly based stack tracker agrees
         tracker = smooth_stack(prob).tracker(w.x)
         parts_t = [block_grad(w, 1.0, prob, tracker, prob.blocks[i])
@@ -305,26 +308,32 @@ def test_block_gradient_single_block_is_full(rng):
     w = random_state(prob, rng)
     tracker = smooth_stack(prob).tracker(w.x)
     np.testing.assert_allclose(block_grad(w, 1.0, prob, tracker, prob.blocks[0]),
-                               smooth_grad_at(w, 1.0, prob))
+                               ref.smooth_grad(prob, w.x, w.y, w.z, 1.0))
 
 
 @pytest.mark.slow
 def test_block_gradient_cost_scales_with_width():
-    # maintained-state partial gradients cost ~1/n of a full gradient
+    # maintained-state partial gradients cost ~1/n of a full gradient from
+    # every gradient oracle at x
     import time
     n = 40
     prob = gen_qcqp(QcqpSpec(m=3, p=800, seed=0)).with_blocks(n)
     w = random_state(prob, np.random.default_rng(0), z_scale=1.0)
     tracker = smooth_stack(prob).tracker(w.x)
+    fns = [prob.g] + [con.fn for con in prob.constraints]
 
     def block(i):
         return block_grad(w, 1.0, prob, tracker, prob.blocks[i])
 
+    def evaluated():
+        return smooth_grad_block(np.array([fn.grad(w.x) for fn in fns]), None, w.y,
+                                 w.r, scalar_penalty_deriv(w.fvals, w.z, 1.0), 1.0)
+
     reps = 50
-    smooth_grad_at(w, 1.0, prob)  # warm up
+    evaluated()  # warm up
     t0 = time.perf_counter()
     for _ in range(reps):
-        smooth_grad_at(w, 1.0, prob)
+        evaluated()
     full = (time.perf_counter() - t0) / reps
 
     block(0)
@@ -412,20 +421,23 @@ def test_smooth_lipschitz_composition():
 
 
 def test_descent_inequality_holds_at_smooth_lipschitz(rng):
-    # the prox-gradient candidate at eta = L_F always satisfies the
-    # smooth-part descent inequality
+    # lalm's first analytic step, at eta = L_F, always satisfies the
+    # descent inequality of the reference's smooth part
     prob = gen_qcqp(QcqpSpec(m=3, p=10, seed=11))
     beta = 0.5
+    cfg = SolverConfig(beta=beta, step_mode="analytic", max_epochs=1)
     for _ in range(50):
         w = random_state(prob, rng, z_scale=2.0)
-        eta = smooth_lipschitz(scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
-                               prob.affine.norm_sq)
-        grad = smooth_grad_at(w, beta, prob)
-        _, x_new, _ = prox_step(w.x, grad, eta, prob.h.prox,
-                                lambda x, dx: None, None)
-        cand = PrimalDualPoint.at(prob, x_new, w.y, w.z)
-        lhs = smooth_value_at(cand, beta, prob)
+        seen = []
+        lalm.solve(prob, cfg, w.x, w.y, w.z, callback=lambda k, s: seen.append(
+            (s.x.copy(), float(s.eta[0]))))
+        (x_new, eta), = seen
+        assert eta == pytest.approx(smooth_lipschitz(
+            scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
+            prob.affine.norm_sq), rel=1e-12)
         dx = x_new - w.x
-        rhs = (smooth_value_at(w, beta, prob) + grad @ dx
+        rhs = (ref.smooth_value(prob, w.x, w.y, w.z, beta)
+               + ref.smooth_grad(prob, w.x, w.y, w.z, beta) @ dx
                + 0.5 * eta * float(dx @ dx))
-        assert lhs <= rhs + 1e-10 * max(1.0, abs(rhs))
+        assert ref.smooth_value(prob, x_new, w.y, w.z, beta) <= \
+            rhs + 1e-10 * max(1.0, abs(rhs))

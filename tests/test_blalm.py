@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import (nan_away_from_origin, qcqp_with_oracle_constraint,
-                      smooth_value_at)
+import reference_iteration as ref
+from conftest import nan_away_from_origin, qcqp_with_oracle_constraint
 from linalm import auglag, blalm, lalm, model
 from linalm.blalm import BlockState
-from linalm.instances import (BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp,
-                              random_minimax_1d, tiny_reference)
+from linalm.instances import (TINY_KINDS, BpdnSpec, QcqpSpec, gen_bpdn,
+                              gen_qcqp, random_minimax_1d, tiny_reference)
 from linalm.lalm import SolverConfig, SolverError
-from linalm.model import (AffineConstraint, InequalityConstraint, L1Norm,
-                          LinearFunction, PrimalDualPoint, ProblemInstance,
-                          QuadraticFunction, ZeroProx, even_blocks,
-                          operator_norm_sq, smooth_stack)
+from linalm.model import (AffineConstraint, InequalityConstraint, LinearFunction,
+                          PrimalDualPoint, ProblemInstance, QuadraticFunction,
+                          ZeroProx, even_blocks, operator_norm_sq, smooth_stack)
 from linalm.trace import MetricsRecorder
+from test_reference_iteration import check_blalm, check_lalm
 
 
 def make_state(prob, seed=0, **cfg_kwargs):
@@ -30,14 +30,19 @@ def draws(state, epochs):
     return [i for _ in range(epochs) for i in state.draw_epoch()]
 
 
-def move_block(state, i, dx):
-    """Move block i by dx through the real step: ``backtrack_block`` with
-    grad -eta_i dx and no floor or base, a trial that values no candidate
-    (the kind analytic mode takes), then ``apply_block`` of that step. Under
-    ZeroProx the block moves by dx exactly when dx = 0 or eta_i is a power
-    of two, otherwise to roundoff; a box projects the moved block."""
-    _, step = state.backtrack_block(i, -state.eta[i] * dx, None, None)
-    state.apply_block(i, step)
+def block_run(prob, cfg, seed=0, **start):
+    """A blalm solve through its callback: the slice of every iteration's
+    block, drawn from the sampler's stream, and the (point, eta) after it,
+    each a copy, preceded by the start."""
+    x0 = start.get("x0")
+    x0 = np.zeros(prob.dim) if x0 is None else x0
+    seen = [(PrimalDualPoint.at(prob, x0, start.get("y0"), start.get("z0")), None)]
+    res = blalm.solve(prob, cfg, seed=seed, callback=lambda k, s: seen.append(
+        (PrimalDualPoint.of(s), s.eta.copy())), **start)
+    n, rng = len(prob.blocks), np.random.default_rng(seed)
+    drawn = [prob.blocks[i] for _ in range(res.epochs) for i in rng.integers(n, size=n)]
+    assert len(drawn) == len(seen) - 1
+    return drawn, seen
 
 
 def with_equalities(kind, seed):
@@ -69,19 +74,11 @@ def test_block_norms_are_computed_in_analytic_mode_only(norm_count):
     for _ in range(2):
         lalm.solve(prob, replace(cfg, step_mode="analytic"))
     assert norm_count == [(3, 3)]
-
-    def etas(state):
-        for i in draws(state, 3):
-            _, step = state.backtrack_block(i, *state.block_gradient(i))
-            state.apply_block(i, step)
-        return state.eta.tobytes()
-
-    for mode in ("analytic", "backtracking"):
-        built = make_state(prob, beta=0.1, step_mode=mode)
-        assert (built.block_norm_sq is None) == (mode == "backtracking")
-        eager = make_state(prob, beta=0.1, step_mode=mode)
-        eager.block_norm_sq = want
-        assert etas(built) == etas(eager)
+    # the analytic bounds that read them follow the reference iteration
+    # (tests/test_reference_iteration.py)
+    assert make_state(prob, beta=0.1).block_norm_sq is None
+    assert make_state(prob, beta=0.1, step_mode="analytic").block_norm_sq.tobytes() \
+        == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -152,67 +149,80 @@ def test_draw_epoch_uniform_frequencies():
 
 
 def test_residual_increments_match_full_recompute(rng):
+    # the residual a narrow solve maintains by A_i dx, checked against a
+    # from-scratch A x - b after each of 10 002 block iterations
     A = AffineConstraint(rng.normal(size=(7, 30)), rng.normal(size=7))
     prob = ProblemInstance(QuadraticFunction(np.eye(30), np.zeros(30),
                                              lipschitz=1.0),
                            ZeroProx(), dim=30, affine=A,
                            blocks=even_blocks(30, 6))
-    state = make_state(prob)
-    assert state.eta.tolist() == [1.0] * 6   # so each move is exactly dx
-    for _ in range(10_000):
-        i = int(rng.integers(6))
-        sl = prob.blocks[i]
-        move_block(state, i, rng.normal(size=sl.stop - sl.start) * 0.01)
-    exact = A.residual(state.x)
-    err = np.linalg.norm(state.r - exact) / max(np.linalg.norm(exact), 1.0)
-    assert err <= 1e-9
+    errs = []
+
+    def check(k, state):
+        exact = A.residual(state.x)
+        errs.append(np.linalg.norm(state.r - exact) / max(np.linalg.norm(exact), 1.0))
+
+    blalm.solve(prob, SolverConfig(max_epochs=1667, record_every=1667),
+                x0=rng.normal(size=30), callback=check)
+    assert len(errs) == 10_002 and max(errs) <= 1e-9
 
 
-def test_zero_delta_keeps_residual_and_values(rng):
-    prob = gen_qcqp(QcqpSpec(m=3, p=10, seed=1)).with_blocks(5)
-    state = make_state(prob)
-    r0, f0, x0 = state.r.copy(), state.fvals.copy(), state.x.copy()
-    move_block(state, 2, np.zeros(2))
-    np.testing.assert_array_equal(state.x, x0)
-    np.testing.assert_array_equal(state.r, r0)
-    np.testing.assert_allclose(state.fvals, f0, atol=1e-15)
+def test_zero_delta_keeps_residual_and_values():
+    # at the minimizer 0 of g, with every constraint inactive there, z = 0
+    # and b = 0, each block's gradient is zero: every step moves nothing,
+    # and the residual stays and the constraint values to roundoff
+    qcqp = gen_qcqp(QcqpSpec(m=3, p=10, seed=1))
+    A = np.random.default_rng(1).normal(size=(2, 10))
+    prob = ProblemInstance(QuadraticFunction(np.eye(10), np.zeros(10), lipschitz=1.0),
+                           qcqp.h, 10, AffineConstraint(A, np.zeros(2)),
+                           qcqp.constraints, even_blocks(10, 5))
+    _, seen = block_run(prob, SolverConfig(max_epochs=4))
+    (w0, _), *after = seen
+    assert np.all(w0.fvals < 0) and len(after) == 20
+    for w, _ in after:
+        np.testing.assert_array_equal(w.x, w0.x)
+        np.testing.assert_array_equal(w.r, w0.r)
+        np.testing.assert_allclose(w.fvals, w0.fvals, atol=1e-15)
 
 
 def test_identity_affine_single_coordinate():
+    # with A = I and b = 0 a block iteration moves one coordinate of x, and
+    # of the residual r = x, by the same amount
     A = AffineConstraint(np.eye(3), np.zeros(3))
     prob = ProblemInstance(QuadraticFunction(np.eye(3), np.zeros(3)),
                            ZeroProx(), dim=3, affine=A,
                            blocks=even_blocks(3, 3))
-    state = make_state(prob)
-    r0 = state.r.copy()
-    move_block(state, 1, np.array([2.0]))
-    np.testing.assert_array_equal(state.x, [0.0, 2.0, 0.0])
-    np.testing.assert_allclose(state.r - r0, [0.0, 2.0, 0.0])
+    drawn, seen = block_run(prob, SolverConfig(max_epochs=5), x0=np.array([1., 2., 3.]))
+    for sl, (before, _), (after, _) in zip(drawn, seen, seen[1:]):
+        others = np.ones(3, dtype=bool)
+        others[sl] = False
+        np.testing.assert_array_equal(after.x[others], before.x[others])
+        np.testing.assert_array_equal(after.r[others], before.r[others])
+        np.testing.assert_allclose(after.r - before.r, after.x - before.x,
+                                   rtol=0, atol=1e-15)
 
 
 def test_constraint_increments_match_full_evaluation(rng):
     prob = gen_qcqp(QcqpSpec(m=4, p=12, seed=3)).with_blocks(4)
-    state = make_state(prob)
-    for _ in range(200):
-        i = int(rng.integers(4))
-        sl = prob.blocks[i]
-        move_block(state, i, rng.normal(size=sl.stop - sl.start) * 0.1)
-        np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
+    _, seen = block_run(prob, SolverConfig(max_epochs=50),
+                        x0=rng.uniform(-1, 1, size=prob.dim))
+    assert len(seen) == 201
+    for w, _ in seen:
+        np.testing.assert_allclose(w.fvals, prob.constraint_values(w.x),
                                    atol=1e-10)
 
 
 def test_apply_block_reuses_only_the_accepted_trial_deltas(rng):
     # a stacked tracker commits with the value deltas of the accepted trial
-    # (with one block: the state its trial refreshed at the candidate)
+    # (with one block: the state its trial refreshed at the candidate); from
+    # eta0 = 1 the first visits reject trials
     for n in (4, 1):
         prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(n)
-        state = make_state(prob)
-        for _ in range(20):
-            i = int(rng.integers(n))
-            _, step = state.backtrack_block(i, *state.block_gradient(i))
-            state.apply_block(i, step)
-            np.testing.assert_allclose(state.fvals,
-                                       prob.constraint_values(state.x),
+        _, seen = block_run(prob, SolverConfig(eta0=1.0, max_epochs=20 // n),
+                            seed=int(rng.integers(100)))
+        assert seen[-1][1].min() > 1.0
+        for w, _ in seen:
+            np.testing.assert_allclose(w.fvals, prob.constraint_values(w.x),
                                        rtol=1e-12, atol=1e-10)
 
 
@@ -230,129 +240,70 @@ def pass_instance(kind):
     ("qcqp", "backtracking"), ("qcqp", "analytic"), ("bpdn", "backtracking"),
     *((kind, mode) for kind in ("qcqp-norows", "qcqp-noineq", "qcqp-bare")
       for mode in ("backtracking", "analytic"))])
-def test_iteration_pass_equals_reference_formulas_with_equality_rows(
-        monkeypatch, kind, mode):
-    # Each iteration's one pass over (f, z), in blalm's block_gradient and in
-    # lalm's solve loop, gives the weights [beta f + z]_+ and (backtracking)
-    # the base value of the reference formulas at the iterate exactly. So do
-    # blalm's analytic step bound and block gradient; the full gradient's
-    # slice agrees to roundoff, as A'v and A[:, sl]'v sum in a different order
+def test_iteration_pass_equals_reference_formulas_with_equality_rows(kind, mode):
+    # every iterate of lalm and of blalm on four blocks follows the reference
+    # iteration, with equality rows, inequality constraints, both or neither
     prob = pass_instance(kind)
+    assert (prob.affine.is_empty, prob.m == 0) == (
+        kind in ("qcqp-norows", "qcqp-bare"), kind in ("qcqp-noineq", "qcqp-bare"))
     rng = np.random.default_rng(4)
-    beta = 0.7
-    cfg = SolverConfig(beta=beta, step_mode=mode, max_epochs=12)
     x0, y0, z0 = (rng.uniform(-1, 1, size=prob.dim),
                   rng.normal(size=prob.affine.rows), rng.uniform(0, 1, size=prob.m))
-    A = None if prob.affine.is_empty else prob.affine.A
-    assert (A is None, prob.m == 0) == (kind in ("qcqp-norows", "qcqp-bare"),
-                                        kind in ("qcqp-noineq", "qcqp-bare"))
-    passes = []
-    iteration_terms = auglag.iteration_terms
-
-    def spy(*args):
-        passes.append((args, iteration_terms(*args)))
-        return passes[-1][1]
-
-    monkeypatch.setattr(auglag, "iteration_terms", spy)
-
-    def reference_weights(w):
-        return auglag.scalar_penalty_deriv(w.fvals, w.z, beta) if prob.m else None
-
-    def check_pass(w, gval, coef, base):
-        want = reference_weights(w)
-        assert (None if coef is None else coef.tobytes()) == \
-            (None if want is None else want.tobytes())
-        assert base == (None if mode == "analytic" else
-                        smooth_value_at(w, beta, prob, gval))
-
-    state = BlockState(prob, cfg, x0=x0, y0=y0, z0=z0)
-    for i in draws(state, 3):
-        sl = prob.blocks[i]
-        eta_before = state.eta[i]
-        grad, floor, base = state.block_gradient(i)
-        w = PrimalDualPoint.of(state)
-        (vals, *_), (coef, _, pass_base) = passes[-1]
-        assert pass_base == base and vals.tobytes() == state.tracker.value.tobytes()
-        check_pass(w, vals[0], coef, base)
-        coef = reference_weights(w)
-        if state.analytic:
-            assert state.eta[i] == lalm.analytic_eta(
-                eta_before, coef, beta, 0.0, prob, state.block_norm_sq[i])
-        want = auglag.smooth_grad_block(state.tracker.block_grad(sl),
-                                        None if A is None else A[:, sl], w.y, w.r,
-                                        coef, beta)
-        assert grad.tobytes() == want.tobytes()
-        full = auglag.smooth_grad(state.tracker.block_grad(slice(None)), A, w.y,
-                                  w.r, coef, beta)
-        np.testing.assert_allclose(grad, full[sl], rtol=1e-12,
-                                   atol=1e-12 * np.abs(full).max())
-        _, step = state.backtrack_block(i, grad, floor, base)
-        state.apply_block(i, step)
-        state.y = lalm.multiplier_step_y(state.y, state.r, beta)
-        state.z = lalm.multiplier_step_z(state.z, state.fvals, beta, beta)
-    assert len(passes) == 12
-
-    # lalm: each pass is at the iterate the previous iteration handed its
-    # callback, with the tracker's values there
-    passes.clear()
-    points = [PrimalDualPoint.at(prob, x0, y0, z0)]
-    lalm.solve(prob, cfg, x0, y0, z0, callback=lambda k, state: points.append(
-        PrimalDualPoint.of(state)))
-    assert len(passes) == 12
-    for w, ((vals, y, r, z, _, _), (coef, _, base)) in zip(points, passes):
-        assert (y.tobytes(), z.tobytes()) == (w.y.tobytes(), w.z.tobytes())
-        assert (None if r is None else r.tobytes()) == \
-            (None if A is None else w.r.tobytes())
-        np.testing.assert_allclose(vals[1:], w.fvals, rtol=1e-12, atol=1e-12)
-        check_pass(replace(w, fvals=vals[1:]), vals[0], coef, base)
+    cfg = SolverConfig(beta=0.7, step_mode=mode, max_epochs=12)
+    check_lalm(prob, cfg, x0, y0, z0)
+    check_blalm(prob, replace(cfg, max_epochs=3), x0, y0, z0, seed=0)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["qcqp", "bpdn"]),
-       steps=st.integers(1, 12))
+       epochs=st.integers(1, 9))
 def test_commit_reusing_trial_products_equals_commit_recomputing_them(seed, kind,
-                                                                      steps):
+                                                                      epochs):
     prob = with_equalities(kind, seed % 1000)
     rng = np.random.default_rng(seed)
     x0 = rng.uniform(-1, 1, size=prob.dim)
     z0 = rng.uniform(0, 1, size=prob.m)
     # the accepted step brings its A_i dx and tracker products along; a
-    # control tracker and residual, handed each dx anew (the accepted block
-    # value less the block), compute their own, and reach the same bits
-    state = BlockState(prob, SolverConfig(beta=0.5), x0=x0, z0=z0)
-    control, r = smooth_stack(prob).tracker(x0), state.r.copy()
-    for _ in range(steps):
-        i = int(rng.integers(len(prob.blocks)))
-        sl = prob.blocks[i]
-        _, step = state.backtrack_block(i, *state.block_gradient(i))
-        dx = step[0] - state.x[sl]
+    # control tracker and residual, handed each dx anew (the block's new
+    # value less its old one), compute their own, and reach the same bits;
+    # the solve's first refresh comes after epoch 9
+    n = len(prob.blocks)
+    draws = np.random.default_rng(seed).integers(n, size=(epochs, n)).ravel()
+    control, r = smooth_stack(prob).tracker(x0), prob.affine.residual(x0)
+    x = x0.copy()
+
+    def check(k, state):
+        sl = prob.blocks[draws[k - 1]]
+        dx = state.x[sl] - x[sl]
         delta, products = control.delta_value(sl, dx)
         control.commit(sl, control.value + delta, products)
-        r += prob.affine.A[:, sl] @ dx
-        state.apply_block(i, step)
+        r[:] += prob.affine.A[:, sl] @ dx
+        x[sl] = state.x[sl]
         assert [state.tracker.value.tobytes(), state.tracker.image.tobytes(),
                 state.r.tobytes()] == [control.value.tobytes(),
                                        control.image.tobytes(), r.tobytes()]
-    np.testing.assert_allclose(state.r, prob.affine.residual(state.x),
-                               rtol=1e-10, atol=1e-10)
-    np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
-                               rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(state.r, prob.affine.residual(state.x),
+                                   rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(state.fvals, prob.constraint_values(state.x),
+                                   rtol=1e-10, atol=1e-10)
+
+    res = blalm.solve(prob, SolverConfig(beta=0.5, max_epochs=epochs), x0=x0,
+                      z0=z0, seed=seed, callback=check)
+    assert res.epochs == epochs
 
 
-def test_affine_constraint_increment_is_linear(rng):
+def test_affine_constraint_increment_is_linear():
     # f(x) = a'x - d updates by the block inner product
     fn = LinearFunction(np.arange(1.0, 7.0), -1.0)
     prob = ProblemInstance(QuadraticFunction(np.eye(6), np.zeros(6)),
                            ZeroProx(), dim=6,
                            constraints=[InequalityConstraint(fn)],
                            blocks=even_blocks(6, 3))
-    state = make_state(prob)
-    sl = prob.blocks[1]
-    old = state.fvals.copy()
-    dx = np.array([0.5, -1.0])
-    move_block(state, 1, dx)
-    np.testing.assert_array_equal(state.x[sl], dx)
-    assert state.fvals[0] - old[0] == pytest.approx(fn.a[sl] @ dx, abs=1e-12)
+    drawn, seen = block_run(prob, SolverConfig(max_epochs=5), x0=np.ones(6))
+    for sl, (before, _), (after, _) in zip(drawn, seen, seen[1:]):
+        dx = after.x[sl] - before.x[sl]
+        assert after.fvals[0] - before.fvals[0] == \
+            pytest.approx(fn.a[sl] @ dx, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +316,14 @@ def test_block_backtracking_curvature_counts():
     Q = np.diag([3.0, 3.0, 7.0, 7.0])
     prob = ProblemInstance(QuadraticFunction(Q, np.zeros(4), lipschitz=7.0),
                            ZeroProx(), dim=4, blocks=even_blocks(4, 2))
-    cfg = SolverConfig(eta0=1.0)
-    state = BlockState(prob, cfg, x0=np.ones(4), seed=0)
+    # a block's eta moves at its first visit only, after which it is >= L_i
+    drawn, seen = block_run(prob, SolverConfig(eta0=1.0, max_epochs=5),
+                            x0=np.ones(4))
     for i, L_i, want in ((0, 3.0, 3), (1, 7.0, 5)):
-        grad, floor, base = state.block_gradient(i)
-        assert np.any(grad != 0)
-        eta, _ = state.backtrack_block(i, grad, floor, base)
-        assert state.last_trials == want
+        first = drawn.index(prob.blocks[i]) + 1
+        assert [eta[i] for _, eta in seen[1:first]] == [1.0] * (first - 1)
+        eta = seen[first][1][i]
+        assert [later[i] for _, later in seen[first:]] == [eta] * (len(seen) - first)
         assert eta == pytest.approx(1.5 ** want)
         assert eta >= L_i and eta / 1.5 < L_i
 
@@ -380,9 +332,8 @@ def test_block_backtracking_accepts_at_seed():
     prob = ProblemInstance(
         QuadraticFunction(np.diag([2.0, 2.0]), np.zeros(2), lipschitz=2.0),
         ZeroProx(), dim=2, blocks=even_blocks(2, 1))
-    state = make_state(prob, eta0=5.0)
-    eta, _ = state.backtrack_block(0, *state.block_gradient(0))
-    assert eta == 5.0 and state.last_trials == 0
+    res = blalm.solve(prob, SolverConfig(eta0=5.0, max_epochs=3), x0=np.ones(2))
+    assert res.eta == 5.0
 
 
 def test_exhausted_block_backtracking_abort_carries_trace_from_epoch_0():
@@ -418,30 +369,23 @@ def test_nonfinite_iterate_abort_carries_trace_from_epoch_0():
 
 
 def test_analytic_block_bound_always_accepted(rng):
-    # candidates at the analytic per-block bound, which block_gradient sets,
-    # satisfy the descent test, without and with equality rows
+    # every block step at the analytic per-block bound satisfies the
+    # descent test on the reference's smooth value and gradient at the
+    # iteration's (y, z), without and with equality rows
     beta = 0.5
-    cfg = SolverConfig(beta=beta, step_mode="analytic")
+    cfg = SolverConfig(beta=beta, step_mode="analytic", max_epochs=5)
     for prob in (gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4),
                  with_equalities("qcqp", 5)):
-        state = BlockState(prob, cfg, x0=rng.uniform(-10, 10, size=12),
-                           z0=rng.uniform(0, 1, size=3), seed=0)
-
-        def value(vals, r):
-            return auglag.candidate_value(vals, state.y, r, state.z, beta,
-                                          auglag.penalty_floor(state.z, beta))[0]
-
-        for i in range(4):
-            grad, _, _ = state.block_gradient(i)
-            eta_i = state.eta[i]
-            sl = prob.blocks[i]
-            blk = state.h_blocks[i].prox(state.x[sl] - grad / eta_i, 1.0 / eta_i)
-            dx = blk - state.x[sl]
-            dr = None if prob.affine.is_empty else prob.affine.A[:, sl] @ dx
-            val = value(state.tracker.value + state.tracker.delta_value(sl, dx)[0],
-                        None if dr is None else state.r + dr)
-            bound = (value(state.tracker.value, None if dr is None else state.r)
-                     + grad @ dx + 0.5 * eta_i * dx @ dx)
+        y0 = None if prob.affine.is_empty else np.zeros(prob.affine.rows)
+        drawn, seen = block_run(prob, cfg, x0=rng.uniform(-10, 10, size=12),
+                                y0=y0, z0=rng.uniform(0, 1, size=3))
+        for sl, (w, _), (after, eta) in zip(drawn, seen, seen[1:]):
+            eta_i = eta[prob.blocks.index(sl)]
+            dx = after.x - w.x
+            val = ref.smooth_value(prob, after.x, w.y, w.z, beta)
+            bound = (ref.smooth_value(prob, w.x, w.y, w.z, beta)
+                     + ref.smooth_grad(prob, w.x, w.y, w.z, beta)[sl] @ dx[sl]
+                     + 0.5 * eta_i * dx @ dx)
             assert val <= bound + 1e-10 * max(1.0, abs(bound))
 
 
@@ -449,56 +393,32 @@ def test_analytic_pass_gives_no_floor_to_value_a_candidate_with():
     # analytic mode's pass makes no penalty floor and no base value; with
     # constraints present a candidate cannot be valued without that floor,
     # so candidate_value refuses instead of dropping the penalty sum
-    prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5)).with_blocks(4)
-    state = BlockState(prob, SolverConfig(step_mode="analytic"), z0=[0.5] * 3)
-    grad, floor, base = state.block_gradient(0)
+    prob = gen_qcqp(QcqpSpec(m=3, p=12, seed=5))
+    vals, y, z = smooth_stack(prob)(np.zeros(prob.dim)), np.zeros(0), np.full(3, 0.5)
+    _, floor, base = auglag.iteration_terms(vals, y, None, z, 1.0, False)
     assert floor is None and base is None
     with pytest.raises(ValueError, match="floor"):
-        auglag.candidate_value(state.tracker.value, state.y, None, state.z, 1.0,
-                               floor)
+        auglag.candidate_value(vals, y, None, z, 1.0, floor)
 
 
 # ---------------------------------------------------------------------------
 # full solves
 
 
-def test_single_block_matches_full_solver_analytic():
-    for kind in ("equality-qp", "scalar-qcqp"):
-        prob, _ = tiny_reference(kind)
-        cfg = SolverConfig(beta=1.0, rho_y=0.8, rho_z=0.8, step_mode="analytic",
-                           max_epochs=100, record_every=100)
-        xs_full, xs_block = [], []
-        lalm.solve(prob, cfg, callback=lambda k, w: xs_full.append(w.x.copy()))
-        blalm.solve(prob.with_blocks(1), cfg, seed=9,
-                    callback=lambda k, s: xs_block.append(s.x.copy()))
-        gap = max(np.max(np.abs(a - b)) for a, b in zip(xs_full, xs_block))
-        assert gap <= 1e-12, kind
-
-
-def test_single_block_matches_full_solver_backtracking():
-    prob, _ = tiny_reference("scalar-bpdn")
-    cfg = SolverConfig(beta=1.0, rho_y=1.0, rho_z=1.0, max_epochs=100,
-                       record_every=100)
-    xs_full, xs_block = [], []
-    lalm.solve(prob, cfg, callback=lambda k, w: xs_full.append(w.x.copy()))
-    blalm.solve(prob.with_blocks(1), cfg, seed=1,
-                callback=lambda k, s: xs_block.append(s.x.copy()))
-    gap = max(np.max(np.abs(a - b)) for a, b in zip(xs_full, xs_block))
-    assert gap <= 1e-12
-
-
-# Instances on which lalm runs as blalm with one block; the generated BPDN
-# and minimax instances lack the constants analytic steps need.
+# Instances on which lalm runs as blalm with one block, generated ones and
+# the tiny references; the BPDN and minimax instances lack the constants
+# analytic steps need.
 _ONE_BLOCK = {
     "qcqp-rows": lambda: with_equalities("qcqp", 1),
     "qcqp": lambda: gen_qcqp(QcqpSpec(m=3, p=12, seed=1)),
     "bpdn-rows": lambda: with_equalities("bpdn", 1),
     "bpdn": lambda: gen_bpdn(BpdnSpec(rows=6, cols=12, sparsity=2, seed=1)),
     "minimax": lambda: random_minimax_1d(seed=1)[1],
+    **{kind: lambda kind=kind: tiny_reference(kind)[0] for kind in TINY_KINDS},
 }
 _ONE_BLOCK_RUNS = [(name, mode) for name in _ONE_BLOCK
                    for mode in ("analytic", "backtracking")
-                   if mode == "backtracking" or name.startswith("qcqp")]
+                   if mode == "backtracking" or not ("bpdn" in name or name == "minimax")]
 
 
 @pytest.mark.parametrize("name, mode", _ONE_BLOCK_RUNS)
@@ -564,13 +484,12 @@ def test_lalm_rebases_once_per_candidate_and_never_commits(monkeypatch, name,
     assert events[first:] == ["prox", "rebase"] * candidates
 
 
-def test_converges_on_tiny_qcqp_any_block_count():
-    prob, ref = tiny_reference("scalar-qcqp")
-    for n in (1,):
-        cfg = SolverConfig(beta=1.0, rho_y=1.0, rho_z=1.0, max_epochs=10_000,
-                           record_every=1000)
-        res = blalm.solve(prob.with_blocks(n), cfg, seed=n)
-        assert np.linalg.norm(res.w.x - ref.x) <= 1e-5
+def test_one_block_converges_on_tiny_scalar_qcqp():
+    prob, want = tiny_reference("scalar-qcqp")
+    cfg = SolverConfig(beta=1.0, rho_y=1.0, rho_z=1.0, max_epochs=10_000,
+                       record_every=1000)
+    res = blalm.solve(prob.with_blocks(1), cfg, seed=1)
+    assert np.linalg.norm(res.w.x - want.x) <= 1e-5
 
 
 def test_converges_multiblock_qcqp():
@@ -685,12 +604,11 @@ def test_zero_partial_gradient_leaves_block_unchanged():
     Q = np.diag([1.0, 1.0, 4.0, 4.0])
     prob = ProblemInstance(QuadraticFunction(Q, np.zeros(4), lipschitz=4.0),
                            ZeroProx(), dim=4, blocks=even_blocks(4, 2))
-    state = BlockState(prob, SolverConfig(eta0=1.0),
-                       x0=np.array([0.0, 0.0, 1.0, -1.0]), seed=0)
-    grad0, floor, base = state.block_gradient(0)
-    np.testing.assert_array_equal(grad0, np.zeros(2))
-    eta, step = state.backtrack_block(0, grad0, floor, base)
-    np.testing.assert_array_equal(step[0], state.x[prob.blocks[0]])
+    drawn, seen = block_run(prob, SolverConfig(eta0=1.0, max_epochs=5),
+                            x0=np.array([0.0, 0.0, 1.0, -1.0]))
+    assert prob.blocks[0] in drawn
+    for w, _ in seen:
+        assert w.x[:2].tobytes() == np.zeros(2).tobytes()
 
 
 def z_step_instance(kind, rows, seed):

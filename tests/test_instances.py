@@ -261,6 +261,8 @@ def test_save_unserializable_instance_leaves_no_file(tmp_path):
      "list indices"),
     ({"dim": 2, "g": {"kind": "zero"}, "h": {"kind": "zero"},
       "blocks": [[0.0, 1.0], [1.0, 2.0]]}, "integer slices"),
+    *(({"dim": dim, "g": {"kind": "zero"}, "h": {"kind": "zero"}}, "dim must be")
+      for dim in (2.5, True, "2")),
 ])
 def test_load_malformed_instance_raises_value_error(tmp_path, data, named):
     path = tmp_path / "bad.json"

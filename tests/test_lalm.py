@@ -1,40 +1,30 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_iteration as ref
 from conftest import (nan_away_from_origin, nan_grad_away_from_origin,
-                      qcqp_with_oracle_constraint, smooth_grad_at,
-                      smooth_value_at)
+                      qcqp_with_oracle_constraint)
 from linalm import auglag, blalm, lalm, pdyn
-from linalm.blalm import BlockState
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
 from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
-                         analytic_eta, multiplier_step_y, multiplier_step_z,
-                         prox_step)
+                         analytic_eta, multiplier_step_y, multiplier_step_z)
 from linalm.model import (BoxIndicator, FunctionStack, InequalityConstraint,
                           L1Norm, LinearFunction, OracleFunction, PrimalDualPoint,
                           ProblemInstance, QuadraticFunction, QuadraticStack,
                           ZeroProx, even_blocks, smooth_stack)
-from linalm.pdyn import PdynState
 
 
-def backtrack_at(w, grad, eta, cfg, prob):
-    """lalm's primal update from w: ``backtrack_block`` on a one-block
-    ``BlockState`` at w, with the floor and base value of lalm's iteration
-    pass there. Returns (eta, x_new, r_new, fvals_new, smooth value at
-    x_new or None in analytic mode, increases made)."""
-    state = BlockState(prob.with_blocks(1), cfg, w.x, w.y, w.z)
-    r = None if prob.affine.is_empty else w.r
-    _, floor, base = auglag.iteration_terms(
-        state.tracker.value, w.y, r, w.z, cfg.beta, cfg.step_mode == "backtracking")
-    state.eta[0] = eta
-    eta, step = state.backtrack_block(0, grad, floor, base)
-    state.apply_block(0, step)
-    x_new = step[0]
-    val = None if base is None else auglag.candidate_value(
-        state.tracker.value, w.y, None if r is None else state.r, w.z, cfg.beta,
-        floor)[0]
-    return eta, x_new, state.r, state.fvals, val, state.last_trials
+def first_step(prob, cfg, x0, **kwargs):
+    """(x, eta) after lalm's first iteration from x0, as its callback sees
+    them."""
+    seen = []
+    lalm.solve(prob, replace(cfg, max_epochs=1), x0=np.array(x0, dtype=float),
+               callback=lambda k, s: seen.append((s.x.copy(), float(s.eta[0]))),
+               **kwargs)
+    return seen[0]
 
 
 def quadratic_prob(curvature=3.0):
@@ -43,12 +33,11 @@ def quadratic_prob(curvature=3.0):
         ZeroProx(), dim=1)
 
 
-def candidate(w, grad, eta, prob):
-    """The prox-gradient candidate that prox_step takes first."""
-    _, x_new, trials = prox_step(w.x, grad, eta, prob.h.prox, lambda x, dx: None,
-                                 None)
-    assert trials == 0
-    return x_new
+def gradient_step(prob, x0, eta):
+    """x0 - grad/eta, with the gradient of the reference's smooth part."""
+    x0 = np.array(x0, dtype=float)
+    empty = np.zeros(0)
+    return x0 - ref.smooth_grad(prob, x0, empty, empty, 1.0) / eta
 
 
 # ---------------------------------------------------------------------------
@@ -111,22 +100,15 @@ def test_backtracking_quadratic_acceptance_count():
     # g = (L/2) x^2 with L = 3: the descent test accepts exactly when
     # eta >= L, so from eta 1 with factor 1.5 three increases are needed
     prob = quadratic_prob(3.0)
-    w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad_at(w, 1.0, prob)
-    cfg = SolverConfig(beta=1.0, eta0=1.0)
-    eta, x_new, _, _, _, trials = backtrack_at(w, grad, 1.0, cfg, prob)
+    x, eta = first_step(prob, SolverConfig(beta=1.0, eta0=1.0), [1.0])
     assert eta == pytest.approx(1.5 ** 3)
-    assert trials == 3
-    np.testing.assert_allclose(x_new, w.x - grad / eta)
+    np.testing.assert_allclose(x, gradient_step(prob, [1.0], eta))
 
 
 def test_backtracking_accepts_at_sufficient_eta():
     prob = quadratic_prob(3.0)
-    w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad_at(w, 1.0, prob)
-    cfg = SolverConfig(beta=1.0)
-    eta, _, _, _, _, trials = backtrack_at(w, grad, 5.0, cfg, prob)
-    assert eta == 5.0 and trials == 0
+    _, eta = first_step(prob, SolverConfig(beta=1.0, eta0=5.0), [1.0])
+    assert eta == 5.0
 
 
 class CountingProx(ZeroProx):
@@ -141,64 +123,56 @@ class CountingProx(ZeroProx):
         return super().prox(v, weight)
 
 
-def _lalm_step(prob, cfg):
-    w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad_at(w, 1.0, prob)
-    eta, _, _, _, _, trials = backtrack_at(w, grad, 1.0, cfg, prob)
-    return eta, trials
+def _blalm_one_block(prob, cfg, **kwargs):
+    return blalm.solve(prob.with_blocks(1), cfg, **kwargs)
 
 
-def _block_step(prob, cfg):
-    state = BlockState(prob.with_blocks(1), cfg, x0=[1.0])
-    step = state.block_gradient(0)   # sets the analytic bound in analytic mode
-    state.eta[0] = 1.0
-    eta, _ = state.backtrack_block(0, *step)
-    return eta, state.last_trials
-
-
-def _pdyn_step(prob, cfg):
-    state = PdynState.start(prob, [1.0], eta=1.0)
-    pdyn.step(state, prob, cfg)
-    return state.eta, None
-
-
-@pytest.mark.parametrize("run", [_lalm_step, _block_step, _pdyn_step],
+# the ids name the step each solver takes
+@pytest.mark.parametrize("solve", [lalm.solve, _blalm_one_block, pdyn.solve],
                          ids=["backtrack_primal", "backtrack_block", "pdyn.step"])
 @pytest.mark.parametrize("mode, trials", [("backtracking", 3), ("analytic", 0)])
-def test_every_solver_step_is_the_shared_prox_step(run, mode, trials):
-    # g = (3/2) x^2 from eta 1 with factor 1.5: backtracking accepts at the
-    # third increase, 1.5^3 >= 3; analytic mode takes the first candidate
+def test_every_solver_step_is_the_shared_prox_step(solve, mode, trials):
+    # g = (3/2) x^2 from eta0 = 1 with factor 1.5: backtracking accepts at
+    # the third increase, 1.5^3 >= 3; analytic mode takes the first
+    # candidate. Each candidate is one prox call, after the one the epoch-0
+    # record's KKT residual makes
     h = CountingProx()
     prob = ProblemInstance(QuadraticFunction([[3.0]], [0.0], lipschitz=3.0), h,
                            dim=1)
-    eta, reported = run(prob, SolverConfig(beta=1.0, step_mode=mode))
-    assert h.calls == trials + 1
-    assert eta == pytest.approx(1.5 ** trials)
-    assert reported in (None, trials)
+    seen = []
+    solve(prob, SolverConfig(beta=1.0, step_mode=mode, eta0=1.0, max_epochs=1),
+          x0=[1.0], callback=lambda k, s: seen.append((np.max(s.eta), h.calls)))
+    eta, calls = seen[0]
+    assert calls == 1 + trials + 1
+    if mode == "backtracking":
+        assert eta == pytest.approx(1.5 ** trials)
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_backtracking_error_on_divergent_oracle():
+    # from the origin the gradient is 1e300, and every candidate's value
+    # overflows, so backtracking runs out of increases
     bad = ProblemInstance(
         QuadraticFunction([[-1e300]], [1e300]), ZeroProx(), dim=1)
-    w = PrimalDualPoint.at(bad, [1.0])
-    with pytest.raises(SolverError):
-        backtrack_at(w, np.array([1e300]), 1.0, SolverConfig(), bad)
+    with pytest.raises(SolverError, match="backtracking failed"):
+        lalm.solve(bad, SolverConfig(max_epochs=1), x0=[0.0])
 
 
 def test_accepted_pairs_satisfy_descent_inequality(rng):
-    # post-hoc recheck of the accepted (eta, x+) pairs at 1e-10 slack
+    # post-hoc recheck of the accepted (eta, x+) pairs at 1e-10 slack, with
+    # the reference's smooth value and gradient at the start (y, z)
     prob = gen_bpdn(BpdnSpec(rows=6, cols=10, sparsity=2, seed=3))
-    cfg = SolverConfig(beta=1.0)
+    cfg = SolverConfig(beta=1.0, eta0=1.0)
+    y = np.zeros(0)
     for _ in range(30):
         x = rng.normal(size=10)
         z = rng.uniform(0, 2, size=1)
-        w = PrimalDualPoint.at(prob, x, z=z)
-        grad = smooth_grad_at(w, 1.0, prob)
-        eta, x_new, r_new, fv_new, val, _ = backtrack_at(w, grad, 1.0, cfg, prob)
-        dx = x_new - w.x
-        rhs = smooth_value_at(w, 1.0, prob) + grad @ dx + 0.5 * eta * dx @ dx
-        assert val <= rhs + 1e-10 * max(1.0, abs(rhs))
+        x_new, eta = first_step(prob, cfg, x, z0=z)
+        dx = x_new - x
+        rhs = (ref.smooth_value(prob, x, y, z, 1.0)
+               + ref.smooth_grad(prob, x, y, z, 1.0) @ dx + 0.5 * eta * dx @ dx)
+        assert ref.smooth_value(prob, x_new, y, z, 1.0) <= \
+            rhs + 1e-10 * max(1.0, abs(rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -207,33 +181,34 @@ def test_accepted_pairs_satisfy_descent_inequality(rng):
 
 def test_prox_step_is_gradient_step_without_h():
     prob = quadratic_prob(2.0)
-    w = PrimalDualPoint.at(prob, [1.0])
-    grad = smooth_grad_at(w, 1.0, prob)
-    np.testing.assert_allclose(candidate(w, grad, 4.0, prob),
-                               w.x - grad / 4.0)
+    x, eta = first_step(prob, SolverConfig(eta0=4.0), [1.0])
+    assert eta == 4.0
+    np.testing.assert_allclose(x, gradient_step(prob, [1.0], 4.0))
 
 
 def test_prox_step_shrinkage():
-    prob = ProblemInstance(LinearFunction([0.0]), L1Norm(), dim=1)
-    w = PrimalDualPoint.at(prob, [1.0])
-    out = candidate(w, np.array([2.0]), 4.0, prob)
-    assert out == pytest.approx([0.25])
+    # 1 - 2/4 = 0.5, shrunk by 1/4
+    prob = ProblemInstance(LinearFunction([2.0]), L1Norm(), dim=1)
+    x, _ = first_step(prob, SolverConfig(eta0=4.0), [1.0])
+    assert x == pytest.approx([0.25])
 
 
 def test_prox_step_projects_into_box():
-    prob = ProblemInstance(LinearFunction([0.0]), BoxIndicator([-10.], [10.]),
+    prob = ProblemInstance(LinearFunction([-8.0]), BoxIndicator([-10.], [10.]),
                            dim=1)
-    w = PrimalDualPoint.at(prob, [10.0])
-    out = candidate(w, np.array([-8.0]), 4.0, prob)  # lands at 12
-    assert out == pytest.approx([10.0])
+    x, _ = first_step(prob, SolverConfig(eta0=4.0), [10.0])  # lands at 12
+    assert x == pytest.approx([10.0])
 
 
-@pytest.mark.parametrize("eta", [0.0, -1.0])
-def test_prox_step_refuses_nonpositive_eta(eta):
-    prob = quadratic_prob(2.0)
-    w = PrimalDualPoint.at(prob, [1.0])
+@pytest.mark.parametrize("lipschitz", [0.0, -1.0])
+def test_prox_step_refuses_nonpositive_eta(lipschitz):
+    # with no constraint the analytic bound is max(0, L_g + delta): 0 for an
+    # objective declared with a Lipschitz constant of 0 or less
+    g = OracleFunction(lambda x: float(2.0 * x[0]), lambda x: np.array([2.0]),
+                       lipschitz=lipschitz)
+    prob = ProblemInstance(g, ZeroProx(), dim=1)
     with pytest.raises(ValueError, match="eta must be positive"):
-        candidate(w, np.array([1.0]), eta, prob)
+        lalm.solve(prob, SolverConfig(step_mode="analytic", max_epochs=1))
 
 
 def test_multiplier_steps_hand_values():
@@ -698,8 +673,8 @@ _PROXES = {"box": lambda: BoxIndicator(-np.ones(3), np.ones(3)),
 def test_non_finite_gradient_is_refused_after_one_trial(solver, h, mode):
     # the oracle stack refuses a gradient with +inf, -inf or NaN entries
     # where it gathers it, so in either mode no candidate is formed from it;
-    # prox_step's own checks, after the first rejected trial and before an
-    # analytic one, stay as the backstop for stacks of other kinds
+    # the shared step's own checks, after the first rejected trial and before
+    # an analytic one, stay as the backstop for stacks of other kinds
     counting = NonFiniteInputCountingProx(_PROXES[h]())
     prob = ProblemInstance(_non_finite_grad_away_from_origin(), counting, dim=3,
                            blocks=even_blocks(3, 3))
