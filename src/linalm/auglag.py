@@ -147,15 +147,3 @@ def penalty_lipschitz(coef, beta, prob):
         total += term
     return total
 
-
-def smooth_lipschitz(coef, beta, prob, norm_sq):
-    """Lipschitz bound for the smooth-part gradient at weights coef.
-
-    L_g + beta N + penalty_lipschitz(coef), with N = ``norm_sq`` the squared
-    norm of the equality columns the gradient covers (||A||^2 in full).
-    """
-    if prob.g.lipschitz is None:
-        raise ValueError("objective lacks a gradient Lipschitz constant; "
-                         "run the solver in backtracking mode")
-    return (prob.g.lipschitz + beta * norm_sq
-            + penalty_lipschitz(coef, beta, prob))

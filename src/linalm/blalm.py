@@ -17,8 +17,7 @@ from .lalm import (BlockState, _drive, descent_holds,  # noqa: F401
                    multiplier_step_y, multiplier_step_z)
 
 
-def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
-          clock=None):
+def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None):
     """Run the randomized block solver for config.max_epochs epochs.
 
     The problem must carry a block partition and, with more than one
@@ -30,4 +29,4 @@ def solve(prob, config, x0=None, y0=None, z0=None, seed=0, callback=None,
     the method label "blalm".
     """
     state = BlockState(prob, config, x0, y0, z0, seed)
-    return _drive(state, "blalm", False, callback, clock)
+    return _drive(state, "blalm", False, callback)

@@ -166,14 +166,13 @@ def long_run_reference(prob, cache=None):
     return ref
 
 
-def run(config, clock=None):
+def run(config):
     """Build the instance, resolve its reference, run the method, write CSV.
 
     The reference is keyed on the instance without blalm's ``config.blocks``
     partition, which is made first: a bad block count, or blalm with no
     partition, costs no solve. Returns a RunResult carrying the CSV path,
-    the SolveResult, and the resolved reference (if any). ``clock`` overrides
-    the wall-clock source for the trace, making repeated runs byte-identical.
+    the SolveResult, and the resolved reference (if any).
     """
     prob = build_problem(config)
     split = (prob.with_blocks(config.blocks)
@@ -185,12 +184,11 @@ def run(config, clock=None):
 
     x0 = prob.meta.get("x0")
     if config.method == "lalm":
-        result = lalm.solve(prob, config.solver, x0=x0, clock=clock)
+        result = lalm.solve(prob, config.solver, x0=x0)
     elif config.method == "blalm":
-        result = blalm.solve(prob, config.solver, x0=x0, seed=config.seed,
-                             clock=clock)
+        result = blalm.solve(prob, config.solver, x0=x0, seed=config.seed)
     else:
-        result = pdyn.solve(prob, config.solver, x0=x0, clock=clock)
+        result = pdyn.solve(prob, config.solver, x0=x0)
     out = config.out or f"{config.method}_{_slug(config.problem)}.csv"
     path = write_trace_csv(result.trace, out)
     return RunResult(Path(path), result, reference)

@@ -18,6 +18,7 @@ from typing import Optional
 
 import numpy as np
 
+from .lalm import check_types
 from .model import (AffineConstraint, BoxIndicator, InequalityConstraint,
                     L1Norm, LeastSquaresFunction, LinearFunction,
                     ProblemInstance, QuadraticFunction, SmoothFunction,
@@ -335,17 +336,30 @@ def _fn_to_dict(fn):
     raise ValueError(f"cannot serialize smooth function of type {type(fn).__name__}")
 
 
+def _number(d, key):
+    """d[key], an instance file's scalar constant, refused with a ValueError
+    naming the key unless a number; the bounds ``lipschitz`` and
+    ``grad_bound`` may be absent or None, and may not be negative."""
+    bound = key in ("lipschitz", "grad_bound")
+    value = d.get(key) if bound else d[key]
+    check_types({key: value}, {key: Optional[float] if bound else float})
+    if bound and value is not None and not value >= 0:
+        raise ValueError(f"{key} must be >= 0, not {value!r}")
+    return value
+
+
 def _fn_from_dict(d):
     kind = d["kind"]
     if kind == "zero":
         return ZeroFunction()
     if kind == "quadratic":
-        return QuadraticFunction(d["Q"], d["c"], d["d"], lipschitz=d.get("lipschitz"))
+        return QuadraticFunction(d["Q"], d["c"], _number(d, "d"),
+                                 lipschitz=_number(d, "lipschitz"))
     if kind == "least_squares":
-        return LeastSquaresFunction(d["A"], d["b"], offset=d["offset"],
-                                    lipschitz=d.get("lipschitz"))
+        return LeastSquaresFunction(d["A"], d["b"], offset=_number(d, "offset"),
+                                    lipschitz=_number(d, "lipschitz"))
     if kind == "linear":
-        return LinearFunction(d["a"], d["shift"])
+        return LinearFunction(d["a"], _number(d, "shift"))
     if kind == "minimax":
         return MinimaxConstraint(_fn_from_dict(d["inner"]), d["inner_dim"])
     raise ValueError(f"unknown smooth function kind: {kind!r}")
@@ -366,7 +380,7 @@ def _prox_from_dict(d):
     if kind == "zero":
         return ZeroProx()
     if kind == "l1":
-        return L1Norm(d["scale"])
+        return L1Norm(_number(d, "scale"))
     if kind == "box":
         return BoxIndicator(d["lower"], d["upper"])
     raise ValueError(f"unknown prox function kind: {kind!r}")
@@ -397,7 +411,8 @@ def instance_from_dict(data):
     blocks = None
     if data.get("blocks"):
         blocks = tuple(slice(a, b) for a, b in data["blocks"])
-    constraints = [InequalityConstraint(_fn_from_dict(c["fn"]), c.get("grad_bound"))
+    constraints = [InequalityConstraint(_fn_from_dict(c["fn"]),
+                                        _number(c, "grad_bound"))
                    for c in data.get("constraints", [])]
     return ProblemInstance(
         g=_fn_from_dict(data["g"]), h=_prox_from_dict(data["h"]),

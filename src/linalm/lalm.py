@@ -197,13 +197,6 @@ def multiplier_step_z(z, fvals_new, rho_z, beta, clipped=None):
     return np.maximum(z + rho_z * clipped, 0.0)
 
 
-def analytic_eta(eta_prev, coef, beta, delta, prob, norm_sq):
-    """Monotone analytic step bound max(eta_prev, L_F + delta), with L_F the
-    smooth-part bound at weights coef = [beta f + z]_+ over equality columns
-    of squared norm ``norm_sq``."""
-    return max(eta_prev, auglag.smooth_lipschitz(coef, beta, prob, norm_sq) + delta)
-
-
 def descent_holds(value_new, value_base, inner, eta, step_sq):
     """Smooth-part descent test value_new <= base + inner + (eta/2)||dx||^2,
     with a tiny nonnegative relative slack for roundoff, formed only when
@@ -279,13 +272,22 @@ class BlockState:
         self.analytic = config.step_mode == "analytic"
         seed_eta = 0.0 if self.analytic else config.eta_seed(prob)
         self.eta = np.full(n, seed_eta)
-        # Each block's squared equality-column norm, which only analytic
-        # step bounds read (a full-width block: the instance's cached
-        # ||A||^2); None when backtracking.
-        self.block_norm_sq = np.array(
-            [prob.affine.norm_sq] if self.full_width else
-            [operator_norm_sq(prob.affine.A[:, sl]) for sl in self.blocks]
-        ) if self.analytic else None
+        # Each block's L_g + beta ||A_i||^2, the analytic bound's constant part.
+        self.curvature = None
+        if self.analytic:
+            L_g = prob.g.lipschitz
+            if L_g is None:
+                raise ValueError("objective lacks a gradient Lipschitz constant; "
+                                 "run the solver in backtracking mode")
+            if L_g < 0:
+                raise ValueError(f"objective gradient Lipschitz constant {L_g} "
+                                 "is negative")
+            self.curvature = np.array([
+                L_g + config.beta * operator_norm_sq(prob.affine.A[:, sl])
+                for sl in self.blocks])
+            if prob.m == 0 and self.curvature.min() + config.delta <= 0:
+                raise ValueError("analytic step bound L_g + beta ||A_i||^2 + delta is "
+                                 "not positive; give delta > 0 or use backtracking")
         self.rng = np.random.default_rng(seed)
         self.last_trials = 0
 
@@ -320,8 +322,8 @@ class BlockState:
             self.tracker.value, self.y, None if A_i is None else self.r, self.z,
             beta, not self.analytic)
         if self.analytic:
-            self.eta[i] = analytic_eta(self.eta[i], coef, beta, self.config.delta,
-                                       self.prob, self.block_norm_sq[i])
+            bound = self.curvature[i] + auglag.penalty_lipschitz(coef, beta, self.prob)
+            self.eta[i] = max(self.eta[i], bound + self.config.delta)
         return (auglag.smooth_grad_block(self.tracker.block_grad(self.blocks[i]),
                                          A_i, self.y, self.r, coef, beta),
                 floor, base)
@@ -432,7 +434,7 @@ def run_epochs(prob, config, advance, snapshot):
     return records, config.max_epochs, False
 
 
-def _drive(state, method, weight_by_eta, callback, clock):
+def _drive(state, method, weight_by_eta, callback):
     """lalm's and blalm's solve on a ready ``BlockState``.
 
     An epoch is ``draw_epoch``'s iterations, each a block step followed by
@@ -454,7 +456,7 @@ def _drive(state, method, weight_by_eta, callback, clock):
     rho_y, rho_z = config.resolve_rho(n)
     beta, has_rows = config.beta, not prob.affine.is_empty
     acc = ErgodicAccumulator(prob.dim)
-    recorder = MetricsRecorder(prob, method, tracker.fn, clock=clock)
+    recorder = MetricsRecorder(prob, method, tracker.fn)
 
     def advance(epoch):
         for k, i in enumerate(state.draw_epoch(), (epoch - 1) * n + 1):
@@ -485,17 +487,16 @@ def _drive(state, method, weight_by_eta, callback, clock):
                        eta=float(state.eta.max()))
 
 
-def solve(prob, config, x0=None, y0=None, z0=None, callback=None, clock=None):
+def solve(prob, config, x0=None, y0=None, z0=None, callback=None):
     """Run the full-vector solver: ``_drive`` on ``prob.with_blocks(1)``,
     whatever partition ``prob`` carries, so one epoch is one iteration and
     rho_y and rho_z default to beta. x0, y0, z0 default to zeros (z0 must
     be nonnegative). ``callback(iteration, state)`` runs after every
     iteration with the live ``BlockState``: copy what you keep
     (``PrimalDualPoint.of(state)`` copies the point).
-    ``clock`` is the wall-clock source for trace timestamps (a testing hook).
 
     Returns a SolveResult with the final triple, the 1/eta-weighted ergodic
     average, and the trace, whose records carry the method label "lalm".
     """
     state = BlockState(prob.with_blocks(1), config, x0, y0, z0)
-    return _drive(state, "lalm", True, callback, clock)
+    return _drive(state, "lalm", True, callback)

@@ -503,18 +503,13 @@ class InequalityConstraint:
 
 
 class AffineConstraint:
-    """Equality constraints A x = b and their residual. ``norm_sq`` is
-    ||A||^2 (the largest eigenvalue of A'A), computed on its first read."""
+    """Equality constraints A x = b and their residual."""
 
     def __init__(self, A, b):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float).ravel()
         if self.A.shape[0] != self.b.shape[0]:
             raise ValueError(f"A has {self.A.shape[0]} rows but b has {len(self.b)}")
-
-    @cached_property
-    def norm_sq(self):
-        return operator_norm_sq(self.A)
 
     @classmethod
     def empty(cls, dim):

@@ -99,7 +99,7 @@ def step(state, prob, config):
     state.lam = np.maximum(-fvals, state.lam + fvals)
 
 
-def solve(prob, config, x0=None, callback=None, clock=None):
+def solve(prob, config, x0=None, callback=None):
     """Run the baseline for config.max_epochs iterations (one epoch each).
 
     step_mode 'backtracking' adapts eta; 'analytic' keeps it fixed at eta0
@@ -118,7 +118,7 @@ def solve(prob, config, x0=None, callback=None, clock=None):
         raise ValueError("fixed-step mode requires eta0")
     state = PdynState.start(prob, x0, config.eta_seed(prob))
     tracker = state.tracker
-    recorder = MetricsRecorder(prob, "pdyn", tracker.fn, clock=clock)
+    recorder = MetricsRecorder(prob, "pdyn", tracker.fn)
 
     def advance(epoch):
         step(state, prob, config)

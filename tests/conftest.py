@@ -66,6 +66,15 @@ def rng():
 
 
 @pytest.fixture
+def frozen_clock(monkeypatch):
+    """Trace timestamps stop: the recorder's ``perf_counter`` reads 0.0, so
+    repeated solves give equal records, ``time_ms`` included."""
+    from linalm import trace
+
+    monkeypatch.setattr(trace, "perf_counter", lambda: 0.0)
+
+
+@pytest.fixture
 def norm_count(monkeypatch):
     """The shapes of the matrices whose operator norm is computed from here
     on: ``operator_norm_sq`` makes one ``eigvalsh`` call per non-empty

@@ -7,13 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 import reference_iteration as ref
 from linalm import auglag, lalm
 from linalm.auglag import (penalty_lipschitz, scalar_penalty,
-                           scalar_penalty_deriv, smooth_grad_block,
-                           smooth_lipschitz, smooth_value)
+                           scalar_penalty_deriv, smooth_grad_block, smooth_value)
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp
 from linalm.lalm import SolverConfig, multiplier_step_z
 from linalm.model import (BoxIndicator, InequalityConstraint, LinearFunction,
                           PrimalDualPoint, ProblemInstance, QuadraticFunction,
-                          ZeroProx, smooth_stack)
+                          ZeroProx, operator_norm_sq, smooth_stack)
 
 from conftest import central_diff_grad
 
@@ -406,18 +405,24 @@ def test_penalty_gradient_lipschitz_sampled(rng):
 
 
 def test_smooth_lipschitz_composition():
+    # lalm's first analytic eta at beta = 1, delta = 0 is the smooth part's
+    # Lipschitz bound
+    def first_eta(prob):
+        etas = []
+        lalm.solve(prob, SolverConfig(beta=1.0, step_mode="analytic", max_epochs=1),
+                   callback=lambda k, s: etas.append(float(s.eta[0])))
+        return etas[0]
+
     # no affine part, no constraints: just L_g
     plain = ProblemInstance(QuadraticFunction([[3.0]], [0.0], lipschitz=3.0),
                             ZeroProx(), dim=1)
-    assert smooth_lipschitz(np.zeros(0), 1.0, plain,
-                            plain.affine.norm_sq) == 3.0
+    assert first_eta(plain) == 3.0
     # identity A adds beta * 1
     from linalm.model import AffineConstraint
     with_eq = ProblemInstance(
         QuadraticFunction(np.eye(2), np.zeros(2), lipschitz=1.0), ZeroProx(),
         dim=2, affine=AffineConstraint(np.eye(2), np.zeros(2)))
-    assert smooth_lipschitz(np.zeros(0), 1.0, with_eq,
-                            with_eq.affine.norm_sq) == pytest.approx(2.0, rel=1e-6)
+    assert first_eta(with_eq) == pytest.approx(2.0, rel=1e-6)
 
 
 def test_descent_inequality_holds_at_smooth_lipschitz(rng):
@@ -432,9 +437,10 @@ def test_descent_inequality_holds_at_smooth_lipschitz(rng):
         lalm.solve(prob, cfg, w.x, w.y, w.z, callback=lambda k, s: seen.append(
             (s.x.copy(), float(s.eta[0]))))
         (x_new, eta), = seen
-        assert eta == pytest.approx(smooth_lipschitz(
-            scalar_penalty_deriv(w.fvals, w.z, beta), beta, prob,
-            prob.affine.norm_sq), rel=1e-12)
+        coef = scalar_penalty_deriv(w.fvals, w.z, beta)
+        assert eta == pytest.approx(
+            prob.g.lipschitz + beta * operator_norm_sq(prob.affine.A)
+            + penalty_lipschitz(coef, beta, prob), rel=1e-12)
         dx = x_new - w.x
         rhs = (ref.smooth_value(prob, w.x, w.y, w.z, beta)
                + ref.smooth_grad(prob, w.x, w.y, w.z, beta) @ dx

@@ -58,26 +58,29 @@ def with_equalities(kind, seed):
 
 
 def test_block_norms_are_computed_in_analytic_mode_only(norm_count):
-    # only analytic step bounds read a block's squared equality-column norm
+    # only analytic step bounds read a block's squared equality-column norm,
+    # through its curvature L_g + beta ||A_i||^2, computed at construction
     prob = with_equalities("qcqp", 0)
     # the constraints' norms, computed now so that they are not counted
     assert all(con.grad_bound > 0 for con in prob.constraints)
-    want = np.array([operator_norm_sq(prob.affine.A[:, sl]) for sl in prob.blocks])
+    want = prob.g.lipschitz + 0.1 * np.array(
+        [operator_norm_sq(prob.affine.A[:, sl]) for sl in prob.blocks])
     norm_count.clear()
     cfg = SolverConfig(beta=0.1, max_epochs=3)
     blalm.solve(prob, cfg)
+    lalm.solve(prob, cfg)
     assert norm_count == []
+    # one eigvalsh per block per analytic solve, whatever the block width
     blalm.solve(prob, replace(cfg, step_mode="analytic"))
     assert norm_count == [(3, 3)] * len(prob.blocks)
-    # lalm's one full-width block reads the instance's ||A||^2, computed once
     norm_count.clear()
     for _ in range(2):
         lalm.solve(prob, replace(cfg, step_mode="analytic"))
-    assert norm_count == [(3, 3)]
+    assert norm_count == [(3, 3)] * 2
     # the analytic bounds that read them follow the reference iteration
     # (tests/test_reference_iteration.py)
-    assert make_state(prob, beta=0.1).block_norm_sq is None
-    assert make_state(prob, beta=0.1, step_mode="analytic").block_norm_sq.tobytes() \
+    assert make_state(prob, beta=0.1).curvature is None
+    assert make_state(prob, beta=0.1, step_mode="analytic").curvature.tobytes() \
         == want.tobytes()
 
 
@@ -517,13 +520,12 @@ def test_exactly_one_block_changes_per_iteration():
     assert max(changed_counts) <= 1
 
 
-def test_seed_determinism_identical_traces():
+def test_seed_determinism_identical_traces(frozen_clock):
     prob = gen_bpdn(BpdnSpec(rows=8, cols=16, sparsity=3, seed=1)).with_blocks(4)
     cfg = SolverConfig(beta=1.0, rho_z=0.25, rho_y=0.25, max_epochs=50,
                        record_every=5)
-    fake_clock = lambda: 0.0
-    res1 = blalm.solve(prob, cfg, seed=7, clock=fake_clock)
-    res2 = blalm.solve(prob, cfg, seed=7, clock=fake_clock)
+    res1 = blalm.solve(prob, cfg, seed=7)
+    res2 = blalm.solve(prob, cfg, seed=7)
     assert res1.trace == res2.trace
     np.testing.assert_array_equal(res1.w.x, res2.w.x)
 

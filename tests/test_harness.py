@@ -22,10 +22,6 @@ from linalm.trace import (CSV_COLUMNS, MetricsRecorder, TraceRecord,
                           write_trace_csv)
 
 
-def fake_clock():
-    return 0.0
-
-
 def tiny_config(method="lalm", problem="tiny:scalar-qcqp", out=None,
                 **solver_kwargs):
     solver_kwargs.setdefault("max_epochs", 300)
@@ -63,7 +59,7 @@ def test_stacked_recorder_matches_per_function_reference(rng, make):
     stack = smooth_stack(prob)
     lo, hi = prob.h.domain if prob.h.domain is not None else (-np.ones(prob.dim),
                                                               np.ones(prob.dim))
-    recorder = MetricsRecorder(prob, "m", stack, clock=fake_clock)
+    recorder = MetricsRecorder(prob, "m", stack)
     for _ in range(5):
         x, e = (rng.uniform(lo, hi) for _ in range(2))
         z = rng.uniform(0.0, 2.0, size=prob.m) * (rng.random(prob.m) < 0.7)
@@ -130,7 +126,7 @@ def test_lalm_records_from_its_tracker_what_direct_evaluation_gives(name):
     points = {0: PrimalDualPoint.at(prob, np.zeros(prob.dim))}
     cfg = SolverConfig(beta=1.0, rho_y=1.0, rho_z=1.0, max_epochs=60,
                        record_every=1)
-    res = lalm.solve(prob, cfg, clock=fake_clock,
+    res = lalm.solve(prob, cfg,
                      callback=lambda k, state: points.__setitem__(
                          k, PrimalDualPoint.of(state)))
     assert len(res.trace) == 61
@@ -161,8 +157,7 @@ def test_blalm_ergodic_columns_match_direct_evaluation(name):
             points[k // n] = PrimalDualPoint.of(state)
 
     cfg = SolverConfig(beta=1.0, max_epochs=40, record_every=1)
-    res = blalm.solve(prob.with_blocks(n), cfg, seed=4, clock=fake_clock,
-                      callback=watch)
+    res = blalm.solve(prob.with_blocks(n), cfg, seed=4, callback=watch)
     assert len(res.trace) == 41
     for rec in res.trace:
         _assert_kkt_recorded(rec, points[rec.epoch], prob)
@@ -183,7 +178,7 @@ def test_complementarity_alone_keeps_the_solver_running(z, stops):
                                QuadraticFunction([[2.0]], [0.0], -9.0))])
     w = PrimalDualPoint.at(prob, [0.0], None, [z])
     assert tuple(kkt_residual(w, prob)) == (0.0, 0.0, 9.0 * z)
-    rec = MetricsRecorder(prob, "m", smooth_stack(prob), clock=fake_clock).snapshot(1, w)
+    rec = MetricsRecorder(prob, "m", smooth_stack(prob)).snapshot(1, w)
     assert should_stop(rec, 1.0, have_reference=False) is stops
 
 
@@ -264,7 +259,7 @@ def test_csv_read_refuses_a_foreign_header(tmp_path):
 def test_csv_row_count_invariant(tmp_path):
     cfg = tiny_config(max_epochs=95, out=str(tmp_path / "r.csv"))
     cfg.solver.record_every = 10
-    res = run(cfg, clock=fake_clock)
+    res = run(cfg)
     rows = res.path.read_text().strip().splitlines()
     # data rows: epoch 0, every 10th epoch, and the final epoch 95
     assert len(rows) - 1 == 95 // 10 + 2
@@ -319,18 +314,18 @@ def test_rate_fit_drops_nonpositive_and_requires_samples():
 
 def test_run_lalm_on_tiny_reaches_reference(tmp_path):
     cfg = tiny_config(max_epochs=1000, out=str(tmp_path / "a.csv"))
-    res = run(cfg, clock=fake_clock)
+    res = run(cfg)
     assert res.reference.provenance == "hand"
     assert res.result.trace[-1].obj_gap <= 1e-6
     assert res.path.exists()
 
 
-def test_run_blalm_deterministic_byte_identical(tmp_path):
+def test_run_blalm_deterministic_byte_identical(tmp_path, frozen_clock):
     out1, out2 = tmp_path / "b1.csv", tmp_path / "b2.csv"
     for out in (out1, out2):
         cfg = tiny_config(method="blalm", max_epochs=200, out=str(out))
         cfg.seed = 7
-        run(cfg, clock=fake_clock)
+        run(cfg)
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -338,13 +333,13 @@ def test_run_pdyn_rejects_equality_instances(tmp_path):
     cfg = tiny_config(method="pdyn", problem="tiny:equality-qp",
                       out=str(tmp_path / "p.csv"))
     with pytest.raises(ValueError, match="equality"):
-        run(cfg, clock=fake_clock)
+        run(cfg)
 
 
 def test_run_without_reference_leaves_gap_columns_empty(tmp_path):
     cfg = tiny_config(max_epochs=50, out=str(tmp_path / "n.csv"))
     cfg.reference = "none"
-    res = run(cfg, clock=fake_clock)
+    res = run(cfg)
     for rec in read_trace_csv(res.path):
         assert rec.obj_gap is None and rec.erg_obj_gap is None
         assert rec.feas >= 0.0
@@ -352,7 +347,7 @@ def test_run_without_reference_leaves_gap_columns_empty(tmp_path):
 
 def test_run_feasibility_nonnegative(tmp_path):
     cfg = tiny_config(method="blalm", max_epochs=100, out=str(tmp_path / "f.csv"))
-    res = run(cfg, clock=fake_clock)
+    res = run(cfg)
     assert all(rec.feas >= 0 for rec in read_trace_csv(res.path))
 
 
@@ -362,7 +357,7 @@ def test_run_minimax_uses_long_run_reference(tmp_path, monkeypatch):
                            solver=SolverConfig(beta=1.0, record_every=100,
                                                max_epochs=2000),
                            out=str(tmp_path / "m.csv"))
-    res = run(cfg, clock=fake_clock)
+    res = run(cfg)
     assert res.reference.provenance == "long-run"
     assert res.result.trace[-1].obj_gap <= 1e-3
 
@@ -380,7 +375,7 @@ def test_run_on_small_instances_stops_at_the_long_run_optimum(
                            seed=seed,
                            solver=SolverConfig(tol=1e-6, max_epochs=100_000),
                            out=str(tmp_path / "s.csv"))
-    res = run(cfg, clock=fake_clock)
+    res = run(cfg)
     assert res.reference.provenance == "long-run"
     assert res.reference.residual <= 1e-10
     assert res.result.stopped_early
@@ -424,10 +419,10 @@ def test_lalm_and_blalm_runs_of_one_instance_share_one_reference(
                                 blocks=blocks, solver=SolverConfig(max_epochs=50),
                                 out=str(tmp_path / f"{method}.csv"))
 
-    first = run(config("lalm"), clock=fake_clock).reference
+    first = run(config("lalm")).reference
     (entry,) = tmp_path.glob("*.json")
     stamp = entry.stat()
-    second = run(config("blalm", blocks=2), clock=fake_clock).reference
+    second = run(config("blalm", blocks=2)).reference
     assert list(tmp_path.glob("*.json")) == [entry]
     assert (entry.stat().st_ino, entry.stat().st_mtime_ns) == (stamp.st_ino,
                                                                stamp.st_mtime_ns)
@@ -444,7 +439,7 @@ def test_run_refuses_a_bad_block_count_before_any_reference_solve(
                                problem_opts={"rows": 10, "cols": 20, "sparsity": 2},
                                out=str(tmp_path / "b.csv"))
         with pytest.raises(ValueError, match=message):
-            run(cfg, clock=fake_clock)
+            run(cfg)
         assert list(tmp_path.iterdir()) == []
 
 
@@ -457,7 +452,7 @@ def test_run_takes_blalm_blocks_from_an_instance_file(tmp_path, monkeypatch):
     cfg = ExperimentConfig(method="blalm", problem=str(path), reference="none",
                            solver=SolverConfig(max_epochs=20),
                            out=str(tmp_path / "b.csv"))
-    assert run(cfg, clock=fake_clock).result.epochs == 20
+    assert run(cfg).result.epochs == 20
 
 
 def test_every_exported_name_resolves():

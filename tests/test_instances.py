@@ -252,6 +252,18 @@ def test_save_unserializable_instance_leaves_no_file(tmp_path):
     assert not path.exists()
 
 
+def _quadratic(**keys):
+    return {"kind": "quadratic", "Q": [[1.0]], "c": [0.0], "d": 0.0,
+            "lipschitz": 1.0, **keys}
+
+
+def _scalar_instance(g=None, h=None, grad_bound=1.0, **fn_keys):
+    """A one-variable instance file with one quadratic constraint, its
+    scalar constants replaced where given."""
+    return {"dim": 1, "g": g or {"kind": "zero"}, "h": h or {"kind": "zero"},
+            "constraints": [{"fn": _quadratic(**fn_keys), "grad_bound": grad_bound}]}
+
+
 @pytest.mark.parametrize("data, named", [
     ({}, "'g'"),
     ({"dim": 1, "g": {"kind": "quadratic", "Q": [[1.0]], "d": 0.0},
@@ -263,6 +275,16 @@ def test_save_unserializable_instance_leaves_no_file(tmp_path):
       "blocks": [[0.0, 1.0], [1.0, 2.0]]}, "integer slices"),
     *(({"dim": dim, "g": {"kind": "zero"}, "h": {"kind": "zero"}}, "dim must be")
       for dim in (2.5, True, "2")),
+    # scalar constants: a number, not a bool, and a nonnegative bound
+    *((_scalar_instance(lipschitz=bad), "lipschitz must be")
+      for bad in ("2", True, -1.0)),
+    *((_scalar_instance(grad_bound=bad), "grad_bound must be") for bad in (True, "20")),
+    (_scalar_instance(d="0"), "d must be float"),
+    (_scalar_instance(g={"kind": "least_squares", "A": [[1.0]], "b": [0.0],
+                         "offset": None}), "offset must be float"),
+    (_scalar_instance(g={"kind": "linear", "a": [2.0], "shift": "0"}),
+     "shift must be float"),
+    (_scalar_instance(h={"kind": "l1", "scale": False}), "scale must be float"),
 ])
 def test_load_malformed_instance_raises_value_error(tmp_path, data, named):
     path = tmp_path / "bad.json"

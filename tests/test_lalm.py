@@ -9,8 +9,8 @@ from conftest import (nan_away_from_origin, nan_grad_away_from_origin,
                       qcqp_with_oracle_constraint)
 from linalm import auglag, blalm, lalm, pdyn
 from linalm.instances import BpdnSpec, QcqpSpec, gen_bpdn, gen_qcqp, tiny_reference
-from linalm.lalm import (ErgodicAccumulator, SolverConfig, SolverError,
-                         analytic_eta, multiplier_step_y, multiplier_step_z)
+from linalm.lalm import (BlockState, ErgodicAccumulator, SolverConfig, SolverError,
+                         multiplier_step_y, multiplier_step_z)
 from linalm.model import (BoxIndicator, FunctionStack, InequalityConstraint,
                           L1Norm, LinearFunction, OracleFunction, PrimalDualPoint,
                           ProblemInstance, QuadraticFunction, QuadraticStack,
@@ -74,26 +74,27 @@ def test_analytic_mode_refuses_nonpositive_eta0(solver):
 
 def test_analytic_eta_hand_cases():
     prob, _ = tiny_reference("equality-qp")
-    # L_F = L_g + beta ||A||^2 = 1 + 2; delta = 1 -> eta = 4 from eta_prev 0
-    norm_sq = prob.affine.norm_sq
-    val = analytic_eta(0.0, np.zeros(0), 1.0, 1.0, prob, norm_sq)
-    assert val == pytest.approx(4.0, rel=1e-6)
-    # the max keeps monotonicity when the bound drops
-    assert analytic_eta(10.0, np.zeros(0), 1.0, 1.0, prob, norm_sq) == 10.0
-    # constant problem data: eta settles after the first iteration
-    again = analytic_eta(val, np.zeros(0), 1.0, 1.0, prob, norm_sq)
-    assert again == val
+    # L_F = L_g + beta ||A||^2 = 1 + 2; delta = 1 -> eta = 4 from the zero
+    # sentinel; without inequality constraints the bound is constant, so eta
+    # stays there after the first iteration
+    etas = []
+    lalm.solve(prob, SolverConfig(beta=1.0, delta=1.0, step_mode="analytic",
+                                  max_epochs=5),
+               callback=lambda k, s: etas.append(float(s.eta[0])))
+    assert etas[0] == pytest.approx(4.0, rel=1e-6)
+    assert etas == [etas[0]] * 5
 
 
 def test_analytic_eta_requires_constants():
     prob = gen_bpdn(BpdnSpec(rows=4, cols=6, sparsity=2, seed=0))
     with pytest.raises(ValueError, match="backtracking"):
-        analytic_eta(0.0, np.zeros(1), 1.0, 0.0, prob, prob.affine.norm_sq)
+        lalm.solve(prob, SolverConfig(step_mode="analytic", max_epochs=5))
+    # the objective's constant is refused at construction, before any step
     g = OracleFunction(lambda x: float(x @ x), lambda x: 2.0 * x)
-    prob = ProblemInstance(g, ZeroProx(), dim=3)
+    prob = ProblemInstance(g, ZeroProx(), dim=3).with_blocks(1)
     with pytest.raises(ValueError,
                        match="objective lacks a gradient Lipschitz constant"):
-        lalm.solve(prob, SolverConfig(step_mode="analytic", max_epochs=5))
+        BlockState(prob, SolverConfig(step_mode="analytic", max_epochs=5))
 
 
 def test_backtracking_quadratic_acceptance_count():
@@ -200,15 +201,32 @@ def test_prox_step_projects_into_box():
     assert x == pytest.approx([10.0])
 
 
-@pytest.mark.parametrize("lipschitz", [0.0, -1.0])
-def test_prox_step_refuses_nonpositive_eta(lipschitz):
-    # with no constraint the analytic bound is max(0, L_g + delta): 0 for an
-    # objective declared with a Lipschitz constant of 0 or less
+def linear_objective(lipschitz):
+    """g(x) = 2x declared with the given gradient Lipschitz constant."""
     g = OracleFunction(lambda x: float(2.0 * x[0]), lambda x: np.array([2.0]),
                        lipschitz=lipschitz)
-    prob = ProblemInstance(g, ZeroProx(), dim=1)
-    with pytest.raises(ValueError, match="eta must be positive"):
-        lalm.solve(prob, SolverConfig(step_mode="analytic", max_epochs=1))
+    return ProblemInstance(g, ZeroProx(), dim=1)
+
+
+@pytest.mark.parametrize("lipschitz, message", [
+    (0.0, r"L_g \+ beta \|\|A_i\|\|\^2 \+ delta is not positive; give delta > 0"),
+    (-1.0, "Lipschitz constant -1.0 is negative"),
+], ids=["0.0", "-1.0"])
+def test_analytic_mode_refuses_a_nonpositive_step_bound(lipschitz, message):
+    # with no constraint the analytic bound is L_g + delta, no step size for
+    # L_g = delta = 0; a negative L_g is no Lipschitz constant. Both are
+    # refused at construction, before any step.
+    with pytest.raises(ValueError, match=message):
+        lalm.solve(linear_objective(lipschitz),
+                   SolverConfig(step_mode="analytic", max_epochs=1))
+
+
+def test_analytic_mode_steps_a_zero_curvature_objective_with_delta():
+    # delta = 1 gives L_g = 0 the step size 1/(0 + 1)
+    x, eta = first_step(linear_objective(0.0),
+                        SolverConfig(step_mode="analytic", delta=1.0), [0.0])
+    assert eta == 1.0
+    assert x == pytest.approx([-2.0])
 
 
 def test_multiplier_steps_hand_values():
@@ -525,7 +543,8 @@ def test_analytic_eta_literal_bound_plus_delta():
     # the first bound is 6 starting from the zero sentinel
     prob = ProblemInstance(QuadraticFunction([[5.0]], [0.0], lipschitz=5.0),
                            ZeroProx(), dim=1)
-    assert analytic_eta(0.0, np.zeros(0), 1.0, 1.0, prob, 0.0) == 6.0
+    _, eta = first_step(prob, SolverConfig(step_mode="analytic", delta=1.0), [1.0])
+    assert eta == 6.0
 
 
 @pytest.mark.parametrize("solver, n_blocks", [(lalm, 1), (blalm, 4)],

@@ -230,10 +230,9 @@ def test_solve_tiny_qcqp_reaches_feasibility():
     assert np.linalg.norm(res.w.x - ref.x) <= 1e-3
 
 
-def test_solve_deterministic_without_seed():
+def test_solve_deterministic_without_seed(frozen_clock):
     prob = gen_qcqp(QcqpSpec(m=2, p=6, seed=3))
     cfg = SolverConfig(beta=1.0, max_epochs=50, record_every=5)
-    clk = lambda: 0.0
-    res1 = pdyn.solve(prob, cfg, clock=clk)
-    res2 = pdyn.solve(prob, cfg, clock=clk)
+    res1 = pdyn.solve(prob, cfg)
+    res2 = pdyn.solve(prob, cfg)
     assert res1.trace == res2.trace
